@@ -22,9 +22,6 @@ from . import evaluate, features, ingest, models, obd, pipeline
 from .errors import DriverIdError
 from .features import FeatureMatrix, WindowSpec
 
-#: Canonical model ordering for `--kind all`.
-ALL_KINDS = ("zeror", "naive_bayes", "logreg", "knn", "svm", "reptree", "adaboost", "vote")
-
 _SPLIT_FLAGS = {"random": "random-window", "blocked": "blocked-time"}
 
 
@@ -239,7 +236,7 @@ def _cmd_evaluate(args, settings: _Settings) -> int:
         label_column=settings.get("label_column", ingest.DEFAULT_LABEL_COLUMN),
     )
     kind = settings.get("kind", "all")
-    kinds = ALL_KINDS if kind == "all" else (kind,)
+    kinds = tuple(models.KINDS) if kind == "all" else (kind,)
     for k in kinds:
         if k not in models.KINDS:
             raise _UsageError(f"unknown kind {k!r}; choose from {sorted(models.KINDS)}")

@@ -16,7 +16,6 @@ into a model-ready :class:`FeatureMatrix`:
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -241,11 +240,6 @@ def select_features(
             "k": k,
             "irrelevance_threshold": irrelevance_threshold,
             "correlation_threshold": correlation_threshold,
-            # Attribute-selection bookkeeping knobs kept for report parity
-            # with common tooling; the scoring above is deterministic and
-            # uses neither.
-            "selection_cv_folds": 10,
-            "selection_seed": 1,
         },
     )
 
@@ -409,15 +403,9 @@ class FeatureMatrix:
         return cls(column_names=ds.column_names, features=ds.channels, labels=ds.labels)
 
     def to_csv(self, target, *, label_column: str = "Class", delimiter: str = ",") -> None:
-        stream = open(target, "w", newline="", encoding="utf-8") if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__") else target
-        try:
-            writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-            writer.writerow([*self.column_names, label_column])
-            for row, label in zip(self.features, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [label])
-        finally:
-            if stream is not target:
-                stream.close()
+        ingest.write_csv(
+            target, self.column_names, self.features, self.labels, label_column, delimiter
+        )
 
 
 def window_count(n_samples: int, length: int, stride: int) -> int:

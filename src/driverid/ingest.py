@@ -12,6 +12,7 @@ are dropped through an explicit exclusion list rather than heuristics.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -101,17 +102,31 @@ class TripDataset:
             raise DriverIdError(f"no column named {name!r}") from None
 
     def to_csv(self, target, delimiter: str = ",") -> None:
-        """Write the dataset back out; numeric cells use repr so that a
-        load/save round trip is bit-exact."""
-        stream = open(target, "w", newline="", encoding="utf-8") if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__") else target
-        try:
-            writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-            writer.writerow([*self.column_names, self.label_column])
-            for row, label in zip(self.channels, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [label])
-        finally:
-            if stream is not target:
-                stream.close()
+        """Write the dataset back out (see :func:`write_csv`)."""
+        write_csv(
+            target, self.column_names, self.channels, self.labels, self.label_column, delimiter
+        )
+
+
+@contextmanager
+def _text_stream(target, mode: str):
+    """Open a path as a UTF-8 CSV text stream, or pass an open stream
+    through (the caller keeps ownership and it is left open)."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield target
+
+
+def write_csv(target, column_names, rows, labels, label_column, delimiter=",") -> None:
+    """Write a header and one line per row with its label last; numeric
+    cells use repr so that a load/save round trip is bit-exact."""
+    with _text_stream(target, "w") as stream:
+        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+        writer.writerow([*column_names, label_column])
+        for row, label in zip(rows, labels):
+            writer.writerow([repr(float(v)) for v in row] + [label])
 
 
 def load_dataset(
@@ -133,8 +148,7 @@ def load_dataset(
     cells count as non-numeric — missing data is a hard error), and
     :class:`EmptyDataset` for a header-only file.
     """
-    stream = open(source, encoding="utf-8", newline="") if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__") else source
-    try:
+    with _text_stream(source, "r") as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
@@ -168,9 +182,6 @@ def load_dataset(
             labels.append(row[label_at])
             cells.append([row[i] for i in channel_at])
             line_numbers.append(reader.line_num)
-    finally:
-        if stream is not source:
-            stream.close()
 
     if not cells:
         raise EmptyDataset("source has a header but no records")

@@ -11,23 +11,23 @@ import json
 
 from ..errors import DriverIdError
 from ..features import FeatureMatrix
-from .base import Classifier, logsumexp, mse, prepare_training, softmax
+from .base import Classifier, logsumexp, prepare_training, softmax
 from .baseline import ZeroR
 from .ensemble import DEFAULT_VOTE_MEMBERS, AdaBoost, MajorityVote
-from .knn import KNearestNeighbors, euclidean_distance
+from .knn import KNearestNeighbors
 from .logistic import LogisticRegression, loss_and_grad, sigmoid
 from .naive_bayes import GaussianNaiveBayes
 from .svm import LinearSvm, hinge_loss, primal_objective, primal_subgradient
 from .tree import RepTree
 
-#: kind identifier → classifier class
+#: kind identifier → classifier class, in the canonical order `evaluate --kind all` runs
 KINDS: dict[str, type[Classifier]] = {
     cls.kind: cls
     for cls in (
         ZeroR,
-        KNearestNeighbors,
         GaussianNaiveBayes,
         LogisticRegression,
+        KNearestNeighbors,
         LinearSvm,
         RepTree,
         AdaBoost,
@@ -97,13 +97,11 @@ __all__ = [
     "MajorityVote",
     "RepTree",
     "ZeroR",
-    "euclidean_distance",
     "hinge_loss",
     "load_model",
     "logsumexp",
     "loss_and_grad",
     "make",
-    "mse",
     "prepare_training",
     "primal_objective",
     "primal_subgradient",

@@ -134,17 +134,6 @@ class Classifier:
         return model
 
 
-def mse(actual, predicted) -> float:
-    """Mean squared error between two equal-length numeric vectors."""
-    a = np.asarray(actual, dtype=np.float64).ravel()
-    p = np.asarray(predicted, dtype=np.float64).ravel()
-    if a.shape != p.shape:
-        raise LengthMismatch(f"length {a.shape[0]} vs {p.shape[0]}")
-    if a.size == 0:
-        raise LengthMismatch("mse needs at least one element")
-    return float(np.mean((a - p) ** 2))
-
-
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """Numerically stable log(sum(exp(a)))."""
     m = np.max(a, axis=axis, keepdims=True)

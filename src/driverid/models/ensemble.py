@@ -2,8 +2,10 @@
 
 ``AdaBoost`` is the multiclass (SAMME) variant over depth-1 decision stumps:
 each round fits a weight-sensitive stump, scores it by weighted error, and
-re-weights the rows it missed.  ``MajorityVote`` trains independent members
-of different kinds on the same data and lets them vote.
+re-weights the rows it missed.  The stump finds its split with the tree's
+presorted scan (``tree.split_scan``), sorting X once per boosting fit.
+``MajorityVote`` trains independent members of different kinds on the same
+data and lets them vote.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import numpy as np
 
 from ..errors import DriverIdError
 from .base import Classifier
-
-_LEAF = -1
+from .tree import _LEAF, midpoint, presort, split_scan
 
 #: Member kinds trained by a default-configured MajorityVote.
 DEFAULT_VOTE_MEMBERS = ("naive_bayes", "logreg", "knn", "reptree", "svm")
@@ -35,10 +36,10 @@ class _Stump:
         y_idx: np.ndarray,
         w: np.ndarray,
         n_classes: int,
-        orders: np.ndarray | None = None,
+        orders: np.ndarray,
     ) -> "_Stump":
-        """``orders`` may carry per-feature argsorts of X (they are
-        weight-independent, so a boosting loop computes them once)."""
+        """``orders`` is ``presort(X)``; it is weight-independent, so a
+        boosting loop computes it once."""
         n = X.shape[0]
         onehot_w = np.zeros((n, n_classes))
         onehot_w[np.arange(n), y_idx] = w
@@ -50,28 +51,14 @@ class _Stump:
         self.feature, self.threshold = _LEAF, 0.0
         self.left = self.right = best_class
 
-        for j in range(X.shape[1]):
-            v = X[:, j]
-            order = orders[:, j] if orders is not None else np.argsort(v, kind="stable")
-            vs = v[order]
-            cum = np.cumsum(onehot_w[order], axis=0)
-            p = np.arange(1, n)
-            ok = vs[1:] > vs[:-1]
-            if not ok.any():
-                continue
-            p = p[ok]
-            left_w = cum[p - 1]
+        for j, p, left_w, vs in split_scan(X, orders, onehot_w):
             right_w = totals - left_w
             err = totals.sum() - left_w.max(axis=1) - right_w.max(axis=1)
             at = int(np.argmin(err))
             if err[at] < best_err - 1e-15:
-                cut = int(p[at])
-                thr = (vs[cut - 1] + vs[cut]) / 2.0
-                if thr >= vs[cut]:
-                    thr = float(vs[cut - 1])
                 best_err = float(err[at])
                 self.feature = j
-                self.threshold = float(thr)
+                self.threshold = midpoint(vs, int(p[at]))
                 self.left = int(np.argmax(left_w[at]))
                 self.right = int(np.argmax(right_w[at]))
         return self
@@ -122,7 +109,7 @@ class AdaBoost(Classifier):
         self.stumps_: list[_Stump] = []
         self.alphas_: list[float] = []
         hi = (K - 1) / K - self._ERR_EPS
-        orders = np.argsort(X, axis=0, kind="stable")
+        orders = presort(X)
         for _ in range(self.rounds):
             stump = _Stump().fit(X, y_idx, w, K, orders)
             miss = stump.predict_idx(X) != y_idx

@@ -11,17 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch
 from .base import Classifier
-
-
-def euclidean_distance(x, y) -> float:
-    """√Σ(x_i − y_i)² between two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"length {x.shape[0]} vs {y.shape[0]}")
-    return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
 class KNearestNeighbors(Classifier):

@@ -7,6 +7,10 @@ any internal node whose majority-class prediction makes no more mistakes on
 the pruning partition than its subtree does is collapsed to a leaf, so
 pruning can only shrink the tree and can never increase held-out error.
 
+Split search is one presorted scan (``split_scan``), shared with the
+AdaBoost stump: each feature is sorted once per fit and every child node
+filters its parent's orders, as in SLIQ (Mehta, Agrawal & Rissanen, 1996).
+
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
 limit, and the node table serializes flat for the same reason.
@@ -28,6 +32,38 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
         p = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 0.0)
         logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
     return -(p * logs).sum(axis=-1)
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row orders of X by each feature, shape (d, n); equal values keep row order."""
+    return np.argsort(X, axis=0, kind="stable").T
+
+
+def midpoint(vs: np.ndarray, cut: int) -> float:
+    """Threshold between sorted values ``vs[cut - 1] < vs[cut]``: their
+    midpoint, or ``vs[cut - 1]`` when the midpoint rounds up to ``vs[cut]``."""
+    thr = (vs[cut - 1] + vs[cut]) / 2.0
+    return float(thr if thr < vs[cut] else vs[cut - 1])
+
+
+def split_scan(X: np.ndarray, orders: np.ndarray, mass: np.ndarray, min_leaf: int = 1):
+    """Candidate binary cuts ``x <= threshold`` of a node, one feature at a time.
+
+    ``orders[j]`` lists the node's rows of X in ascending order of feature j
+    (ties in row order) and ``mass`` holds one class-mass vector per row of X.
+    For every feature with a cut between distinct adjacent values that leaves
+    at least ``min_leaf`` rows on each side, yields ``(j, p, left, vs)``: the
+    left sizes ``p`` of those cuts, the class mass left of each, and the
+    sorted column ``vs``.
+    """
+    n = orders.shape[1]
+    p = np.arange(1, n)
+    for j, order in enumerate(orders):
+        vs = X[order, j]
+        ok = (vs[1:] > vs[:-1]) & (p >= min_leaf) & (p <= n - min_leaf)
+        if ok.any():
+            cuts = p[ok]
+            yield j, cuts, np.cumsum(mass[order], axis=0)[cuts - 1], vs
 
 
 class RepTree(Classifier):
@@ -70,6 +106,7 @@ class RepTree(Classifier):
 
     def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
         K = len(self.classes_)
+        onehot = np.eye(K)[y]
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -84,29 +121,33 @@ class RepTree(Classifier):
             counts.append(node_counts)
             return len(feature) - 1
 
+        # Each stack entry carries its node's rows as presorted orders;
+        # children filter their parent's orders, so X is sorted once.
         root_counts = np.bincount(y, minlength=K)
-        stack = [(new_node(root_counts), np.arange(X.shape[0]), 0)]
+        stack = [(new_node(root_counts), presort(X), 0)]
         while stack:
-            slot, rows, depth = stack.pop()
+            slot, orders, depth = stack.pop()
             node_counts = counts[slot]
             if (
-                rows.size < 2 * self.min_leaf_count
+                orders.shape[1] < 2 * self.min_leaf_count
                 or (self.max_depth is not None and depth >= self.max_depth)
                 or np.count_nonzero(node_counts) < 2
             ):
                 continue  # stays a leaf
-            split = self._best_split(X, y, rows, node_counts)
+            split = self._best_split(X, orders, onehot, node_counts)
             if split is None:
                 continue
-            j, thr, left_mask = split
-            feature[slot] = j
-            threshold[slot] = thr
-            l_rows, r_rows = rows[left_mask], rows[~left_mask]
-            l_slot = new_node(np.bincount(y[l_rows], minlength=K))
-            r_slot = new_node(np.bincount(y[r_rows], minlength=K))
-            left[slot], right[slot] = l_slot, r_slot
-            stack.append((l_slot, l_rows, depth + 1))
-            stack.append((r_slot, r_rows, depth + 1))
+            j, cut, thr = split
+            feature[slot], threshold[slot] = j, thr
+            go_left = np.zeros(X.shape[0], dtype=bool)
+            go_left[orders[j, :cut]] = True
+            in_left = go_left[orders]
+            children = []
+            for side in (in_left, ~in_left):
+                child = orders[side].reshape(len(orders), -1)
+                children.append((new_node(np.bincount(y[child[0]], minlength=K)), child, depth + 1))
+            left[slot], right[slot] = children[0][0], children[1][0]
+            stack += children
 
         self.feature_ = np.asarray(feature, dtype=np.intp)
         self.threshold_ = np.asarray(threshold, dtype=np.float64)
@@ -114,37 +155,18 @@ class RepTree(Classifier):
         self.right_ = np.asarray(right, dtype=np.intp)
         self.counts_ = np.asarray(counts, dtype=np.int64)
 
-    def _best_split(self, X, y, rows, parent_counts):
-        """Highest-information-gain (feature, threshold) over all cut points.
+    def _best_split(self, X, orders, onehot, parent_counts):
+        """Highest-information-gain split of a node as (feature, left size, threshold).
 
         Ties resolve to the lowest feature index, then the lowest cut.
         Returns None when no cut satisfies the leaf-size minimum or improves
         on the parent entropy.
         """
-        n = rows.size
-        K = parent_counts.shape[0]
+        n = orders.shape[1]
         parent_h = _entropy_rows(parent_counts[None, :])[0]
-        y_rows = y[rows]
-        lo = self.min_leaf_count
-        hi = n - self.min_leaf_count
-
         best_gain = 0.0
         best = None
-        for j in range(X.shape[1]):
-            v = X[rows, j]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            onehot = np.zeros((n, K))
-            onehot[np.arange(n), y_rows[order]] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            # candidate left sizes p: value changes at the cut, both sides
-            # large enough
-            p = np.arange(1, n)
-            ok = (vs[1:] > vs[:-1]) & (p >= lo) & (p <= hi)
-            if not ok.any():
-                continue
-            p = p[ok]
-            left_counts = cum[p - 1]
+        for j, p, left_counts, vs in split_scan(X, orders, onehot, self.min_leaf_count):
             right_counts = parent_counts - left_counts
             h = (p / n) * _entropy_rows(left_counts) + ((n - p) / n) * _entropy_rows(
                 right_counts
@@ -152,16 +174,9 @@ class RepTree(Classifier):
             gains = parent_h - h
             at = int(np.argmax(gains))
             if gains[at] > best_gain:
-                cut = int(p[at])
-                thr = (vs[cut - 1] + vs[cut]) / 2.0
-                if thr >= vs[cut]:  # midpoint rounded up to the right value
-                    thr = float(vs[cut - 1])
                 best_gain = float(gains[at])
-                best = (j, float(thr))
-        if best is None:
-            return None
-        j, thr = best
-        return j, thr, X[rows, j] <= thr
+                best = (j, int(p[at]), midpoint(vs, int(p[at])))
+        return best
 
     def _prune(self, Xp: np.ndarray, yp: np.ndarray) -> None:
         n_nodes = self.feature_.shape[0]

@@ -320,6 +320,123 @@ def test_adaboost_stage_weights_positive():
     assert all(a > 0 for a in model.alphas_)
 
 
+# -- split choice against exhaustive search -------------------------------------------
+#
+# The tree and the stump share one presorted split scan; these oracles check
+# its choices against a plain search over every distinct adjacent-value cut.
+
+_TIE = 1e-12  # gains closer than this are tied up to float rounding
+
+
+def _adjacent(lo, hi):
+    return np.array([[lo]] * 8 + [[hi]] * 8), np.array(["A"] * 8 + ["B"] * 8)
+
+
+# Adjacent doubles: the midpoint of 1.0 and the next double up rounds down to
+# 1.0; that of the next double down and 1.0 rounds up to 1.0, the right value,
+# so the threshold must fall back to the left one.
+_ADJACENT = [_adjacent(1.0, np.nextafter(1.0, 2.0)), _adjacent(np.nextafter(1.0, 0.0), 1.0)]
+
+
+def _tie_heavy(seed, n):
+    """Values rounded to one decimal, a constant column, a copy of column 0."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    X[:, 1] = 2.5
+    X = np.hstack([X, X[:, :1]])
+    return X, np.array(list("ABC"))[rng.integers(0, 3, n)]
+
+
+def _cuts(x, min_leaf):
+    """Every (threshold, left mask) between distinct adjacent values of x,
+    lowest cut first, leaving at least ``min_leaf`` rows on each side."""
+    u = np.unique(x)
+    for lo, hi in zip(u[:-1], u[1:]):
+        left = x <= lo
+        if min_leaf <= left.sum() <= x.size - min_leaf:
+            mid = (lo + hi) / 2.0
+            yield (lo if mid >= hi else mid), left
+
+
+def _entropy(y_idx, K):
+    p = np.bincount(y_idx, minlength=K) / y_idx.size
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+class _GrowAll(RepTree):
+    """RepTree grown on every training row, without pruning."""
+
+    def _fit(self, X, y_idx):
+        self._grow(X, y_idx)
+        self._compact()
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+def test_tree_split_choice_matches_exhaustive_search(min_leaf):
+    # Mirror-image cuts tie exactly in real arithmetic but can differ by an
+    # ulp in float, so a node may take any cut within _TIE of the best gain.
+    # Exact float ties still go to the lowest feature: column 3 copies
+    # column 0 bit for bit and must never be chosen.
+    for X, y in [_tie_heavy(seed, 60) for seed in range(10)] + _ADJACENT:
+        tree = _GrowAll(min_leaf_count=min_leaf).fit(X, y)
+        y_idx = np.searchsorted(tree.classes_, y)
+        K = len(tree.classes_)
+        stack = [(0, np.arange(len(y)))]
+        while stack:
+            node, rows = stack.pop()
+            yr = y_idx[rows]
+            assert tree.counts_[node].tolist() == np.bincount(yr, minlength=K).tolist()
+            h = _entropy(yr, K)
+            gains, cuts = [], []
+            for j in range(X.shape[1]):
+                for thr, left in _cuts(X[rows, j], min_leaf):
+                    p = left.sum() / rows.size
+                    gains.append(h - p * _entropy(yr[left], K) - (1 - p) * _entropy(yr[~left], K))
+                    cuts.append((j, thr))
+            best = max(gains, default=0.0)
+            j = int(tree.feature_[node])
+            if j == -1:
+                assert best <= _TIE, (node, best)
+                continue
+            # a split whose gain is zero up to rounding may take any cut
+            allowed = [c for g, c in zip(gains, cuts) if g >= best - _TIE or best <= _TIE]
+            assert (j, float(tree.threshold_[node])) in allowed, (node, allowed)
+            assert j != 3
+            go_left = X[rows, j] <= tree.threshold_[node]
+            stack.append((int(tree.left_[node]), rows[go_left]))
+            stack.append((int(tree.right_[node]), rows[~go_left]))
+
+
+def test_stump_split_choice_matches_exhaustive_search():
+    # 64 and 16 rows: uniform weights 1/n are powers of two, so weighted
+    # errors are exact and the stump's 1e-15 margin cannot blur a tie
+    for X, y in [_tie_heavy(seed, 64) for seed in range(20)] + _ADJACENT:
+        model = AdaBoost(rounds=1).fit(X, y)
+        y_idx = np.searchsorted(model.classes_, y)
+        K = len(model.classes_)
+        totals = np.bincount(y_idx, minlength=K)
+        majority = int(np.argmax(totals))
+        # (misclassified rows, feature, threshold, left class, right class)
+        best = (len(y) - totals[majority], -1, 0.0, majority, majority)
+        for j in range(X.shape[1]):
+            for thr, left in _cuts(X[:, j], 1):
+                lc = np.bincount(y_idx[left], minlength=K)
+                rc = totals - lc
+                err = len(y) - lc.max() - rc.max()
+                if err < best[0]:
+                    best = (err, j, thr, int(np.argmax(lc)), int(np.argmax(rc)))
+        stump = model.stumps_[0]
+        assert (stump.feature, stump.threshold, stump.left, stump.right) == best[1:]
+
+
+@pytest.mark.parametrize("X, y", _ADJACENT)
+def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
+    lo = X[0, 0]
+    assert _GrowAll().fit(X, y).threshold_[0] == lo
+    assert AdaBoost(rounds=1).fit(X, y).stumps_[0].threshold == lo
+
+
 # -- majority vote -----------------------------------------------------------------
 
 def test_vote_uses_default_members():
