@@ -26,9 +26,9 @@ from .errors import (
     EmptyMatrix,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
-    UnknownLabel,
 )
 from .features import FeatureMatrix, apply_normalizer, fit_normalizer
+from .ingest import encode_labels
 
 SPLIT_MODES = ("random-window", "blocked-time")
 NORMALIZE_POLICIES = ("train", "all", "none")
@@ -59,19 +59,17 @@ class ConfusionMatrix:
 def confusion_from_predictions(
     y_true: Sequence[str], y_pred: Sequence[str], classes: Sequence[str] | None = None
 ) -> ConfusionMatrix:
-    """Count (true, predicted) pairs over ``classes`` (default: sorted union)."""
-    if len(y_true) != len(y_pred):
-        raise DriverIdError(f"{len(y_true)} true labels vs {len(y_pred)} predictions")
-    if classes is None:
-        classes = sorted(set(y_true) | set(y_pred))
-    classes = tuple(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        try:
-            counts[index[t], index[p]] += 1
-        except KeyError as missing:
-            raise UnknownLabel(f"label {missing} is not among classes {classes}") from None
+    """Count (true, predicted) pairs over ``classes`` (default: sorted union).
+
+    A label outside an explicit ``classes`` raises :class:`UnknownLabel`.
+    """
+    n = len(y_true)
+    if n != len(y_pred):
+        raise DriverIdError(f"{n} true labels vs {len(y_pred)} predictions")
+    both = np.concatenate([np.asarray(y_true, dtype=str), np.asarray(y_pred, dtype=str)])
+    classes, codes = encode_labels(both, classes)
+    k = len(classes)
+    counts = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
     return ConfusionMatrix(classes=classes, counts=counts)
 
 
@@ -245,9 +243,9 @@ def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
     if not plan.stratified:
         fold_of[rng.permutation(n)] = np.arange(n) % plan.folds
         return fold_of
-    y = np.asarray(labels)
-    for cls in sorted(set(labels)):
-        idx = np.where(y == cls)[0]
+    alphabet, codes = encode_labels(labels)
+    for c, cls in enumerate(alphabet):
+        idx = np.flatnonzero(codes == c)
         if idx.size < plan.folds:
             raise TooFewInstancesPerClass(
                 f"class {cls!r} has {idx.size} instances, fewer than {plan.folds} folds"

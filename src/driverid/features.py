@@ -12,6 +12,9 @@ into a model-ready :class:`FeatureMatrix`:
 3. ``extract_windows`` slides a fixed-length window along the time series
    and emits per-window mean / median / population std for every kept
    channel, dropping windows that straddle a driver change.
+
+Like the dataset, a :class:`FeatureMatrix` encodes its labels once into
+``(label_alphabet, codes)``; ranking and windowing work on the codes.
 """
 
 from __future__ import annotations
@@ -127,14 +130,12 @@ class FeatureSelectionReport:
         }
 
 
-def _label_correlation_scores(X: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+def _label_correlation_scores(X: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Relevance score per column: |Pearson r| against each class's one-vs-rest
     indicator, averaged with class-prior weights.  Zero-variance columns (and
     single-class indicators) contribute 0."""
     n, d = X.shape
-    classes = sorted(set(labels))
-    y = np.asarray(labels)
-    indicators = np.stack([(y == c).astype(np.float64) for c in classes], axis=1)
+    indicators = (codes[:, None] == np.unique(codes)).astype(np.float64)
     priors = indicators.mean(axis=0)
 
     Xc = X - X.mean(axis=0)
@@ -198,7 +199,7 @@ def select_features(
     if mode != "correlation-ranked":
         raise DriverIdError(f"unknown selection mode {mode!r}")
 
-    scores = _label_correlation_scores(X, ds.labels)
+    scores = _label_correlation_scores(X, ds.codes)
     variances = X.var(axis=0)
     score_map = {name: float(scores[j]) for j, name in enumerate(names)}
 
@@ -357,11 +358,17 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Rectangular numeric matrix with one driver label per row."""
+    """Rectangular numeric matrix with one driver label per row.
+
+    ``label_alphabet`` is the sorted set of labels present and ``codes``
+    each row's index into it; both are derived from ``labels`` once.
+    """
 
     column_names: tuple[str, ...]
     features: np.ndarray
     labels: tuple[str, ...]
+    label_alphabet: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -374,6 +381,10 @@ class FeatureMatrix:
             raise DriverIdError(
                 f"{len(self.labels)} labels for {self.features.shape[0]} rows"
             )
+        alphabet, codes = ingest.encode_labels(self.labels)
+        codes.flags.writeable = False
+        object.__setattr__(self, "label_alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
         self.features.flags.writeable = False
 
     def __len__(self) -> int:
@@ -382,10 +393,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def label_alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
 
     @classmethod
     def from_arrays(cls, column_names, features, labels) -> "FeatureMatrix":
@@ -438,10 +445,10 @@ def extract_windows(
         raise WindowLongerThanSeries(f"series has {n} samples, window needs {L}")
 
     starts = np.arange(0, n - L + 1, S)
-    labels = np.asarray(ds.labels)
+    codes = ds.codes
     # Windows are label-uniform iff no label change occurs strictly inside
     # them; a cumulative change count makes that an O(1) range query.
-    changes = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
+    changes = np.concatenate([[0], np.cumsum(codes[1:] != codes[:-1])])
     uniform = changes[starts + L - 1] == changes[starts]
     kept_starts = starts[uniform]
     n_dropped = int(starts.size - kept_starts.size)
@@ -472,6 +479,6 @@ def extract_windows(
     matrix = FeatureMatrix(
         column_names=names,
         features=out,
-        labels=tuple(labels[kept_starts]),
+        labels=tuple(ingest.decode_labels(ds.label_alphabet, codes[kept_starts])),
     )
     return matrix, n_dropped

@@ -5,6 +5,11 @@ one label column naming the driver) into an immutable :class:`TripDataset`
 whose channels form an (N, d) float64 matrix in original file order.  Order
 is preserved because downstream windowing treats the rows as a time series.
 
+Driver labels are encoded once, by :func:`encode_labels`, as a sorted
+alphabet plus one integer code per row; every later layer works on
+``(label_alphabet, codes)`` and turns codes back into strings only where a
+label leaves the package.
+
 Bookkeeping columns that are not sensor channels (elapsed time, path order)
 are dropped through an explicit exclusion list rather than heuristics.
 """
@@ -13,9 +18,8 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +40,29 @@ DEFAULT_EXCLUDE_COLUMNS = ("Time(s)", "PathOrder")
 DEFAULT_LABEL_COLUMN = "Class"
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One telemetry row: its position in the log, channel values, driver label."""
+def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels as ``(alphabet, codes)``: ``alphabet[codes[i]] == str(labels[i])``.
 
-    row_index: int
-    channels: np.ndarray
-    label: str
+    Without ``alphabet`` it is the distinct labels in ``sorted()`` order.
+    A given ``alphabet`` is kept in its own order, and a label outside it
+    raises :class:`UnknownLabel`.
+    """
+    values, codes = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+    if alphabet is None:
+        return tuple(values.tolist()), codes
+    alphabet = tuple(alphabet)
+    match = values[:, None] == np.asarray(alphabet, dtype=str)
+    known = match.any(axis=1)
+    if not known.all():
+        raise UnknownLabel(
+            f"labels {values[~known].tolist()} are not in the alphabet {list(alphabet)}"
+        )
+    return alphabet, match.argmax(axis=1)[codes] if match.size else codes
+
+
+def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
+    """Inverse of :func:`encode_labels`: the label string of every code."""
+    return np.asarray(alphabet, dtype=object)[codes].tolist()
 
 
 @dataclass(frozen=True)
@@ -50,7 +70,9 @@ class TripDataset:
     """An immutable, rectangular trip log.
 
     ``channels`` is a read-only (N, d) float64 array; ``labels`` holds the
-    per-row driver class.  Row order is the original file order.
+    per-row driver class and ``codes`` its index into ``label_alphabet``,
+    which must be sorted and free of duplicates.  Row order is the original
+    file order.
     """
 
     column_names: tuple[str, ...]
@@ -58,6 +80,7 @@ class TripDataset:
     labels: tuple[str, ...]
     label_alphabet: tuple[str, ...]
     label_column: str = DEFAULT_LABEL_COLUMN
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.channels.ndim != 2:
@@ -71,9 +94,13 @@ class TripDataset:
             )
         if len(self.labels) != n:
             raise DriverIdError(f"{len(self.labels)} labels for {n} records")
-        missing = set(self.labels) - set(self.label_alphabet)
-        if missing:
-            raise UnknownLabel(f"labels outside the alphabet: {sorted(missing)}")
+        if list(self.label_alphabet) != sorted(set(self.label_alphabet)):
+            raise DriverIdError(
+                f"label alphabet {list(self.label_alphabet)} is not sorted and distinct"
+            )
+        _, codes = encode_labels(self.labels, self.label_alphabet)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         self.channels.flags.writeable = False
 
     def __len__(self) -> int:
@@ -82,18 +109,6 @@ class TripDataset:
     @property
     def n_channels(self) -> int:
         return self.channels.shape[1]
-
-    def record(self, i: int) -> TelemetryRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(f"record index {i} out of range [0, {len(self)})")
-        return TelemetryRecord(row_index=i, channels=self.channels[i], label=self.labels[i])
-
-    def __iter__(self) -> Iterator[TelemetryRecord]:
-        return (self.record(i) for i in range(len(self)))
-
-    @cached_property
-    def records(self) -> tuple[TelemetryRecord, ...]:
-        return tuple(self)
 
     def column_index(self, name: str) -> int:
         try:
@@ -110,8 +125,9 @@ class TripDataset:
 
 @contextmanager
 def _text_stream(target, mode: str):
-    """Open a path as a UTF-8 CSV text stream, or pass an open stream
-    through (the caller keeps ownership and it is left open)."""
+    """Open a path as a UTF-8 text stream without newline translation (as
+    csv wants), or pass an open stream through (the caller keeps ownership
+    and it is left open)."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, mode, encoding="utf-8", newline="") as stream:
             yield stream
@@ -198,7 +214,7 @@ def load_dataset(
         column_names=column_names,
         channels=channels,
         labels=tuple(labels),
-        label_alphabet=tuple(sorted(set(labels))),
+        label_alphabet=encode_labels(labels)[0],
         label_column=label_column,
     )
 
@@ -223,31 +239,26 @@ def filter_labels(ds: TripDataset, keep) -> TripDataset:
     The result's label alphabet becomes exactly ``keep`` (sorted).  Requesting
     a class absent from ``ds`` raises :class:`UnknownLabel`.
     """
-    keep = set(keep)
-    if not keep:
+    _, keep_codes = encode_labels(tuple(keep), ds.label_alphabet)
+    if keep_codes.size == 0:
         raise DriverIdError("keep set must be nonempty")
-    absent = keep - set(ds.label_alphabet)
-    if absent:
-        raise UnknownLabel(f"classes not in the dataset: {sorted(absent)}")
-    mask = np.fromiter((lab in keep for lab in ds.labels), dtype=bool, count=len(ds))
+    kept = np.unique(keep_codes)
+    mask = np.isin(ds.codes, kept)
     return TripDataset(
         column_names=ds.column_names,
         channels=ds.channels[mask].copy(),
-        labels=tuple(lab for lab in ds.labels if lab in keep),
-        label_alphabet=tuple(sorted(keep)),
+        labels=tuple(decode_labels(ds.label_alphabet, ds.codes[mask])),
+        label_alphabet=tuple(decode_labels(ds.label_alphabet, kept)),
         label_column=ds.label_column,
     )
 
 
 def class_distribution(ds) -> dict[str, float]:
-    """Per-class proportion of rows, keyed in sorted label order; sums to 1.
+    """Per-class proportion of rows, keyed in alphabet order; sums to 1.
 
-    Works on anything with ``labels`` (a TripDataset or a windowed feature
-    matrix alike).
+    Works on anything with ``label_alphabet`` and ``codes`` (a TripDataset
+    or a windowed feature matrix alike); classes with no rows are left out.
     """
-    labels = ds.labels
-    n = len(labels)
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return {lab: counts[lab] / n for lab in sorted(counts)}
+    counts = np.bincount(ds.codes, minlength=len(ds.label_alphabet)).tolist()
+    n = len(ds.codes)
+    return {lab: c / n for lab, c in zip(ds.label_alphabet, counts) if c}

@@ -11,6 +11,7 @@ import json
 
 from ..errors import DriverIdError
 from ..features import FeatureMatrix
+from ..ingest import _text_stream
 from .base import Classifier, logsumexp, prepare_training, softmax
 from .baseline import ZeroR
 from .ensemble import DEFAULT_VOTE_MEMBERS, AdaBoost, MajorityVote
@@ -61,20 +62,14 @@ def save_model(model: Classifier, target) -> None:
         "version": SERIALIZATION_VERSION,
         **model.to_dict(),
     }
-    if hasattr(target, "write"):
-        json.dump(payload, target, sort_keys=True)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+    with _text_stream(target, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
 
 
 def load_model(source) -> Classifier:
     """Inverse of :func:`save_model`."""
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    with _text_stream(source, "r") as fh:
+        payload = json.load(fh)
     if payload.get("format") != SERIALIZATION_FORMAT:
         raise DriverIdError(f"not a model file (format={payload.get('format')!r})")
     if payload.get("version") != SERIALIZATION_VERSION:

@@ -19,6 +19,7 @@ from ..errors import (
     NonFiniteFeature,
     SingleClassForDiscriminative,
 )
+from ..ingest import decode_labels, encode_labels
 
 
 def prepare_training(X, y, *, require_multiclass: bool):
@@ -32,18 +33,15 @@ def prepare_training(X, y, *, require_multiclass: bool):
         raise DimensionMismatch(f"training matrix must be 2-D, got shape {X.shape}")
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
-    y = [str(lab) for lab in y]
-    if len(y) != X.shape[0]:
-        raise LengthMismatch(f"{len(y)} labels for {X.shape[0]} rows")
+    classes, y_idx = encode_labels(y)
+    if y_idx.size != X.shape[0]:
+        raise LengthMismatch(f"{y_idx.size} labels for {X.shape[0]} rows")
     if not np.isfinite(X).all():
         raise NonFiniteFeature("training matrix contains NaN or infinity")
-    classes = tuple(sorted(set(y)))
     if require_multiclass and len(classes) < 2:
         raise SingleClassForDiscriminative(
             f"need at least 2 classes, got {list(classes)}"
         )
-    index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.fromiter((index[lab] for lab in y), dtype=np.intp, count=len(y))
     return X, y_idx, classes
 
 
@@ -90,8 +88,7 @@ class Classifier:
 
     def predict(self, X) -> list[str]:
         X = self._check_features(X)
-        idx = np.argmax(self._scores(X), axis=1)
-        return [self.classes_[i] for i in idx]
+        return decode_labels(self.classes_, np.argmax(self._scores(X), axis=1))
 
     def predict_one(self, x) -> str:
         return self.predict(np.asarray(x, dtype=np.float64)[None, :])[0]

@@ -25,10 +25,6 @@ class ZeroR(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))
 
-    def predict(self, X) -> list[str]:
-        X = self._check_features(X)
-        return [self.classes_[self.majority_]] * X.shape[0]
-
     @property
     def majority_class(self) -> str:
         return self.classes_[self.majority_]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DriverIdError
+from ..ingest import decode_labels, encode_labels
 from .base import Classifier
 from .tree import _LEAF, midpoint, presort, split_scan
 
@@ -173,7 +174,7 @@ class MajorityVote(Classifier):
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         from . import KINDS  # deferred: the registry imports this module
 
-        labels = [self.classes_[i] for i in y_idx]
+        labels = decode_labels(self.classes_, y_idx)
         self.members_ = []
         for kind, config in self.member_specs:
             if kind not in KINDS:
@@ -195,11 +196,10 @@ class MajorityVote(Classifier):
         return ensemble
 
     def _vote_counts(self, X: np.ndarray) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.classes_)}
         votes = np.zeros((X.shape[0], len(self.classes_)))
         rows = np.arange(X.shape[0])
         for member in self.members_:
-            votes[rows, [index[c] for c in member.predict(X)]] += 1.0
+            votes[rows, encode_labels(member.predict(X), self.classes_)[1]] += 1.0
         return votes
 
     def _scores(self, X: np.ndarray) -> np.ndarray:

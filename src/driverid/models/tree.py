@@ -258,11 +258,6 @@ class RepTree(Classifier):
             go_left = X[live, self.feature_[at]] <= self.threshold_[at]
             node_of[live] = np.where(go_left, self.left_[at], self.right_[at])
 
-    def predict(self, X) -> list[str]:
-        X = self._check_features(X)
-        idx = self.pred_[self._leaf_of(X)]
-        return [self.classes_[i] for i in idx]
-
     def _proba(self, X: np.ndarray) -> np.ndarray:
         counts = self.counts_[self._leaf_of(X)].astype(np.float64)
         return counts / counts.sum(axis=1, keepdims=True)

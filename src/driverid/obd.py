@@ -20,6 +20,7 @@ from importlib import resources
 from typing import Mapping, Union
 
 from .errors import DriverIdError, PayloadLengthMismatch, UnknownPid
+from .ingest import _text_stream
 
 # Diagnostic services accepted by the registry.  Only service 01 rows carry
 # decoders; the others are listed so their codes validate.
@@ -147,14 +148,10 @@ def load_registry(source=None) -> dict[tuple[int, int], PidDescriptor]:
     """
     if source is None:
         text = resources.files(__package__).joinpath("data/obd_pids.csv").read_text("utf-8")
-        stream = io.StringIO(text)
-    elif hasattr(source, "read"):
-        stream = source
-    else:
-        stream = open(source, encoding="utf-8")
+        source = io.StringIO(text)
 
     registry: dict[tuple[int, int], PidDescriptor] = {}
-    try:
+    with _text_stream(source, "r") as stream:
         rows = csv.reader(line for line in stream if not line.startswith("#"))
         header = next(rows, None)
         if header != ["service", "pid", "data_bytes", "description", "scaling", "min", "max", "unit"]:
@@ -178,9 +175,6 @@ def load_registry(source=None) -> dict[tuple[int, int], PidDescriptor]:
             )
             _check_range(desc)
             registry[service, pid] = desc
-    finally:
-        if stream is not source and not isinstance(stream, io.StringIO):
-            stream.close()
     return registry
 
 

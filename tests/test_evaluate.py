@@ -11,6 +11,7 @@ from driverid.errors import (
     EmptyMatrix,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
+    UnknownLabel,
 )
 from driverid.evaluate import (
     ConfusionMatrix,
@@ -58,6 +59,26 @@ def test_confusion_with_explicit_class_order():
 def test_confusion_rejects_unknown_label():
     with pytest.raises(DriverIdError):
         confusion_from_predictions(["A"], ["Z"], classes=("A", "B"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_confusion_matches_pairwise_count_oracle(seed):
+    rng = np.random.default_rng(seed)
+    alphabet = ("b", "A", "10", "9", "é", "a")
+    y_true = [alphabet[i] for i in rng.integers(0, len(alphabet), 300)]
+    y_pred = [alphabet[i] for i in rng.integers(0, len(alphabet), 300)]
+    for classes in (None, alphabet, tuple(reversed(alphabet)) + ("unused",)):
+        order = sorted(set(y_true) | set(y_pred)) if classes is None else list(classes)
+        expect = np.zeros((len(order), len(order)), dtype=np.int64)
+        for t, p in zip(y_true, y_pred):
+            expect[order.index(t), order.index(p)] += 1
+        cm = confusion_from_predictions(y_true, y_pred, classes=classes)
+        assert cm.classes == tuple(order)
+        np.testing.assert_array_equal(cm.counts, expect)
+    with pytest.raises(UnknownLabel):
+        confusion_from_predictions(y_true, y_pred, classes=alphabet[1:])
+    with pytest.raises(UnknownLabel):
+        confusion_from_predictions(y_true[:5] + ["Z"], y_pred[:6], classes=alphabet)
 
 
 def test_per_class_counts_identities():
@@ -174,6 +195,28 @@ def test_plan_validation():
         CvPlan(folds=1)
     with pytest.raises(DriverIdError):
         CvPlan(split_mode="bootstrap")
+
+
+def _per_class_string_folds(labels, plan):
+    """Stratified random-window folds, one string comparison per class."""
+    fold_of = np.empty(len(labels), dtype=np.intp)
+    rng = np.random.default_rng(plan.seed)
+    y = np.asarray(labels)
+    for cls in sorted(set(labels)):
+        idx = np.where(y == cls)[0]
+        fold_of[rng.permutation(idx)] = np.arange(idx.size) % plan.folds
+    return fold_of
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 101])
+def test_fold_assignments_match_per_class_string_oracle(seed):
+    rng = np.random.default_rng(seed)
+    alphabet = ("J", "B", "a", "10", "9", "Ö")
+    labels = [alphabet[i] for i in rng.integers(0, len(alphabet), 400)]
+    plan = CvPlan(folds=5, seed=seed)
+    np.testing.assert_array_equal(
+        fold_assignments(labels, plan), _per_class_string_folds(labels, plan)
+    )
 
 
 def test_fold_assignment_depends_on_seed_only():

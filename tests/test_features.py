@@ -226,6 +226,24 @@ def test_feature_matrix_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.features, m.features)  # bit-exact
 
 
+def test_feature_matrix_encodes_its_labels_once():
+    labels = ["J", "10", "b", "9", "J", "b"]
+    m = FeatureMatrix.from_arrays(("f",), np.zeros((6, 1)), labels)
+    assert m.label_alphabet == tuple(sorted(set(labels)))
+    assert m.codes.tolist() == [m.label_alphabet.index(v) for v in labels]
+
+
+def test_windows_carry_the_labels_of_their_rows(trip_dataset):
+    spec = WindowSpec(length=10, stride=7)
+    matrix, _ = extract_windows(trip_dataset, trip_dataset.column_names, spec)
+    starts = [
+        s for s in range(0, len(trip_dataset) - 9, 7)
+        if len(set(trip_dataset.labels[s : s + 10])) == 1
+    ]
+    assert matrix.labels == tuple(trip_dataset.labels[s] for s in starts)
+    assert all(type(lab) is str for lab in matrix.labels)
+
+
 def test_column_stats_population_std():
     ds = _dataset(["x"], [[1.0], [2.0], [3.0], [4.0]], ["A"] * 4)
     mean, std = column_stats(ds, "x")

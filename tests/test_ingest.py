@@ -1,6 +1,7 @@
 """Trip-log ingestion: parsing, validation, label handling."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,16 +43,60 @@ def test_load_from_stream():
     assert ds.channels[1, 0] == 3.0
 
 
-def test_records_are_row_views():
-    stream = io.StringIO("x,y,Class\n1,2,A\n3,4,B\n")
-    ds = ingest.load_dataset(stream)
-    rec = ds.record(1)
-    assert rec.row_index == 1
-    assert rec.label == "B"
-    assert list(rec.channels) == [3.0, 4.0]
-    assert [r.label for r in ds] == ["A", "B"]
-    with pytest.raises(IndexError):
-        ds.record(2)
+def test_encode_labels_matches_sorted_set_oracle():
+    cases = [
+        ["b", "B", "a", "A", "b", "a"],
+        ["9", "10", "100", "9", "1"],
+        ["Ö", "O", "é", "e", "Z", "Ö"],
+        [3, 10, 9, 3, 100],
+        ["D"],
+    ]
+    for y in cases:
+        alphabet, codes = ingest.encode_labels(y)
+        expect = sorted(set(map(str, y)))
+        assert alphabet == tuple(expect)
+        assert all(type(c) is str for c in alphabet)
+        assert codes.tolist() == [expect.index(str(v)) for v in y]
+
+
+def test_encode_labels_keeps_a_given_alphabet_order():
+    given = ("b", "10", "A", "9", "unused")
+    y = ["A", "9", "b", "10", "A"]
+    alphabet, codes = ingest.encode_labels(y, given)
+    assert alphabet == given
+    assert codes.tolist() == [given.index(v) for v in y]
+    with pytest.raises(UnknownLabel):
+        ingest.encode_labels(y + ["a"], given)
+    for alphabet in (None, (), given):
+        codes = ingest.encode_labels([], alphabet)[1]
+        assert codes.shape == (0,) and codes.dtype == np.intp
+
+
+def test_dataset_codes_index_the_alphabet(trip_dataset):
+    ds = trip_dataset
+    assert ds.codes.tolist() == [ds.label_alphabet.index(v) for v in ds.labels]
+    assert ingest.decode_labels(ds.label_alphabet, ds.codes) == list(ds.labels)
+
+
+@pytest.mark.parametrize("alphabet", [("B", "A"), ("A", "A", "B"), ("A", "B", "A")])
+def test_dataset_rejects_unsorted_or_duplicate_alphabet(alphabet):
+    with pytest.raises(DriverIdError):
+        ingest.TripDataset(
+            column_names=("x",),
+            channels=np.zeros((2, 1)),
+            labels=("A", "B"),
+            label_alphabet=alphabet,
+        )
+
+
+def test_dataset_rejects_label_outside_alphabet():
+    with pytest.raises(UnknownLabel):
+        ingest.TripDataset(
+            column_names=("x",),
+            channels=np.zeros((2, 1)),
+            labels=("A", "C"),
+            label_alphabet=("A", "B"),
+        )
 
 
 def test_channels_are_read_only():
@@ -139,6 +184,40 @@ def test_class_distribution_sums_to_one(trip_dataset):
     assert sorted(dist) == ["A", "B", "C"]
     assert abs(sum(dist.values()) - 1.0) < 1e-12
     assert dist["A"] == 120 / 360
+
+
+def _random_dataset(seed, n=500):
+    rng = np.random.default_rng(seed)
+    names = ("b", "A", "10", "9", "é", "a")
+    labels = tuple(names[i] for i in rng.integers(0, len(names), n))
+    return ingest.TripDataset(
+        column_names=("x", "y"),
+        channels=rng.normal(size=(n, 2)),
+        labels=labels,
+        label_alphabet=tuple(sorted(set(labels))),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_class_distribution_matches_counter_oracle(seed):
+    ds = _random_dataset(seed)
+    counts = Counter(ds.labels)
+    expect = {lab: counts[lab] / len(ds) for lab in sorted(counts)}
+    dist = ingest.class_distribution(ds)
+    assert dist == expect
+    assert list(dist) == list(expect)
+
+
+@pytest.mark.parametrize("keep", [("A",), ("é", "9", "b"), ("10", "a", "a")])
+def test_filter_labels_matches_comprehension_oracle(keep):
+    ds = _random_dataset(3)
+    sub = ingest.filter_labels(ds, keep)
+    rows = [i for i, lab in enumerate(ds.labels) if lab in keep]
+    assert sub.labels == tuple(ds.labels[i] for i in rows)
+    assert all(type(lab) is str for lab in sub.labels)
+    assert sub.label_alphabet == tuple(sorted(set(keep)))
+    np.testing.assert_array_equal(sub.channels, ds.channels[rows])
+    assert sub.codes.tolist() == [sub.label_alphabet.index(lab) for lab in sub.labels]
 
 
 def test_to_csv_round_trip(tmp_path, trip_dataset):
