@@ -193,7 +193,10 @@ def _model_config(settings: _Settings) -> dict:
     config = {}
     raw = settings.get("model_config")
     if raw:
-        config = raw if isinstance(raw, dict) else json.loads(raw)
+        try:
+            config = raw if isinstance(raw, dict) else json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise _UsageError(f"--model-config is not valid JSON: {e}") from None
         if not isinstance(config, dict):
             raise _UsageError("--model-config must be a JSON object")
     if settings.get("k") is not None:

@@ -46,7 +46,7 @@ def make(kind: str, config: dict | None = None) -> Classifier:
         raise DriverIdError(f"unknown model kind {kind!r}; choose from {sorted(KINDS)}")
     try:
         return KINDS[kind](**(config or {}))
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise DriverIdError(f"bad config for {kind!r}: {e}") from None
 
 
@@ -67,9 +67,19 @@ def save_model(model: Classifier, target) -> None:
 
 
 def load_model(source) -> Classifier:
-    """Inverse of :func:`save_model`."""
-    with _text_stream(source, "r") as fh:
-        payload = json.load(fh)
+    """Inverse of :func:`save_model`.
+
+    A file that is not a model JSON object, or whose payload does not fit
+    its kind (a missing key, a config option the kind does not take, a
+    value of the wrong type), raises :class:`DriverIdError`.
+    """
+    try:
+        with _text_stream(source, "r") as fh:
+            payload = json.load(fh)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise DriverIdError(f"not a model file: {e}") from None
+    if not isinstance(payload, dict):
+        raise DriverIdError("not a model file (not a JSON object)")
     if payload.get("format") != SERIALIZATION_FORMAT:
         raise DriverIdError(f"not a model file (format={payload.get('format')!r})")
     if payload.get("version") != SERIALIZATION_VERSION:
@@ -77,7 +87,12 @@ def load_model(source) -> Classifier:
     kind = payload.get("kind")
     if kind not in KINDS:
         raise DriverIdError(f"unknown model kind {kind!r}")
-    return KINDS[kind].from_dict(payload)
+    try:
+        return KINDS[kind].from_dict(payload)
+    except DriverIdError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise DriverIdError(f"malformed {kind} model file: {type(e).__name__}: {e}") from None
 
 
 __all__ = [

@@ -172,14 +172,10 @@ class MajorityVote(Classifier):
         self.member_specs = tuple(specs)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
-        from . import KINDS  # deferred: the registry imports this module
+        from . import make  # deferred: the registry imports this module
 
         labels = decode_labels(self.classes_, y_idx)
-        self.members_ = []
-        for kind, config in self.member_specs:
-            if kind not in KINDS:
-                raise DriverIdError(f"unknown member kind {kind!r}")
-            self.members_.append(KINDS[kind](**config).fit(X, labels))
+        self.members_ = [make(kind, config).fit(X, labels) for kind, config in self.member_specs]
 
     @classmethod
     def from_trained(cls, models) -> "MajorityVote":

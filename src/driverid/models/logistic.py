@@ -1,16 +1,32 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression fitted by L-BFGS.
 
 The probability model is a softmax over per-class linear scores; with two
 classes this reduces to the logistic sigmoid 1/(1+e^{-x}) of the score
 difference.  ``loss_and_grad`` is a standalone function so the analytic
 gradient can be checked against finite differences.
+
+The fit minimises ``loss_and_grad`` from zero weights with limited-memory
+BFGS (Liu & Nocedal 1989): the two-loop recursion over the last
+``_MEMORY`` curvature pairs gives the direction, and a backtracking
+line search halves the step from 1 until the Armijo condition holds.  On
+separable data with ``l2=0`` the loss has no finite minimiser; the fit
+then stops once an accepted step lowers the loss by less than ``tol``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .base import Classifier, softmax
+from .base import Classifier, logsumexp, softmax
+
+#: curvature pairs (s, y) kept by the two-loop recursion
+_MEMORY = 10
+#: sufficient-decrease constant c1 of the Armijo condition
+_ARMIJO = 1e-4
+#: step halvings before the line search gives up and the fit stops
+_MAX_HALVINGS = 40
 
 
 def sigmoid(x):
@@ -32,14 +48,12 @@ def loss_and_grad(W: np.ndarray, X_aug: np.ndarray, y_idx: np.ndarray, l2: float
     ``(loss, grad)`` with ``grad.shape == W.shape``.
     """
     n = X_aug.shape[0]
+    rows = np.arange(n)
     logits = X_aug @ W.T
-    P = softmax(logits, axis=1)
-    # cross-entropy: -mean log P[i, y_i], computed from logits for stability
-    row_logsum = np.log(np.sum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1))
-    row_logsum += logits.max(axis=1)
-    loss = float(np.mean(row_logsum - logits[np.arange(n), y_idx]))
-    G = P.copy()
-    G[np.arange(n), y_idx] -= 1.0
+    lse = logsumexp(logits, axis=1)
+    loss = float(np.mean(lse - logits[rows, y_idx]))
+    G = np.exp(logits - lse[:, None])  # softmax probabilities, edited in place
+    G[rows, y_idx] -= 1.0
     grad = (G.T @ X_aug) / n
     if l2:
         penalized = W.copy()
@@ -49,40 +63,90 @@ def loss_and_grad(W: np.ndarray, X_aug: np.ndarray, y_idx: np.ndarray, l2: float
     return loss, grad
 
 
+def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS inverse-Hessian estimate applied to ``grad``.
+
+    ``pairs`` holds ``(s, y, 1/(s·y))`` oldest first; the initial matrix is
+    the scaled identity (s·y / y·y) I of the newest pair.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
 class LogisticRegression(Classifier):
-    """Softmax regression; deterministic (zero init, full-batch updates)."""
+    """Softmax regression; deterministic (zero init, full-batch L-BFGS).
+
+    ``max_epochs`` caps the L-BFGS iterations; the fit stops earlier once
+    an accepted step lowers the loss by less than ``tol``, or when the line
+    search finds no decrease in ``_MAX_HALVINGS`` halvings (the weights are
+    then those before that search).  After ``fit``, ``n_epochs_`` is the
+    number of iterations run, ``final_loss_`` the loss at the returned
+    weights, and ``converged_`` is true unless the iteration cap stopped it.
+    """
 
     kind = "logreg"
 
-    def __init__(
-        self,
-        learning_rate: float = 0.1,
-        max_epochs: int = 1000,
-        tol: float = 1e-8,
-        l2: float = 0.0,
-    ):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+    def __init__(self, max_epochs: int = 1000, tol: float = 1e-8, l2: float = 0.0):
         if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        self.learning_rate = float(learning_rate)
+        if not tol >= 0:
+            raise ValueError("tol must be >= 0")
+        if not (np.isfinite(l2) and l2 >= 0):
+            raise ValueError("l2 must be finite and >= 0")
         self.max_epochs = int(max_epochs)
         self.tol = float(tol)
         self.l2 = float(l2)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
-        W = np.zeros((len(self.classes_), X_aug.shape[1]))
-        prev = np.inf
-        for epoch in range(self.max_epochs):
-            loss, grad = loss_and_grad(W, X_aug, y_idx, self.l2)
-            if abs(prev - loss) < self.tol:
+        shape = (len(self.classes_), X_aug.shape[1])
+
+        def objective(w):
+            loss, grad = loss_and_grad(w.reshape(shape), X_aug, y_idx, self.l2)
+            return loss, grad.ravel()
+
+        w = np.zeros(shape[0] * shape[1])
+        loss, grad = objective(w)
+        pairs: deque = deque(maxlen=_MEMORY)
+        for epoch in range(1, self.max_epochs + 1):
+            direction = -_two_loop(grad, pairs)
+            slope = grad @ direction
+            if not slope < 0:  # not a descent direction: restart from -grad
+                pairs.clear()
+                direction = -grad
+                slope = -(grad @ grad)
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                w_new = w + step * direction
+                loss_new, grad_new = objective(w_new)
+                if loss_new <= loss + _ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
+                converged = True
                 break
-            W -= self.learning_rate * grad
-            prev = loss
-        self.weights_ = W
-        self.n_epochs_ = epoch + 1
-        self.final_loss_ = prev if np.isfinite(prev) else loss
+            s, y = w_new - w, grad_new - grad
+            sy = s @ y
+            if sy > 0:
+                pairs.append((s, y, 1.0 / sy))
+            converged = loss - loss_new < self.tol  # Armijo keeps this >= 0
+            w, loss, grad = w_new, loss_new, grad_new
+            if converged:
+                break
+        self.weights_ = w.reshape(shape)
+        self.n_epochs_ = epoch
+        self.final_loss_ = loss
+        self.converged_ = converged
 
     def _logits(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights_[:, :-1].T + self.weights_[:, -1]
@@ -94,12 +158,7 @@ class LogisticRegression(Classifier):
         return softmax(self._logits(X), axis=1)
 
     def _config_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "tol": self.tol,
-            "l2": self.l2,
-        }
+        return {"max_epochs": self.max_epochs, "tol": self.tol, "l2": self.l2}
 
     def _params_dict(self) -> dict:
         return {"weights": [[float(v) for v in row] for row in self.weights_]}

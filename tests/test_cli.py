@@ -164,6 +164,26 @@ def test_evaluate_rejects_bad_split(prepared, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("kind, config", [
+    ("logreg", {"max_epochs": 0}),
+    ("logreg", {"learning_rate": 0.5}),
+    ("vote", {"members": [["logreg", {"bogus": 1}]]}),
+])
+def test_evaluate_bad_model_config_is_data_error(prepared, capsys, kind, config):
+    code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", kind,
+                       "--folds", "3", "--model-config", json.dumps(config))
+    assert code == 2
+    assert "DriverIdError" in err
+
+
+@pytest.mark.parametrize("raw", ["not json", "[1]"])
+def test_evaluate_unparsable_model_config_is_usage_error(prepared, capsys, raw):
+    code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", "knn",
+                       "--folds", "3", "--model-config", raw)
+    assert code == 1
+    assert "--model-config" in err
+
+
 def test_compare_ranks_reports_written_by_evaluate(tmp_path, prepared, capsys):
     # compare consumes evaluate's own --report files directly
     paths = []

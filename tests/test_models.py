@@ -1,6 +1,7 @@
 """Classifier behaviour: correctness on separable data, ties, serialization."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from driverid.models import (
     RepTree,
     ZeroR,
 )
-from driverid.models.logistic import loss_and_grad, sigmoid
+from driverid.models.logistic import _two_loop, loss_and_grad, sigmoid
 from driverid.models.svm import hinge_loss, primal_objective
 
 
@@ -74,6 +75,24 @@ def test_serialization_round_trip(kind, tmp_path):
     assert type(again) is type(model)
     assert again.predict(X[:25]) == model.predict(X[:25])
     np.testing.assert_allclose(again.predict_proba(X[:25]), model.predict_proba(X[:25]))
+
+
+def test_load_model_rejects_malformed_files():
+    X, y = blobs(seed=2)
+    buf = io.StringIO()
+    models.save_model(models.make("vote", {"members": ["logreg", "zeror"]}).fit(X, y), buf)
+    vote = json.loads(buf.getvalue())
+    logreg = {"format": vote["format"], "version": vote["version"], **vote["params"]["members"][0]}
+    outdated = json.loads(json.dumps(logreg))
+    outdated["config"]["learning_rate"] = 0.1  # option of an older logreg
+    no_params = {k: v for k, v in logreg.items() if k != "params"}
+    bad_member = json.loads(json.dumps(vote))
+    bad_member["params"]["members"][1]["kind"] = "perceptron"
+    models.load_model(io.StringIO(json.dumps(logreg)))  # the intact payload loads
+    for text in ("not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
+                 json.dumps(bad_member)):
+        with pytest.raises(DriverIdError):
+            models.load_model(io.StringIO(text))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -194,9 +213,125 @@ def test_sigmoid_extremes_do_not_overflow():
 
 def test_logreg_loss_decreases_and_converges():
     X, y = blobs(seed=5, centers=((0, 0), (5, 5)))
-    model = LogisticRegression(learning_rate=0.5, max_epochs=500).fit(X, y)
+    model = LogisticRegression(max_epochs=500).fit(X, y)
     assert model.final_loss_ < 0.1
     assert model.n_epochs_ <= 500
+    assert model.converged_
+
+
+def _newton_reference(X, y_idx, K, l2):
+    """Damped Newton on loss_and_grad, with the Hessian built entry by entry.
+
+    The bias columns leave the loss unchanged when all shift together, so
+    the Hessian is singular along that line; the step is the least-squares
+    (minimum-norm) solution, halved until the loss falls.
+    """
+    X_aug = np.column_stack([X, np.ones(len(X))])
+    n, D = X_aug.shape
+    W = np.zeros((K, D))
+    for _ in range(100):
+        loss, grad = loss_and_grad(W, X_aug, y_idx, l2)
+        if np.abs(grad).max() < 1e-12:
+            break
+        logits = X_aug @ W.T
+        P = np.exp(logits - logits.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        H = np.zeros((K * D, K * D))
+        for i in range(n):
+            A = np.diag(P[i]) - np.outer(P[i], P[i])
+            H += np.kron(A, np.outer(X_aug[i], X_aug[i])) / n
+        for k in range(K):
+            for j in range(D - 1):
+                H[k * D + j, k * D + j] += l2
+        step = np.linalg.lstsq(H, grad.ravel(), rcond=None)[0].reshape(K, D)
+        t = 1.0
+        while loss_and_grad(W - t * step, X_aug, y_idx, l2)[0] > loss and t > 1e-10:
+            t *= 0.5
+        W = W - t * step
+    return W
+
+
+def test_logreg_matches_damped_newton_reference():
+    X, y = blobs(seed=21, centers=((0, 0), (2, 0), (0, 2)))
+    model = LogisticRegression(l2=1e-2, tol=1e-15).fit(X, y)
+    y_idx = np.searchsorted(model.classes_, y)
+    W = _newton_reference(X, y_idx, 3, 1e-2)
+    X_aug = np.column_stack([X, np.ones(len(X))])
+    logits = X_aug @ W.T
+    want = np.exp(logits - logits.max(axis=1, keepdims=True))
+    want /= want.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(model.predict_proba(X), want, rtol=0, atol=1e-6)
+    _, grad = loss_and_grad(model.weights_, X_aug, y_idx, 1e-2)
+    assert np.abs(grad).max() < 1e-6
+    assert model.converged_
+
+
+def test_two_loop_matches_dense_bfgs_update():
+    rng = np.random.default_rng(25)
+    A = rng.normal(size=(6, 6))
+    A = A @ A.T + np.eye(6)  # SPD, so every pair has s·y > 0
+    pairs = []
+    for _ in range(4):
+        s = rng.normal(size=6)
+        y = A @ s
+        pairs.append((s, y, 1.0 / (s @ y)))
+    s, y, _ = pairs[-1]
+    H = (s @ y) / (y @ y) * np.eye(6)
+    for s, y, rho in pairs:
+        V = np.eye(6) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    g = rng.normal(size=6)
+    np.testing.assert_allclose(_two_loop(g, pairs), H @ g, rtol=1e-10)
+    np.testing.assert_array_equal(_two_loop(g, []), g)
+
+
+def test_logreg_final_loss_never_rises_with_more_epochs():
+    # features span ~20 units, so a unit step overshoots and the line search must act
+    X, y = blobs(seed=22, centers=((0, 0), (20, 0), (0, 20)))
+    losses = []
+    for cap in range(1, 41):
+        model = LogisticRegression(max_epochs=cap).fit(X, y)
+        assert model.n_epochs_ <= cap
+        losses.append(model.final_loss_)
+    assert all(b <= a for a, b in zip(losses, losses[1:])), losses
+    assert losses[-1] < losses[0]
+
+
+def test_logreg_stops_early_on_separable_data():
+    X, y = blobs(seed=23, centers=((0, 0), (8, 8)))
+    model = LogisticRegression().fit(X, y)
+    assert model.converged_
+    assert model.n_epochs_ < 100
+    assert np.mean(np.asarray(model.predict(X)) == y) == 1.0
+
+
+def test_logreg_capped_fit_reports_not_converged():
+    X, y = blobs(seed=23, centers=((0, 0), (8, 8)))
+    model = LogisticRegression(max_epochs=3).fit(X, y)
+    assert model.n_epochs_ == 3
+    assert not model.converged_
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+def test_logreg_loss_not_worse_than_fixed_step_gradient_descent(l2):
+    X, y = blobs(seed=24)
+    model = LogisticRegression(l2=l2).fit(X, y)
+    X_aug = np.column_stack([X, np.ones(len(X))])
+    y_idx = np.searchsorted(model.classes_, y)
+    W = np.zeros((3, X_aug.shape[1]))
+    for _ in range(1000):
+        W -= 0.1 * loss_and_grad(W, X_aug, y_idx, l2)[1]
+    assert model.final_loss_ <= loss_and_grad(W, X_aug, y_idx, l2)[0]
+    assert model.final_loss_ == loss_and_grad(model.weights_, X_aug, y_idx, l2)[0]
+
+
+def test_logreg_hyperparameter_validation():
+    for bad in ({"max_epochs": 0}, {"tol": -1e-9}, {"tol": float("nan")},
+                {"l2": -0.1}, {"l2": float("inf")}, {"l2": float("nan")}):
+        with pytest.raises(ValueError):
+            LogisticRegression(**bad)
+        with pytest.raises(DriverIdError):
+            models.make("logreg", bad)
 
 
 def test_logreg_gradient_matches_finite_differences():
