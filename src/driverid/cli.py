@@ -8,8 +8,9 @@ one model), ``evaluate`` (cross-validate models on a prepared matrix),
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
 unknown PIDs, malformed datasets), 3 internal error.  ``--config FILE``
-supplies flat JSON defaults; explicit flags win over the file, which wins
-over built-in defaults.  Every subcommand accepts ``--format json``.
+supplies flat JSON defaults; explicit flags win over the file, and a flag
+set in neither takes its value from ``pipeline.RunConfig`` (or, for
+``repro``, the preset).  Every subcommand accepts ``--format json``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import argparse
 import json
 import sys
 
-from . import evaluate, features, ingest, models, obd, pipeline
+from . import evaluate, models, obd, pipeline
 from .errors import DriverIdError
-from .features import FeatureMatrix, WindowSpec
+from .features import FeatureMatrix
 
 _SPLIT_FLAGS = {"random": "random-window", "blocked": "blocked-time"}
 
@@ -38,27 +39,133 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Value parsers take a flag or --config value, raise TypeError or ValueError
+# on a bad one, and return what the run needs.
+
+
+def _typed(kind: type, what: str):
+    def parse(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+_str = _typed(str, "a string")
+_int = _typed(int, "an integer")
+_bool = _typed(bool, "true or false")
+
+
+def _names(value) -> tuple[str, ...] | None:
+    return tuple(part.strip() for part in _str(value).split(",") if part.strip()) or None
+
+
+def _feature_spec(value) -> tuple[str, int]:
+    if _str(value) == "fixed15":
+        return "fixed-list", 15
+    head, _, count = value.partition(":")
+    if head == "rank" and count.isdigit() and int(count) >= 1:
+        return "correlation-ranked", int(count)
+    raise ValueError(f"bad feature spec {value!r}; use fixed15 or rank:K with K >= 1")
+
+
+def _split(value) -> str:
+    if _str(value) not in _SPLIT_FLAGS:
+        raise ValueError(f"expected one of {sorted(_SPLIT_FLAGS)}, got {value!r}")
+    return _SPLIT_FLAGS[value]
+
+
+def _kinds(value) -> tuple[str, ...]:
+    if _str(value) == "all":
+        return tuple(models.KINDS)
+    if value not in models.KINDS:
+        raise ValueError(f"unknown kind {value!r}; choose from {sorted(models.KINDS)} or all")
+    return (value,)
+
+
+def _json_object(value) -> dict:
+    value = json.loads(value) if isinstance(value, str) else value
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+#: Flag (or --config key) -> the RunConfig field(s) it sets and its parser.
+#: A flag the user leaves unset passes nothing, so the value comes from
+#: RunConfig's defaults or the preset.
+_FIELDS = {
+    "input": ("input", _str),
+    "label_column": ("label_column", _str),
+    "exclude": ("exclude_columns", _names),
+    "keep": ("keep_labels", _names),
+    "features": (("feature_mode", "feature_count"), _feature_spec),
+    "window": ("window_length", _int),
+    "stride": ("window_stride", _int),
+    "stats": ("statistics", _names),
+    "kind": ("kinds", _kinds),
+    "normalize": ("normalize", _str),
+    "folds": ("folds", _int),
+    "stratified": ("stratified", _bool),
+    "split": ("split_mode", _split),
+    "seed": ("seed", _int),
+    "out_dir": ("out_dir", _str),
+}
+
+
 class _Settings:
-    """Flag > config-file > default resolution for one invocation."""
+    """Flag > config-file resolution for the subcommand's own flags."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         self._file = {}
-        config_path = self._args.get("config")
-        if config_path:
-            with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+        self._path = path = args.config
+        if path:
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    loaded = json.load(fh)
+                except ValueError as e:
+                    raise DriverIdError(f"config file {path} is not valid JSON: {e}") from None
             if not isinstance(loaded, dict):
-                raise DriverIdError(f"config file {config_path} must hold a JSON object")
+                raise DriverIdError(f"config file {path} must hold a JSON object")
             self._file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
 
-    def get(self, name: str, default=None):
-        value = self._args.get(name)
+    def get(self, name: str, parse=_str):
+        """Parsed value of the subcommand's flag ``name`` (None when unset);
+        a value ``parse`` rejects is a usage error naming its key."""
+        value, where = self._args.get(name), "--" + name.replace("_", "-")
+        if value is None and name in self._args:
+            value, where = self._file.get(name), f"{name!r} in {self._path}"
+        if value is None:
+            return None
+        try:
+            return parse(value)
+        except (TypeError, ValueError) as e:
+            raise _UsageError(f"{where}: {e}") from None
+
+
+def _fields(settings: _Settings, **defaults) -> dict:
+    """RunConfig fields for the flags that are set, over ``defaults``.
+
+    ``--model-config`` and ``--k`` configure the one kind ``--kind`` names;
+    ``input`` must be set or defaulted.
+    """
+    fields = dict(defaults)
+    for flag, (field, parse) in _FIELDS.items():
+        value = settings.get(flag, parse)
         if value is not None:
-            return value
-        if name in self._file:
-            return self._file[name]
-        return default
+            fields.update(zip(field, value) if isinstance(field, tuple) else {field: value})
+    hyper = dict(settings.get("model_config", _json_object) or {})
+    k = settings.get("k", _int)
+    if k is not None:
+        hyper["k"] = k
+    if hyper:
+        if len(fields.get("kinds", ())) != 1:
+            raise _UsageError("--model-config and --k need a single --kind")
+        fields["model_configs"] = {fields["kinds"][0]: hyper}
+    if "input" not in fields:
+        raise _UsageError("--input is required")
+    return fields
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -69,24 +176,16 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
-def _parse_feature_mode(text: str) -> tuple[str, int]:
-    if text == "fixed15":
-        return "fixed-list", 15
-    if text.startswith("rank:"):
-        try:
-            k = int(text[len("rank:"):])
-        except ValueError:
-            raise _UsageError(f"bad feature spec {text!r}; use fixed15 or rank:K") from None
-        if k < 1:
-            raise _UsageError("rank:K needs K >= 1")
-        return "correlation-ranked", k
-    raise _UsageError(f"bad feature spec {text!r}; use fixed15 or rank:K")
-
-
-def _parse_keep(text: str | None) -> tuple[str, ...] | None:
-    if not text:
-        return None
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _ranking_lines(comparison: dict) -> list[str]:
+    baseline = comparison["baseline"]
+    lines = [f"baseline {baseline['kind']}: {baseline['accuracy']:.2f}%"]
+    for row in comparison["ranking"]:
+        marker = "+" if row["better_than_baseline"] else " "
+        lines.append(
+            f"{marker} {row['kind']:12s} {row['accuracy']:7.2f}%  "
+            f"delta {row['delta_vs_baseline']:+7.2f}"
+        )
+    return lines
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -114,29 +213,10 @@ def _cmd_decode(args, settings: _Settings) -> int:
 
 
 def _cmd_ingest(args, settings: _Settings) -> int:
-    ds = ingest.load_dataset(
-        settings.get("input"),
-        label_column=settings.get("label_column", ingest.DEFAULT_LABEL_COLUMN),
-        exclude_columns=_parse_keep(settings.get("exclude"))
-        or ingest.DEFAULT_EXCLUDE_COLUMNS,
-    )
-    keep = _parse_keep(settings.get("keep"))
-    if keep:
-        ds = ingest.filter_labels(ds, keep)
-    dist = ingest.class_distribution(ds)
-    payload = {
-        "n_records": len(ds),
-        "n_channels": ds.n_channels,
-        "label_alphabet": list(ds.label_alphabet),
-        "class_distribution": dist,
-        "columns": list(ds.column_names),
-    }
-    lines = [
-        f"records: {len(ds)}",
-        f"channels: {ds.n_channels}",
-        "class distribution:",
-    ]
-    lines += [f"  {lab}: {dist[lab]:.4f}" for lab in sorted(dist)]
+    ds = pipeline.load_trips(pipeline.RunConfig(**_fields(settings)))
+    payload = {**pipeline.dataset_summary(ds), "columns": list(ds.column_names)}
+    lines = [f"records: {len(ds)}", f"channels: {ds.n_channels}", "class distribution:"]
+    lines += [f"  {lab}: {share:.4f}" for lab, share in payload["class_distribution"].items()]
     _emit(payload, lines, args.format)
     return 0
 
@@ -145,77 +225,34 @@ def _cmd_prepare(args, settings: _Settings) -> int:
     out = settings.get("out")
     if not out:
         raise _UsageError("prepare requires --out")
-    mode, k = _parse_feature_mode(settings.get("features", "fixed15"))
-    ds = ingest.load_dataset(
-        settings.get("input"),
-        label_column=settings.get("label_column", ingest.DEFAULT_LABEL_COLUMN),
-        exclude_columns=_parse_keep(settings.get("exclude"))
-        or ingest.DEFAULT_EXCLUDE_COLUMNS,
-    )
-    keep = _parse_keep(settings.get("keep"))
-    if keep:
-        ds = ingest.filter_labels(ds, keep)
-    selection = features.select_features(ds, mode, k=k)
-    spec = WindowSpec(
-        length=int(settings.get("window", 60)),
-        stride=int(settings.get("stride", 1)),
-        statistics=tuple(str(settings.get("stats", "mean,median,std")).split(",")),
-    )
-    matrix, n_dropped = features.extract_windows(ds, selection.kept, spec)
-    matrix.to_csv(out, label_column=ds.label_column)
+    config = pipeline.RunConfig(**_fields(settings))
+    ds, selection, matrix, n_dropped = pipeline.prepare_matrix(config)
+    matrix.to_csv(out, label_column=config.label_column)
     sidecar_path = settings.get("sidecar") or out + ".json"
     sidecar = {
         "selection": selection.to_dict(),
-        "windows": {
-            "count": len(matrix),
-            "dropped_mixed_label": n_dropped,
-            "n_columns": matrix.n_features,
-            "spec": spec.to_dict(),
-        },
+        "windows": pipeline.windows_summary(config, matrix, n_dropped),
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    payload = {"out": out, "sidecar": sidecar_path, **sidecar["windows"]}
-    _emit(
-        payload,
-        [
-            f"windows: {len(matrix)} ({n_dropped} dropped at driver changes)",
-            f"columns: {matrix.n_features}",
-            f"wrote {out} and {sidecar_path}",
-        ],
-        args.format,
-    )
+    pipeline.write_report(sidecar, sidecar_path)
+    lines = [
+        f"windows: {len(matrix)} ({n_dropped} dropped at driver changes)",
+        f"columns: {matrix.n_features}",
+        f"wrote {out} and {sidecar_path}",
+    ]
+    _emit({"out": out, "sidecar": sidecar_path, **sidecar["windows"]}, lines, args.format)
     return 0
-
-
-def _model_config(settings: _Settings) -> dict:
-    config = {}
-    raw = settings.get("model_config")
-    if raw:
-        try:
-            config = raw if isinstance(raw, dict) else json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise _UsageError(f"--model-config is not valid JSON: {e}") from None
-        if not isinstance(config, dict):
-            raise _UsageError("--model-config must be a JSON object")
-    if settings.get("k") is not None:
-        config["k"] = int(settings.get("k"))
-    return config
 
 
 def _cmd_train(args, settings: _Settings) -> int:
     out = settings.get("out")
     if not out:
         raise _UsageError("train requires --out")
-    kind = settings.get("kind")
-    if kind not in models.KINDS:
-        raise _UsageError(f"unknown kind {kind!r}; choose from {sorted(models.KINDS)}")
-    matrix = FeatureMatrix.from_csv(
-        settings.get("input"),
-        label_column=settings.get("label_column", ingest.DEFAULT_LABEL_COLUMN),
-    )
-    model = models.train(kind, matrix, _model_config(settings))
+    config = pipeline.RunConfig(**_fields(settings, kinds=()))
+    if len(config.kinds) != 1:
+        raise _UsageError("train requires a single --kind")
+    kind = config.kinds[0]
+    matrix = FeatureMatrix.from_csv(config.input, label_column=config.label_column)
+    model = models.train(kind, matrix, config.model_configs.get(kind))
     models.save_model(model, out)
     payload = {
         "kind": kind,
@@ -234,34 +271,12 @@ def _cmd_train(args, settings: _Settings) -> int:
 
 
 def _cmd_evaluate(args, settings: _Settings) -> int:
-    matrix = FeatureMatrix.from_csv(
-        settings.get("input"),
-        label_column=settings.get("label_column", ingest.DEFAULT_LABEL_COLUMN),
-    )
-    kind = settings.get("kind", "all")
-    kinds = tuple(models.KINDS) if kind == "all" else (kind,)
-    for k in kinds:
-        if k not in models.KINDS:
-            raise _UsageError(f"unknown kind {k!r}; choose from {sorted(models.KINDS)}")
-    split = settings.get("split", "random")
-    if split not in _SPLIT_FLAGS:
-        raise _UsageError(f"--split must be random or blocked, got {split!r}")
-    plan = evaluate.CvPlan(
-        folds=int(settings.get("folds", 10)),
-        stratified=bool(settings.get("stratified", True)),
-        seed=int(settings.get("seed", 1)),
-        split_mode=_SPLIT_FLAGS[split],
-    )
-    normalize = settings.get("normalize", "train")
-    reports = {
-        k: evaluate.cross_validate(
-            k, _model_config(settings) if k == kind else None, matrix, plan, normalize=normalize
-        )
-        for k in kinds
-    }
+    config = pipeline.RunConfig(**_fields(settings, kinds=tuple(models.KINDS)))
+    matrix = FeatureMatrix.from_csv(config.input, label_column=config.label_column)
+    reports, comparison = pipeline.cross_validate_kinds(config, matrix)
     payload: dict = {"results": {k: r.to_dict() for k, r in reports.items()}}
-    if evaluate.BASELINE_KIND in reports:
-        payload["comparison"] = evaluate.baseline_compare(list(reports.values()))
+    if comparison is not None:
+        payload["comparison"] = comparison
     report_path = settings.get("report")
     if report_path:
         pipeline.write_report(payload, report_path)
@@ -298,47 +313,20 @@ def _cmd_compare(args, settings: _Settings) -> int:
     for path in args.reports:
         reports.extend(_load_reports(path))
     comparison = evaluate.baseline_compare(reports)
-    lines = [
-        f"baseline {comparison['baseline']['kind']}: "
-        f"{comparison['baseline']['accuracy']:.2f}%"
-    ]
-    for row in comparison["ranking"]:
-        marker = "+" if row["better_than_baseline"] else " "
-        lines.append(
-            f"{marker} {row['kind']:12s} {row['accuracy']:7.2f}%  "
-            f"delta {row['delta_vs_baseline']:+7.2f}"
-        )
-    _emit(comparison, lines, args.format)
+    _emit(comparison, _ranking_lines(comparison), args.format)
     return 0
 
 
 def _cmd_repro(args, settings: _Settings) -> int:
-    input_path = settings.get("input") or pipeline.default_dataset_path()
-    overrides = {}
-    for field_name, flag in (
-        ("window_length", "window"),
-        ("window_stride", "stride"),
-        ("folds", "folds"),
-        ("seed", "seed"),
-        ("out_dir", "out_dir"),
-    ):
-        value = settings.get(flag)
-        if value is not None:
-            overrides[field_name] = int(value) if flag not in ("out_dir",) else value
-    config = pipeline.preset_config(args.preset, input_path, **overrides)
+    fields = _fields(settings, input=pipeline.default_dataset_path())
+    config = pipeline.preset_config(args.preset, fields.pop("input"), **fields)
     bundle = pipeline.run_pipeline(config)
+    windows = bundle["windows"]
     lines = [
-        f"preset {args.preset}: {bundle['windows']['count']} windows of "
-        f"{bundle['windows']['n_columns']} columns "
-        f"({bundle['windows']['dropped_mixed_label']} dropped)",
+        f"preset {args.preset}: {windows['count']} windows of {windows['n_columns']} "
+        f"columns ({windows['dropped_mixed_label']} dropped)",
+        *_ranking_lines(bundle["comparison"]),
     ]
-    ranking = (bundle.get("comparison") or {}).get("ranking", [])
-    for row in ranking:
-        marker = "+" if row["better_than_baseline"] else " "
-        lines.append(
-            f"{marker} {row['kind']:12s} {row['accuracy']:7.2f}%  "
-            f"delta {row['delta_vs_baseline']:+7.2f}"
-        )
     if config.out_dir:
         lines.append(f"wrote {config.out_dir}/report.json")
     _emit(bundle, lines, args.format)
@@ -351,9 +339,7 @@ def _cmd_repro(args, settings: _Settings) -> int:
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON file with default values for flags")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
     parser = _Parser(prog="driverid", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -364,65 +350,59 @@ def build_parser() -> _Parser:
     p.add_argument("--bytes", required=True, help="payload bytes, hex (e.g. 1AF8)")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("ingest", parents=[common], help="load and summarize a trip log")
-    p.add_argument("--input", help="trip log CSV")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--exclude", help="comma-separated bookkeeping columns to drop")
-    p.add_argument("--keep", help="comma-separated driver labels to keep")
-    p.add_argument("--summary", action="store_true", help="print the summary (default)")
+    trips = argparse.ArgumentParser(add_help=False, parents=[common])
+    trips.add_argument("--input", help="trip log CSV")
+    trips.add_argument("--label-column")
+    trips.add_argument("--exclude", help="comma-separated bookkeeping columns to drop")
+    trips.add_argument("--keep", help="comma-separated driver labels to keep")
+
+    p = sub.add_parser("ingest", parents=[trips], help="load and summarize a trip log")
     p.set_defaults(func=_cmd_ingest)
 
+    windows = argparse.ArgumentParser(add_help=False)
+    windows.add_argument("--window", type=int, help="window length in samples")
+    windows.add_argument("--stride", type=int, help="window stride in samples")
+    cv = argparse.ArgumentParser(add_help=False)
+    cv.add_argument("--folds", type=int, help="cross-validation folds")
+    cv.add_argument("--seed", type=int, help="fold-assignment and model seed")
+
     p = sub.add_parser(
-        "prepare", parents=[common], help="select features and extract windows"
+        "prepare", parents=[trips, windows], help="select features and extract windows"
     )
-    p.add_argument("--input", help="trip log CSV")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--exclude")
-    p.add_argument("--keep")
     p.add_argument("--features", help="fixed15 or rank:K")
-    p.add_argument("--window", type=int, help="window length in samples")
-    p.add_argument("--stride", type=int, help="window stride in samples")
     p.add_argument("--stats", help="comma-separated subset of mean,median,std")
     p.add_argument("--out", help="output CSV for the feature matrix")
     p.add_argument("--sidecar", help="selection/drop-count JSON path (default OUT.json)")
     p.set_defaults(func=_cmd_prepare)
 
-    p = sub.add_parser("train", parents=[common], help="fit one model on a prepared matrix")
-    p.add_argument("--input", help="feature matrix CSV (from prepare)")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--kind", help=f"one of {sorted(models.KINDS)}")
-    p.add_argument("--k", type=int, help="neighbor count (knn shorthand)")
-    p.add_argument("--model-config", dest="model_config", help="JSON hyperparameters")
+    fits = argparse.ArgumentParser(add_help=False, parents=[common])
+    fits.add_argument("--input", help="feature matrix CSV (from prepare)")
+    fits.add_argument("--label-column")
+    fits.add_argument("--kind", help=f"one of {sorted(models.KINDS)}, or all (evaluate only)")
+    fits.add_argument("--k", type=int, help="neighbor count (knn shorthand; needs one --kind)")
+    fits.add_argument("--model-config", help="JSON hyperparameters (needs one --kind)")
+
+    p = sub.add_parser("train", parents=[fits], help="fit one model on a prepared matrix")
     p.add_argument("--out", help="model JSON path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
-        "evaluate", parents=[common], help="cross-validate models on a prepared matrix"
+        "evaluate", parents=[fits, cv], help="cross-validate models on a prepared matrix"
     )
-    p.add_argument("--input", help="feature matrix CSV (from prepare)")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--kind", help="model kind or 'all'")
-    p.add_argument("--k", type=int, help="neighbor count (knn shorthand)")
-    p.add_argument("--model-config", dest="model_config", help="JSON hyperparameters")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split", choices=("random", "blocked"))
+    p.add_argument("--split", choices=sorted(_SPLIT_FLAGS))
     p.add_argument("--normalize", choices=evaluate.NORMALIZE_POLICIES)
     p.add_argument("--report", help="write the full report JSON here")
-    p.set_defaults(func=_cmd_evaluate)
+    # ``stratified`` has no flag; a --config file may still set it.
+    p.set_defaults(func=_cmd_evaluate, stratified=None)
 
     p = sub.add_parser("compare", parents=[common], help="rank reports against ZeroR")
     p.add_argument("reports", nargs="+", help="report JSON files from evaluate")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("repro", parents=[common], help="run a benchmark preset")
+    p = sub.add_parser("repro", parents=[common, windows, cv], help="run a benchmark preset")
     p.add_argument("preset", choices=sorted(pipeline.PRESETS))
     p.add_argument("--input", help="dataset CSV (default: $OCSLAB_DRIVING_CSV)")
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_repro)
 
     return parser
@@ -441,8 +421,8 @@ def main(argv=None) -> int:
     except DriverIdError as e:
         print(f"driverid {command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"driverid {command}: missing file: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"driverid {command}: file error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - safety net
         print(

@@ -49,6 +49,9 @@ class RunConfig:
     seed: int = 1
     out_dir: str | None = None
 
+    def window_spec(self) -> WindowSpec:
+        return WindowSpec(self.window_length, self.window_stride, self.statistics)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         for key, value in d.items():
@@ -99,11 +102,8 @@ def default_dataset_path() -> str:
     return os.environ.get(DATASET_ENV_VAR) or DATASET_DEFAULT_PATH
 
 
-def prepare_matrix(config: RunConfig):
-    """Run the data half of the pipeline.
-
-    Returns ``(dataset, selection_report, matrix, n_dropped_windows)``.
-    """
+def load_trips(config: RunConfig):
+    """The trip log of ``config``, restricted to ``config.keep_labels``."""
     ds = ingest.load_dataset(
         config.input,
         label_column=config.label_column,
@@ -111,6 +111,15 @@ def prepare_matrix(config: RunConfig):
     )
     if config.keep_labels is not None:
         ds = ingest.filter_labels(ds, config.keep_labels)
+    return ds
+
+
+def prepare_matrix(config: RunConfig):
+    """Run the data half of the pipeline.
+
+    Returns ``(dataset, selection_report, matrix, n_dropped_windows)``.
+    """
+    ds = load_trips(config)
     selection = select_features(
         ds,
         config.feature_mode,
@@ -119,13 +128,60 @@ def prepare_matrix(config: RunConfig):
         correlation_threshold=config.correlation_threshold,
         feature_list=config.feature_list,
     )
-    spec = WindowSpec(
-        length=config.window_length,
-        stride=config.window_stride,
-        statistics=config.statistics,
-    )
-    matrix, n_dropped = extract_windows(ds, selection.kept, spec)
+    matrix, n_dropped = extract_windows(ds, selection.kept, config.window_spec())
     return ds, selection, matrix, n_dropped
+
+
+def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
+    """Cross-validate each of ``config.kinds`` on ``matrix``, in that order.
+
+    Returns ``({kind: MetricsReport}, comparison)``; ``comparison`` ranks them
+    against ZeroR, or is None without a ``zeror`` run.  Unknown kinds and
+    ``model_configs`` for kinds that do not run raise DriverIdError up front.
+    """
+    unknown = [kind for kind in config.kinds if kind not in models.KINDS]
+    if unknown:
+        raise DriverIdError(f"unknown model kinds {unknown}; choose from {sorted(models.KINDS)}")
+    stray = sorted(set(config.model_configs) - set(config.kinds))
+    if stray:
+        raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
+    plan = evaluate.CvPlan(
+        folds=config.folds,
+        stratified=config.stratified,
+        seed=config.seed,
+        split_mode=config.split_mode,
+    )
+    # One kind at a time, so only one kind's normalized fold copies are alive.
+    results = {
+        kind: evaluate.cross_validate(
+            kind, config.model_configs.get(kind), matrix, plan, normalize=config.normalize
+        )
+        for kind in config.kinds
+    }
+    if evaluate.BASELINE_KIND not in results:
+        return results, None
+    return results, evaluate.baseline_compare(list(results.values()))
+
+
+def dataset_summary(ds) -> dict:
+    """Size, channels and class shares of a loaded trip log."""
+    return {
+        "n_records": len(ds),
+        "n_channels": ds.n_channels,
+        "label_alphabet": list(ds.label_alphabet),
+        "class_distribution": ingest.class_distribution(ds),
+    }
+
+
+def windows_summary(config: RunConfig, matrix, n_dropped: int) -> dict:
+    """Count, shape, class shares and geometry of the windows cut for ``config``."""
+    return {
+        "count": len(matrix),
+        "dropped_mixed_label": n_dropped,
+        "n_columns": matrix.n_features,
+        "class_distribution": ingest.class_distribution(matrix),
+        "spec": config.window_spec().to_dict(),
+    }
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -138,49 +194,12 @@ def run_pipeline(config: RunConfig) -> dict:
     ``<out_dir>/report.json``.
     """
     ds, selection, matrix, n_dropped = prepare_matrix(config)
-    plan = evaluate.CvPlan(
-        folds=config.folds,
-        stratified=config.stratified,
-        seed=config.seed,
-        split_mode=config.split_mode,
-    )
-    results = {}
-    for kind in config.kinds:
-        if kind not in models.KINDS:
-            raise DriverIdError(f"unknown model kind {kind!r}")
-        report = evaluate.cross_validate(
-            kind,
-            config.model_configs.get(kind),
-            matrix,
-            plan,
-            normalize=config.normalize,
-        )
-        results[kind] = report
-
-    comparison = None
-    if evaluate.BASELINE_KIND in results:
-        comparison = evaluate.baseline_compare(list(results.values()))
-
+    results, comparison = cross_validate_kinds(config, matrix)
     bundle = {
         "config": config.to_dict(),
-        "dataset": {
-            "n_records": len(ds),
-            "n_channels": ds.n_channels,
-            "label_alphabet": list(ds.label_alphabet),
-            "class_distribution": ingest.class_distribution(ds),
-        },
+        "dataset": dataset_summary(ds),
         "selection": selection.to_dict(),
-        "windows": {
-            "count": len(matrix),
-            "dropped_mixed_label": n_dropped,
-            "n_columns": matrix.n_features,
-            "class_distribution": ingest.class_distribution(matrix),
-            "spec": {
-                "length": config.window_length,
-                "stride": config.window_stride,
-                "statistics": list(config.statistics),
-            },
-        },
+        "windows": windows_summary(config, matrix, n_dropped),
         "results": {kind: rep.to_dict() for kind, rep in results.items()},
         "comparison": comparison,
     }

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from driverid import models, pipeline
 from driverid.cli import main
 
 from conftest import write_trip_csv
@@ -184,6 +185,15 @@ def test_evaluate_unparsable_model_config_is_usage_error(prepared, capsys, raw):
     assert "--model-config" in err
 
 
+@pytest.mark.parametrize("kind_flags", [[], ["--kind", "all"]])
+@pytest.mark.parametrize("setting", [["--model-config", '{"k": 3}'], ["--k", "3"]])
+def test_model_settings_need_a_single_kind(prepared, capsys, kind_flags, setting):
+    code, _, err = run(capsys, "evaluate", "--input", prepared, *kind_flags,
+                       "--folds", "3", *setting)
+    assert code == 1
+    assert "single --kind" in err
+
+
 def test_compare_ranks_reports_written_by_evaluate(tmp_path, prepared, capsys):
     # compare consumes evaluate's own --report files directly
     paths = []
@@ -253,6 +263,24 @@ def test_repro_rejects_unknown_preset(capsys):
     assert exc.value.code == 1
 
 
+def test_repro_preset_is_positional(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "--preset", "table6"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest"],
+    ["prepare", "--out", "unused.csv"],
+    ["evaluate"],
+    ["train", "--kind", "knn", "--out", "unused.json"],
+])
+def test_missing_input_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "--input" in err
+
+
 # -- config file ------------------------------------------------------------------
 
 def test_config_file_supplies_defaults(tmp_path, trip_csv, capsys):
@@ -288,3 +316,64 @@ def test_cli_report_bytes_are_deterministic(tmp_path, prepared, capsys):
         capsys.readouterr()
         assert code == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("command, text, status, named", [
+    ("ingest", "{not json", 2, "cfg.json"),
+    ("ingest", "[1, 2]", 2, "cfg.json"),
+    ("ingest", '{"keep": ["A", "B"]}', 1, "keep"),
+    ("prepare", '{"window": 30.5}', 1, "window"),
+    ("prepare", '{"features": "rank:0"}', 1, "features"),
+    ("evaluate", '{"folds": "ten"}', 1, "folds"),
+    ("evaluate", '{"folds": true}', 1, "folds"),
+    ("evaluate", '{"stratified": "false"}', 1, "stratified"),
+    ("evaluate", '{"split": "holdout"}', 1, "split"),
+    ("evaluate", '{"kind": "nope"}', 1, "kind"),
+    ("evaluate", '{"model_config": [1]}', 1, "model_config"),
+])
+def test_bad_config_file_is_a_typed_error(tmp_path, trip_csv, prepared, capsys,
+                                          command, text, status, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    extra = {
+        "ingest": ["--input", trip_csv],
+        "prepare": ["--input", trip_csv, "--out", str(tmp_path / "w.csv")],
+        "evaluate": ["--input", prepared],
+    }[command]
+    code, _, err = run(capsys, command, "--config", str(cfg), *extra)
+    assert code == status
+    assert named in err
+    assert "internal error" not in err
+
+
+def test_config_file_sets_evaluation_plan(tmp_path, prepared, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump({"stratified": False, "folds": 4, "split": "blocked"}, open(cfg, "w"))
+    code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
+                       "--kind", "zeror", "--format", "json")
+    assert code == 0
+    plan = json.loads(out)["results"]["zeror"]["metadata"]["plan"]
+    assert plan == {"folds": 4, "stratified": False, "seed": 1, "split_mode": "blocked-time"}
+
+
+# -- the CLI and the pipeline compute the same numbers ------------------------------
+
+def test_cli_prepare_and_evaluate_match_the_pipeline(tmp_path, trip_csv, capsys):
+    matrix_csv, report = str(tmp_path / "m.csv"), str(tmp_path / "r.json")
+    assert main(["prepare", "--input", trip_csv, "--features", "rank:3", "--window", "30",
+                 "--stride", "10", "--out", matrix_csv]) == 0
+    assert main(["evaluate", "--input", matrix_csv, "--kind", "all", "--folds", "3",
+                 "--seed", "2", "--report", report]) == 0
+    capsys.readouterr()
+    config = pipeline.RunConfig(
+        input=trip_csv, feature_mode="correlation-ranked", feature_count=3,
+        window_length=30, window_stride=10, kinds=tuple(models.KINDS), folds=3, seed=2,
+    )
+    _, _, matrix, _ = pipeline.prepare_matrix(config)
+    direct_csv = str(tmp_path / "direct.csv")
+    matrix.to_csv(direct_csv)
+    assert open(matrix_csv, "rb").read() == open(direct_csv, "rb").read()
+    bundle = json.loads(json.dumps(pipeline.run_pipeline(config)))
+    from_cli = json.load(open(report))
+    assert from_cli["results"] == bundle["results"]
+    assert from_cli["comparison"] == bundle["comparison"]

@@ -106,6 +106,34 @@ def test_fixed_features_resolve_against_production_spellings(surrogate_csv):
     assert n_dropped >= 0
 
 
+def test_report_spec_lists_the_statistics_the_matrix_has(surrogate_csv):
+    config = pipeline.preset_config(
+        "table7", surrogate_csv, window_length=20, window_stride=10,
+        statistics=("mean", "mean"), kinds=("zeror",),
+    )
+    windows = pipeline.run_pipeline(config)["windows"]
+    assert windows["n_columns"] == 15
+    assert windows["spec"] == {"length": 20, "stride": 10, "statistics": ["mean"]}
+
+
+@pytest.mark.parametrize("kinds, model_configs, named", [
+    (("zeror",), {"knn": {"k": 3}}, "knn"),
+    (("zeror", "bogus"), {}, "bogus"),
+])
+def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypatch,
+                                                         kinds, model_configs, named):
+    fitted = []
+    monkeypatch.setattr(pipeline.evaluate, "cross_validate",
+                        lambda kind, *a, **kw: fitted.append(kind))
+    config = pipeline.preset_config(
+        "table7", surrogate_csv, window_length=20, window_stride=10,
+        kinds=kinds, model_configs=model_configs,
+    )
+    with pytest.raises(DriverIdError, match=named):
+        pipeline.run_pipeline(config)
+    assert fitted == []
+
+
 def test_table6_preset_end_to_end_on_surrogate(surrogate_csv, tmp_path):
     config = pipeline.preset_config(
         "table6", surrogate_csv,
