@@ -114,9 +114,13 @@ _FIELDS = {
 
 
 class _Settings:
-    """Flag > config-file resolution for the subcommand's own flags."""
+    """Flag > config-file resolution for the subcommand's own flags.
 
-    def __init__(self, args: argparse.Namespace):
+    A config-file key must name a flag of some subcommand (``known``), so a
+    shared file may hold every subcommand's keys but a typo is an error.
+    """
+
+    def __init__(self, args: argparse.Namespace, known: set[str]):
         self._args = vars(args)
         self._file = {}
         self._path = path = args.config
@@ -129,6 +133,9 @@ class _Settings:
             if not isinstance(loaded, dict):
                 raise DriverIdError(f"config file {path} must hold a JSON object")
             self._file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+            unknown = sorted(set(self._file) - known)
+            if unknown:
+                raise _UsageError(f"{path}: unknown config key(s) {', '.join(unknown)}")
 
     def get(self, name: str, parse=_str):
         """Parsed value of the subcommand's flag ``name`` (None when unset);
@@ -405,6 +412,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_repro)
 
+    #: --config keys: every flag of every subcommand, plus ``stratified``.
+    parser.config_keys = set(_FIELDS).union(
+        *({a.dest for a in p._actions} for p in sub.choices.values())
+    ) - {"help"}
     return parser
 
 
@@ -413,7 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     try:
-        settings = _Settings(args)
+        settings = _Settings(args, parser.config_keys)
         return args.func(args, settings)
     except _UsageError as e:
         print(f"driverid {command}: {e}", file=sys.stderr)

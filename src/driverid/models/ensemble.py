@@ -3,7 +3,8 @@
 ``AdaBoost`` is the multiclass (SAMME) variant over depth-1 decision stumps:
 each round fits a weight-sensitive stump, scores it by weighted error, and
 re-weights the rows it missed.  The stump finds its split with the tree's
-presorted scan (``tree.split_scan``), sorting X once per boosting fit.
+presorted, class-major scan (``tree.split_scan``), sorting X once per
+boosting fit.
 ``MajorityVote`` trains independent members of different kinds on the same
 data and lets them vote.
 """
@@ -40,28 +41,41 @@ class _Stump:
         orders: np.ndarray,
     ) -> "_Stump":
         """``orders`` is ``presort(X)``; it is weight-independent, so a
-        boosting loop computes it once."""
+        boosting loop computes it once.
+
+        The scan's class-major prefix mass gives the left side of every
+        cut; the best class on each side comes from a running
+        ``np.maximum`` over the K class rows, so no (n, K) array and no
+        reduction across classes is built.
+        """
         n = X.shape[0]
-        onehot_w = np.zeros((n, n_classes))
-        onehot_w[np.arange(n), y_idx] = w
-        totals = onehot_w.sum(axis=0)
+        # bincount adds in row order, bit for bit a column sum of (n, K) mass
+        totals = np.bincount(y_idx, weights=w, minlength=n_classes)
+        total = totals.sum()
 
         # no-split fallback: predict the weighted majority class everywhere
         best_class = int(np.argmax(totals))
-        best_err = float(totals.sum() - totals[best_class])
+        best_err = float(total - totals[best_class])
         self.feature, self.threshold = _LEAF, 0.0
         self.left = self.right = best_class
 
-        for j, p, left_w, vs in split_scan(X, orders, onehot_w):
-            right_w = totals - left_w
-            err = totals.sum() - left_w.max(axis=1) - right_w.max(axis=1)
+        max_left, max_right, right = np.empty((3, n - 1))
+        for j, ok, left, vs in split_scan(X, orders, y_idx, w, n_classes):
+            max_left[:] = left[0]
+            np.subtract(totals[0], left[0], out=max_right)
+            for k in range(1, n_classes):
+                np.maximum(max_left, left[k], out=max_left)
+                np.subtract(totals[k], left[k], out=right)
+                np.maximum(max_right, right, out=max_right)
+            err = (total - max_left - max_right)[ok]
             at = int(np.argmin(err))
             if err[at] < best_err - 1e-15:
                 best_err = float(err[at])
+                cut = int(np.flatnonzero(ok)[at]) + 1
                 self.feature = j
-                self.threshold = midpoint(vs, int(p[at]))
-                self.left = int(np.argmax(left_w[at]))
-                self.right = int(np.argmax(right_w[at]))
+                self.threshold = midpoint(vs, cut)
+                self.left = int(np.argmax(left[:, cut - 1]))
+                self.right = int(np.argmax(totals - left[:, cut - 1]))
         return self
 
     def predict_idx(self, X: np.ndarray) -> np.ndarray:
@@ -92,7 +106,9 @@ class AdaBoost(Classifier):
 
     Each round's weighted error is clamped into
     [1e-10, (K−1)/K − 1e-10], keeping every stage weight
-    α = ln((1−err)/err) + ln(K−1) finite and positive.
+    α = ln((1−err)/err) + ln(K−1) finite and positive.  A fit keeps the
+    clamped errors in ``errors_`` (memory only: not serialized, not
+    reported).
     """
 
     kind = "adaboost"
@@ -109,6 +125,7 @@ class AdaBoost(Classifier):
         w = np.full(n, 1.0 / n)
         self.stumps_: list[_Stump] = []
         self.alphas_: list[float] = []
+        self.errors_: list[float] = []
         hi = (K - 1) / K - self._ERR_EPS
         orders = presort(X)
         for _ in range(self.rounds):
@@ -120,6 +137,7 @@ class AdaBoost(Classifier):
             w /= w.sum()
             self.stumps_.append(stump)
             self.alphas_.append(float(alpha))
+            self.errors_.append(err)
 
     def _stage_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros((X.shape[0], len(self.classes_)))

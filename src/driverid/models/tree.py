@@ -7,9 +7,11 @@ any internal node whose majority-class prediction makes no more mistakes on
 the pruning partition than its subtree does is collapsed to a leaf, so
 pruning can only shrink the tree and can never increase held-out error.
 
-Split search is one presorted scan (``split_scan``), shared with the
-AdaBoost stump: each feature is sorted once per fit and every child node
-filters its parent's orders, as in SLIQ (Mehta, Agrawal & Rissanen, 1996).
+Split search is one presorted, class-major scan (``split_scan``), shared
+with the AdaBoost stump: each feature is sorted once per fit and every
+child node filters its parent's orders, as in SLIQ (Mehta, Agrawal &
+Rissanen, 1996), and the class counts left of every cut come from one
+(K, n) prefix-sum buffer per node.
 
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
@@ -46,24 +48,40 @@ def midpoint(vs: np.ndarray, cut: int) -> float:
     return float(thr if thr < vs[cut] else vs[cut - 1])
 
 
-def split_scan(X: np.ndarray, orders: np.ndarray, mass: np.ndarray, min_leaf: int = 1):
+def split_scan(X, orders, y, w, n_classes: int, min_leaf: int = 1):
     """Candidate binary cuts ``x <= threshold`` of a node, one feature at a time.
 
     ``orders[j]`` lists the node's rows of X in ascending order of feature j
-    (ties in row order) and ``mass`` holds one class-mass vector per row of X.
-    For every feature with a cut between distinct adjacent values that leaves
-    at least ``min_leaf`` rows on each side, yields ``(j, p, left, vs)``: the
-    left sizes ``p`` of those cuts, the class mass left of each, and the
-    sorted column ``vs``.
+    (ties in row order); ``y`` holds the class code of every row of X and
+    ``w`` its weight (an array over the rows of X, or one scalar for all).
+
+    Class mass is held class-major in one (K, n) buffer: for each feature
+    it is zeroed, takes ``w`` at (class, sorted position) and is
+    prefix-summed along each class row.  Every class's prefix sums add the
+    same values in the same order as a row-major ``cumsum(axis=0)`` of
+    per-row mass vectors (adding 0.0 is exact), so they are bit-identical
+    to it, without gathering an (n, K) array.
+
+    For every feature with a cut between distinct adjacent values that
+    leaves at least ``min_leaf`` rows on each side, yields
+    ``(j, ok, left, vs)``: ``left[:, i]`` is the class mass of the first
+    ``i + 1`` sorted rows (shape (K, n − 1), every position), ``ok[i]``
+    marks the cut after them as valid, and ``vs`` is the sorted column.
+    ``left`` is a view of the buffer, which the next feature overwrites.
     """
     n = orders.shape[1]
     p = np.arange(1, n)
+    sized = (p >= min_leaf) & (p <= n - min_leaf)
+    cols = np.arange(n)
+    mass = np.empty((n_classes, n))
     for j, order in enumerate(orders):
         vs = X[order, j]
-        ok = (vs[1:] > vs[:-1]) & (p >= min_leaf) & (p <= n - min_leaf)
+        ok = (vs[1:] > vs[:-1]) & sized
         if ok.any():
-            cuts = p[ok]
-            yield j, cuts, np.cumsum(mass[order], axis=0)[cuts - 1], vs
+            mass.fill(0.0)
+            mass[y[order], cols] = w[order] if np.ndim(w) else w
+            np.cumsum(mass, axis=1, out=mass)
+            yield j, ok, mass[:, :-1], vs
 
 
 class RepTree(Classifier):
@@ -106,7 +124,6 @@ class RepTree(Classifier):
 
     def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
         K = len(self.classes_)
-        onehot = np.eye(K)[y]
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -134,7 +151,7 @@ class RepTree(Classifier):
                 or np.count_nonzero(node_counts) < 2
             ):
                 continue  # stays a leaf
-            split = self._best_split(X, orders, onehot, node_counts)
+            split = self._best_split(X, orders, y, node_counts)
             if split is None:
                 continue
             j, cut, thr = split
@@ -155,7 +172,7 @@ class RepTree(Classifier):
         self.right_ = np.asarray(right, dtype=np.intp)
         self.counts_ = np.asarray(counts, dtype=np.int64)
 
-    def _best_split(self, X, orders, onehot, parent_counts):
+    def _best_split(self, X, orders, y, parent_counts):
         """Highest-information-gain split of a node as (feature, left size, threshold).
 
         Ties resolve to the lowest feature index, then the lowest cut.
@@ -166,7 +183,13 @@ class RepTree(Classifier):
         parent_h = _entropy_rows(parent_counts[None, :])[0]
         best_gain = 0.0
         best = None
-        for j, p, left_counts, vs in split_scan(X, orders, onehot, self.min_leaf_count):
+        K = len(parent_counts)
+        for j, ok, left, vs in split_scan(X, orders, y, 1.0, K, self.min_leaf_count):
+            p = np.flatnonzero(ok) + 1
+            # C-contiguous (m, K) rows: numpy sums a contiguous row of K >= 8
+            # pairwise but a strided one in sequence, which can move a gain
+            # by an ulp and flip a near-tie.
+            left_counts = np.ascontiguousarray(left.T[ok])
             right_counts = parent_counts - left_counts
             h = (p / n) * _entropy_rows(left_counts) + ((n - p) / n) * _entropy_rows(
                 right_counts

@@ -346,6 +346,31 @@ def test_bad_config_file_is_a_typed_error(tmp_path, trip_csv, prepared, capsys,
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("evaluate", "fold"),
+    ("evaluate", "kinds"),
+    ("ingest", "keep_labels"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, trip_csv, prepared, capsys,
+                                           command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 4}))
+    extra = {"ingest": ["--input", trip_csv], "evaluate": ["--input", prepared, "--kind", "zeror"]}
+    code, _, err = run(capsys, command, "--config", str(cfg), *extra[command])
+    assert code == 1
+    assert key in err and "cfg.json" in err
+
+
+def test_config_keys_of_other_subcommands_are_allowed(tmp_path, prepared, capsys):
+    # one shared file: "window" and "stats" are prepare's, "service" is decode's
+    cfg = str(tmp_path / "cfg.json")
+    json.dump({"window": 30, "stats": "mean", "service": "01", "folds": 4}, open(cfg, "w"))
+    code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
+                       "--kind", "zeror", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["zeror"]["metadata"]["plan"]["folds"] == 4
+
+
 def test_config_file_sets_evaluation_plan(tmp_path, prepared, capsys):
     cfg = str(tmp_path / "cfg.json")
     json.dump({"stratified": False, "folds": 4, "split": "blocked"}, open(cfg, "w"))

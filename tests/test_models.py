@@ -27,6 +27,7 @@ from driverid.models import (
 )
 from driverid.models.logistic import _two_loop, loss_and_grad, sigmoid
 from driverid.models.svm import hinge_loss, primal_objective
+from driverid.models.tree import _entropy_rows, midpoint, presort
 
 
 def blobs(seed=0, n_per=40, centers=((0, 0), (6, 0), (0, 6))):
@@ -570,6 +571,149 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
     lo = X[0, 0]
     assert _GrowAll().fit(X, y).threshold_[0] == lo
     assert AdaBoost(rounds=1).fit(X, y).stumps_[0].threshold == lo
+
+
+# -- class-major scan against the row-major layout it replaced ------------------------
+#
+# ``split_scan`` holds class mass as (K, n) rows.  These references keep the
+# row-major (n, K) layout: an (n, K) mass per row, ``cumsum(axis=0)`` gathered
+# at the cuts and ``max(axis=1)`` over classes.  Every prefix sum adds the
+# same values in the same order, so stumps, alphas and trees must match bit
+# for bit.
+
+
+def _row_major_scan(X, orders, mass, min_leaf=1):
+    n = orders.shape[1]
+    p = np.arange(1, n)
+    for j, order in enumerate(orders):
+        vs = X[order, j]
+        ok = (vs[1:] > vs[:-1]) & (p >= min_leaf) & (p <= n - min_leaf)
+        if ok.any():
+            cuts = p[ok]
+            yield j, cuts, np.cumsum(mass[order], axis=0)[cuts - 1], vs
+
+
+def _row_major_stump(X, y_idx, w, K, orders):
+    onehot_w = np.zeros((X.shape[0], K))
+    onehot_w[np.arange(X.shape[0]), y_idx] = w
+    totals = onehot_w.sum(axis=0)
+    majority = int(np.argmax(totals))
+    best_err = float(totals.sum() - totals[majority])
+    stump = {"feature": -1, "threshold": 0.0, "left": majority, "right": majority}
+    for j, p, left_w, vs in _row_major_scan(X, orders, onehot_w):
+        right_w = totals - left_w
+        err = totals.sum() - left_w.max(axis=1) - right_w.max(axis=1)
+        at = int(np.argmin(err))
+        if err[at] < best_err - 1e-15:
+            best_err = float(err[at])
+            stump = {
+                "feature": j,
+                "threshold": midpoint(vs, int(p[at])),
+                "left": int(np.argmax(left_w[at])),
+                "right": int(np.argmax(right_w[at])),
+            }
+    return stump
+
+
+def _row_major_adaboost(X, y_idx, K, rounds):
+    """SAMME as a plain loop over row-major stumps: (params, clamped errors)."""
+    w = np.full(X.shape[0], 1.0 / X.shape[0])
+    orders = presort(X)
+    stumps, alphas, errors = [], [], []
+    for _ in range(rounds):
+        s = _row_major_stump(X, y_idx, w, K, orders)
+        if s["feature"] == -1:
+            pred = np.full(X.shape[0], s["left"])
+        else:
+            pred = np.where(X[:, s["feature"]] <= s["threshold"], s["left"], s["right"])
+        miss = pred != y_idx
+        err = float(np.clip(w[miss].sum(), 1e-10, (K - 1) / K - 1e-10))
+        alpha = np.log((1.0 - err) / err) + np.log(K - 1.0)
+        w = w * np.exp(alpha * miss)
+        w /= w.sum()
+        stumps.append(s)
+        alphas.append(float(alpha))
+        errors.append(err)
+    return {"stumps": stumps, "alphas": alphas}, errors
+
+
+class _RowMajorTree(_GrowAll):
+    """The tree's split search over an ``np.eye(K)[y]`` row-major mass."""
+
+    def _best_split(self, X, orders, y, parent_counts):
+        n = orders.shape[1]
+        parent_h = _entropy_rows(parent_counts[None, :])[0]
+        best_gain, best = 0.0, None
+        onehot = np.eye(len(parent_counts))[y]
+        for j, p, left_counts, vs in _row_major_scan(X, orders, onehot, self.min_leaf_count):
+            right_counts = parent_counts - left_counts
+            h = (p / n) * _entropy_rows(left_counts) + ((n - p) / n) * _entropy_rows(right_counts)
+            gains = parent_h - h
+            at = int(np.argmax(gains))
+            if gains[at] > best_gain:
+                best_gain = float(gains[at])
+                best = (j, int(p[at]), midpoint(vs, int(p[at])))
+        return best
+
+
+def _tie_heavy_classes(seed, n, K):
+    """Two-decimal columns whose class depends on them, a constant column
+    and a bit-identical copy of column 0; labels are K letters."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    X[:, 2] = 0.5
+    X = np.hstack([X, X[:, :1]])
+    codes = (np.floor((X[:, 0] + X[:, 1]) * K / 3) + rng.integers(0, 2, n)) % K
+    return X, np.array([chr(65 + int(c)) for c in codes])
+
+
+_CLASS_MAJOR_CASES = [(K, seed) for K in (2, 3, 10) for seed in range(6)]
+
+
+@pytest.mark.parametrize("K, seed", _CLASS_MAJOR_CASES)
+def test_adaboost_matches_row_major_reference(K, seed):
+    # 150 rows: weights 1/150 and every later re-weighting are inexact, so
+    # any change in the order of additions would move an error or an alpha
+    X, y = _tie_heavy_classes(seed, 150, K)
+    model = AdaBoost(rounds=10).fit(X, y)
+    y_idx = np.searchsorted(model.classes_, y)
+    params, errors = _row_major_adaboost(X, y_idx, len(model.classes_), 10)
+    assert model.to_dict()["params"] == params
+    assert model.errors_ == errors
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tree_matches_row_major_reference(seed):
+    # Ten classes: numpy sums a contiguous row of >= 8 classes pairwise, so
+    # the class-major counts must reach the entropy as C-ordered rows
+    X, y = _tie_heavy_classes(seed, 300, 10)
+    for min_leaf in (1, 2):
+        tree = _GrowAll(min_leaf_count=min_leaf).fit(X, y)
+        reference = _RowMajorTree(min_leaf_count=min_leaf).fit(X, y)
+        assert tree.to_dict() == reference.to_dict()
+        assert tree.node_count > 3
+
+
+def test_stump_classes_come_from_the_chosen_cut():
+    # Both sides tie between two classes (lowest wins); the rows either side
+    # of the cut would break either tie the other way.
+    X = np.array([[0.0]] * 7 + [[1.0]] * 7)
+    y = list("AAABBBD") + list("BCCCDDD")
+    stump = AdaBoost(rounds=1).fit(X, y).stumps_[0]
+    assert stump.to_dict() == {"feature": 0, "threshold": 0.5, "left": 0, "right": 2}
+
+
+def test_adaboost_alphas_recompute_from_clamped_errors():
+    X, y = blobs(seed=13)
+    model = AdaBoost(rounds=10).fit(X, y)
+    K = len(model.classes_)
+    assert len(model.errors_) == 10
+    assert all(1e-10 <= e <= (K - 1) / K - 1e-10 for e in model.errors_)
+    for e, alpha in zip(model.errors_, model.alphas_):
+        assert alpha == np.log((1.0 - e) / e) + np.log(K - 1.0)
+    saved = json.dumps(model.to_dict())
+    assert "errors" not in saved
+    assert not hasattr(AdaBoost.from_dict(json.loads(saved)), "errors_")
 
 
 # -- majority vote -----------------------------------------------------------------
