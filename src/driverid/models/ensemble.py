@@ -2,9 +2,11 @@
 
 ``AdaBoost`` is the multiclass (SAMME) variant over depth-1 decision stumps:
 each round fits a weight-sensitive stump, scores it by weighted error, and
-re-weights the rows it missed.  The stump finds its split with the tree's
-presorted, class-major scan (``tree.split_scan``), sorting X once per
-boosting fit.
+re-weights the rows it missed.  Sorting X, the valid cuts and the
+grouping of each feature's rows by class do not depend on the weights, so
+``_StumpScan`` builds them once per boosting fit (with the tree's
+``presort``); each round then finds the best cut of every feature in O(n),
+not O(K·n), over blocks of features.
 ``MajorityVote`` trains independent members of different kinds on the same
 data and lets them vote.
 """
@@ -16,10 +18,104 @@ import numpy as np
 from ..errors import DriverIdError
 from ..ingest import decode_labels, encode_labels
 from .base import Classifier
-from .tree import _LEAF, midpoint, presort, split_scan
+from .tree import _LEAF, midpoint, presort
 
 #: Member kinds trained by a default-configured MajorityVote.
 DEFAULT_VOTE_MEMBERS = ("naive_bayes", "logreg", "knn", "reptree", "svm")
+
+
+#: Most elements (features × rows) that one block of the stump scan holds;
+#: bounds the scan's working memory at about 40 bytes per element.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+class _StumpScan:
+    """The weight-independent half of the stump's split search, built once
+    per boosting fit.
+
+    For each feature it keeps the rows grouped by class, each class's rows
+    in ascending order of the feature (``rows``), where each sorted position
+    sits in that grouping (``at``), and which cuts fall between equal values
+    (``tied``).  Every class owns the same segment of the grouping for
+    every feature, so one ``cumsum`` per class over a block of features
+    gives every row's own-class prefix weight.  Features whose values are
+    all equal are dropped; the rest are cut into blocks of at most
+    ``_BLOCK_ELEMENTS`` elements.
+    """
+
+    def __init__(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int):
+        n, d = X.shape
+        self.X, self.y = X, y_idx
+        self.counts = np.bincount(y_idx, minlength=n_classes)
+        self.ends = np.cumsum(self.counts)
+        self.starts = self.ends - self.counts
+        self.rows = np.empty((d, n), dtype=np.int32)
+        self.at = np.empty((d, n), dtype=np.int32)
+        self.tied = np.empty((d, n - 1), dtype=bool)
+        # the narrowest code type lets the stable argsort run as a radix sort
+        codes = y_idx.astype(np.min_scalar_type(n_classes - 1))
+        for j, order in enumerate(presort(X)):
+            vs = X[order, j]
+            np.equal(vs[1:], vs[:-1], out=self.tied[j])
+            grouping = np.argsort(codes[order], kind="stable")
+            self.rows[j] = order[grouping]
+            self.at[j, grouping] = np.arange(n)
+        live = np.flatnonzero(~self.tied.all(axis=1))
+        step = max(1, _BLOCK_ELEMENTS // n)
+        self.blocks = [live[i : i + step] for i in range(0, live.size, step)]
+
+    def best_cut(self, w: np.ndarray, totals: np.ndarray, to_beat: float):
+        """Lowest-error cut as ``(feature, left size)``, or None when no cut
+        errs less than ``to_beat - 1e-15``.  Ties go to the lowest feature,
+        then the lowest cut.
+
+        A cut's error is ``W − max_k L_k − max_k R_k`` (L/R the class
+        weights left/right of it, W their total), with the same operands
+        as summing a (K, n) prefix buffer: float ``cumsum`` of non-negative
+        weights never decreases (rounding is monotone), so
+
+        - ``max_k L_k`` after position i is the running max, over rows up
+          to i, of each row's own-class inclusive prefix;
+        - ``max_k R_k`` is the running max, over rows after i, of
+          ``totals[k] − (class-k prefix just before that row)``, floored by
+          ``max_k(totals[k] − full class-k prefix)``: the floor stands for
+          the classes with no row after i and never exceeds the terms of
+          those that have one.
+
+        Each is a max over values the (K, n) scan also computes, so every
+        error is bit-identical to it.
+        """
+        total = totals.sum()
+        class_total = np.repeat(totals, self.counts)
+        best = None
+        for block in self.blocks:
+            own = w[self.rows[block]]
+            for lo, hi in zip(self.starts, self.ends):
+                np.cumsum(own[:, lo:hi], axis=1, out=own[:, lo:hi])
+            floor = (totals - own[:, self.ends - 1]).max(axis=1)
+            rest = np.empty_like(own)
+            rest[:, 1:] = own[:, :-1]
+            rest[:, self.starts] = 0.0
+            np.subtract(class_total, rest, out=rest)
+            at = self.at[block]
+            left = np.take_along_axis(own, at, axis=1)
+            right = np.take_along_axis(rest, at, axis=1)
+            max_left = np.maximum.accumulate(left, axis=1, out=left)[:, :-1]
+            np.maximum.accumulate(right[:, ::-1], axis=1, out=right[:, ::-1])
+            max_right = np.maximum(right[:, 1:], floor[:, None], out=right[:, 1:])
+            err = np.subtract(total, max_left, out=max_left)
+            err -= max_right
+            np.copyto(err, np.inf, where=self.tied[block])
+            cuts = err.argmin(axis=1)
+            errs = err[np.arange(len(block)), cuts]
+            for j, cut, e in zip(block.tolist(), cuts.tolist(), errs.tolist()):
+                if e < to_beat - 1e-15:
+                    to_beat, best = e, (j, cut + 1)
+        return best
+
+    def order(self, j: int) -> np.ndarray:
+        """Rows in ascending order of feature j (ties in row order)."""
+        return self.rows[j][self.at[j]]
 
 
 class _Stump:
@@ -27,55 +123,30 @@ class _Stump:
 
     Falls back to a constant (weighted-majority) predictor when no split
     beats it.  All ties — cut choice, class choice — resolve to the lowest
-    index.
+    index.  ``fit`` searches the cuts with the boosting fit's
+    ``_StumpScan``, so each round costs O(n) per feature.
     """
 
     __slots__ = ("feature", "threshold", "left", "right")
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y_idx: np.ndarray,
-        w: np.ndarray,
-        n_classes: int,
-        orders: np.ndarray,
-    ) -> "_Stump":
-        """``orders`` is ``presort(X)``; it is weight-independent, so a
-        boosting loop computes it once.
-
-        The scan's class-major prefix mass gives the left side of every
-        cut; the best class on each side comes from a running
-        ``np.maximum`` over the K class rows, so no (n, K) array and no
-        reduction across classes is built.
-        """
-        n = X.shape[0]
+    def fit(self, scan: _StumpScan, w: np.ndarray) -> "_Stump":
         # bincount adds in row order, bit for bit a column sum of (n, K) mass
-        totals = np.bincount(y_idx, weights=w, minlength=n_classes)
-        total = totals.sum()
+        totals = np.bincount(scan.y, weights=w, minlength=len(scan.counts))
 
         # no-split fallback: predict the weighted majority class everywhere
-        best_class = int(np.argmax(totals))
-        best_err = float(total - totals[best_class])
+        majority = int(np.argmax(totals))
         self.feature, self.threshold = _LEAF, 0.0
-        self.left = self.right = best_class
-
-        max_left, max_right, right = np.empty((3, n - 1))
-        for j, ok, left, vs in split_scan(X, orders, y_idx, w, n_classes):
-            max_left[:] = left[0]
-            np.subtract(totals[0], left[0], out=max_right)
-            for k in range(1, n_classes):
-                np.maximum(max_left, left[k], out=max_left)
-                np.subtract(totals[k], left[k], out=right)
-                np.maximum(max_right, right, out=max_right)
-            err = (total - max_left - max_right)[ok]
-            at = int(np.argmin(err))
-            if err[at] < best_err - 1e-15:
-                best_err = float(err[at])
-                cut = int(np.flatnonzero(ok)[at]) + 1
-                self.feature = j
-                self.threshold = midpoint(vs, cut)
-                self.left = int(np.argmax(left[:, cut - 1]))
-                self.right = int(np.argmax(totals - left[:, cut - 1]))
+        self.left = self.right = majority
+        best = scan.best_cut(w, totals, float(totals.sum() - totals[majority]))
+        if best is not None:
+            j, cut = best
+            order = scan.order(j)
+            # bincount adds each class in sorted order: the scan's prefix sums
+            left = np.bincount(scan.y[order[:cut]], weights=w[order[:cut]], minlength=len(totals))
+            self.feature = j
+            self.threshold = midpoint(scan.X[order, j], cut)
+            self.left = int(np.argmax(left))
+            self.right = int(np.argmax(totals - left))
         return self
 
     def predict_idx(self, X: np.ndarray) -> np.ndarray:
@@ -127,9 +198,9 @@ class AdaBoost(Classifier):
         self.alphas_: list[float] = []
         self.errors_: list[float] = []
         hi = (K - 1) / K - self._ERR_EPS
-        orders = presort(X)
+        scan = _StumpScan(X, y_idx, K)
         for _ in range(self.rounds):
-            stump = _Stump().fit(X, y_idx, w, K, orders)
+            stump = _Stump().fit(scan, w)
             miss = stump.predict_idx(X) != y_idx
             err = float(np.clip(w[miss].sum(), self._ERR_EPS, hi))
             alpha = np.log((1.0 - err) / err) + np.log(K - 1.0)

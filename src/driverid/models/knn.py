@@ -37,19 +37,30 @@ class KNearestNeighbors(Classifier):
         self._onehot = np.zeros((X.shape[0], len(self.classes_)))
         self._onehot[np.arange(X.shape[0]), y_idx] = 1.0
 
+    def _sq_distances(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Squared distances of query rows to every training row, into ``out``.
+
+        Uses the expansion ‖q‖² − 2q·x + ‖x‖² and clamps the roundoff
+        negatives.  Monotone in true distance, so neighbor selection is
+        unaffected by skipping the sqrt.  Every step runs in place; since
+        a + (−b) is a − b in IEEE arithmetic, the result is bit for bit
+        ``sq - 2.0 * (q @ X.T) + qq``.
+        """
+        d2 = np.matmul(q, self.X_.T, out=out)
+        d2 *= -2.0
+        d2 += self._sq_norms
+        d2 += np.einsum("ij,ij->i", q, q)[:, None]
+        return np.maximum(d2, 0.0, out=d2)
+
     def _vote_counts(self, Q: np.ndarray) -> np.ndarray:
         """(n_queries, n_classes) neighbor vote counts."""
         n_train = self.X_.shape[0]
         k = min(self.k, n_train)
         counts = np.empty((Q.shape[0], len(self.classes_)))
+        block = np.empty((min(self.query_chunk, Q.shape[0]), n_train))
         for lo in range(0, Q.shape[0], self.query_chunk):
             q = Q[lo : lo + self.query_chunk]
-            # Squared distances via the expansion ‖q‖² − 2q·x + ‖x‖²;
-            # clamp the roundoff negatives.  Monotone in true distance, so
-            # neighbor selection is unaffected by skipping the sqrt.
-            d2 = self._sq_norms - 2.0 * (q @ self.X_.T)
-            d2 += np.einsum("ij,ij->i", q, q)[:, None]
-            np.maximum(d2, 0.0, out=d2)
+            d2 = self._sq_distances(q, block[: q.shape[0]])
 
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
             strict = d2 < kth

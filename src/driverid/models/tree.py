@@ -7,11 +7,13 @@ any internal node whose majority-class prediction makes no more mistakes on
 the pruning partition than its subtree does is collapsed to a leaf, so
 pruning can only shrink the tree and can never increase held-out error.
 
-Split search is one presorted, class-major scan (``split_scan``), shared
-with the AdaBoost stump: each feature is sorted once per fit and every
-child node filters its parent's orders, as in SLIQ (Mehta, Agrawal &
-Rissanen, 1996), and the class counts left of every cut come from one
-(K, n) prefix-sum buffer per node.
+Split search is one presorted, class-major scan (``split_scan``): each
+feature is sorted once per fit and every child node filters its parent's
+orders, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and the class counts
+left of every cut come from one (K, n) prefix-sum buffer per node.  The
+entropy of every candidate side is one pass over its (m, K) counts.
+``presort`` and ``midpoint`` are shared with the AdaBoost stump, which has
+its own O(n)-per-feature scan (``ensemble._StumpScan``).
 
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
@@ -27,13 +29,19 @@ from .base import Classifier
 _LEAF = -1
 
 
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) of each row of nonnegative count vectors."""
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 0.0)
-        logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -(p * logs).sum(axis=-1)
+def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of class counts; ``sizes`` holds
+    the row sums, all positive (the two sides of a cut, or a whole node).
+
+    Bit for bit the same as normalizing each row by its own sum (exactly
+    ``sizes``) and masking ``log2`` to 0 at zero probabilities: log2(1.0)
+    is exactly 0.0.  The (m, K) products are summed as C-ordered rows.
+    """
+    p = counts / sizes[:, None]
+    plogp = np.where(p > 0, p, 1.0)
+    np.log2(plogp, out=plogp)
+    plogp *= p
+    return -plogp.sum(axis=-1)
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -48,23 +56,19 @@ def midpoint(vs: np.ndarray, cut: int) -> float:
     return float(thr if thr < vs[cut] else vs[cut - 1])
 
 
-def split_scan(X, orders, y, w, n_classes: int, min_leaf: int = 1):
-    """Candidate binary cuts ``x <= threshold`` of a node, one feature at a time.
+def split_scan(X, orders, y, n_classes: int, min_leaf: int = 1):
+    """Candidate binary cuts ``x <= threshold`` of a tree node, one feature at a time.
 
     ``orders[j]`` lists the node's rows of X in ascending order of feature j
-    (ties in row order); ``y`` holds the class code of every row of X and
-    ``w`` its weight (an array over the rows of X, or one scalar for all).
+    (ties in row order) and ``y`` holds the class code of every row of X.
 
-    Class mass is held class-major in one (K, n) buffer: for each feature
-    it is zeroed, takes ``w`` at (class, sorted position) and is
-    prefix-summed along each class row.  Every class's prefix sums add the
-    same values in the same order as a row-major ``cumsum(axis=0)`` of
-    per-row mass vectors (adding 0.0 is exact), so they are bit-identical
-    to it, without gathering an (n, K) array.
+    Class counts are held class-major in one (K, n) buffer: for each
+    feature it is zeroed, takes 1.0 at (class, sorted position) and is
+    prefix-summed along each class row, without gathering an (n, K) array.
 
     For every feature with a cut between distinct adjacent values that
     leaves at least ``min_leaf`` rows on each side, yields
-    ``(j, ok, left, vs)``: ``left[:, i]`` is the class mass of the first
+    ``(j, ok, left, vs)``: ``left[:, i]`` is the class count of the first
     ``i + 1`` sorted rows (shape (K, n − 1), every position), ``ok[i]``
     marks the cut after them as valid, and ``vs`` is the sorted column.
     ``left`` is a view of the buffer, which the next feature overwrites.
@@ -79,7 +83,7 @@ def split_scan(X, orders, y, w, n_classes: int, min_leaf: int = 1):
         ok = (vs[1:] > vs[:-1]) & sized
         if ok.any():
             mass.fill(0.0)
-            mass[y[order], cols] = w[order] if np.ndim(w) else w
+            mass[y[order], cols] = 1.0
             np.cumsum(mass, axis=1, out=mass)
             yield j, ok, mass[:, :-1], vs
 
@@ -180,19 +184,19 @@ class RepTree(Classifier):
         on the parent entropy.
         """
         n = orders.shape[1]
-        parent_h = _entropy_rows(parent_counts[None, :])[0]
+        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
         best_gain = 0.0
         best = None
         K = len(parent_counts)
-        for j, ok, left, vs in split_scan(X, orders, y, 1.0, K, self.min_leaf_count):
+        for j, ok, left, vs in split_scan(X, orders, y, K, self.min_leaf_count):
             p = np.flatnonzero(ok) + 1
             # C-contiguous (m, K) rows: numpy sums a contiguous row of K >= 8
             # pairwise but a strided one in sequence, which can move a gain
             # by an ulp and flip a near-tie.
             left_counts = np.ascontiguousarray(left.T[ok])
             right_counts = parent_counts - left_counts
-            h = (p / n) * _entropy_rows(left_counts) + ((n - p) / n) * _entropy_rows(
-                right_counts
+            h = (p / n) * _entropy_rows(left_counts, p) + ((n - p) / n) * _entropy_rows(
+                right_counts, n - p
             )
             gains = parent_h - h
             at = int(np.argmax(gains))

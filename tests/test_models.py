@@ -27,7 +27,7 @@ from driverid.models import (
 )
 from driverid.models.logistic import _two_loop, loss_and_grad, sigmoid
 from driverid.models.svm import hinge_loss, primal_objective
-from driverid.models.tree import _entropy_rows, midpoint, presort
+from driverid.models.tree import midpoint, presort
 
 
 def blobs(seed=0, n_per=40, centers=((0, 0), (6, 0), (0, 6))):
@@ -171,6 +171,23 @@ def test_knn_duplicate_distance_boundary():
     model = KNearestNeighbors(k=2).fit(X, y)
     # neighbors of 0 are rows 0 and 1 -> one B, one A -> tie -> A
     assert model.predict_one(np.array([0.0])) == "A"
+
+
+def test_knn_distance_block_matches_the_out_of_place_expression():
+    # the in-place block must equal sq − 2·(q @ X.T) + qq, clamped, bit for
+    # bit: a query chunk shorter than the reused block, duplicates of
+    # training rows (distance 0, clamped roundoff) and an odd width
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(301, 7))
+    Q = np.vstack([rng.normal(size=(37, 7)), X[:5], X[:5] * (1 + 1e-12)])
+    model = KNearestNeighbors().fit(X, ["A"] * 150 + ["B"] * 151)
+    want = model._sq_norms - 2.0 * (Q @ X.T)
+    want += np.einsum("ij,ij->i", Q, Q)[:, None]
+    np.maximum(want, 0.0, out=want)
+    block = np.full((64, X.shape[0]), np.nan)
+    got = model._sq_distances(Q, block[: Q.shape[0]])
+    assert np.array_equal(got, want)
+    assert (got == 0.0).any()
 
 
 def test_knn_k_clamps_to_train_size():
@@ -573,9 +590,10 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
     assert AdaBoost(rounds=1).fit(X, y).stumps_[0].threshold == lo
 
 
-# -- class-major scan against the row-major layout it replaced ------------------------
+# -- split scans against the plain row-major layout ----------------------------------
 #
-# ``split_scan`` holds class mass as (K, n) rows.  These references keep the
+# The tree's ``split_scan`` holds class counts as (K, n) rows, and the stump's
+# scan keeps one own-class prefix per row.  These references keep the
 # row-major (n, K) layout: an (n, K) mass per row, ``cumsum(axis=0)`` gathered
 # at the cuts and ``max(axis=1)`` over classes.  Every prefix sum adds the
 # same values in the same order, so stumps, alphas and trees must match bit
@@ -637,6 +655,16 @@ def _row_major_adaboost(X, y_idx, K, rounds):
     return {"stumps": stumps, "alphas": alphas}, errors
 
 
+def _entropy_rows(counts):
+    """Row entropies as the tree computed them before the one-pass rewrite,
+    normalizing each row by its own sum."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 0.0)
+        logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -(p * logs).sum(axis=-1)
+
+
 class _RowMajorTree(_GrowAll):
     """The tree's split search over an ``np.eye(K)[y]`` row-major mass."""
 
@@ -667,17 +695,51 @@ def _tie_heavy_classes(seed, n, K):
     return X, np.array([chr(65 + int(c)) for c in codes])
 
 
-_CLASS_MAJOR_CASES = [(K, seed) for K in (2, 3, 10) for seed in range(6)]
+def _class_blocked(seed, n, K):
+    """Column 0 sorts the rows class by class, 2 % of labels redrawn, so
+    classes run out one after another before the last cut; column 1 is
+    one-decimal noise.  Rows come shuffled; labels are K letters."""
+    rng = np.random.default_rng(seed)
+    codes = np.sort(np.arange(n) % K)
+    codes = np.where(rng.random(n) < 0.02, rng.integers(0, K, n), codes)
+    X = np.column_stack([np.arange(n) / 8, np.round(rng.normal(size=n), 1)])
+    perm = rng.permutation(n)
+    return X[perm], np.array([chr(65 + int(c)) for c in codes[perm]])
 
 
-@pytest.mark.parametrize("K, seed", _CLASS_MAJOR_CASES)
-def test_adaboost_matches_row_major_reference(K, seed):
-    # 150 rows: weights 1/150 and every later re-weighting are inexact, so
-    # any change in the order of additions would move an error or an alpha
-    X, y = _tie_heavy_classes(seed, 150, K)
-    model = AdaBoost(rounds=10).fit(X, y)
+# (data, K, seed, rows, rounds).  150 rows, 10 rounds: weights 1/150 and
+# every later re-weighting are inexact, so any change in the order of
+# additions would move an error or an alpha.  60 and 200 rounds spread the
+# weights over many orders of magnitude.  The two ten-class tie-heavy cases
+# at 97 rows pick a different cut if the stump takes a class's prefix
+# before a row as (prefix through it) − w, and in the class-blocked cases
+# the right-side floor decides the max at some cuts.  Row counts are not
+# powers of two.
+_CLASS_MAJOR_CASES = [
+    pytest.param(_tie_heavy_classes, K, seed, 150, 10, id=f"{K}-{seed}")
+    for K in (2, 3, 10)
+    for seed in range(6)
+] + [
+    pytest.param(make, K, seed, n, rounds, id=f"{make.__name__[1:]}-{K}-{n}-{rounds}r-{seed}")
+    for make, K, seed, n, rounds in [
+        (_tie_heavy_classes, 2, 0, 131, 200),
+        (_tie_heavy_classes, 3, 0, 173, 60),
+        (_tie_heavy_classes, 10, 3, 97, 60),
+        (_tie_heavy_classes, 10, 22, 97, 200),
+        (_class_blocked, 2, 20, 97, 200),
+        (_class_blocked, 3, 14, 173, 60),
+        (_class_blocked, 3, 10, 173, 200),
+        (_class_blocked, 10, 0, 173, 200),
+    ]
+]
+
+
+@pytest.mark.parametrize("make, K, seed, n, rounds", _CLASS_MAJOR_CASES)
+def test_adaboost_matches_row_major_reference(make, K, seed, n, rounds):
+    X, y = make(seed, n, K)
+    model = AdaBoost(rounds=rounds).fit(X, y)
     y_idx = np.searchsorted(model.classes_, y)
-    params, errors = _row_major_adaboost(X, y_idx, len(model.classes_), 10)
+    params, errors = _row_major_adaboost(X, y_idx, len(model.classes_), rounds)
     assert model.to_dict()["params"] == params
     assert model.errors_ == errors
 
