@@ -18,15 +18,10 @@ import numpy as np
 from ..errors import DriverIdError
 from ..ingest import decode_labels, encode_labels
 from .base import Classifier
-from .tree import _LEAF, midpoint, presort
+from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
 #: Member kinds trained by a default-configured MajorityVote.
 DEFAULT_VOTE_MEMBERS = ("naive_bayes", "logreg", "knn", "reptree", "svm")
-
-
-#: Most elements (features × rows) that one block of the stump scan holds;
-#: bounds the scan's working memory at about 40 bytes per element.
-_BLOCK_ELEMENTS = 1 << 18
 
 
 class _StumpScan:
@@ -34,13 +29,17 @@ class _StumpScan:
     per boosting fit.
 
     For each feature it keeps the rows grouped by class, each class's rows
-    in ascending order of the feature (``rows``), where each sorted position
-    sits in that grouping (``at``), and which cuts fall between equal values
-    (``tied``).  Every class owns the same segment of the grouping for
-    every feature, so one ``cumsum`` per class over a block of features
-    gives every row's own-class prefix weight.  Features whose values are
-    all equal are dropped; the rest are cut into blocks of at most
-    ``_BLOCK_ELEMENTS`` elements.
+    in ascending order of the feature (``rows``), and which cuts fall
+    between equal values (``tied``).  Every class owns the same segment of
+    the grouping for every feature, so one ``cumsum`` per class over a
+    block of features gives every row's own-class prefix weight.  Features
+    whose values are all equal are dropped; the rest are cut into blocks of
+    at most ``_BLOCK_ELEMENTS`` features × rows (at least one feature).
+    ``flat`` holds, for each sorted position, where its row sits in the
+    grouping of its feature's block, flattened: the i-th feature of a block
+    adds i·n.  One flat ``take`` then gathers a whole block in sorted order,
+    and the position within the feature's own grouping is ``flat % n``.
+    The scan's working memory is about 45 bytes per block element.
     """
 
     def __init__(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int):
@@ -50,7 +49,7 @@ class _StumpScan:
         self.ends = np.cumsum(self.counts)
         self.starts = self.ends - self.counts
         self.rows = np.empty((d, n), dtype=np.int32)
-        self.at = np.empty((d, n), dtype=np.int32)
+        self.flat = np.empty((d, n), dtype=np.int32)
         self.tied = np.empty((d, n - 1), dtype=bool)
         # the narrowest code type lets the stable argsort run as a radix sort
         codes = y_idx.astype(np.min_scalar_type(n_classes - 1))
@@ -59,10 +58,12 @@ class _StumpScan:
             np.equal(vs[1:], vs[:-1], out=self.tied[j])
             grouping = np.argsort(codes[order], kind="stable")
             self.rows[j] = order[grouping]
-            self.at[j, grouping] = np.arange(n)
+            self.flat[j, grouping] = np.arange(n)
         live = np.flatnonzero(~self.tied.all(axis=1))
         step = max(1, _BLOCK_ELEMENTS // n)
         self.blocks = [live[i : i + step] for i in range(0, live.size, step)]
+        for block in self.blocks:
+            self.flat[block] += n * np.arange(len(block), dtype=np.int32)[:, None]
 
     def best_cut(self, w: np.ndarray, totals: np.ndarray, to_beat: float):
         """Lowest-error cut as ``(feature, left size)``, or None when no cut
@@ -97,9 +98,9 @@ class _StumpScan:
             rest[:, 1:] = own[:, :-1]
             rest[:, self.starts] = 0.0
             np.subtract(class_total, rest, out=rest)
-            at = self.at[block]
-            left = np.take_along_axis(own, at, axis=1)
-            right = np.take_along_axis(rest, at, axis=1)
+            flat = self.flat[block]
+            left = own.take(flat)
+            right = rest.take(flat)
             max_left = np.maximum.accumulate(left, axis=1, out=left)[:, :-1]
             np.maximum.accumulate(right[:, ::-1], axis=1, out=right[:, ::-1])
             max_right = np.maximum(right[:, 1:], floor[:, None], out=right[:, 1:])
@@ -115,7 +116,7 @@ class _StumpScan:
 
     def order(self, j: int) -> np.ndarray:
         """Rows in ascending order of feature j (ties in row order)."""
-        return self.rows[j][self.at[j]]
+        return self.rows[j][self.flat[j] % self.X.shape[0]]
 
 
 class _Stump:

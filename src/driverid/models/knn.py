@@ -61,7 +61,10 @@ class KNearestNeighbors(Classifier):
         for lo in range(0, Q.shape[0], self.query_chunk):
             q = Q[lo : lo + self.query_chunk]
             d2 = self._sq_distances(q, block[: q.shape[0]])
-
+            if k == 1:
+                # argmin returns the lowest index among equal distances
+                counts[lo : lo + q.shape[0]] = self._onehot[d2.argmin(axis=1)]
+                continue
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
             strict = d2 < kth
             at_kth = d2 == kth

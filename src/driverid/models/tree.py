@@ -7,13 +7,19 @@ any internal node whose majority-class prediction makes no more mistakes on
 the pruning partition than its subtree does is collapsed to a leaf, so
 pruning can only shrink the tree and can never increase held-out error.
 
-Split search is one presorted, class-major scan (``split_scan``): each
-feature is sorted once per fit and every child node filters its parent's
-orders, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and the class counts
-left of every cut come from one (K, n) prefix-sum buffer per node.  The
-entropy of every candidate side is one pass over its (m, K) counts.
-``presort`` and ``midpoint`` are shared with the AdaBoost stump, which has
-its own O(n)-per-feature scan (``ensemble._StumpScan``).
+Split search follows SLIQ (Mehta, Agrawal & Rissanen, 1996): each feature
+is sorted once per fit and every child node filters its parent's orders.
+A node scores only the cuts that can win.  Fayyad & Irani (*Machine
+Learning* 8:87, 1992, Theorem 1) show that the entropy-optimal binary cut
+lies on a class boundary: between two valid cuts (distinct adjacent
+values, ``min_leaf`` rows each side) whose rows all share one class, the
+node's weighted entropy is strictly concave in the number of rows moved
+across, so no cut strictly inside such a run can beat both its ends.  Each
+node's features are scanned in blocks: one pass per block finds the valid
+cuts, drops those interior ones, and counts the classes left of the rest
+with one integer ``bincount``.  ``presort`` and ``midpoint`` are shared
+with the AdaBoost stump, which has its own O(n)-per-feature scan
+(``ensemble._StumpScan``).
 
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
@@ -27,6 +33,11 @@ import numpy as np
 from .base import Classifier
 
 _LEAF = -1
+
+#: Most elements that one block of features holds in a split search: the
+#: tree counts features × rows × classes (which bounds the class counts at
+#: its kept cuts), the boosting stump features × rows.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -54,38 +65,6 @@ def midpoint(vs: np.ndarray, cut: int) -> float:
     midpoint, or ``vs[cut - 1]`` when the midpoint rounds up to ``vs[cut]``."""
     thr = (vs[cut - 1] + vs[cut]) / 2.0
     return float(thr if thr < vs[cut] else vs[cut - 1])
-
-
-def split_scan(X, orders, y, n_classes: int, min_leaf: int = 1):
-    """Candidate binary cuts ``x <= threshold`` of a tree node, one feature at a time.
-
-    ``orders[j]`` lists the node's rows of X in ascending order of feature j
-    (ties in row order) and ``y`` holds the class code of every row of X.
-
-    Class counts are held class-major in one (K, n) buffer: for each
-    feature it is zeroed, takes 1.0 at (class, sorted position) and is
-    prefix-summed along each class row, without gathering an (n, K) array.
-
-    For every feature with a cut between distinct adjacent values that
-    leaves at least ``min_leaf`` rows on each side, yields
-    ``(j, ok, left, vs)``: ``left[:, i]`` is the class count of the first
-    ``i + 1`` sorted rows (shape (K, n − 1), every position), ``ok[i]``
-    marks the cut after them as valid, and ``vs`` is the sorted column.
-    ``left`` is a view of the buffer, which the next feature overwrites.
-    """
-    n = orders.shape[1]
-    p = np.arange(1, n)
-    sized = (p >= min_leaf) & (p <= n - min_leaf)
-    cols = np.arange(n)
-    mass = np.empty((n_classes, n))
-    for j, order in enumerate(orders):
-        vs = X[order, j]
-        ok = (vs[1:] > vs[:-1]) & sized
-        if ok.any():
-            mass.fill(0.0)
-            mass[y[order], cols] = 1.0
-            np.cumsum(mass, axis=1, out=mass)
-            yield j, ok, mass[:, :-1], vs
 
 
 class RepTree(Classifier):
@@ -182,28 +161,87 @@ class RepTree(Classifier):
         Ties resolve to the lowest feature index, then the lowest cut.
         Returns None when no cut satisfies the leaf-size minimum or improves
         on the parent entropy.
+
+        Only cuts that can win are scored (Fayyad & Irani, 1992).  A valid
+        cut is skipped when every row between the previous and the next
+        valid cut of its feature has one class, k.  Moving t such rows
+        from the right side (R rows, r_k of class k) to the left (L, l_k)
+        makes n times the node's weighted entropy, in nats,
+        (L+t)·H(left) + (R−t)·H(right), whose second derivative in t is
+        1/(L+t) − 1/(l_k+t) + 1/(R−t) − 1/(r_k−t).  That is negative,
+        since the node holds a second class on one side or the other, so
+        the gain at a skipped cut is strictly below the gain at one of the
+        two kept cuts that bound its one-class stretch.  The first and last
+        valid cut of a feature have no valid cut beyond them to bound
+        them, so they are always kept.
+
+        Tree rows weigh 1, so class counts are exact integers, and the
+        counts at the kept cuts (one ``bincount`` over the runs between
+        them) are the very values a prefix sum over every cut would give.
+        ``_entropy_rows``, the gain and the feature-major ``argmax`` then
+        do the same float operations on the same operands as a scan of
+        every valid cut; a skipped cut could only have won if rounding
+        outweighed its real margin.
+
+        Features are scanned in blocks of at most ``_BLOCK_ELEMENTS``
+        features × rows × classes (at least one feature), which bounds the
+        (features, rows) arrays and the (kept cuts, K) counts alike.
         """
         n = orders.shape[1]
-        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
-        best_gain = 0.0
-        best = None
         K = len(parent_counts)
-        for j, ok, left, vs in split_scan(X, orders, y, K, self.min_leaf_count):
-            p = np.flatnonzero(ok) + 1
-            # C-contiguous (m, K) rows: numpy sums a contiguous row of K >= 8
+        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
+        pos = np.arange(1, n)
+        sized = (pos >= self.min_leaf_count) & (pos <= n - self.min_leaf_count)
+        step = max(1, _BLOCK_ELEMENTS // (n * K))
+        best_gain, best = 0.0, None
+        for lo in range(0, len(orders), step):
+            order = orders[lo : lo + step]
+            vs = X[order, np.arange(lo, lo + len(order))[:, None]]
+            ys = y[order]
+            # valid cuts as flat indices into the (features, n - 1) cut grid
+            valid = np.flatnonzero((vs[:, 1:] > vs[:, :-1]) & sized)
+            if valid.size == 0:
+                continue
+            f, i = np.divmod(valid, n - 1)
+            # Class changes between sorted neighbours, cumulated over the
+            # flattened block, so a difference within one feature's row
+            # counts the changes between two of its positions.  An interior
+            # cut is kept when a class changes anywhere from the previous
+            # valid cut of its feature to the next.
+            changes = np.cumsum(ys[:, 1:] != ys[:, :-1])
+            keep = np.ones(valid.size, dtype=bool)
+            keep[1:-1] = (
+                (f[1:-1] != f[:-2])
+                | (f[1:-1] != f[2:])
+                | (changes[valid[2:] - 1] > changes[valid[:-2]])
+            )
+            f, p = f[keep], i[keep] + 1  # feature in the block, rows left of the cut
+            # Runs of sorted rows, one starting at each feature and after
+            # each kept cut: kept cut s ends run f[s] + s, and the class
+            # counts through it, less the node's counts once per earlier
+            # feature, are the counts left of the cut.
+            starts = np.zeros(ys.shape, dtype=bool)
+            starts[:, 0] = True
+            starts[f, p] = True
+            run = np.cumsum(starts) - 1
+            n_runs = len(order) + f.size
+            through = np.bincount(ys.ravel() * n_runs + run, minlength=K * n_runs).reshape(K, n_runs)
+            np.cumsum(through, axis=1, out=through)
+            # C-ordered (m, K) rows: numpy sums a contiguous row of K >= 8
             # pairwise but a strided one in sequence, which can move a gain
             # by an ulp and flip a near-tie.
-            left_counts = np.ascontiguousarray(left.T[ok])
-            right_counts = parent_counts - left_counts
-            h = (p / n) * _entropy_rows(left_counts, p) + ((n - p) / n) * _entropy_rows(
-                right_counts, n - p
-            )
+            left = np.empty((f.size, K))
+            np.subtract(through[:, f + np.arange(f.size)].T, f[:, None] * parent_counts, out=left)
+            right = parent_counts - left
+            h = (p / n) * _entropy_rows(left, p) + ((n - p) / n) * _entropy_rows(right, n - p)
             gains = parent_h - h
             at = int(np.argmax(gains))
             if gains[at] > best_gain:
-                best_gain = float(gains[at])
-                best = (j, int(p[at]), midpoint(vs, int(p[at])))
-        return best
+                best_gain, best = float(gains[at]), (lo + int(f[at]), int(p[at]))
+        if best is None:
+            return None
+        j, cut = best
+        return j, cut, midpoint(X[orders[j], j], cut)
 
     def _prune(self, Xp: np.ndarray, yp: np.ndarray) -> None:
         n_nodes = self.feature_.shape[0]

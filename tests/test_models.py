@@ -197,6 +197,28 @@ def test_knn_k_clamps_to_train_size():
     assert model.predict_one(np.array([0.0])) == "A"  # 1-1 tie, lowest wins
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_knn_tie_heavy_matches_exhaustive_sort(k):
+    # Integer coordinates on a 5 × 5 grid: about twelve training rows per
+    # point, of four classes, so most neighbours tie on distance with rows
+    # of other classes and the (distance, index) rule decides who votes.
+    # Squared distances of small integers are exact in float.  The queries
+    # include training rows (distance 0) and span several chunks.
+    rng = np.random.default_rng(k)
+    X = rng.integers(-2, 3, size=(300, 2)).astype(float)
+    y_idx = rng.integers(0, 4, 300)
+    Q = np.vstack([rng.integers(-3, 4, size=(200, 2)).astype(float), X[:20]])
+    model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
+    model.query_chunk = 64
+    votes = np.zeros((len(Q), 4))
+    for i, q in enumerate(Q):
+        d2 = ((X - q) ** 2).sum(axis=1)
+        nearest = sorted(range(len(X)), key=lambda r: (d2[r], r))[:k]
+        np.add.at(votes[i], y_idx[nearest], 1.0)
+    assert np.array_equal(model._scores(Q), votes)
+    assert model.predict(Q) == [chr(65 + int(c)) for c in votes.argmax(axis=1)]
+
+
 # -- Gaussian NB ----------------------------------------------------------------
 
 def test_nb_prefers_the_generating_class():
@@ -475,8 +497,9 @@ def test_adaboost_stage_weights_positive():
 
 # -- split choice against exhaustive search -------------------------------------------
 #
-# The tree and the stump share one presorted split scan; these oracles check
-# its choices against a plain search over every distinct adjacent-value cut.
+# The tree and the stump search presorted columns, the tree only at the cuts
+# that can win; these oracles check their choices against a plain search
+# over every distinct adjacent-value cut.
 
 _TIE = 1e-12  # gains closer than this are tied up to float rounding
 
@@ -592,12 +615,13 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
 
 # -- split scans against the plain row-major layout ----------------------------------
 #
-# The tree's ``split_scan`` holds class counts as (K, n) rows, and the stump's
-# scan keeps one own-class prefix per row.  These references keep the
-# row-major (n, K) layout: an (n, K) mass per row, ``cumsum(axis=0)`` gathered
-# at the cuts and ``max(axis=1)`` over classes.  Every prefix sum adds the
-# same values in the same order, so stumps, alphas and trees must match bit
-# for bit.
+# The tree scores only the cuts that can win and counts classes per run of
+# rows between them; the stump's scan keeps one own-class prefix per row.
+# These references scan every valid cut in the row-major (n, K) layout: an
+# (n, K) mass per row, ``cumsum(axis=0)`` gathered at the cuts and
+# ``max(axis=1)`` over classes.  Tree counts are exact integers and every
+# stump prefix sum adds the same values in the same order, so stumps, alphas
+# and trees must match bit for bit.
 
 
 def _row_major_scan(X, orders, mass, min_leaf=1):
@@ -744,12 +768,46 @@ def test_adaboost_matches_row_major_reference(make, K, seed, n, rounds):
     assert model.errors_ == errors
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_tree_matches_row_major_reference(seed):
+def _mixed_tie_blocks(seed, n, K):
+    """Like ``_class_blocked`` without the redrawn labels, but column 0
+    comes in tie blocks of three rows, so a block can straddle a class
+    change.  Rows within a block keep row order, which the shuffle makes
+    random.  With K = 2, seed 3 and K = 3, seed 1 the root cut follows an
+    (A, A, B) block: the rows either side of it are both B, yet it is a
+    class boundary."""
+    rng = np.random.default_rng(seed)
+    codes = np.sort(np.arange(n) % K)
+    X = np.column_stack([(np.arange(n) + 1) // 3, np.round(rng.normal(size=n), 1)])
+    perm = rng.permutation(n)
+    return X[perm].astype(float), np.array([chr(65 + int(c)) for c in codes[perm]])
+
+
+# (data, K, seed, rows).  The tree scores only the valid cuts that can win;
+# the reference scores every valid cut.  Class-blocked columns leave most
+# cuts inside one-class runs, and min_leaf 5 puts the leaf bound inside
+# such a run.  The first twelve keep their ids from before this list.
+_TREE_CASES = [
+    pytest.param(_tie_heavy_classes, 10, seed, 300, id=str(seed)) for seed in range(12)
+] + [
+    pytest.param(make, K, seed, n, id=f"{make.__name__[1:]}-{K}-{n}-{seed}")
+    for make, K, seed, n in [
+        (_class_blocked, 2, 20, 97),
+        (_class_blocked, 3, 14, 173),
+        (_class_blocked, 10, 0, 173),
+        (_class_blocked, 10, 5, 400),
+        (_mixed_tie_blocks, 2, 3, 61),
+        (_mixed_tie_blocks, 3, 1, 100),
+        (_mixed_tie_blocks, 10, 3, 250),
+    ]
+]
+
+
+@pytest.mark.parametrize("make, K, seed, n", _TREE_CASES)
+def test_tree_matches_row_major_reference(make, K, seed, n):
     # Ten classes: numpy sums a contiguous row of >= 8 classes pairwise, so
-    # the class-major counts must reach the entropy as C-ordered rows
-    X, y = _tie_heavy_classes(seed, 300, 10)
-    for min_leaf in (1, 2):
+    # the counts must reach the entropy as C-ordered rows
+    X, y = make(seed, n, K)
+    for min_leaf in (1, 2, 5):
         tree = _GrowAll(min_leaf_count=min_leaf).fit(X, y)
         reference = _RowMajorTree(min_leaf_count=min_leaf).fit(X, y)
         assert tree.to_dict() == reference.to_dict()
