@@ -126,6 +126,15 @@ def test_ragged_row_reports_line_number():
     assert "3" in str(exc.value)
 
 
+def test_ragged_row_after_a_non_numeric_cell_still_raises_ragged_row():
+    # Every row is read before a bad cell is reported, so raggedness anywhere
+    # in the file wins over a non-numeric cell earlier in it.
+    stream = io.StringIO("x,y,Class\n1,oops,A\n3,4,A\n5,6,B\n7,8,B\n9,B\n")
+    with pytest.raises(RaggedRow) as exc:
+        ingest.load_dataset(stream)
+    assert "line 6" in str(exc.value)
+
+
 def test_non_numeric_cell_names_the_column():
     stream = io.StringIO("x,y,Class\n1,2,A\n3,oops,B\n")
     with pytest.raises(NonNumericCell) as exc:
