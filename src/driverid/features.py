@@ -15,6 +15,12 @@ into a model-ready :class:`FeatureMatrix`:
 
 Like the dataset, a :class:`FeatureMatrix` encodes its labels once into
 ``(label_alphabet, codes)``; ranking and windowing work on the codes.
+
+Memory: ``extract_windows`` gathers the samples of at most
+``_WINDOW_CHUNK_BYTES`` (2 MiB) of windows at once (at least one window),
+and the median and std copy that chunk once more, so windowing holds its
+output plus a few chunks whatever the log's length.  Correlation ranking
+keeps one centred copy of the channels.
 """
 
 from __future__ import annotations
@@ -130,16 +136,17 @@ class FeatureSelectionReport:
         }
 
 
-def _label_correlation_scores(X: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _label_correlation_scores(
+    Xc: np.ndarray, x_std: np.ndarray, codes: np.ndarray
+) -> np.ndarray:
     """Relevance score per column: |Pearson r| against each class's one-vs-rest
-    indicator, averaged with class-prior weights.  Zero-variance columns (and
-    single-class indicators) contribute 0."""
-    n, d = X.shape
+    indicator, averaged with class-prior weights.  ``Xc`` is the centred
+    matrix and ``x_std`` its population std per column.  Zero-variance
+    columns (and single-class indicators) contribute 0."""
+    n = Xc.shape[0]
     indicators = (codes[:, None] == np.unique(codes)).astype(np.float64)
     priors = indicators.mean(axis=0)
 
-    Xc = X - X.mean(axis=0)
-    x_std = X.std(axis=0)
     Ic = indicators - priors
     i_std = indicators.std(axis=0)
 
@@ -199,8 +206,11 @@ def select_features(
     if mode != "correlation-ranked":
         raise DriverIdError(f"unknown selection mode {mode!r}")
 
-    scores = _label_correlation_scores(X, ds.codes)
+    # One variance pass and one centred copy serve the scores and then,
+    # scaled in place, the redundancy checks (np.std is np.sqrt of np.var).
     variances = X.var(axis=0)
+    z = X - X.mean(axis=0)
+    scores = _label_correlation_scores(z, np.sqrt(variances), ds.codes)
     score_map = {name: float(scores[j]) for j, name in enumerate(names)}
 
     homogeneous = [names[j] for j in range(len(names)) if variances[j] == 0.0]
@@ -210,7 +220,7 @@ def select_features(
 
     # Pairwise correlation matrix for the redundancy checks (d is small).
     with np.errstate(invalid="ignore", divide="ignore"):
-        z = (X - X.mean(axis=0)) / np.where(variances > 0, np.sqrt(variances), 1.0)
+        z /= np.where(variances > 0, np.sqrt(variances), 1.0)
     corr = (z.T @ z) / X.shape[0]
 
     kept_idx: list[int] = []
@@ -422,7 +432,9 @@ def window_count(n_samples: int, length: int, stride: int) -> int:
     return (n_samples - length) // stride + 1
 
 
-_WINDOW_CHUNK = 8192
+#: Most bytes of window samples that :func:`extract_windows` gathers at
+#: once (at least one window): windows × kept channels × length × 8.
+_WINDOW_CHUNK_BYTES = 1 << 21
 
 
 def extract_windows(
@@ -458,9 +470,12 @@ def extract_windows(
     n_stats = len(spec.statistics)
     out = np.empty((kept_starts.size, d * n_stats), dtype=np.float64)
 
+    # Each window's statistics reduce only its own samples, so the chunk
+    # size changes how much is held at once, never a value.
+    chunk = max(1, _WINDOW_CHUNK_BYTES // (max(1, d) * L * data.itemsize))
     view = np.lib.stride_tricks.sliding_window_view(data, L, axis=0)  # (n-L+1, d, L)
-    for lo in range(0, kept_starts.size, _WINDOW_CHUNK):
-        part = kept_starts[lo : lo + _WINDOW_CHUNK]
+    for lo in range(0, kept_starts.size, chunk):
+        part = kept_starts[lo : lo + chunk]
         wins = view[part]  # (chunk, d, L)
         pieces = []
         for stat in spec.statistics:

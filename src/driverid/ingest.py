@@ -12,6 +12,15 @@ label leaves the package.
 
 Bookkeeping columns that are not sensor channels (elapsed time, path order)
 are dropped through an explicit exclusion list rather than heuristics.
+
+Memory: :func:`load_dataset` parses the records in blocks of at most
+``_PARSE_BLOCK_CELLS`` (16,384) channel cells, each cast to float64 on its
+own and all joined by one ``np.concatenate``.  It holds the text of one
+block (about 1 MB of Python strings) besides the parsed blocks, so a load
+peaks near twice the channel matrix plus one block, never at the text of
+the whole log.  Errors read as if the whole file were parsed at once: a
+ragged record anywhere wins over a bad cell, and the bad cell reported is
+the first in file order.
 """
 
 from __future__ import annotations
@@ -38,6 +47,11 @@ from .errors import (
 DEFAULT_EXCLUDE_COLUMNS = ("Time(s)", "PathOrder")
 
 DEFAULT_LABEL_COLUMN = "Class"
+
+#: Most channel cells that :func:`load_dataset` parses at once (at least one
+#: record): the text of one block, some 60 bytes a cell as Python strings,
+#: is all of the log it holds as text.
+_PARSE_BLOCK_CELLS = 1 << 14
 
 
 def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -185,38 +199,67 @@ def load_dataset(
                     f"channel columns {list(column_names)} != expected {list(expected)}"
                 )
 
-        cells: list[list[str]] = []
         labels: list[str] = []
-        line_numbers: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise RaggedRow(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            labels.append(row[label_at])
-            cells.append([row[i] for i in channel_at])
-            line_numbers.append(reader.line_num)
+        blocks: list[np.ndarray] = []
+        failed = None  # (cells, line numbers) of the first block that does not parse
+        for block_labels, cells, line_numbers in _row_blocks(
+            reader, len(header), label_at, channel_at
+        ):
+            labels += block_labels
+            if failed is None:
+                block = _parse_block(cells)
+                if block is None:
+                    failed = cells, line_numbers
+                else:
+                    blocks.append(block)
 
-    if not cells:
+    if not labels:
         raise EmptyDataset("source has a header but no records")
-
-    try:
-        channels = np.asarray(cells, dtype=np.float64)
-    except ValueError:
-        _raise_non_numeric(cells, column_names, line_numbers)
-        raise  # unreachable
-    if not np.isfinite(channels).all():
-        _raise_non_numeric(cells, column_names, line_numbers)
+    if failed is not None:
+        _raise_non_numeric(failed[0], column_names, failed[1])
 
     return TripDataset(
         column_names=column_names,
-        channels=channels,
+        channels=np.concatenate(blocks),
         labels=tuple(labels),
         label_alphabet=encode_labels(labels)[0],
         label_column=label_column,
     )
+
+
+def _row_blocks(reader, n_fields, label_at, channel_at):
+    """Yield ``(labels, cells, line numbers)`` for runs of consecutive
+    records holding at most :data:`_PARSE_BLOCK_CELLS` channel cells (at
+    least one record); blank lines are skipped and a record of the wrong
+    width raises :class:`RaggedRow` with its 1-based line number."""
+    rows_per_block = max(1, _PARSE_BLOCK_CELLS // max(1, len(channel_at)))
+    labels: list[str] = []
+    cells: list[list[str]] = []
+    line_numbers: list[int] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise RaggedRow(
+                f"line {reader.line_num}: expected {n_fields} fields, got {len(row)}"
+            )
+        labels.append(row[label_at])
+        cells.append([row[i] for i in channel_at])
+        line_numbers.append(reader.line_num)
+        if len(cells) == rows_per_block:
+            yield labels, cells, line_numbers
+            labels, cells, line_numbers = [], [], []
+    if cells:
+        yield labels, cells, line_numbers
+
+
+def _parse_block(cells) -> np.ndarray | None:
+    """The cells as a float64 array, or None if one is not a finite number."""
+    try:
+        block = np.asarray(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    return block if np.isfinite(block).all() else None
 
 
 def _raise_non_numeric(cells, column_names, line_numbers) -> None:
@@ -231,6 +274,9 @@ def _raise_non_numeric(cells, column_names, line_numbers) -> None:
                 raise NonNumericCell(
                     f"line {line}, column {column_names[j]!r}: {text!r} is not a finite number"
                 )
+    raise NonNumericCell(
+        f"lines {line_numbers[0]}-{line_numbers[-1]}: a cell is not a finite number"
+    )
 
 
 def filter_labels(ds: TripDataset, keep) -> TripDataset:
@@ -246,7 +292,7 @@ def filter_labels(ds: TripDataset, keep) -> TripDataset:
     mask = np.isin(ds.codes, kept)
     return TripDataset(
         column_names=ds.column_names,
-        channels=ds.channels[mask].copy(),
+        channels=ds.channels[mask],
         labels=tuple(decode_labels(ds.label_alphabet, ds.codes[mask])),
         label_alphabet=tuple(decode_labels(ds.label_alphabet, kept)),
         label_column=ds.label_column,

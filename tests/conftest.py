@@ -7,6 +7,7 @@ absent.  Everything else runs on synthetic data generated here.
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,44 @@ def write_trip_csv(path, *, labels=("A", "B", "C"), rows_per_label=120,
                 fh.write(",".join(cells) + "\n")
                 t += 1
     return path
+
+
+def mixed_trip_text(*, labels=("A", "B", "C"), rows_per_label=40, n_channels=4,
+                    mixed_rows=12, seed=3):
+    """A multi-driver trip log as CSV text, with full-precision cells.
+
+    Each driver's rows are contiguous, then a stretch of ``mixed_rows`` rows
+    alternates between the first two drivers, so windows over it straddle a
+    driver change.  The bookkeeping columns sit between the channels.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"ch{j}" for j in range(n_channels)]
+    header = names[:1] + ["Time(s)"] + names[1:] + ["PathOrder", "Class"]
+    row_labels = [lab for lab in labels for _ in range(rows_per_label)]
+    row_labels += [labels[i % 2] for i in range(mixed_rows)]
+    lines = [",".join(header)]
+    for t, lab in enumerate(row_labels):
+        values = rng.normal(labels.index(lab), 1.0, size=n_channels)
+        vals = [repr(v) for v in values.tolist()]
+        lines.append(",".join(vals[:1] + [str(t)] + vals[1:] + ["1", lab]))
+    return "\n".join(lines) + "\n"
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result and the most bytes that tracemalloc saw
+    allocated at once while ``fn`` ran, above what was allocated before."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -25,6 +25,8 @@ from driverid.features import (
     window_count,
 )
 
+from conftest import mixed_trip_text, traced_peak
+
 
 def _dataset(columns, rows, labels):
     text = ",".join(list(columns) + ["Class"]) + "\n"
@@ -209,6 +211,45 @@ def test_extract_windows_subset_and_order():
     matrix, _ = extract_windows(ds, ("c", "a"), WindowSpec(length=5, stride=5, statistics=("mean",)))
     assert matrix.column_names == ("c_mean", "a_mean")
     np.testing.assert_allclose(matrix.features[0], [rows[:5, 2].mean(), rows[:5, 0].mean()])
+
+
+@pytest.mark.parametrize("windows_per_chunk", [1, 2, 7])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_window_chunks_match_the_default_chunk(monkeypatch, windows_per_chunk, stride):
+    # The default budget holds every window of this log in one chunk.
+    ds = ingest.load_dataset(io.StringIO(mixed_trip_text(rows_per_label=30, n_channels=4)))
+    kept = ("ch2", "ch0", "ch3")
+    spec = WindowSpec(length=6, stride=stride)
+    want, want_dropped = extract_windows(ds, kept, spec)
+    window_bytes = len(kept) * spec.length * 8
+    monkeypatch.setattr(
+        features, "_WINDOW_CHUNK_BYTES", windows_per_chunk * window_bytes + window_bytes - 1
+    )
+    got, dropped = extract_windows(ds, kept, spec)
+    assert want_dropped > 0 and len(set(want.labels)) == 3
+    assert dropped == want_dropped
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    assert got.labels == want.labels
+    assert got.column_names == want.column_names
+    assert len(want.column_names) == len(kept) * len(features.ALLOWED_STATISTICS)
+
+
+def test_extract_windows_peak_memory_is_output_plus_a_few_chunks():
+    # 8,000 windows of 15 channels x 60 samples: 58 MB gathered at once.
+    rng = np.random.default_rng(11)
+    n, d = 8_059, 15
+    labels = ("A",) * n
+    ds = ingest.TripDataset(
+        column_names=tuple(f"c{j}" for j in range(d)),
+        channels=rng.normal(size=(n, d)),
+        labels=labels,
+        label_alphabet=("A",),
+    )
+    (matrix, _), peak = traced_peak(
+        lambda: extract_windows(ds, ds.column_names, WindowSpec(length=60))
+    )
+    assert len(matrix) == 8_000
+    assert peak < 2 * matrix.features.nbytes + 4 * features._WINDOW_CHUNK_BYTES
 
 
 # -- FeatureMatrix / column_stats ---------------------------------------------

@@ -17,7 +17,7 @@ from driverid.errors import (
     UnknownLabel,
 )
 
-from conftest import write_trip_csv
+from conftest import mixed_trip_text, traced_peak, write_trip_csv
 
 
 def test_load_dataset_shapes(trip_dataset):
@@ -126,13 +126,74 @@ def test_ragged_row_reports_line_number():
     assert "3" in str(exc.value)
 
 
-def test_ragged_row_after_a_non_numeric_cell_still_raises_ragged_row():
+@pytest.fixture
+def two_row_blocks(monkeypatch):
+    """Parse the two-channel logs below in blocks of two records."""
+    monkeypatch.setattr(ingest, "_PARSE_BLOCK_CELLS", 4)
+
+
+def test_ragged_row_after_a_non_numeric_cell_still_raises_ragged_row(two_row_blocks):
     # Every row is read before a bad cell is reported, so raggedness anywhere
-    # in the file wins over a non-numeric cell earlier in it.
+    # in the file wins over a non-numeric cell in an earlier block.
     stream = io.StringIO("x,y,Class\n1,oops,A\n3,4,A\n5,6,B\n7,8,B\n9,B\n")
     with pytest.raises(RaggedRow) as exc:
         ingest.load_dataset(stream)
     assert "line 6" in str(exc.value)
+
+
+def test_non_numeric_cell_in_a_later_block_names_its_line_and_column(two_row_blocks):
+    # Blocks of two records: lines 2-3, 4-5, then 6-7 holds the first bad cell.
+    stream = io.StringIO(
+        "x,y,Class\n1,2,A\n3,4,A\n5,6,A\n7,8,B\n9,10,B\n11,oops,B\n,13,B\nnan,1,B\n"
+    )
+    with pytest.raises(NonNumericCell) as exc:
+        ingest.load_dataset(stream)
+    assert str(exc.value) == "line 7, column 'y': 'oops' is not a finite number"
+
+
+def test_non_finite_cell_in_the_first_block_rejected(two_row_blocks):
+    stream = io.StringIO("x,y,Class\n1,2,A\n-inf,4,A\n5,6,B\n7,8,B\n")
+    with pytest.raises(NonNumericCell) as exc:
+        ingest.load_dataset(stream)
+    assert str(exc.value) == "line 3, column 'x': '-inf' is not a finite number"
+
+
+def test_blank_lines_across_a_block_boundary_are_skipped(two_row_blocks):
+    stream = io.StringIO("x,y,Class\n1,2,A\n\n3,4,A\n\n\n5,6,B\n\n7,8,B\n9,10,B\n\n")
+    ds = ingest.load_dataset(stream)
+    assert ds.labels == ("A", "A", "B", "B", "B")
+    np.testing.assert_array_equal(ds.channels, np.arange(1.0, 11.0).reshape(5, 2))
+
+
+def test_header_only_file_rejected_with_small_blocks(two_row_blocks):
+    with pytest.raises(EmptyDataset):
+        ingest.load_dataset(io.StringIO("x,y,Class\n\n\n"))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+@pytest.mark.parametrize("spare_cells", [0, 3])
+def test_row_blocks_match_the_default_block(monkeypatch, rows_per_block, spare_cells):
+    # The default block holds this whole log, so it parses as one array.
+    text = mixed_trip_text(rows_per_label=30, n_channels=4)
+    want = ingest.load_dataset(io.StringIO(text))
+    monkeypatch.setattr(ingest, "_PARSE_BLOCK_CELLS", rows_per_block * 4 + spare_cells)
+    got = ingest.load_dataset(io.StringIO(text))
+    assert np.array_equal(got.channels.view(np.int64), want.channels.view(np.int64))
+    assert got.labels == want.labels
+    assert got.column_names == want.column_names == ("ch0", "ch1", "ch2", "ch3")
+    assert got.label_alphabet == want.label_alphabet
+
+
+def test_load_dataset_peak_memory_is_channels_plus_one_block():
+    # A log 24 blocks long.  Holding the text of every cell at once, as a
+    # whole-file parse does, peaks above 11x the channels here.
+    n_channels = 16
+    rows = 24 * ingest._PARSE_BLOCK_CELLS // n_channels
+    stream = io.StringIO(mixed_trip_text(rows_per_label=rows // 3, n_channels=n_channels))
+    ds, peak = traced_peak(lambda: ingest.load_dataset(stream))
+    assert len(ds) >= rows
+    block_text = 100 * ingest._PARSE_BLOCK_CELLS  # str objects, row lists, csv rows
+    assert peak < 3 * ds.channels.nbytes + 2 * block_text
 
 
 def test_non_numeric_cell_names_the_column():
