@@ -18,9 +18,9 @@ Like the dataset, a :class:`FeatureMatrix` encodes its labels once into
 
 Memory: ``extract_windows`` gathers the samples of at most
 ``_WINDOW_CHUNK_BYTES`` (2 MiB) of windows at once (at least one window),
-and the median and std copy that chunk once more, so windowing holds its
-output plus a few chunks whatever the log's length.  Correlation ranking
-keeps one centred copy of the channels.
+and the median and std copy that chunk once more, so beyond its output
+and a copy of the kept channels windowing holds a few chunks, whatever the
+log's length.  Correlation ranking keeps one centred copy of the channels.
 """
 
 from __future__ import annotations
