@@ -15,6 +15,7 @@ from .errors import DriverIdError
 from .evaluate import (
     ConfusionMatrix,
     CvPlan,
+    Folds,
     MetricsReport,
     baseline_compare,
     confusion_from_predictions,
@@ -58,6 +59,7 @@ __all__ = [
     "DriverIdError",
     "ConfusionMatrix",
     "CvPlan",
+    "Folds",
     "MetricsReport",
     "baseline_compare",
     "confusion_from_predictions",

@@ -7,15 +7,16 @@ recall, and F1 are reported in percent, and overall accuracy is
 ``100 · trace / total`` — algebraically the same as computing accuracy on
 the class-averaged 2×2 matrix, which is also reported.
 
-Cross-validation assigns windows to folds (stratified round-robin after a
-seeded per-class shuffle by default, or contiguous time blocks), fits any
-normalization on the training folds only, and pools one confusion matrix
-across folds.
+Cross-validation is split in two.  :meth:`Folds.build` assigns windows to
+folds once per run (stratified round-robin after a seeded per-class shuffle
+by default, or contiguous time blocks) and fits each fold's normalization,
+on its training rows only by default.  :func:`cross_validate` then fits and
+scores one model kind on those folds and pools one confusion matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     NoBaselineDesignated,
     TooFewInstancesPerClass,
 )
-from .features import FeatureMatrix, apply_normalizer, fit_normalizer
+from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
 from .ingest import encode_labels
 
 SPLIT_MODES = ("random-window", "blocked-time")
@@ -209,18 +210,12 @@ class CvPlan:
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise DriverIdError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise DriverIdError(f"seed must be >= 0, got {self.seed}")
         if self.split_mode not in SPLIT_MODES:
             raise DriverIdError(
                 f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "stratified": self.stratified,
-            "seed": self.seed,
-            "split_mode": self.split_mode,
-        }
 
 
 def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
@@ -254,58 +249,73 @@ def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
     return fold_of
 
 
-def cross_validate(
-    kind: str,
-    config: dict | None,
-    matrix: FeatureMatrix,
-    plan: CvPlan = CvPlan(),
-    *,
-    normalize: str = "train",
-) -> MetricsReport:
-    """K-fold evaluation with one pooled confusion matrix.
+@dataclass(frozen=True)
+class Folds:
+    """One cross-validation split of ``matrix``, built once and shared by every kind.
 
-    ``normalize`` controls min-max scaling: ``"train"`` fits on each fold's
-    training rows only (the leakage-free default), ``"all"`` fits once on
-    the full matrix, ``"none"`` skips scaling.  Per-fold accuracies ride
-    along in the report; everything is deterministic for a fixed plan seed.
+    ``rows[f]`` is fold ``f``'s ``(train_rows, test_rows)`` index pair and
+    ``params[f]`` the min-max scaling both get: fitted on the training rows
+    for ``"train"`` (the leakage-free default), one whole-matrix fit for
+    ``"all"``, None for ``"none"``.
     """
-    if normalize not in NORMALIZE_POLICIES:
-        raise DriverIdError(
-            f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}"
+
+    matrix: FeatureMatrix
+    plan: CvPlan
+    normalize: str
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...]
+    params: tuple[NormalizationParams | None, ...]
+
+    @classmethod
+    def build(
+        cls, matrix: FeatureMatrix, plan: CvPlan = CvPlan(), normalize: str = "train"
+    ) -> "Folds":
+        if normalize not in NORMALIZE_POLICIES:
+            raise DriverIdError(
+                f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}"
+            )
+        fold_of = fold_assignments(matrix.labels, plan)
+        rows = tuple(
+            (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+            for f in range(plan.folds)
         )
+        if normalize == "train":
+            params = tuple(fit_normalizer(matrix.features[train]) for train, _ in rows)
+        else:
+            params = (fit_normalizer(matrix.features) if normalize == "all" else None,) * plan.folds
+        return cls(matrix, plan, normalize, rows, params)
+
+
+def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsReport:
+    """K-fold evaluation of one kind over ``folds``, with one pooled confusion matrix.
+
+    Per-fold accuracies ride along in the report; everything is
+    deterministic for a fixed plan seed.
+    """
+    matrix = folds.matrix
     classes = matrix.label_alphabet
-    fold_of = fold_assignments(matrix.labels, plan)
     labels = np.asarray(matrix.labels)
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accuracies = []
-    whole = fit_normalizer(matrix.features) if normalize == "all" else None
-    for f in range(plan.folds):
-        test_mask = fold_of == f
-        X_train, X_test = matrix.features[~test_mask], matrix.features[test_mask]
-        y_train, y_test = labels[~test_mask], labels[test_mask]
-        if normalize == "train":
-            params = fit_normalizer(X_train)
+    for (train, test), params in zip(folds.rows, folds.params):
+        X_train, X_test = matrix.features[train], matrix.features[test]
+        if params is not None:
             X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
-        elif normalize == "all":
-            X_train, X_test = apply_normalizer(whole, X_train), apply_normalizer(whole, X_test)
-        model = models.make(kind, config).fit(X_train, y_train)
-        pred = model.predict(X_test)
-        cm = confusion_from_predictions(y_test, pred, classes=classes)
+        model = models.make(kind, config).fit(X_train, labels[train])
+        cm = confusion_from_predictions(labels[test], model.predict(X_test), classes=classes)
         pooled += cm.counts
         fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
-    report = metrics(
+    return metrics(
         ConfusionMatrix(classes=classes, counts=pooled),
         fold_accuracies=tuple(fold_accuracies),
         metadata={
             "kind": kind,
             "config": dict(config or {}),
-            "plan": plan.to_dict(),
-            "normalize": normalize,
+            "plan": asdict(folds.plan),
+            "normalize": folds.normalize,
             "n_instances": len(matrix),
             "n_features": matrix.n_features,
         },
     )
-    return report
 
 
 BASELINE_KIND = "zeror"

@@ -12,13 +12,13 @@ import json
 from ..errors import DriverIdError
 from ..features import FeatureMatrix
 from ..ingest import _text_stream
-from .base import Classifier, logsumexp, prepare_training, softmax
+from .base import Classifier
 from .baseline import ZeroR
 from .ensemble import DEFAULT_VOTE_MEMBERS, AdaBoost, MajorityVote
 from .knn import KNearestNeighbors
-from .logistic import LogisticRegression, loss_and_grad, sigmoid
+from .logistic import LogisticRegression
 from .naive_bayes import GaussianNaiveBayes
-from .svm import LinearSvm, hinge_loss, primal_objective, primal_subgradient
+from .svm import LinearSvm
 from .tree import RepTree
 
 #: kind identifier → classifier class, in the canonical order `evaluate --kind all` runs
@@ -107,16 +107,8 @@ __all__ = [
     "MajorityVote",
     "RepTree",
     "ZeroR",
-    "hinge_loss",
     "load_model",
-    "logsumexp",
-    "loss_and_grad",
     "make",
-    "prepare_training",
-    "primal_objective",
-    "primal_subgradient",
     "save_model",
-    "sigmoid",
-    "softmax",
     "train",
 ]

@@ -9,6 +9,8 @@ alphabet, which `np.argmax` delivers for free by returning the first maximum.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ..errors import (
@@ -20,6 +22,22 @@ from ..errors import (
     SingleClassForDiscriminative,
 )
 from ..ingest import decode_labels, encode_labels
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int, for a count or seed option.
+
+    Bools, non-integral numbers and values below ``minimum`` raise
+    ValueError, so an option is never silently truncated.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def prepare_training(X, y, *, require_multiclass: bool):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DriverIdError
 from ..ingest import decode_labels, encode_labels
-from .base import Classifier
+from .base import Classifier, whole_number
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
 #: Member kinds trained by a default-configured MajorityVote.
@@ -187,9 +187,7 @@ class AdaBoost(Classifier):
     _ERR_EPS = 1e-10
 
     def __init__(self, rounds: int = 10):
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.rounds = int(rounds)
+        self.rounds = whole_number("rounds", rounds, 1)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         n = X.shape[0]

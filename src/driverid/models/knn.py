@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, whole_number
 
 
 class KNearestNeighbors(Classifier):
@@ -26,9 +26,7 @@ class KNearestNeighbors(Classifier):
     query_chunk = 256
 
     def __init__(self, k: int = 1):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = whole_number("k", k, 1)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         self.X_ = X

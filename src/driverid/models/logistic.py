@@ -19,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from .base import Classifier, logsumexp, softmax
+from .base import Classifier, logsumexp, softmax, whole_number
 
 #: curvature pairs (s, y) kept by the two-loop recursion
 _MEMORY = 10
@@ -27,17 +27,6 @@ _MEMORY = 10
 _ARMIJO = 1e-4
 #: step halvings before the line search gives up and the fit stops
 _MAX_HALVINGS = 40
-
-
-def sigmoid(x):
-    """1/(1 + e^{-x}), elementwise, overflow-safe."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
 
 
 def loss_and_grad(W: np.ndarray, X_aug: np.ndarray, y_idx: np.ndarray, l2: float = 0.0):
@@ -97,13 +86,11 @@ class LogisticRegression(Classifier):
     kind = "logreg"
 
     def __init__(self, max_epochs: int = 1000, tol: float = 1e-8, l2: float = 0.0):
-        if max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
         if not (np.isfinite(l2) and l2 >= 0):
             raise ValueError("l2 must be finite and >= 0")
-        self.max_epochs = int(max_epochs)
+        self.max_epochs = whole_number("max_epochs", max_epochs, 1)
         self.tol = float(tol)
         self.l2 = float(l2)
 

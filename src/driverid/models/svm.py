@@ -1,9 +1,8 @@
 """Linear SVM trained with the Pegasos stochastic subgradient method.
 
 One weight vector per class, one-vs-rest, on the λ-regularized hinge
-objective.  ``hinge_loss`` / ``primal_objective`` / ``primal_subgradient``
-are standalone so the subgradient can be finite-difference checked away
-from the hinge kink.
+objective.  ``hinge_loss`` and ``primal_objective`` are standalone so a
+fit can be checked to lower the objective it minimises.
 
 ``predict_proba`` returns a softmax over the raw margins — calibrated
 scores, not true probabilities — and documents itself as such.
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, softmax
+from .base import Classifier, softmax, whole_number
 
 
 def hinge_loss(margins):
@@ -27,16 +26,6 @@ def primal_objective(w: np.ndarray, X: np.ndarray, y_signs: np.ndarray, lam: flo
     """λ/2‖w‖² + mean hinge loss of the margins y·(X @ w)."""
     margins = y_signs * (X @ w)
     return 0.5 * lam * float(w @ w) + float(np.mean(hinge_loss(margins)))
-
-
-def primal_subgradient(w: np.ndarray, X: np.ndarray, y_signs: np.ndarray, lam: float) -> np.ndarray:
-    """Subgradient of ``primal_objective`` in w (0 chosen at the kink)."""
-    margins = y_signs * (X @ w)
-    active = margins < 1.0
-    g = lam * w
-    if active.any():
-        g = g - (y_signs[active, None] * X[active]).sum(axis=0) / X.shape[0]
-    return g
 
 
 class LinearSvm(Classifier):
@@ -56,14 +45,10 @@ class LinearSvm(Classifier):
     def __init__(self, lam: float = 1e-4, epochs: int = 20, seed: int = 1, batch_size: int = 64):
         if lam <= 0:
             raise ValueError("lam must be positive")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.lam = float(lam)
-        self.epochs = int(epochs)
-        self.seed = int(seed)
-        self.batch_size = int(batch_size)
+        self.epochs = whole_number("epochs", epochs, 1)
+        self.seed = whole_number("seed", seed, 0)
+        self.batch_size = whole_number("batch_size", batch_size, 1)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         n, d = X.shape

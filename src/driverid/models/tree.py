@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, whole_number
 
 _LEAF = -1
 
@@ -79,16 +79,12 @@ class RepTree(Classifier):
         pruning_fraction: float = 1.0 / 3.0,
         seed: int = 1,
     ):
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if min_leaf_count < 1:
-            raise ValueError("min_leaf_count must be >= 1")
         if not 0.0 < pruning_fraction < 1.0:
             raise ValueError("pruning_fraction must lie strictly between 0 and 1")
-        self.max_depth = max_depth
-        self.min_leaf_count = int(min_leaf_count)
+        self.max_depth = None if max_depth is None else whole_number("max_depth", max_depth, 1)
+        self.min_leaf_count = whole_number("min_leaf_count", min_leaf_count, 1)
         self.pruning_fraction = float(pruning_fraction)
-        self.seed = int(seed)
+        self.seed = whole_number("seed", seed, 0)
 
     # -- training ----------------------------------------------------------
 

@@ -135,6 +135,7 @@ def prepare_matrix(config: RunConfig):
 def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
     """Cross-validate each of ``config.kinds`` on ``matrix``, in that order.
 
+    The folds and their normalizers are built once and shared by every kind.
     Returns ``({kind: MetricsReport}, comparison)``; ``comparison`` ranks them
     against ZeroR, or is None without a ``zeror`` run.  Unknown kinds and
     ``model_configs`` for kinds that do not run raise DriverIdError up front.
@@ -151,11 +152,10 @@ def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
         seed=config.seed,
         split_mode=config.split_mode,
     )
+    folds = evaluate.Folds.build(matrix, plan, config.normalize)
     # One kind at a time, so only one kind's normalized fold copies are alive.
     results = {
-        kind: evaluate.cross_validate(
-            kind, config.model_configs.get(kind), matrix, plan, normalize=config.normalize
-        )
+        kind: evaluate.cross_validate(kind, config.model_configs.get(kind), folds)
         for kind in config.kinds
     }
     if evaluate.BASELINE_KIND not in results:

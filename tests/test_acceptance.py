@@ -18,7 +18,7 @@ import pytest
 
 from driverid import evaluate, features, ingest, models, obd, pipeline
 from driverid.errors import PayloadLengthMismatch
-from driverid.evaluate import ConfusionMatrix, CvPlan, cross_validate, per_class_counts
+from driverid.evaluate import ConfusionMatrix, CvPlan, Folds, cross_validate, per_class_counts
 from driverid.features import (
     DEFAULT_FIXED_FEATURES,
     FeatureMatrix,
@@ -107,13 +107,10 @@ def test_criterion_03_everything_beats_the_baseline(table6_run, table7_run):
 
 @requires_dataset
 def test_criterion_04_knn_accuracy_never_rises_with_k(table6_matrix):
-    plan = CvPlan(folds=10, seed=1)
-    accs = {
-        k: cross_validate("knn", {"k": k}, table6_matrix, plan).accuracy
-        for k in (1, 3, 5, 7)
-    }
-    failures = []
+    folds = Folds.build(table6_matrix, CvPlan(folds=10, seed=1))
     ks = (1, 3, 5, 7)
+    accs = {k: cross_validate("knn", {"k": k}, folds).accuracy for k in ks}
+    failures = []
     for a, b in zip(ks, ks[1:]):
         if not accs[b] <= accs[a] + 0.5:
             failures.append(f"k={b} ({accs[b]:.2f}) above k={a} ({accs[a]:.2f}) + 0.5")

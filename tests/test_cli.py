@@ -169,12 +169,33 @@ def test_evaluate_rejects_bad_split(prepared, capsys):
     ("logreg", {"max_epochs": 0}),
     ("logreg", {"learning_rate": 0.5}),
     ("vote", {"members": [["logreg", {"bogus": 1}]]}),
+    ("reptree", {"seed": -1}),
+    ("svm", {"seed": -1}),
+    ("knn", {"k": 1.5}),
+    ("adaboost", {"rounds": True}),
+    ("svm", {"epochs": 2.5}),
+    ("logreg", {"max_epochs": 2.5}),
+    ("reptree", {"max_depth": 1.5}),
 ])
 def test_evaluate_bad_model_config_is_data_error(prepared, capsys, kind, config):
     code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", kind,
                        "--folds", "3", "--model-config", json.dumps(config))
     assert code == 2
     assert "DriverIdError" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_evaluate_negative_seed_is_data_error(prepared, tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["--seed", "-1"]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": -1}))
+        argv = ["--config", str(path)]
+    code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", "zeror",
+                       "--folds", "3", *argv)
+    assert code == 2
+    assert "seed must be >= 0" in err
 
 
 @pytest.mark.parametrize("raw", ["not json", "[1]"])

@@ -1,11 +1,12 @@
 """Cross-validation, confusion matrices, metrics, baseline comparison."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from driverid import evaluate, ingest
+from driverid import evaluate, ingest, models
 from driverid.errors import (
     DriverIdError,
     EmptyMatrix,
@@ -16,6 +17,7 @@ from driverid.errors import (
 from driverid.evaluate import (
     ConfusionMatrix,
     CvPlan,
+    Folds,
     MetricsReport,
     baseline_compare,
     confusion_from_predictions,
@@ -25,7 +27,7 @@ from driverid.evaluate import (
     metrics_to_csv,
     per_class_counts,
 )
-from driverid.features import FeatureMatrix
+from driverid.features import FeatureMatrix, apply_normalizer, fit_normalizer
 
 
 def small_matrix(seed=0, n_per=30, n_classes=3, d=4, spread=4.0):
@@ -195,6 +197,8 @@ def test_plan_validation():
         CvPlan(folds=1)
     with pytest.raises(DriverIdError):
         CvPlan(split_mode="bootstrap")
+    with pytest.raises(DriverIdError):
+        CvPlan(seed=-1)
 
 
 def _per_class_string_folds(labels, plan):
@@ -237,7 +241,7 @@ def test_zeror_cv_accuracy_equals_majority_proportion():
     m = FeatureMatrix.from_arrays(
         m.column_names, m.features[keep], [m.labels[i] for i in keep]
     )
-    rep = cross_validate("zeror", None, m, CvPlan(folds=5, seed=1))
+    rep = cross_validate("zeror", None, Folds.build(m, CvPlan(folds=5, seed=1)))
     dist = ingest.class_distribution(m)
     maj = max(dist, key=lambda k: dist[k])
     assert rep.accuracy == 100.0 * dist[maj]
@@ -245,7 +249,7 @@ def test_zeror_cv_accuracy_equals_majority_proportion():
 
 def test_cv_pools_one_prediction_per_instance():
     m = small_matrix()
-    rep = cross_validate("knn", {"k": 1}, m, CvPlan(folds=5, seed=1))
+    rep = cross_validate("knn", {"k": 1}, Folds.build(m, CvPlan(folds=5, seed=1)))
     assert rep.counts.sum() == len(m)
     assert len(rep.fold_accuracies) == 5
 
@@ -253,24 +257,24 @@ def test_cv_pools_one_prediction_per_instance():
 def test_cv_is_deterministic():
     m = small_matrix(seed=5)
     plan = CvPlan(folds=5, seed=2)
-    a = cross_validate("reptree", None, m, plan)
-    b = cross_validate("reptree", None, m, plan)
+    a = cross_validate("reptree", None, Folds.build(m, plan))
+    b = cross_validate("reptree", None, Folds.build(m, plan))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
 def test_cv_normalize_policies_run():
     m = small_matrix(seed=6)
     for policy in ("train", "all", "none"):
-        rep = cross_validate("knn", {"k": 1}, m, CvPlan(folds=3, seed=1), normalize=policy)
+        rep = cross_validate("knn", {"k": 1}, Folds.build(m, CvPlan(folds=3, seed=1), policy))
         assert rep.metadata["normalize"] == policy
         assert rep.accuracy > 90.0
     with pytest.raises(DriverIdError):
-        cross_validate("knn", None, m, CvPlan(folds=3), normalize="zscore")
+        Folds.build(m, CvPlan(folds=3), "zscore")
 
 
 def test_cv_metadata_carries_the_run():
     m = small_matrix(seed=7)
-    rep = cross_validate("naive_bayes", None, m, CvPlan(folds=3, seed=4))
+    rep = cross_validate("naive_bayes", None, Folds.build(m, CvPlan(folds=3, seed=4)))
     assert rep.metadata["kind"] == "naive_bayes"
     assert rep.metadata["plan"]["folds"] == 3
     assert rep.metadata["n_instances"] == len(m)
@@ -285,8 +289,78 @@ def test_duplicated_points_make_knn_perfect():
     labels = [chr(ord("A") + (i % 3)) for i in range(30)] * 2
     m = FeatureMatrix.from_arrays(("x", "y", "z"), X, labels)
     plan = CvPlan(folds=10, seed=1, split_mode="blocked-time", stratified=False)
-    rep = cross_validate("knn", {"k": 1}, m, plan)
+    rep = cross_validate("knn", {"k": 1}, Folds.build(m, plan))
     assert rep.accuracy == 100.0
+
+
+#: One plan per split route: stratified and global shuffles, contiguous blocks.
+SPLIT_PLANS = {
+    "stratified": CvPlan(folds=5, seed=3),
+    "unstratified": CvPlan(folds=5, seed=3, stratified=False),
+    "blocked-time": CvPlan(folds=5, seed=3, split_mode="blocked-time", stratified=False),
+}
+
+
+def _per_kind_cv(kind, config, matrix, plan, normalize):
+    """Cross-validation as one self-contained loop per kind: fold vector,
+    boolean masks, and a normalizer fitted inside the loop."""
+    classes = matrix.label_alphabet
+    fold_of = fold_assignments(matrix.labels, plan)
+    labels = np.asarray(matrix.labels)
+    pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    fold_accuracies = []
+    whole = fit_normalizer(matrix.features) if normalize == "all" else None
+    for f in range(plan.folds):
+        test_mask = fold_of == f
+        X_train, X_test = matrix.features[~test_mask], matrix.features[test_mask]
+        if normalize == "train":
+            params = fit_normalizer(X_train)
+            X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
+        elif normalize == "all":
+            X_train, X_test = apply_normalizer(whole, X_train), apply_normalizer(whole, X_test)
+        model = models.make(kind, config).fit(X_train, labels[~test_mask])
+        cm = confusion_from_predictions(labels[test_mask], model.predict(X_test), classes)
+        pooled += cm.counts
+        fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
+    return metrics(
+        ConfusionMatrix(classes=classes, counts=pooled),
+        fold_accuracies=tuple(fold_accuracies),
+        metadata={
+            "kind": kind,
+            "config": dict(config or {}),
+            "plan": asdict(plan),
+            "normalize": normalize,
+            "n_instances": len(matrix),
+            "n_features": matrix.n_features,
+        },
+    )
+
+
+@pytest.mark.parametrize("split", sorted(SPLIT_PLANS))
+@pytest.mark.parametrize("normalize", ["train", "all", "none"])
+@pytest.mark.parametrize("kind, config", [("knn", {"k": 3}), ("reptree", None)])
+def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split):
+    # Overlapping classes on unequal scales plus one far outlier, so whether
+    # a normalizer saw the outlier's fold changes knn's votes.
+    m = small_matrix(seed=11, n_per=25, spread=1.5)
+    X = m.features * [1.0, 10.0, 100.0, 0.1]
+    X[0, 0] = 60.0
+    m = FeatureMatrix.from_arrays(m.column_names, X, m.labels)
+    plan = SPLIT_PLANS[split]
+    shared = cross_validate(kind, config, Folds.build(m, plan, normalize))
+    assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize).to_dict()
+
+
+@pytest.mark.parametrize("split", sorted(SPLIT_PLANS))
+def test_fold_rows_partition_the_matrix(split):
+    m = small_matrix(seed=12, n_per=21)
+    folds = Folds.build(m, SPLIT_PLANS[split])
+    assert len(folds.rows) == len(folds.params) == 5
+    every = np.arange(len(m))
+    tests = np.concatenate([test for _, test in folds.rows])
+    np.testing.assert_array_equal(np.sort(tests), every)
+    for train, test in folds.rows:
+        np.testing.assert_array_equal(train, np.setdiff1d(every, test))
 
 
 # -- baseline comparison --------------------------------------------------------

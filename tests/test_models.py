@@ -25,7 +25,7 @@ from driverid.models import (
     RepTree,
     ZeroR,
 )
-from driverid.models.logistic import _two_loop, loss_and_grad, sigmoid
+from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
 from driverid.models.tree import midpoint, presort
 
@@ -138,6 +138,20 @@ def test_bad_config_key_is_a_data_error():
         models.make("knn", {"neighbours": 3})
 
 
+@pytest.mark.parametrize("kind, option, minimum", [
+    ("knn", "k", 1), ("adaboost", "rounds", 1), ("logreg", "max_epochs", 1),
+    ("svm", "epochs", 1), ("svm", "batch_size", 1), ("svm", "seed", 0),
+    ("reptree", "min_leaf_count", 1), ("reptree", "max_depth", 1), ("reptree", "seed", 0),
+])
+def test_count_options_take_whole_numbers_only(kind, option, minimum):
+    for bad in (minimum - 1, minimum + 0.5, True, "3", float("nan"), float("inf")):
+        with pytest.raises(DriverIdError, match=option):
+            models.make(kind, {option: bad})
+    for good in (minimum, minimum + 2, np.int64(minimum + 2), float(minimum + 2)):
+        value = models.make(kind, {option: good})._config_dict()[option]
+        assert type(value) is int and value == good
+
+
 # -- ZeroR ---------------------------------------------------------------------
 
 def test_zeror_predicts_majority_with_tie_to_lowest():
@@ -244,12 +258,6 @@ def test_nb_variance_floor_handles_constant_feature():
 
 
 # -- logistic regression ----------------------------------------------------------
-
-def test_sigmoid_extremes_do_not_overflow():
-    assert sigmoid(np.array([1000.0]))[0] == 1.0
-    assert sigmoid(np.array([-1000.0]))[0] == 0.0
-    assert sigmoid(np.array([0.0]))[0] == 0.5
-
 
 def test_logreg_loss_decreases_and_converges():
     X, y = blobs(seed=5, centers=((0, 0), (5, 5)))

@@ -16,6 +16,7 @@ import pytest
 from driverid import pipeline
 from driverid.cli import main
 from driverid.errors import DriverIdError
+from driverid.features import FeatureMatrix
 
 # production spellings of the fifteen benchmark channels
 REAL_SPELLINGS = (
@@ -132,6 +133,29 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     with pytest.raises(DriverIdError, match=named):
         pipeline.run_pipeline(config)
     assert fitted == []
+
+
+@pytest.mark.parametrize("normalize, fits", [("train", 4), ("all", 1), ("none", 0)])
+def test_folds_and_normalizers_are_built_once_per_run(monkeypatch, normalize, fits):
+    calls = {"fold_assignments": 0, "fit_normalizer": 0}
+
+    def counted(name):
+        original = getattr(pipeline.evaluate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline.evaluate, name, counted(name))
+    rng = np.random.default_rng(0)
+    matrix = FeatureMatrix.from_arrays(("x", "y"), rng.normal(size=(40, 2)), ["A", "B"] * 20)
+    config = pipeline.RunConfig(input="unused.csv", kinds=("zeror", "naive_bayes", "knn"),
+                                folds=4, normalize=normalize)
+    results, _ = pipeline.cross_validate_kinds(config, matrix)
+    assert list(results) == ["zeror", "naive_bayes", "knn"]
+    assert calls == {"fold_assignments": 1, "fit_normalizer": fits}
 
 
 def test_table6_preset_end_to_end_on_surrogate(surrogate_csv, tmp_path):
