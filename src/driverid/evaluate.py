@@ -27,9 +27,11 @@ from .errors import (
     EmptyMatrix,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
+    UnknownLabel,
 )
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
 from .ingest import encode_labels
+from .models.base import whole_number
 
 SPLIT_MODES = ("random-window", "blocked-time")
 NORMALIZE_POLICIES = ("train", "all", "none")
@@ -58,20 +60,34 @@ class ConfusionMatrix:
 
 
 def confusion_from_predictions(
-    y_true: Sequence[str], y_pred: Sequence[str], classes: Sequence[str] | None = None
+    y_true, y_pred, classes: Sequence[str] | None = None
 ) -> ConfusionMatrix:
     """Count (true, predicted) pairs over ``classes`` (default: sorted union).
 
-    A label outside an explicit ``classes`` raises :class:`UnknownLabel`.
+    With ``classes`` given, either side may be an integer array of codes
+    into it.  A label or code outside it raises :class:`UnknownLabel`.
     """
     n = len(y_true)
     if n != len(y_pred):
         raise DriverIdError(f"{n} true labels vs {len(y_pred)} predictions")
-    both = np.concatenate([np.asarray(y_true, dtype=str), np.asarray(y_pred, dtype=str)])
-    classes, codes = encode_labels(both, classes)
+    if classes is None:
+        both = np.concatenate([np.asarray(y_true, dtype=str), np.asarray(y_pred, dtype=str)])
+        classes, codes = encode_labels(both)
+        true, pred = codes[:n], codes[n:]
+    else:
+        classes = tuple(classes)
+        true, pred = (_codes_into(classes, y) for y in (y_true, y_pred))
     k = len(classes)
-    counts = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
+    counts = np.bincount(true * k + pred, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(classes=classes, counts=counts)
+
+
+def _codes_into(classes: tuple[str, ...], y) -> np.ndarray:
+    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"):
+        return encode_labels(y, classes)[1]
+    if y.size and (y.min() < 0 or y.max() >= len(classes)):
+        raise UnknownLabel(f"label codes outside [0, {len(classes)})")
+    return y
 
 
 def per_class_counts(cm: ConfusionMatrix, i: int) -> tuple[int, int, int, int]:
@@ -187,17 +203,6 @@ def metrics(cm: ConfusionMatrix, **report_fields) -> MetricsReport:
     )
 
 
-def metrics_to_csv(report: MetricsReport) -> str:
-    """Flat per-class table (plottable): class, precision, recall, f1."""
-    lines = ["class,precision,recall,f1"]
-    for row in report.per_class:
-        lines.append(
-            f"{row['class']},{row['precision']!r},{row['recall']!r},{row['f1']!r}"
-        )
-    lines.append(f"__overall__,{report.accuracy!r},,")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class CvPlan:
     """How to split instances into folds."""
@@ -208,18 +213,19 @@ class CvPlan:
     split_mode: str = "random-window"
 
     def __post_init__(self) -> None:
-        if self.folds < 2:
-            raise DriverIdError(f"folds must be >= 2, got {self.folds}")
-        if self.seed < 0:
-            raise DriverIdError(f"seed must be >= 0, got {self.seed}")
+        try:
+            object.__setattr__(self, "folds", whole_number("folds", self.folds, 2))
+            object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        except ValueError as e:
+            raise DriverIdError(str(e)) from None
         if self.split_mode not in SPLIT_MODES:
             raise DriverIdError(
                 f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}"
             )
 
 
-def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
-    """Fold index per instance.
+def fold_assignments(matrix: FeatureMatrix, plan: CvPlan) -> np.ndarray:
+    """Fold index per row of ``matrix``.
 
     random-window: seeded shuffle, then round-robin — per class when
     stratified (requiring every class to have at least ``folds`` instances)
@@ -227,7 +233,7 @@ def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
     preserving time order at the cost of class balance.  Every instance
     lands in exactly one fold.
     """
-    n = len(labels)
+    n = len(matrix)
     if n < plan.folds:
         raise TooFewInstancesPerClass(f"{n} instances for {plan.folds} folds")
     fold_of = np.empty(n, dtype=np.intp)
@@ -238,9 +244,8 @@ def fold_assignments(labels: Sequence[str], plan: CvPlan) -> np.ndarray:
     if not plan.stratified:
         fold_of[rng.permutation(n)] = np.arange(n) % plan.folds
         return fold_of
-    alphabet, codes = encode_labels(labels)
-    for c, cls in enumerate(alphabet):
-        idx = np.flatnonzero(codes == c)
+    for c, cls in enumerate(matrix.label_alphabet):
+        idx = np.flatnonzero(matrix.codes == c)
         if idx.size < plan.folds:
             raise TooFewInstancesPerClass(
                 f"class {cls!r} has {idx.size} instances, fewer than {plan.folds} folds"
@@ -273,7 +278,7 @@ class Folds:
             raise DriverIdError(
                 f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}"
             )
-        fold_of = fold_assignments(matrix.labels, plan)
+        fold_of = fold_assignments(matrix, plan)
         rows = tuple(
             (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
             for f in range(plan.folds)
@@ -292,16 +297,15 @@ def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsRepor
     deterministic for a fixed plan seed.
     """
     matrix = folds.matrix
-    classes = matrix.label_alphabet
-    labels = np.asarray(matrix.labels)
+    classes, codes = matrix.label_alphabet, matrix.codes
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accuracies = []
     for (train, test), params in zip(folds.rows, folds.params):
         X_train, X_test = matrix.features[train], matrix.features[test]
         if params is not None:
             X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
-        model = models.make(kind, config).fit(X_train, labels[train])
-        cm = confusion_from_predictions(labels[test], model.predict(X_test), classes=classes)
+        model = models.make(kind, config).fit(X_train, codes[train], classes=classes)
+        cm = confusion_from_predictions(codes[test], model.predict(X_test), classes)
         pooled += cm.counts
         fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
     return metrics(

@@ -13,8 +13,8 @@ into a model-ready :class:`FeatureMatrix`:
    and emits per-window mean / median / population std for every kept
    channel, dropping windows that straddle a driver change.
 
-Like the dataset, a :class:`FeatureMatrix` encodes its labels once into
-``(label_alphabet, codes)``; ranking and windowing work on the codes.
+Like the dataset, a :class:`FeatureMatrix` holds its labels as
+``(label_alphabet, codes)``; ranking, windowing and normalization use the codes.
 
 Memory: ``extract_windows`` gathers the samples of at most
 ``_WINDOW_CHUNK_BYTES`` (2 MiB) of windows at once (at least one window),
@@ -332,7 +332,7 @@ def apply_normalizer(params: NormalizationParams, m):
     out = (X - params.mins) / safe
     out[:, span == 0] = 0.0
     if is_matrix:
-        return FeatureMatrix(column_names=m.column_names, features=out, labels=m.labels)
+        return FeatureMatrix(m.column_names, out, m.label_alphabet, m.codes)
     return out
 
 
@@ -370,15 +370,14 @@ class WindowSpec:
 class FeatureMatrix:
     """Rectangular numeric matrix with one driver label per row.
 
-    ``label_alphabet`` is the sorted set of labels present and ``codes``
-    each row's index into it; both are derived from ``labels`` once.
+    ``codes`` index the sorted ``label_alphabet``, which drops classes no row
+    has (codes renumbered); ``labels`` decodes the codes on each access.
     """
 
     column_names: tuple[str, ...]
     features: np.ndarray
-    labels: tuple[str, ...]
-    label_alphabet: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    label_alphabet: tuple[str, ...]
+    codes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -387,15 +386,17 @@ class FeatureMatrix:
             raise ColumnCountMismatch(
                 f"{len(self.column_names)} names for {self.features.shape[1]} columns"
             )
-        if len(self.labels) != self.features.shape[0]:
-            raise DriverIdError(
-                f"{len(self.labels)} labels for {self.features.shape[0]} rows"
-            )
-        alphabet, codes = ingest.encode_labels(self.labels)
+        alphabet, codes = ingest.present_classes(self.label_alphabet, self.codes)
+        if codes.size != self.features.shape[0]:
+            raise DriverIdError(f"{codes.size} labels for {self.features.shape[0]} rows")
         codes.flags.writeable = False
         object.__setattr__(self, "label_alphabet", alphabet)
         object.__setattr__(self, "codes", codes)
         self.features.flags.writeable = False
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(ingest.decode_labels(self.label_alphabet, self.codes))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -407,9 +408,9 @@ class FeatureMatrix:
     @classmethod
     def from_arrays(cls, column_names, features, labels) -> "FeatureMatrix":
         return cls(
-            column_names=tuple(column_names),
-            features=np.ascontiguousarray(features, dtype=np.float64),
-            labels=tuple(labels),
+            tuple(column_names),
+            np.ascontiguousarray(features, dtype=np.float64),
+            *ingest.encode_labels(labels),
         )
 
     @classmethod
@@ -417,7 +418,7 @@ class FeatureMatrix:
         ds = ingest.load_dataset(
             source, label_column=label_column, exclude_columns=(), delimiter=delimiter
         )
-        return cls(column_names=ds.column_names, features=ds.channels, labels=ds.labels)
+        return cls(ds.column_names, ds.channels, ds.label_alphabet, ds.codes)
 
     def to_csv(self, target, *, label_column: str = "Class", delimiter: str = ",") -> None:
         ingest.write_csv(
@@ -491,9 +492,4 @@ def extract_windows(
     names = tuple(
         f"{ds.column_names[c]}_{stat}" for c in cols for stat in spec.statistics
     )
-    matrix = FeatureMatrix(
-        column_names=names,
-        features=out,
-        labels=tuple(ingest.decode_labels(ds.label_alphabet, codes[kept_starts])),
-    )
-    return matrix, n_dropped
+    return FeatureMatrix(names, out, ds.label_alphabet, codes[kept_starts]), n_dropped

@@ -8,7 +8,8 @@ is preserved because downstream windowing treats the rows as a time series.
 Driver labels are encoded once, by :func:`encode_labels`, as a sorted
 alphabet plus one integer code per row; every later layer works on
 ``(label_alphabet, codes)`` and turns codes back into strings only where a
-label leaves the package.
+label leaves the package.  Layers handed codes check them with
+:func:`present_classes`.
 
 Bookkeeping columns that are not sensor channels (elapsed time, path order)
 are dropped through an explicit exclusion list rather than heuristics.
@@ -77,6 +78,23 @@ def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
 def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
     """Inverse of :func:`encode_labels`: the label string of every code."""
     return np.asarray(alphabet, dtype=object)[codes].tolist()
+
+
+def present_classes(alphabet, codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """The classes of a sorted, distinct ``alphabet`` that ``codes`` uses, and
+    the codes renumbered into them.  A bad alphabet raises :class:`DriverIdError`;
+    codes that are not 1-D integers indexing it raise :class:`UnknownLabel`."""
+    alphabet = tuple(alphabet)
+    if list(alphabet) != sorted(set(alphabet)):
+        raise DriverIdError(f"label alphabet {list(alphabet)} is not sorted and distinct")
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.size and (
+        codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(alphabet)
+    ):
+        raise UnknownLabel(f"label codes must be 1-D integers in [0, {len(alphabet)})")
+    codes = codes.astype(np.intp, copy=False)
+    used = np.bincount(codes, minlength=len(alphabet)) > 0
+    return tuple(a for a, u in zip(alphabet, used) if u), (np.cumsum(used) - 1)[codes]
 
 
 @dataclass(frozen=True)

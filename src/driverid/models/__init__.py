@@ -52,7 +52,7 @@ def make(kind: str, config: dict | None = None) -> Classifier:
 
 def train(kind: str, matrix: FeatureMatrix, config: dict | None = None) -> Classifier:
     """Fit a fresh model of ``kind`` on a FeatureMatrix."""
-    return make(kind, config).fit(matrix.features, matrix.labels)
+    return make(kind, config).fit(matrix.features, matrix.codes, classes=matrix.label_alphabet)
 
 
 def save_model(model: Classifier, target) -> None:

@@ -1,8 +1,10 @@
 """Shared classifier contract.
 
-Every model exposes ``fit(X, y)``, ``predict``, ``predict_proba`` (a valid
-distribution over the sorted class alphabet), and bit-exact JSON
-serialization via ``to_dict``/``from_dict``.  Ties — equal votes, equal
+Every model exposes ``fit(X, y, classes=None)``, ``predict``,
+``predict_proba`` (a valid distribution over the sorted class alphabet), and
+bit-exact JSON serialization via ``to_dict``/``from_dict``.  ``y`` holds
+label strings, or integer codes into a sorted ``classes``; both fit the same
+model, whose ``classes_`` are the labels present.  Ties — equal votes, equal
 posteriors, equal scores — always resolve to the lowest class in the sorted
 alphabet, which `np.argmax` delivers for free by returning the first maximum.
 """
@@ -21,7 +23,7 @@ from ..errors import (
     NonFiniteFeature,
     SingleClassForDiscriminative,
 )
-from ..ingest import decode_labels, encode_labels
+from ..ingest import decode_labels, encode_labels, present_classes
 
 
 def whole_number(name: str, value, minimum: int) -> int:
@@ -40,18 +42,19 @@ def whole_number(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def prepare_training(X, y, *, require_multiclass: bool):
+def prepare_training(X, y, *, require_multiclass: bool, classes=None):
     """Validate and canonicalize training data.
 
-    Returns ``(X, y_idx, classes)`` where ``classes`` is the sorted label
-    alphabet and ``y_idx`` maps each row to its class index.
+    Returns ``(X, y_idx, classes)`` where ``classes`` is the sorted alphabet
+    of the labels present in ``y`` (strings, or codes into ``classes``) and
+    ``y_idx`` maps each row to its class index.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"training matrix must be 2-D, got shape {X.shape}")
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
-    classes, y_idx = encode_labels(y)
+    classes, y_idx = encode_labels(y) if classes is None else present_classes(classes, y)
     if y_idx.size != X.shape[0]:
         raise LengthMismatch(f"{y_idx.size} labels for {X.shape[0]} rows")
     if not np.isfinite(X).all():
@@ -72,9 +75,9 @@ class Classifier:
     classes_: tuple[str, ...]
     n_features_: int
 
-    def fit(self, X, y) -> "Classifier":
+    def fit(self, X, y, classes=None) -> "Classifier":
         X, y_idx, classes = prepare_training(
-            X, y, require_multiclass=self.requires_multiclass
+            X, y, require_multiclass=self.requires_multiclass, classes=classes
         )
         self.classes_ = classes
         self.n_features_ = X.shape[1]
@@ -108,15 +111,9 @@ class Classifier:
         X = self._check_features(X)
         return decode_labels(self.classes_, np.argmax(self._scores(X), axis=1))
 
-    def predict_one(self, x) -> str:
-        return self.predict(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def predict_proba(self, X) -> np.ndarray:
         X = self._check_features(X)
         return self._proba(X)
-
-    def predict_proba_one(self, x) -> np.ndarray:
-        return self.predict_proba(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     # -- serialization ----------------------------------------------------
 

@@ -25,10 +25,6 @@ class ZeroR(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))
 
-    @property
-    def majority_class(self) -> str:
-        return self.classes_[self.majority_]
-
     def _params_dict(self) -> dict:
         return {
             "priors": [float(p) for p in self.priors_],

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DriverIdError
-from ..ingest import decode_labels, encode_labels
 from .base import Classifier, whole_number
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
@@ -240,9 +239,9 @@ class AdaBoost(Classifier):
 class MajorityVote(Classifier):
     """Hard-voting ensemble over heterogeneous member classifiers.
 
-    ``members`` is a sequence of kind names or (kind, config) pairs trained
-    on the same data; ``from_trained`` wraps already-fitted models instead.
-    Vote ties resolve to the lowest class.
+    ``members`` is a sequence of kind names or (kind, config) pairs, each
+    fitted on the same rows and class codes, so every member shares the
+    ensemble's ``classes_``.  Vote ties resolve to the lowest class.
     """
 
     kind = "vote"
@@ -262,28 +261,14 @@ class MajorityVote(Classifier):
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         from . import make  # deferred: the registry imports this module
 
-        labels = decode_labels(self.classes_, y_idx)
-        self.members_ = [make(kind, config).fit(X, labels) for kind, config in self.member_specs]
-
-    @classmethod
-    def from_trained(cls, models) -> "MajorityVote":
-        models = list(models)
-        if not models:
-            raise ValueError("at least one member is required")
-        alphabet = models[0].classes_
-        if any(m.classes_ != alphabet for m in models):
-            raise DriverIdError("members disagree on the class alphabet")
-        ensemble = cls(members=[(m.kind, m._config_dict()) for m in models])
-        ensemble.classes_ = alphabet
-        ensemble.n_features_ = models[0].n_features_
-        ensemble.members_ = models
-        return ensemble
+        self.members_ = [make(k, c).fit(X, y_idx, classes=self.classes_) for k, c in self.member_specs]
 
     def _vote_counts(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))
         rows = np.arange(X.shape[0])
         for member in self.members_:
-            votes[rows, encode_labels(member.predict(X), self.classes_)[1]] += 1.0
+            # A member's class index is the ensemble's: they share classes_.
+            votes[rows, np.argmax(member._scores(X), axis=1)] += 1.0
         return votes
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
@@ -302,3 +287,6 @@ class MajorityVote(Classifier):
         from . import KINDS
 
         self.members_ = [KINDS[d["kind"]].from_dict(d) for d in params["members"]]
+        if any((m.classes_, m.n_features_) != (self.classes_, self.n_features_)
+               for m in self.members_):
+            raise DriverIdError("vote members do not share its classes and feature count")

@@ -312,7 +312,7 @@ def test_criterion_11_nb_posterior_normalization():
     # mirrored two-class data: the midpoint must split exactly even
     X = np.array([[-3.0], [-1.0], [1.0], [3.0]])
     model = GaussianNaiveBayes().fit(X, ["A", "A", "B", "B"])
-    p = model.predict_proba_one(np.array([0.0]))
+    p = model.predict_proba([[0.0]])[0]
     if not np.allclose(p, [0.5, 0.5], atol=1e-9):
         failures.append(f"midpoint posteriors {p} != (0.5, 0.5)")
     _verdict(11, failures)

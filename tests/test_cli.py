@@ -195,7 +195,7 @@ def test_evaluate_negative_seed_is_data_error(prepared, tmp_path, capsys, source
     code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", "zeror",
                        "--folds", "3", *argv)
     assert code == 2
-    assert "seed must be >= 0" in err
+    assert "seed must be an integer >= 0" in err
 
 
 @pytest.mark.parametrize("raw", ["not json", "[1]"])

@@ -1,5 +1,6 @@
 """Cross-validation, confusion matrices, metrics, baseline comparison."""
 
+import collections
 import json
 from dataclasses import asdict
 
@@ -24,7 +25,6 @@ from driverid.evaluate import (
     cross_validate,
     fold_assignments,
     metrics,
-    metrics_to_csv,
     per_class_counts,
 )
 from driverid.features import FeatureMatrix, apply_normalizer, fit_normalizer
@@ -81,6 +81,19 @@ def test_confusion_matches_pairwise_count_oracle(seed):
         confusion_from_predictions(y_true, y_pred, classes=alphabet[1:])
     with pytest.raises(UnknownLabel):
         confusion_from_predictions(y_true[:5] + ["Z"], y_pred[:6], classes=alphabet)
+
+
+def test_confusion_counts_codes_into_explicit_classes():
+    classes = ("A", "B", "C")
+    true, pred = np.array([0, 2, 2, 1]), np.array([0, 2, 1, 1])
+    by_codes = confusion_from_predictions(true, pred, classes)
+    by_labels = confusion_from_predictions(["A", "C", "C", "B"], ["A", "C", "B", "B"], classes)
+    mixed = confusion_from_predictions(true, ["A", "C", "B", "B"], classes)
+    np.testing.assert_array_equal(by_codes.counts, by_labels.counts)
+    np.testing.assert_array_equal(mixed.counts, by_labels.counts)
+    for bad in (np.array([0, 3, 1, 1]), np.array([0, -1, 1, 1])):
+        with pytest.raises(UnknownLabel):
+            confusion_from_predictions(true, bad, classes)
 
 
 def test_per_class_counts_identities():
@@ -147,20 +160,16 @@ def test_metrics_report_round_trip():
     np.testing.assert_array_equal(again.counts, rep.counts)
 
 
-def test_metrics_to_csv_is_flat():
-    cm = confusion_from_predictions(["A", "B"], ["A", "B"])
-    text = metrics_to_csv(metrics(cm))
-    lines = text.strip().split("\n")
-    assert lines[0] == "class,precision,recall,f1"
-    assert lines[1].startswith("A,")
-    assert lines[-1].startswith("__overall__,")
-
-
 # -- fold assignment ----------------------------------------------------------
+
+def labeled(labels):
+    """A one-column matrix of zeros with the given row labels."""
+    return FeatureMatrix.from_arrays(("x",), np.zeros((len(labels), 1)), labels)
+
 
 def test_folds_partition_the_data():
     labels = ["A"] * 57 + ["B"] * 43
-    fold_of = fold_assignments(labels, CvPlan(folds=10, seed=3))
+    fold_of = fold_assignments(labeled(labels), CvPlan(folds=10, seed=3))
     assert fold_of.shape == (100,)
     assert set(fold_of) == set(range(10))
     assert np.bincount(fold_of).sum() == 100
@@ -168,7 +177,7 @@ def test_folds_partition_the_data():
 
 def test_stratified_folds_preserve_proportions():
     labels = ["A"] * 70 + ["B"] * 30
-    fold_of = fold_assignments(labels, CvPlan(folds=10, seed=1))
+    fold_of = fold_assignments(labeled(labels), CvPlan(folds=10, seed=1))
     arr = np.asarray(labels)
     for f in range(10):
         in_fold = arr[fold_of == f]
@@ -179,7 +188,7 @@ def test_stratified_folds_preserve_proportions():
 def test_blocked_folds_are_contiguous():
     labels = ["A"] * 40
     plan = CvPlan(folds=4, seed=1, split_mode="blocked-time", stratified=False)
-    fold_of = fold_assignments(labels, plan)
+    fold_of = fold_assignments(labeled(labels), plan)
     # each fold is one contiguous run of indices
     changes = np.count_nonzero(np.diff(fold_of))
     assert changes == 3
@@ -189,7 +198,7 @@ def test_blocked_folds_are_contiguous():
 def test_too_few_instances_per_class():
     labels = ["A"] * 30 + ["B"] * 3
     with pytest.raises(TooFewInstancesPerClass):
-        fold_assignments(labels, CvPlan(folds=10, seed=1))
+        fold_assignments(labeled(labels), CvPlan(folds=10, seed=1))
 
 
 def test_plan_validation():
@@ -199,6 +208,19 @@ def test_plan_validation():
         CvPlan(split_mode="bootstrap")
     with pytest.raises(DriverIdError):
         CvPlan(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("folds", 2.5), ("seed", 1.5), ("folds", True),
+                                          ("seed", "1"), ("folds", None)])
+def test_plan_rejects_non_integral_folds_and_seed(field, value):
+    with pytest.raises(DriverIdError, match=field):
+        CvPlan(**{field: value})
+
+
+def test_plan_takes_integral_floats_as_ints():
+    plan = CvPlan(folds=4.0, seed=np.int64(3))
+    assert (plan.folds, plan.seed) == (4, 3)
+    assert type(plan.folds) is int and type(plan.seed) is int
 
 
 def _per_class_string_folds(labels, plan):
@@ -219,15 +241,15 @@ def test_fold_assignments_match_per_class_string_oracle(seed):
     labels = [alphabet[i] for i in rng.integers(0, len(alphabet), 400)]
     plan = CvPlan(folds=5, seed=seed)
     np.testing.assert_array_equal(
-        fold_assignments(labels, plan), _per_class_string_folds(labels, plan)
+        fold_assignments(labeled(labels), plan), _per_class_string_folds(labels, plan)
     )
 
 
 def test_fold_assignment_depends_on_seed_only():
     labels = ["A", "B"] * 50
-    a = fold_assignments(labels, CvPlan(folds=5, seed=9))
-    b = fold_assignments(labels, CvPlan(folds=5, seed=9))
-    c = fold_assignments(labels, CvPlan(folds=5, seed=10))
+    a = fold_assignments(labeled(labels), CvPlan(folds=5, seed=9))
+    b = fold_assignments(labeled(labels), CvPlan(folds=5, seed=9))
+    c = fold_assignments(labeled(labels), CvPlan(folds=5, seed=10))
     np.testing.assert_array_equal(a, b)
     assert (a != c).any()
 
@@ -305,7 +327,7 @@ def _per_kind_cv(kind, config, matrix, plan, normalize):
     """Cross-validation as one self-contained loop per kind: fold vector,
     boolean masks, and a normalizer fitted inside the loop."""
     classes = matrix.label_alphabet
-    fold_of = fold_assignments(matrix.labels, plan)
+    fold_of = fold_assignments(matrix, plan)
     labels = np.asarray(matrix.labels)
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accuracies = []
@@ -349,6 +371,46 @@ def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split):
     plan = SPLIT_PLANS[split]
     shared = cross_validate(kind, config, Folds.build(m, plan, normalize))
     assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize).to_dict()
+
+
+@pytest.mark.parametrize("kind", sorted(models.KINDS))
+def test_codes_cv_matches_the_string_loop_when_a_fold_lacks_a_class(kind):
+    # Rows are grouped by class and C fills the last of five blocks, so the
+    # last fold trains on A and B only and tests on C only.
+    m = small_matrix(seed=13, n_per=40, spread=1.5)
+    keep = np.flatnonzero((m.codes < 2) | (np.arange(len(m)) >= 100))
+    m = FeatureMatrix.from_arrays(m.column_names, m.features[keep], np.asarray(m.labels)[keep])
+    plan = CvPlan(folds=5, seed=3, split_mode="blocked-time")
+    folds = Folds.build(m, plan)
+    train, test = folds.rows[-1]
+    assert set(m.codes[train]) == {0, 1} and set(m.codes[test]) == {2}
+    shared = cross_validate(kind, None, folds)
+    assert shared.to_dict() == _per_kind_cv(kind, None, m, plan, "train").to_dict()
+
+
+def test_cv_calls_each_traced_name_once_per_fold(monkeypatch):
+    # The benchmark's per-layer metrics patch these names; a code path that
+    # routed around one would leave its metric at zero.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for kind, cls in models.KINDS.items():
+        for method in ("fit", "predict"):
+            monkeypatch.setattr(cls, method, counted(f"{kind}.{method}", getattr(cls, method)))
+    for name in ("fold_assignments", "confusion_from_predictions"):
+        monkeypatch.setattr(evaluate, name, counted(name, getattr(evaluate, name)))
+    folds = Folds.build(small_matrix(seed=14), CvPlan(folds=4, seed=1))
+    assert calls == {"fold_assignments": 1}
+    for kind in models.KINDS:
+        calls.clear()
+        cross_validate(kind, None, folds)
+        assert calls[f"{kind}.fit"] == calls[f"{kind}.predict"] == 4, kind
+        assert calls["confusion_from_predictions"] == 4, kind
 
 
 @pytest.mark.parametrize("split", sorted(SPLIT_PLANS))

@@ -274,6 +274,39 @@ def test_feature_matrix_encodes_its_labels_once():
     assert m.codes.tolist() == [m.label_alphabet.index(v) for v in labels]
 
 
+def test_feature_matrix_checks_its_codes():
+    X = np.zeros((3, 1))
+    m = FeatureMatrix(("f",), X, ("A", "B", "C"), np.array([2, 0, 2]))
+    assert m.labels == ("C", "A", "C")
+    assert m.label_alphabet == ("A", "C")  # B names no row
+    assert m.codes.tolist() == [1, 0, 1]
+    empty = FeatureMatrix(("f",), np.zeros((0, 1)), ("A",), np.array([]))
+    assert empty.label_alphabet == () and empty.labels == ()
+    for alphabet, codes in [
+        (("B", "A"), [1, 0, 1]),  # not sorted
+        (("A", "B"), [1, 0]),  # one code short
+        (("A", "B"), [1, 2, 0]),  # out of range
+        (("A", "B"), [1.0, 0.0, 1.0]),  # not integers
+    ]:
+        with pytest.raises(DriverIdError):
+            FeatureMatrix(("f",), X, alphabet, np.array(codes))
+
+
+def test_windows_and_normalizer_pass_the_codes_through():
+    # B's two rows hold no label-pure window, so B leaves the alphabet.
+    rows = [[float(i)] for i in range(18)]
+    ds = _dataset(["x"], rows, ["A"] * 8 + ["B"] * 2 + ["C"] * 8)
+    matrix, dropped = extract_windows(ds, ("x",), WindowSpec(length=4, stride=1))
+    assert ds.label_alphabet == ("A", "B", "C")
+    assert matrix.label_alphabet == ("A", "C")
+    assert matrix.codes.tolist() == [0] * 5 + [1] * 5
+    assert matrix.labels == ("A",) * 5 + ("C",) * 5
+    assert dropped == 5
+    scaled = apply_normalizer(fit_normalizer(matrix), matrix)
+    assert scaled.label_alphabet == matrix.label_alphabet
+    np.testing.assert_array_equal(scaled.codes, matrix.codes)
+
+
 def test_windows_carry_the_labels_of_their_rows(trip_dataset):
     spec = WindowSpec(length=10, stride=7)
     matrix, _ = extract_windows(trip_dataset, trip_dataset.column_names, spec)

@@ -14,6 +14,7 @@ from driverid.errors import (
     LengthMismatch,
     NonFiniteFeature,
     SingleClassForDiscriminative,
+    UnknownLabel,
 )
 from driverid.models import (
     AdaBoost,
@@ -116,6 +117,38 @@ def test_fit_input_validation():
         LogisticRegression().fit(np.zeros((5, 2)), ["A"] * 5)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("alphabet", [("A", "B", "C"), ("A", "B", "C", "D", "E")])
+def test_fit_on_codes_equals_fit_on_labels(kind, alphabet):
+    # With five classes the codes skip B and D, so classes_ must be the
+    # present subset and the codes renumbered into it.
+    X, y = blobs(seed=18)
+    present = alphabet[::2] if len(alphabet) == 5 else alphabet
+    codes = np.asarray([alphabet.index(present["ABC".index(v)]) for v in y])
+    labels = [alphabet[c] for c in codes]
+    by_codes = models.make(kind).fit(X, codes, classes=alphabet)
+    by_labels = models.make(kind).fit(X, labels)
+    assert by_codes.classes_ == present
+    assert by_codes.to_dict() == by_labels.to_dict()
+    assert by_codes.predict(X) == by_labels.predict(X)
+
+
+def test_fit_rejects_bad_codes_and_classes():
+    X = np.zeros((4, 2))
+    classes = ("A", "B", "C")
+    for codes in ([0, 1, 3, 0], [0, -1, 1, 0], [0.0, 1.0, 1.0, 0.0], [True, False] * 2,
+                  [[0, 1], [1, 0]]):
+        with pytest.raises(UnknownLabel):
+            ZeroR().fit(X, np.asarray(codes), classes=classes)
+    for alphabet in (("B", "A", "C"), ("A", "A", "B")):
+        with pytest.raises(DriverIdError):
+            ZeroR().fit(X, [0, 1, 1, 0], classes=alphabet)
+    with pytest.raises(LengthMismatch):
+        ZeroR().fit(X, [0, 1, 1], classes=classes)
+    with pytest.raises(SingleClassForDiscriminative):
+        LogisticRegression().fit(X, [2] * 4, classes=classes)
+
+
 def test_single_class_is_fine_for_zeror():
     model = ZeroR().fit(np.zeros((5, 2)), ["A"] * 5)
     assert model.predict(np.zeros((3, 2))) == ["A", "A", "A"]
@@ -157,9 +190,11 @@ def test_count_options_take_whole_numbers_only(kind, option, minimum):
 def test_zeror_predicts_majority_with_tie_to_lowest():
     X = np.zeros((4, 1))
     model = ZeroR().fit(X, ["B", "A", "B", "A"])  # tie: A wins (sorted first)
-    assert model.majority_class == "A"
+    assert model.predict(X[:1]) == ["A"]
+    assert model.classes_[model.to_dict()["params"]["majority"]] == "A"
     model = ZeroR().fit(np.zeros((5, 1)), ["B", "A", "B", "A", "B"])
-    assert model.majority_class == "B"
+    assert model.predict(X) == ["B"] * 4
+    assert model.classes_[model.to_dict()["params"]["majority"]] == "B"
 
 
 # -- k-NN -----------------------------------------------------------------------
@@ -174,7 +209,7 @@ def test_knn_vote_tie_breaks_to_lowest_class():
     # two neighbors, one of each class, equidistant: A wins over B
     X = np.array([[0.0], [2.0]])
     model = KNearestNeighbors(k=2).fit(X, ["B", "A"])
-    assert model.predict_one(np.array([1.0])) == "A"
+    assert model.predict([[1.0]]) == ["A"]
 
 
 def test_knn_duplicate_distance_boundary():
@@ -184,7 +219,7 @@ def test_knn_duplicate_distance_boundary():
     y = ["B", "A", "B", "A"]
     model = KNearestNeighbors(k=2).fit(X, y)
     # neighbors of 0 are rows 0 and 1 -> one B, one A -> tie -> A
-    assert model.predict_one(np.array([0.0])) == "A"
+    assert model.predict([[0.0]]) == ["A"]
 
 
 def test_knn_distance_block_matches_the_out_of_place_expression():
@@ -208,7 +243,7 @@ def test_knn_k_clamps_to_train_size():
     # k exceeding the training size degrades to voting among all rows
     X = np.array([[0.0], [1.0]])
     model = KNearestNeighbors(k=5).fit(X, ["B", "A"])
-    assert model.predict_one(np.array([0.0])) == "A"  # 1-1 tie, lowest wins
+    assert model.predict([[0.0]]) == ["A"]  # 1-1 tie, lowest wins
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -240,21 +275,21 @@ def test_nb_prefers_the_generating_class():
     Xa = rng.normal(0.0, 1.0, size=(200, 2))
     Xb = rng.normal(4.0, 1.0, size=(200, 2))
     model = GaussianNaiveBayes().fit(np.vstack([Xa, Xb]), ["A"] * 200 + ["B"] * 200)
-    assert model.predict_one(np.array([0.0, 0.0])) == "A"
-    assert model.predict_one(np.array([4.0, 4.0])) == "B"
+    assert model.predict([[0.0, 0.0]]) == ["A"]
+    assert model.predict([[4.0, 4.0]]) == ["B"]
 
 
 def test_nb_symmetric_midpoint_posteriors():
     X = np.array([[-1.0], [-3.0], [1.0], [3.0]])
     model = GaussianNaiveBayes().fit(X, ["A", "A", "B", "B"])
-    p = model.predict_proba_one(np.array([0.0]))
+    p = model.predict_proba([[0.0]])[0]
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
 
 def test_nb_variance_floor_handles_constant_feature():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 4.0], [1.0, 5.0]])
     model = GaussianNaiveBayes().fit(X, ["A", "A", "B", "B"])
-    assert model.predict_one(np.array([1.0, 0.5])) == "A"
+    assert model.predict([[1.0, 0.5]]) == ["A"]
 
 
 # -- logistic regression ----------------------------------------------------------
@@ -438,8 +473,8 @@ def test_tree_fits_axis_aligned_rule():
     X = np.array([[v] for v in range(20)], dtype=float)
     y = ["A" if v < 10 else "B" for v in range(20)]
     model = RepTree(seed=1).fit(X, y)
-    assert model.predict_one(np.array([3.0])) == "A"
-    assert model.predict_one(np.array([15.0])) == "B"
+    assert model.predict([[3.0]]) == ["A"]
+    assert model.predict([[15.0]]) == ["B"]
     assert model.node_count >= 3
 
 
@@ -854,28 +889,29 @@ def test_vote_uses_default_members():
     assert acc >= 0.9
 
 
-def test_vote_from_trained_members():
+def test_vote_of_configured_members():
     X, y = blobs(seed=15)
-    knn = KNearestNeighbors(k=1).fit(X, y)
-    nb = GaussianNaiveBayes().fit(X, y)
-    tree = RepTree(seed=1).fit(X, y)
-    model = MajorityVote.from_trained([knn, nb, tree])
-    assert model.predict_one(X[0]) == y[0]
+    members = [("knn", {"k": 1}), "naive_bayes", ("reptree", {"seed": 1})]
+    model = MajorityVote(members=members).fit(X, y)
+    assert [m.kind for m in model.members_] == ["knn", "naive_bayes", "reptree"]
+    assert model.members_[0].k == 1
+    assert all(m.classes_ == model.classes_ for m in model.members_)
+    assert model.predict(X[:1]) == [y[0]]
 
 
 def test_vote_rejects_mismatched_alphabets():
+    # A saved vote whose member was fitted on fewer classes does not load.
     X, y = blobs(seed=16)
-    knn = KNearestNeighbors(k=1).fit(X, y)
-    nb = GaussianNaiveBayes().fit(X[:80], y[:80])  # only two classes seen
+    saved = MajorityVote(members=["knn", "naive_bayes"]).fit(X, y).to_dict()
+    saved["params"]["members"][1] = GaussianNaiveBayes().fit(X[:80], y[:80]).to_dict()
     with pytest.raises(DriverIdError):
-        MajorityVote.from_trained([knn, nb])
+        MajorityVote.from_dict(saved)
 
 
 def test_vote_tie_breaks_to_lowest_class():
     X, y = blobs(seed=17)
-    m1 = KNearestNeighbors(k=1).fit(X, y)
-    m2 = RepTree(seed=1).fit(X, y)
-    vote = MajorityVote.from_trained([m1, m2])
+    vote = MajorityVote(members=[("knn", {"k": 1}), ("reptree", {"seed": 1})]).fit(X, y)
+    m1, m2 = vote.members_
     # wherever the two members disagree, the vote must pick the
     # alphabetically lower of the two candidates
     p1, p2 = np.asarray(m1.predict(X)), np.asarray(m2.predict(X))
