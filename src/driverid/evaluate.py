@@ -224,6 +224,12 @@ class CvPlan:
             )
 
 
+def check_normalize(normalize: str) -> None:
+    """Raise DriverIdError unless ``normalize`` is one of NORMALIZE_POLICIES."""
+    if normalize not in NORMALIZE_POLICIES:
+        raise DriverIdError(f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}")
+
+
 def fold_assignments(matrix: FeatureMatrix, plan: CvPlan) -> np.ndarray:
     """Fold index per row of ``matrix``.
 
@@ -274,10 +280,7 @@ class Folds:
     def build(
         cls, matrix: FeatureMatrix, plan: CvPlan = CvPlan(), normalize: str = "train"
     ) -> "Folds":
-        if normalize not in NORMALIZE_POLICIES:
-            raise DriverIdError(
-                f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}"
-            )
+        check_normalize(normalize)
         fold_of = fold_assignments(matrix, plan)
         rows = tuple(
             (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))

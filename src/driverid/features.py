@@ -21,6 +21,22 @@ Memory: ``extract_windows`` gathers the samples of at most
 and the median and std copy that chunk once more, so beyond its output
 and a copy of the kept channels windowing holds a few chunks, whatever the
 log's length.  Correlation ranking keeps one centred copy of the channels.
+
+Median: ``_window_median`` gives ``np.median``'s result bit for bit from one
+``np.partition`` at ``h = L // 2`` instead of numpy's three.  For odd ``L``
+the median is element ``h``; for even ``L`` it is ``(a + b) / 2`` with
+``a`` the largest element before ``h`` and ``b`` element ``h``, the same
+two order statistics and the same sum and halving as numpy's two-value
+mean.  Equal non-zero floats have equal bits, so only a zero (whose sign
+numpy's summation decides), a non-finite result or a window holding a
+NaN can differ; those rows alone are recomputed by ``np.median``, which
+treats each row on its own, so they get the sign, NaN and warnings that
+the whole chunk would have got.
+
+Duplicates: ranking compares a candidate with a kept column element by
+element only when their variances are equal.  Both come from one
+``var(axis=0)``, which reduces every column the same way, so equal
+columns (also equal up to the sign of zeros) always pass the screen.
 """
 
 from __future__ import annotations
@@ -226,7 +242,13 @@ def select_features(
     kept_idx: list[int] = []
     superfluous, correlated, irrelevant = [], [], []
     for j in candidates:
-        dup = next((i for i in kept_idx if np.array_equal(X[:, i], X[:, j])), None)
+        # Equal columns have equal variances (one reduction over the same
+        # values), so the cheap test screens the column comparison.
+        dup = next(
+            (i for i in kept_idx
+             if variances[i] == variances[j] and np.array_equal(X[:, i], X[:, j])),
+            None,
+        )
         if dup is not None:
             superfluous.append(names[j])
             continue
@@ -438,6 +460,32 @@ def window_count(n_samples: int, length: int, stride: int) -> int:
 _WINDOW_CHUNK_BYTES = 1 << 21
 
 
+def _window_median(wins: np.ndarray) -> np.ndarray:
+    """``np.median(wins, axis=-1)``, bit for bit, from one partition.
+
+    ``np.median`` takes the mean of the order statistics ``h - 1`` and ``h``
+    (``h = L // 2``) for even ``L`` and statistic ``h`` for odd ``L``.  One
+    partition at ``h`` yields both: statistic ``h - 1`` is the largest value
+    before it.  The values compare equal to numpy's, and ``a + b`` then
+    ``/ 2`` is the arithmetic of a two-value mean, so every finite non-zero
+    result has numpy's bits.  Rows whose result is zero or not
+    finite, or whose window holds a NaN, are recomputed by ``np.median``
+    itself: only there can the sign of a zero, a NaN or a warning differ.
+    """
+    L = wins.shape[-1]
+    h = L // 2
+    p = np.partition(wins, h, axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        med = (p[..., :h].max(axis=-1) + p[..., h]) / 2 if L % 2 == 0 else p[..., h].copy()
+    redo = ~np.isfinite(med) | (med == 0)
+    nan = np.isnan(wins)
+    if nan.any():  # a whole-chunk test is a third the cost of the per-row one
+        redo |= nan.any(axis=-1)
+    if redo.any():
+        med[redo] = np.median(wins[redo], axis=-1)
+    return med
+
+
 def extract_windows(
     ds: ingest.TripDataset,
     kept: Sequence[str],
@@ -483,7 +531,7 @@ def extract_windows(
             if stat == "mean":
                 pieces.append(wins.mean(axis=-1))
             elif stat == "median":
-                pieces.append(np.median(wins, axis=-1))
+                pieces.append(_window_median(wins))
             else:
                 pieces.append(wins.std(axis=-1))
         # (chunk, d, n_stats) reshaped feature-major.

@@ -22,11 +22,20 @@ peaks near twice the channel matrix plus one block, never at the text of
 the whole log.  Errors read as if the whole file were parsed at once: a
 ragged record anywhere wins over a bad cell, and the bad cell reported is
 the first in file order.
+
+:func:`write_csv` formats rows in chunks of at most ``_WRITE_CHUNK_BYTES``
+(64 KiB) of float64 cells: each chunk becomes Python floats through one
+``tolist()``, each row one ``delimiter.join`` of float reprs, each chunk
+one ``writelines``.  A write holds some ten chunks' worth of floats and
+strings besides the labels, never the text of the whole matrix.  The
+header and each distinct label go through :mod:`csv`, so they are quoted
+exactly as a per-row ``csv.writer`` quotes them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,6 +62,14 @@ DEFAULT_LABEL_COLUMN = "Class"
 #: record): the text of one block, some 60 bytes a cell as Python strings,
 #: is all of the log it holds as text.
 _PARSE_BLOCK_CELLS = 1 << 14
+
+#: Most bytes of float64 cells that :func:`write_csv` formats at once (at
+#: least one row): as Python floats and strings one chunk takes some ten
+#: times that, never the text of the whole matrix.
+_WRITE_CHUNK_BYTES = 1 << 16
+
+#: Every character of a float's repr ("-1.5e-07", "inf", "nan").
+_FLOAT_REPR_CHARS = "0123456789.+-einfa"
 
 
 def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -169,12 +186,38 @@ def _text_stream(target, mode: str):
 
 def write_csv(target, column_names, rows, labels, label_column, delimiter=",") -> None:
     """Write a header and one line per row with its label last; numeric
-    cells use repr so that a load/save round trip is bit-exact."""
+    cells use repr so that a load/save round trip is bit-exact.
+
+    The header and labels are quoted by :mod:`csv`; float cells never need
+    quoting, so a delimiter that can occur in a float's repr raises
+    :class:`DriverIdError`.
+    """
+    if len(delimiter) == 1 and delimiter in _FLOAT_REPR_CHARS:
+        raise DriverIdError(f"delimiter {delimiter!r} can occur in a number's repr")
+    labels = tuple(labels)
+    n = min(len(rows), len(labels))
+    n_cols = len(column_names)
     with _text_stream(target, "w") as stream:
         writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
         writer.writerow([*column_names, label_column])
-        for row, label in zip(rows, labels):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+        # Each distinct label's csv-quoted line tail, made once: the row
+        # ["", label] is exactly the delimiter and the label as csv writes
+        # them after other cells (a lone [label] when there are no cells).
+        tails = {}
+        for label in dict.fromkeys(labels[:n]):
+            line = io.StringIO()
+            csv.writer(line, delimiter=delimiter, lineterminator="\n").writerow(
+                ["", label] if n_cols else [label]
+            )
+            tails[label] = line.getvalue()
+        join = delimiter.join
+        chunk = max(1, _WRITE_CHUNK_BYTES // (8 * max(1, n_cols)))
+        for lo in range(0, n, chunk):
+            block = np.asarray(rows[lo : lo + chunk], dtype=np.float64).tolist()
+            stream.writelines(
+                [join(map(repr, row)) + tails[label]
+                 for row, label in zip(block, labels[lo : lo + chunk])]
+            )
 
 
 def load_dataset(

@@ -132,13 +132,12 @@ def prepare_matrix(config: RunConfig):
     return ds, selection, matrix, n_dropped
 
 
-def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
-    """Cross-validate each of ``config.kinds`` on ``matrix``, in that order.
+def cv_plan(config: RunConfig) -> evaluate.CvPlan:
+    """The cross-validation plan of ``config``, after checking its model side.
 
-    The folds and their normalizers are built once and shared by every kind.
-    Returns ``({kind: MetricsReport}, comparison)``; ``comparison`` ranks them
-    against ZeroR, or is None without a ``zeror`` run.  Unknown kinds and
-    ``model_configs`` for kinds that do not run raise DriverIdError up front.
+    Unknown kinds, ``model_configs`` for kinds that do not run, a bad
+    normalize policy and a bad plan raise DriverIdError, so a run can fail
+    before its data half.
     """
     unknown = [kind for kind in config.kinds if kind not in models.KINDS]
     if unknown:
@@ -146,12 +145,24 @@ def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
     stray = sorted(set(config.model_configs) - set(config.kinds))
     if stray:
         raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
-    plan = evaluate.CvPlan(
+    evaluate.check_normalize(config.normalize)
+    return evaluate.CvPlan(
         folds=config.folds,
         stratified=config.stratified,
         seed=config.seed,
         split_mode=config.split_mode,
     )
+
+
+def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
+    """Cross-validate each of ``config.kinds`` on ``matrix``, in that order.
+
+    The folds and their normalizers are built once and shared by every kind.
+    Returns ``({kind: MetricsReport}, comparison)``; ``comparison`` ranks them
+    against ZeroR, or is None without a ``zeror`` run.  A config that
+    :func:`cv_plan` rejects raises DriverIdError up front.
+    """
+    plan = cv_plan(config)
     folds = evaluate.Folds.build(matrix, plan, config.normalize)
     # One kind at a time, so only one kind's normalized fold copies are alive.
     results = {
@@ -193,6 +204,7 @@ def run_pipeline(config: RunConfig) -> dict:
     ``config.out_dir`` set, the bundle is also written to
     ``<out_dir>/report.json``.
     """
+    cv_plan(config)  # a bad model or CV option fails before the data half
     ds, selection, matrix, n_dropped = prepare_matrix(config)
     results, comparison = cross_validate_kinds(config, matrix)
     bundle = {

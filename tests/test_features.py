@@ -1,6 +1,7 @@
 """Feature selection, normalization, sliding-window extraction."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,165 @@ def test_extract_windows_peak_memory_is_output_plus_a_few_chunks():
     )
     assert len(matrix) == 8_000
     assert peak < 2 * matrix.features.nbytes + 4 * features._WINDOW_CHUNK_BYTES
+
+
+ADVERSARIAL_VALUES = {
+    "signed zeros": (0.0, -0.0, 1.0, -1.0, 2.5),
+    "non-finite": (0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan),
+    "overflowing": (1.7e308, -1.7e308, 1e308, 0.0, -0.0),
+    "mostly zero": (0.0, -0.0, 0.0, -0.0, 0.0, 5e-324),
+}
+
+
+def _median_and_warnings(fn, wins):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(wins)
+    return result, sorted({(w.category.__name__, str(w.message)) for w in caught})
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 59, 60, 61])
+@pytest.mark.parametrize("values", list(ADVERSARIAL_VALUES))
+def test_window_median_is_numpys_median_bit_for_bit(length, values):
+    rng = np.random.default_rng(length)
+    pool = np.asarray(ADVERSARIAL_VALUES[values])
+    for batch in range(50):
+        shape = [(6, 3, length), (5, length), (1, 1, length)][batch % 3]
+        wins = rng.choice(pool, size=shape)
+        got, got_warnings = _median_and_warnings(features._window_median, wins)
+        want, want_warnings = _median_and_warnings(lambda w: np.median(w, axis=-1), wins)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("length", [2, 3, 60, 61])
+def test_window_median_of_finite_windows_raises_no_warning(length):
+    rng = np.random.default_rng(length)
+    wins = rng.normal(size=(40, 5, length)) * 10.0 ** rng.integers(-300, 300, size=(40, 5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = features._window_median(wins)
+    assert np.array_equal(got.view(np.int64), np.median(wins, axis=-1).view(np.int64))
+
+
+@pytest.mark.parametrize("windows_per_chunk", [1, 2, 7])
+def test_window_chunks_with_signed_zeros_match_the_default_chunk(monkeypatch, windows_per_chunk):
+    # Zero medians are recomputed by np.median on a chunk's rows; the sign
+    # it picks must not depend on which rows share the chunk.
+    rng = np.random.default_rng(12)
+    n, d = 90, 3
+    ds = ingest.TripDataset(
+        column_names=("a", "b", "c"),
+        channels=rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(n, d)),
+        labels=("A",) * 40 + ("B",) * 50,
+        label_alphabet=("A", "B"),
+    )
+    for length in (4, 5):
+        spec = WindowSpec(length=length, stride=1)
+        want, _ = extract_windows(ds, ds.column_names, spec)
+        window_bytes = d * length * 8
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "_WINDOW_CHUNK_BYTES", windows_per_chunk * window_bytes)
+            got, _ = extract_windows(ds, ds.column_names, spec)
+        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+        starts = np.r_[0 : 41 - length, 40 : n - length + 1]  # label-uniform windows
+        wins = np.lib.stride_tricks.sliding_window_view(ds.channels, length, axis=0)[starts]
+        medians = want.features[:, 1::3]
+        assert np.array_equal(medians.view(np.int64), np.median(wins, axis=-1).view(np.int64))
+        zero_windows = wins[medians == 0]
+        assert (np.signbit(zero_windows) & (zero_windows == 0)).any()
+
+
+def _old_ranked_selection(ds, *, k=15, irrelevance_threshold=0.01, correlation_threshold=0.95):
+    """The correlation-ranked walk before the variance screen: every
+    candidate is compared with every kept column by np.array_equal."""
+    X, names = ds.channels, ds.column_names
+    variances = X.var(axis=0)
+    z = X - X.mean(axis=0)
+    scores = features._label_correlation_scores(z, np.sqrt(variances), ds.codes)
+    candidates = sorted((j for j in range(len(names)) if variances[j] > 0.0),
+                        key=lambda j: (-scores[j], j))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z /= np.where(variances > 0, np.sqrt(variances), 1.0)
+    corr = (z.T @ z) / X.shape[0]
+    kept, superfluous, correlated, irrelevant = [], [], [], []
+    for j in candidates:
+        if any(np.array_equal(X[:, i], X[:, j]) for i in kept):
+            superfluous.append(names[j])
+        elif any(abs(corr[i, j]) > correlation_threshold for i in kept):
+            correlated.append(names[j])
+        elif scores[j] < irrelevance_threshold or len(kept) >= k:
+            irrelevant.append(names[j])
+        else:
+            kept.append(j)
+    return {
+        "kept": [names[j] for j in kept],
+        "discarded_homogeneous": [names[j] for j in range(len(names)) if variances[j] == 0.0],
+        "discarded_irrelevant": irrelevant,
+        "discarded_superfluous": superfluous,
+        "discarded_correlated": correlated,
+        "scores": {name: float(scores[j]) for j, name in enumerate(names)},
+        "metadata": {
+            "mode": "correlation-ranked",
+            "k": k,
+            "irrelevance_threshold": irrelevance_threshold,
+            "correlation_threshold": correlation_threshold,
+        },
+    }
+
+
+def _copies_log(seed):
+    """Columns with exact copies, near copies, reversals (equal variance,
+    not equal) and copies equal only up to the sign of their zeros."""
+    rng = np.random.default_rng(seed)
+    n = 256  # small integers over a power of two: exact means and variances
+    driver = np.arange(n) * 3 // n
+    labels = tuple("ABC"[c] for c in driver)
+    steps = (driver + rng.integers(0, 4, size=n)).astype(np.float64)
+    signal = np.array([0.0, 1.0, 3.0])[driver] + rng.normal(0, 0.5, size=n)
+    noise = rng.normal(size=n)
+    zeros = np.where(rng.random(n) < 0.5, 0.0, signal)
+    cols = {
+        "signal": signal,
+        "signal_copy": signal.copy(),
+        "signal_near": signal + 1e-12,
+        "signal_reversed": signal[::-1].copy(),
+        "steps": steps,
+        "steps_reversed": steps[::-1].copy(),
+        "noise": noise,
+        "noise_reversed": noise[::-1].copy(),
+        "noise_copy": noise.copy(),
+        "zeros": zeros,
+        "zeros_negated_zeros": np.where(zeros == 0, -0.0, zeros),
+        "flat": np.full(n, 2.0),
+    }
+    names = tuple(cols)
+    return names, np.column_stack([cols[c] for c in names]), labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layout", ["C", "Fortran", "sliced"])
+@pytest.mark.parametrize("correlation_threshold", [0.95, 2.0])
+def test_variance_screen_keeps_every_selection_report(seed, layout, correlation_threshold):
+    names, rows, labels = _copies_log(seed)
+    if layout == "Fortran":
+        rows = np.asfortranarray(rows)
+    elif layout == "sliced":
+        wide = np.zeros((rows.shape[0], 2 * rows.shape[1]))
+        wide[:, ::2] = rows
+        rows = wide[:, ::2]
+    ds = ingest.TripDataset(names, rows, labels, ("A", "B", "C"))
+    got = select_features(ds, "correlation-ranked", k=8,
+                          correlation_threshold=correlation_threshold).to_dict()
+    want = _old_ranked_selection(ds, k=8, correlation_threshold=correlation_threshold)
+    assert got == want
+    variances = ds.channels.var(axis=0)
+    assert variances[names.index("steps")] == variances[names.index("steps_reversed")]
+    if correlation_threshold > 1:  # nothing is shadowed: copies are found by equality
+        assert sorted(got["discarded_superfluous"]) == [
+            "noise_copy", "signal_copy", "zeros_negated_zeros"]
+        assert {"steps", "steps_reversed"} <= set(got["kept"])
 
 
 # -- FeatureMatrix / column_stats ---------------------------------------------

@@ -1,5 +1,6 @@
 """Trip-log ingestion: parsing, validation, label handling."""
 
+import csv
 import io
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from driverid import ingest
+from driverid.features import FeatureMatrix
 from driverid.errors import (
     DriverIdError,
     EmptyDataset,
@@ -304,3 +306,92 @@ def test_grouped_layout_from_helper(tmp_path):
     path = write_trip_csv(str(tmp_path / "t.csv"), labels=("X", "Y"), rows_per_label=5)
     ds = ingest.load_dataset(path)
     assert ds.labels == ("X",) * 5 + ("Y",) * 5
+
+
+# -- chunked CSV write -------------------------------------------------------
+
+def _per_row_write_csv(column_names, rows, labels, label_column, delimiter=","):
+    """The writer before chunking: one csv.writer row of repr cells per row."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+    writer.writerow([*column_names, label_column])
+    for row, label in zip(rows, labels):
+        writer.writerow([repr(float(v)) for v in row] + [label])
+    return stream.getvalue()
+
+
+def _chunked_write_csv(column_names, rows, labels, label_column, delimiter=","):
+    stream = io.StringIO()
+    ingest.write_csv(stream, column_names, rows, labels, label_column, delimiter)
+    return stream.getvalue()
+
+
+AWKWARD_LABELS = ("", "a,b", 'say "hi"', "x\ny", " lead", "a;b", "a\tb")
+AWKWARD_CELLS = (-0.0, 5e-324, 1e16, 1e-05, 9.999999999999999e15, float("inf"), float("nan"))
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+def test_chunked_write_matches_the_per_row_writer(tmp_path, delimiter):
+    names = ("plain", "with,comma", "with;semicolon", "with\ttab")
+    n = len(AWKWARD_LABELS) * 3
+    rows = np.resize(np.asarray(AWKWARD_CELLS), (n, len(names)))
+    labels = [AWKWARD_LABELS[i % len(AWKWARD_LABELS)] for i in range(n)]
+    alphabet = tuple(sorted(set(labels)))
+    ds = ingest.TripDataset(names, rows, tuple(labels), alphabet, label_column='the "class"')
+    path = tmp_path / "trip.csv"
+    ds.to_csv(path, delimiter=delimiter)
+    want = _per_row_write_csv(names, rows, labels, 'the "class"', delimiter)
+    assert path.read_bytes() == want.encode("utf-8")
+    assert _chunked_write_csv(names, rows, labels, 'the "class"', delimiter) == want
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+@pytest.mark.parametrize("n_cols", [0, 1, 3])
+def test_chunked_write_of_few_rows_or_no_columns(n_rows, n_cols):
+    rows = np.arange(n_rows * n_cols, dtype=np.float64).reshape(n_rows, n_cols) - 0.5
+    labels = [""] * n_rows  # a lone empty field is written as ""
+    args = (tuple(f"c{j}" for j in range(n_cols)), rows, labels, "Class")
+    assert _chunked_write_csv(*args) == _per_row_write_csv(*args)
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_chunked_write_across_a_chunk_boundary(monkeypatch, extra_rows):
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK_BYTES", 4 * 3 * 8)  # four rows of three cells
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(4 + extra_rows, 3)) * 10.0 ** rng.integers(-20, 20, size=(1, 3))
+    labels = ["B", "a,b", "A", "B", "A"][: len(rows)]
+    args = (("x", "y", "z"), rows, labels, "Class")
+    assert _chunked_write_csv(*args) == _per_row_write_csv(*args)
+
+
+def test_chunked_write_of_float32_cells():
+    rows = np.random.default_rng(5).normal(size=(7, 2)).astype(np.float32)
+    args = (("x", "y"), rows, ["A"] * 7, "Class")
+    assert _chunked_write_csv(*args) == _per_row_write_csv(*args)
+
+
+@pytest.mark.parametrize("delimiter", list("0123456789.+-einfa"))
+def test_delimiters_that_can_occur_in_a_number_are_rejected(delimiter):
+    with pytest.raises(DriverIdError, match="delimiter"):
+        _chunked_write_csv(("x",), np.ones((1, 1)), ["A"], "Class", delimiter)
+
+
+def test_chunked_write_peak_memory_is_a_few_chunks_plus_the_labels():
+    # Formatting all 20,000 rows at once holds some 49 MB of Python floats
+    # and strings, thirty times this bound.
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+        def writelines(self, lines):
+            pass
+
+    n, d = 20_000, 45
+    matrix = FeatureMatrix.from_arrays(
+        [f"c{j}" for j in range(d)],
+        np.random.default_rng(9).normal(size=(n, d)),
+        ["ABCDEFGHIJ"[i * 10 // n] for i in range(n)],
+    )
+    _, peak = traced_peak(lambda: matrix.to_csv(Sink()))
+    decoded_labels = 3 * 8 * n  # object array, list and tuple of the labels
+    assert peak < 16 * ingest._WRITE_CHUNK_BYTES + decoded_labels

@@ -135,6 +135,33 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     assert fitted == []
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"folds": 2.5}, "folds"),
+    ({"seed": 1.5}, "seed"),
+    ({"folds": True}, "folds"),
+    ({"split_mode": "bogus"}, "split_mode"),
+    ({"normalize": "bogus"}, "normalize"),
+    ({"kinds": ("zeror", "bogus")}, "bogus"),
+    ({"model_configs": {"logreg": {}}}, "logreg"),
+])
+def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
+                                                            overrides, named):
+    calls = []
+    prepare_matrix = pipeline.prepare_matrix
+
+    def counted(config):
+        calls.append(config)
+        return prepare_matrix(config)
+
+    monkeypatch.setattr(pipeline, "prepare_matrix", counted)
+    config = pipeline.preset_config(
+        "table7", surrogate_csv, window_length=20, window_stride=10, **overrides
+    )
+    with pytest.raises(DriverIdError, match=named):
+        pipeline.run_pipeline(config)
+    assert calls == []
+
+
 @pytest.mark.parametrize("normalize, fits", [("train", 4), ("all", 1), ("none", 0)])
 def test_folds_and_normalizers_are_built_once_per_run(monkeypatch, normalize, fits):
     calls = {"fold_assignments": 0, "fit_normalizer": 0}
