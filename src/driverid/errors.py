@@ -42,10 +42,6 @@ class UnknownLabel(DriverIdError, LookupError):
     """A requested class label is not in the dataset's alphabet."""
 
 
-class SchemaMismatch(DriverIdError, ValueError):
-    """An explicit column-name schema does not match the file header."""
-
-
 # --- feature preparation ---
 
 class UnknownFeatureName(DriverIdError, LookupError):

@@ -436,16 +436,12 @@ class FeatureMatrix:
         )
 
     @classmethod
-    def from_csv(cls, source, *, label_column: str = "Class", delimiter: str = ",") -> "FeatureMatrix":
-        ds = ingest.load_dataset(
-            source, label_column=label_column, exclude_columns=(), delimiter=delimiter
-        )
+    def from_csv(cls, source, *, label_column: str = "Class") -> "FeatureMatrix":
+        ds = ingest.load_dataset(source, label_column=label_column, exclude_columns=())
         return cls(ds.column_names, ds.channels, ds.label_alphabet, ds.codes)
 
-    def to_csv(self, target, *, label_column: str = "Class", delimiter: str = ",") -> None:
-        ingest.write_csv(
-            target, self.column_names, self.features, self.labels, label_column, delimiter
-        )
+    def to_csv(self, target, *, label_column: str = "Class") -> None:
+        ingest.write_csv(target, self.column_names, self.features, self.labels, label_column)
 
 
 def window_count(n_samples: int, length: int, stride: int) -> int:

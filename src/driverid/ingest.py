@@ -1,6 +1,6 @@
 """Trip-log ingestion.
 
-Loads delimiter-separated telemetry logs (header row + one record per line,
+Loads comma-separated telemetry logs (header row + one record per line,
 one label column naming the driver) into an immutable :class:`TripDataset`
 whose channels form an (N, d) float64 matrix in original file order.  Order
 is preserved because downstream windowing treats the rows as a time series.
@@ -25,7 +25,7 @@ the first in file order.
 
 :func:`write_csv` formats rows in chunks of at most ``_WRITE_CHUNK_BYTES``
 (64 KiB) of float64 cells: each chunk becomes Python floats through one
-``tolist()``, each row one ``delimiter.join`` of float reprs, each chunk
+``tolist()``, each row one ``",".join`` of float reprs, each chunk
 one ``writelines``.  A write holds some ten chunks' worth of floats and
 strings besides the labels, never the text of the whole matrix.  The
 header and each distinct label go through :mod:`csv`, so they are quoted
@@ -48,7 +48,6 @@ from .errors import (
     MissingLabelColumn,
     NonNumericCell,
     RaggedRow,
-    SchemaMismatch,
     UnknownLabel,
 )
 
@@ -67,9 +66,6 @@ _PARSE_BLOCK_CELLS = 1 << 14
 #: least one row): as Python floats and strings one chunk takes some ten
 #: times that, never the text of the whole matrix.
 _WRITE_CHUNK_BYTES = 1 << 16
-
-#: Every character of a float's repr ("-1.5e-07", "inf", "nan").
-_FLOAT_REPR_CHARS = "0123456789.+-einfa"
 
 
 def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -165,12 +161,6 @@ class TripDataset:
         except ValueError:
             raise DriverIdError(f"no column named {name!r}") from None
 
-    def to_csv(self, target, delimiter: str = ",") -> None:
-        """Write the dataset back out (see :func:`write_csv`)."""
-        write_csv(
-            target, self.column_names, self.channels, self.labels, self.label_column, delimiter
-        )
-
 
 @contextmanager
 def _text_stream(target, mode: str):
@@ -184,33 +174,28 @@ def _text_stream(target, mode: str):
         yield target
 
 
-def write_csv(target, column_names, rows, labels, label_column, delimiter=",") -> None:
+def write_csv(target, column_names, rows, labels, label_column) -> None:
     """Write a header and one line per row with its label last; numeric
     cells use repr so that a load/save round trip is bit-exact.
 
     The header and labels are quoted by :mod:`csv`; float cells never need
-    quoting, so a delimiter that can occur in a float's repr raises
-    :class:`DriverIdError`.
+    quoting.
     """
-    if len(delimiter) == 1 and delimiter in _FLOAT_REPR_CHARS:
-        raise DriverIdError(f"delimiter {delimiter!r} can occur in a number's repr")
     labels = tuple(labels)
     n = min(len(rows), len(labels))
     n_cols = len(column_names)
     with _text_stream(target, "w") as stream:
-        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([*column_names, label_column])
         # Each distinct label's csv-quoted line tail, made once: the row
-        # ["", label] is exactly the delimiter and the label as csv writes
+        # ["", label] is exactly the comma and the label as csv writes
         # them after other cells (a lone [label] when there are no cells).
         tails = {}
         for label in dict.fromkeys(labels[:n]):
             line = io.StringIO()
-            csv.writer(line, delimiter=delimiter, lineterminator="\n").writerow(
-                ["", label] if n_cols else [label]
-            )
+            csv.writer(line, lineterminator="\n").writerow(["", label] if n_cols else [label])
             tails[label] = line.getvalue()
-        join = delimiter.join
+        join = ",".join
         chunk = max(1, _WRITE_CHUNK_BYTES // (8 * max(1, n_cols)))
         for lo in range(0, n, chunk):
             block = np.asarray(rows[lo : lo + chunk], dtype=np.float64).tolist()
@@ -222,17 +207,14 @@ def write_csv(target, column_names, rows, labels, label_column, delimiter=",") -
 
 def load_dataset(
     source,
-    schema: Sequence[str] | str = "infer",
     *,
     label_column: str = DEFAULT_LABEL_COLUMN,
     exclude_columns: Sequence[str] = DEFAULT_EXCLUDE_COLUMNS,
-    delimiter: str = ",",
 ) -> TripDataset:
     """Load a trip log from a path or text stream.
 
-    ``schema`` is either ``"infer"`` (accept whatever channel columns the
-    header declares) or the exact sequence of channel names expected after
-    label/exclusion removal, enforced with :class:`SchemaMismatch`.
+    The channel columns are those the header declares, less the label
+    column and ``exclude_columns``.
 
     Raises :class:`MissingLabelColumn`, :class:`RaggedRow` (with 1-based line
     number), :class:`NonNumericCell` (line and column; empty and non-finite
@@ -240,7 +222,7 @@ def load_dataset(
     :class:`EmptyDataset` for a header-only file.
     """
     with _text_stream(source, "r") as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
+        reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise EmptyDataset("source contains no header row")
@@ -253,12 +235,6 @@ def load_dataset(
         drop = set(exclude_columns) | {label_column}
         channel_at = [i for i, name in enumerate(header) if name not in drop]
         column_names = tuple(header[i] for i in channel_at)
-        if schema != "infer":
-            expected = tuple(schema)
-            if column_names != expected:
-                raise SchemaMismatch(
-                    f"channel columns {list(column_names)} != expected {list(expected)}"
-                )
 
         labels: list[str] = []
         blocks: list[np.ndarray] = []

@@ -7,10 +7,20 @@ label strings, or integer codes into a sorted ``classes``; both fit the same
 model, whose ``classes_`` are the labels present.  Ties — equal votes, equal
 posteriors, equal scores — always resolve to the lowest class in the sorted
 alphabet, which `np.argmax` delivers for free by returning the first maximum.
+
+A model document (``to_dict``) holds the ``kind``, the ``classes``, the
+``n_features`` and two maps.  ``config`` has every constructor parameter,
+read back from the attribute of the same name, so ``cls(**config)`` builds
+the same unfitted model.  ``params`` has the fitted state: by default each
+attribute a class lists in ``fitted``.  Three kinds write their own
+``params``: k-NN (the training rows and label codes, from which it rebuilds
+its distance caches), AdaBoost (its stumps and stage weights) and the
+majority vote (each member's own document).
 """
 
 from __future__ import annotations
 
+import inspect
 import numbers
 
 import numpy as np
@@ -117,21 +127,27 @@ class Classifier:
 
     # -- serialization ----------------------------------------------------
 
-    def _config_dict(self) -> dict:
-        return {}
+    #: Fitted state saved under "params": attribute → dtype.  Each value is
+    #: stored under the attribute's name without its trailing ``_``, as
+    #: ``tolist()`` writes it, and loads back through ``np.asarray(value,
+    #: dtype)``; an ``int`` entry is a scalar and loads as a Python int.
+    fitted: dict = {}
 
     def _params_dict(self) -> dict:
-        raise NotImplementedError
+        return {name[:-1]: np.asarray(getattr(self, name)).tolist() for name in self.fitted}
 
     def _load_params(self, params: dict) -> None:
-        raise NotImplementedError
+        for name, dtype in self.fitted.items():
+            value = np.asarray(params[name[:-1]], dtype)
+            setattr(self, name, value.item() if dtype is int else value)
 
     def to_dict(self) -> dict:
+        options = inspect.signature(type(self)).parameters
         return {
             "kind": self.kind,
             "classes": list(self.classes_),
             "n_features": self.n_features_,
-            "config": self._config_dict(),
+            "config": {name: getattr(self, name) for name in options},
             "params": self._params_dict(),
         }
 

@@ -16,6 +16,7 @@ class ZeroR(Classifier):
 
     kind = "zeror"
     requires_multiclass = False
+    fitted = {"priors_": np.float64, "majority_": int}
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         counts = np.bincount(y_idx, minlength=len(self.classes_))
@@ -24,13 +25,3 @@ class ZeroR(Classifier):
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))
-
-    def _params_dict(self) -> dict:
-        return {
-            "priors": [float(p) for p in self.priors_],
-            "majority": self.majority_,
-        }
-
-    def _load_params(self, params: dict) -> None:
-        self.priors_ = np.asarray(params["priors"], dtype=np.float64)
-        self.majority_ = int(params["majority"])

@@ -222,9 +222,6 @@ class AdaBoost(Classifier):
         scores = self._stage_scores(X)
         return scores / scores.sum(axis=1, keepdims=True)
 
-    def _config_dict(self) -> dict:
-        return {"rounds": self.rounds}
-
     def _params_dict(self) -> dict:
         return {
             "stumps": [s.to_dict() for s in self.stumps_],
@@ -256,12 +253,12 @@ class MajorityVote(Classifier):
                 specs.append((str(kind), dict(config)))
         if not specs:
             raise ValueError("at least one member is required")
-        self.member_specs = tuple(specs)
+        self.members = tuple(specs)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         from . import make  # deferred: the registry imports this module
 
-        self.members_ = [make(k, c).fit(X, y_idx, classes=self.classes_) for k, c in self.member_specs]
+        self.members_ = [make(k, c).fit(X, y_idx, classes=self.classes_) for k, c in self.members]
 
     def _vote_counts(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))
@@ -276,9 +273,6 @@ class MajorityVote(Classifier):
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return self._vote_counts(X) / len(self.members_)
-
-    def _config_dict(self) -> dict:
-        return {"members": [[kind, config] for kind, config in self.member_specs]}
 
     def _params_dict(self) -> dict:
         return {"members": [m.to_dict() for m in self.members_]}

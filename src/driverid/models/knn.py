@@ -81,9 +81,6 @@ class KNearestNeighbors(Classifier):
         counts = self._vote_counts(X)
         return counts / counts.sum(axis=1, keepdims=True)
 
-    def _config_dict(self) -> dict:
-        return {"k": self.k}
-
     def _params_dict(self) -> dict:
         return {
             "train": [[float(v) for v in row] for row in self.X_],

@@ -84,6 +84,7 @@ class LogisticRegression(Classifier):
     """
 
     kind = "logreg"
+    fitted = {"weights_": np.float64}
 
     def __init__(self, max_epochs: int = 1000, tol: float = 1e-8, l2: float = 0.0):
         if not tol >= 0:
@@ -143,12 +144,3 @@ class LogisticRegression(Classifier):
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self._logits(X), axis=1)
-
-    def _config_dict(self) -> dict:
-        return {"max_epochs": self.max_epochs, "tol": self.tol, "l2": self.l2}
-
-    def _params_dict(self) -> dict:
-        return {"weights": [[float(v) for v in row] for row in self.weights_]}
-
-    def _load_params(self, params: dict) -> None:
-        self.weights_ = np.asarray(params["weights"], dtype=np.float64)

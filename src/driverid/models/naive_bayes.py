@@ -14,6 +14,7 @@ from .base import Classifier, logsumexp, softmax
 
 class GaussianNaiveBayes(Classifier):
     kind = "naive_bayes"
+    fitted = {"theta_": np.float64, "var_": np.float64, "log_priors_": np.float64}
 
     def __init__(self, var_floor: float = 1e-9):
         if var_floor <= 0:
@@ -46,18 +47,3 @@ class GaussianNaiveBayes(Classifier):
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self._joint_log_likelihood(X), axis=1)
-
-    def _config_dict(self) -> dict:
-        return {"var_floor": self.var_floor}
-
-    def _params_dict(self) -> dict:
-        return {
-            "theta": [[float(v) for v in row] for row in self.theta_],
-            "var": [[float(v) for v in row] for row in self.var_],
-            "log_priors": [float(v) for v in self.log_priors_],
-        }
-
-    def _load_params(self, params: dict) -> None:
-        self.theta_ = np.asarray(params["theta"], dtype=np.float64)
-        self.var_ = np.asarray(params["var"], dtype=np.float64)
-        self.log_priors_ = np.asarray(params["log_priors"], dtype=np.float64)

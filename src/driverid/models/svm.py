@@ -41,6 +41,7 @@ class LinearSvm(Classifier):
     """
 
     kind = "svm"
+    fitted = {"weights_": np.float64}
 
     def __init__(self, lam: float = 1e-4, epochs: int = 20, seed: int = 1, batch_size: int = 64):
         if lam <= 0:
@@ -87,17 +88,3 @@ class LinearSvm(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         # softmax-calibrated margins; ordering matches predict
         return softmax(self._margins(X), axis=1)
-
-    def _config_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-        }
-
-    def _params_dict(self) -> dict:
-        return {"weights": [[float(v) for v in row] for row in self.weights_]}
-
-    def _load_params(self, params: dict) -> None:
-        self.weights_ = np.asarray(params["weights"], dtype=np.float64)

@@ -71,6 +71,14 @@ class RepTree(Classifier):
     """Information-gain decision tree + reduced-error pruning."""
 
     kind = "reptree"
+    fitted = {
+        "feature_": np.intp,
+        "threshold_": np.float64,
+        "left_": np.intp,
+        "right_": np.intp,
+        "counts_": np.int64,
+        "depth_": int,
+    }
 
     def __init__(
         self,
@@ -296,7 +304,6 @@ class RepTree(Classifier):
             [remap[int(s)] if f != _LEAF else _LEAF for f, s in zip(self.feature_, self.right_[take])],
             dtype=np.intp,
         )
-        self.pred_ = np.argmax(self.counts_, axis=1)
         self.depth_ = max(depths)
 
     # -- inference ----------------------------------------------------------
@@ -322,39 +329,3 @@ class RepTree(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         counts = self.counts_[self._leaf_of(X)].astype(np.float64)
         return counts / counts.sum(axis=1, keepdims=True)
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        # counts argmax ties can differ from the stored majority rule only
-        # when proportions tie as well; route through pred_ for consistency.
-        onehot = np.zeros((X.shape[0], len(self.classes_)))
-        onehot[np.arange(X.shape[0]), self.pred_[self._leaf_of(X)]] = 1.0
-        return onehot
-
-    # -- serialization -------------------------------------------------------
-
-    def _config_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_leaf_count": self.min_leaf_count,
-            "pruning_fraction": self.pruning_fraction,
-            "seed": self.seed,
-        }
-
-    def _params_dict(self) -> dict:
-        return {
-            "feature": [int(v) for v in self.feature_],
-            "threshold": [float(v) for v in self.threshold_],
-            "left": [int(v) for v in self.left_],
-            "right": [int(v) for v in self.right_],
-            "counts": [[int(v) for v in row] for row in self.counts_],
-            "depth": int(self.depth_),
-        }
-
-    def _load_params(self, params: dict) -> None:
-        self.feature_ = np.asarray(params["feature"], dtype=np.intp)
-        self.threshold_ = np.asarray(params["threshold"], dtype=np.float64)
-        self.left_ = np.asarray(params["left"], dtype=np.intp)
-        self.right_ = np.asarray(params["right"], dtype=np.intp)
-        self.counts_ = np.asarray(params["counts"], dtype=np.int64)
-        self.pred_ = np.argmax(self.counts_, axis=1)
-        self.depth_ = int(params["depth"])

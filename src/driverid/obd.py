@@ -14,6 +14,7 @@ single number.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from importlib import resources
@@ -194,24 +195,21 @@ def _check_range(desc: PidDescriptor) -> None:
         )
 
 
-_default_registry: dict[tuple[int, int], PidDescriptor] | None = None
+@functools.cache
+def _packaged_registry() -> dict[tuple[int, int], PidDescriptor]:
+    """The packaged PID registry, loaded on first use; shared, so read only."""
+    return load_registry()
 
 
 def registry() -> dict[tuple[int, int], PidDescriptor]:
     """The packaged PID registry, loaded once. Returns a copy."""
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = load_registry()
-    return dict(_default_registry)
+    return dict(_packaged_registry())
 
 
 def lookup(service: int, pid: int, table: Mapping[tuple[int, int], PidDescriptor] | None = None) -> PidDescriptor:
     """Descriptor for (service, pid), raising UnknownPid when absent."""
     if table is None:
-        global _default_registry
-        if _default_registry is None:
-            _default_registry = load_registry()
-        table = _default_registry
+        table = _packaged_registry()
     try:
         return table[service, pid]
     except KeyError:

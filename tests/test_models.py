@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def test_serialization_round_trip(kind, tmp_path):
     assert type(again) is type(model)
     assert again.predict(X[:25]) == model.predict(X[:25])
     np.testing.assert_allclose(again.predict_proba(X[:25]), model.predict_proba(X[:25]))
+    for name in type(model).fitted:
+        fitted, loaded = getattr(model, name), getattr(again, name)
+        assert type(loaded) is type(fitted)
+        assert np.asarray(loaded).dtype == np.asarray(fitted).dtype
+        assert np.array_equal(loaded, fitted)
+
+
+GOLDEN_MODELS = Path(__file__).parent / "data" / "models"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_saved_model_files_load_and_save_back_unchanged(kind):
+    # One model of each kind fitted on tiny three-class blobs; the labels
+    # each predicts for the queries are recorded beside them.
+    text = (GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8")
+    model = models.load_model(io.StringIO(text))
+    buf = io.StringIO()
+    models.save_model(model, buf)
+    assert buf.getvalue() == text
+    recorded = json.loads((GOLDEN_MODELS / "predictions.json").read_text(encoding="utf-8"))
+    assert model.predict(np.asarray(recorded["queries"])) == recorded["labels"][kind]
 
 
 def test_load_model_rejects_malformed_files():
@@ -90,9 +112,14 @@ def test_load_model_rejects_malformed_files():
     no_params = {k: v for k, v in logreg.items() if k != "params"}
     bad_member = json.loads(json.dumps(vote))
     bad_member["params"]["members"][1]["kind"] = "perceptron"
+    weights = logreg["params"]["weights"]
+    no_weights = {**logreg, "params": {}}
+    ragged = {**logreg, "params": {"weights": [weights[0], weights[1][:-1]]}}
+    string_cell = {**logreg, "params": {"weights": [["x", *weights[0][1:]], *weights[1:]]}}
     models.load_model(io.StringIO(json.dumps(logreg)))  # the intact payload loads
     for text in ("not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
-                 json.dumps(bad_member)):
+                 json.dumps(bad_member), json.dumps(no_weights), json.dumps(ragged),
+                 json.dumps(string_cell)):
         with pytest.raises(DriverIdError):
             models.load_model(io.StringIO(text))
 
@@ -181,7 +208,7 @@ def test_count_options_take_whole_numbers_only(kind, option, minimum):
         with pytest.raises(DriverIdError, match=option):
             models.make(kind, {option: bad})
     for good in (minimum, minimum + 2, np.int64(minimum + 2), float(minimum + 2)):
-        value = models.make(kind, {option: good})._config_dict()[option]
+        value = getattr(models.make(kind, {option: good}), option)
         assert type(value) is int and value == good
 
 
