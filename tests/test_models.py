@@ -91,14 +91,17 @@ GOLDEN_MODELS = Path(__file__).parent / "data" / "models"
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_saved_model_files_load_and_save_back_unchanged(kind):
     # One model of each kind fitted on tiny three-class blobs; the labels
-    # each predicts for the queries are recorded beside them.
+    # and probabilities each predicts for the queries are recorded beside
+    # them, the probabilities as repr floats, so they must match bit for bit.
     text = (GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8")
     model = models.load_model(io.StringIO(text))
     buf = io.StringIO()
     models.save_model(model, buf)
     assert buf.getvalue() == text
     recorded = json.loads((GOLDEN_MODELS / "predictions.json").read_text(encoding="utf-8"))
-    assert model.predict(np.asarray(recorded["queries"])) == recorded["labels"][kind]
+    queries = np.asarray(recorded["queries"])
+    assert model.predict(queries) == recorded["labels"][kind]
+    assert np.array_equal(model.predict_proba(queries), np.asarray(recorded["proba"][kind]))
 
 
 def test_load_model_rejects_malformed_files():
