@@ -34,7 +34,7 @@ def main():
     print("fuel system detail:", status.value)
 
     # The registry is data-driven; list what this build knows how to decode.
-    table = obd.registry()
+    table = obd.load_registry()
     print()
     print(f"{len(table)} PIDs in the registry:")
     for (service, pid), spec in sorted(table.items()):

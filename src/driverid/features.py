@@ -173,6 +173,10 @@ def _label_correlation_scores(
     return np.abs(r) @ priors
 
 
+#: Channel selection modes of :func:`select_features`.
+SELECTION_MODES = ("fixed-list", "correlation-ranked")
+
+
 def select_features(
     ds: ingest.TripDataset,
     mode: str = "fixed-list",
@@ -196,6 +200,8 @@ def select_features(
     (threshold ``correlation_threshold``) an already-kept column and whose
     score clears ``irrelevance_threshold``.
     """
+    if mode not in SELECTION_MODES:
+        raise DriverIdError(f"unknown selection mode {mode!r}; choose from {SELECTION_MODES}")
     X = ds.channels
     names = ds.column_names
 
@@ -218,9 +224,6 @@ def select_features(
             scores={},
             metadata={"mode": mode, "requested": list(wanted)},
         )
-
-    if mode != "correlation-ranked":
-        raise DriverIdError(f"unknown selection mode {mode!r}")
 
     # One variance pass and one centred copy serve the scores and then,
     # scaled in place, the redundancy checks (np.std is np.sqrt of np.var).

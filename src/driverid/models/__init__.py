@@ -91,7 +91,7 @@ def load_model(source) -> Classifier:
         return KINDS[kind].from_dict(payload)
     except DriverIdError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, TypeError, ValueError) as e:
         raise DriverIdError(f"malformed {kind} model file: {type(e).__name__}: {e}") from None
 
 

@@ -8,6 +8,15 @@ model, whose ``classes_`` are the labels present.  Ties — equal votes, equal
 posteriors, equal scores — always resolve to the lowest class in the sorted
 alphabet, which `np.argmax` delivers for free by returning the first maximum.
 
+A kind supplies ``_fit(X, y_idx)`` and one ``_scores(X)``: an (n, K) matrix
+of class scores, higher meaning more likely.  ``predict`` is its argmax.
+``_proba`` divides each row of scores by its sum, which suits counts and
+weights (k-NN votes, tree leaf counts, boosting stage weights, ensemble
+votes); naive Bayes, logistic regression and the SVM override it with the
+softmax of their scores, and ZeroR's scores are already its priors.
+``from_dict`` checks a loaded model: its classes must be sorted and
+distinct, and its params must score one zero row as a (1, K) matrix.
+
 A model document (``to_dict``) holds the ``kind``, the ``classes``, the
 ``n_features`` and two maps.  ``config`` has every constructor parameter,
 read back from the attribute of the same name, so ``cls(**config)`` builds
@@ -52,30 +61,6 @@ def whole_number(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def prepare_training(X, y, *, require_multiclass: bool, classes=None):
-    """Validate and canonicalize training data.
-
-    Returns ``(X, y_idx, classes)`` where ``classes`` is the sorted alphabet
-    of the labels present in ``y`` (strings, or codes into ``classes``) and
-    ``y_idx`` maps each row to its class index.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"training matrix must be 2-D, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
-    classes, y_idx = encode_labels(y) if classes is None else present_classes(classes, y)
-    if y_idx.size != X.shape[0]:
-        raise LengthMismatch(f"{y_idx.size} labels for {X.shape[0]} rows")
-    if not np.isfinite(X).all():
-        raise NonFiniteFeature("training matrix contains NaN or infinity")
-    if require_multiclass and len(classes) < 2:
-        raise SingleClassForDiscriminative(
-            f"need at least 2 classes, got {list(classes)}"
-        )
-    return X, y_idx, classes
-
-
 class Classifier:
     """Base class: validation, tie rule, prediction plumbing."""
 
@@ -86,9 +71,18 @@ class Classifier:
     n_features_: int
 
     def fit(self, X, y, classes=None) -> "Classifier":
-        X, y_idx, classes = prepare_training(
-            X, y, require_multiclass=self.requires_multiclass, classes=classes
-        )
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"training matrix must be 2-D, got shape {X.shape}")
+        if X.shape[0] == 0:
+            raise EmptyTrainingSet("no training rows")
+        classes, y_idx = encode_labels(y) if classes is None else present_classes(classes, y)
+        if y_idx.size != X.shape[0]:
+            raise LengthMismatch(f"{y_idx.size} labels for {X.shape[0]} rows")
+        if not np.isfinite(X).all():
+            raise NonFiniteFeature("training matrix contains NaN or infinity")
+        if self.requires_multiclass and len(classes) < 2:
+            raise SingleClassForDiscriminative(f"need at least 2 classes, got {list(classes)}")
         self.classes_ = classes
         self.n_features_ = X.shape[1]
         self._fit(X, y_idx)
@@ -109,14 +103,17 @@ class Classifier:
             )
         return X
 
-    # Default prediction: argmax of the class-score matrix.  Scores are in
-    # sorted-class order, so the first maximum is the lowest class.
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._proba(X)
-
-    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """(n, K) class scores in sorted-class order; higher is more likely."""
         raise NotImplementedError
 
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        # Scores that are non-negative counts or weights, as proportions.
+        s = self._scores(X)
+        return s / s.sum(axis=1, keepdims=True)
+
+    # The predicted label is the argmax of the scores; the first maximum is
+    # the lowest class.
     def predict(self, X) -> list[str]:
         X = self._check_features(X)
         return decode_labels(self.classes_, np.argmax(self._scores(X), axis=1))
@@ -158,7 +155,16 @@ class Classifier:
         model = cls(**d.get("config", {}))
         model.classes_ = tuple(d["classes"])
         model.n_features_ = int(d["n_features"])
+        if not model.classes_ or list(model.classes_) != sorted(set(model.classes_)):
+            raise DriverIdError(f"model classes must be sorted and distinct: {d['classes']!r}")
         model._load_params(d["params"])
+        # Params that do not fit the classes and width fail here, not in predict.
+        try:
+            shape = model._scores(np.zeros((1, model.n_features_))).shape
+        except (IndexError, ValueError) as e:
+            raise DriverIdError(f"{cls.kind} params do not fit the model: {e}") from None
+        if shape != (1, len(model.classes_)):
+            raise DriverIdError(f"{cls.kind} params score a row as shape {shape}, not (1, K)")
         return model
 
 

@@ -23,5 +23,8 @@ class ZeroR(Classifier):
         self.priors_ = counts / counts.sum()
         self.majority_ = int(np.argmax(counts))
 
-    def _proba(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))
+
+    # The priors already sum to 1; renormalizing would move some last bits.
+    _proba = _scores

@@ -208,19 +208,12 @@ class AdaBoost(Classifier):
             self.alphas_.append(float(alpha))
             self.errors_.append(err)
 
-    def _stage_scores(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros((X.shape[0], len(self.classes_)))
         rows = np.arange(X.shape[0])
         for stump, alpha in zip(self.stumps_, self.alphas_):
             scores[rows, stump.predict_idx(X)] += alpha
         return scores
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._stage_scores(X)
-
-    def _proba(self, X: np.ndarray) -> np.ndarray:
-        scores = self._stage_scores(X)
-        return scores / scores.sum(axis=1, keepdims=True)
 
     def _params_dict(self) -> dict:
         return {
@@ -231,6 +224,12 @@ class AdaBoost(Classifier):
     def _load_params(self, params: dict) -> None:
         self.stumps_ = [_Stump.from_dict(d) for d in params["stumps"]]
         self.alphas_ = [float(a) for a in params["alphas"]]
+        K = len(self.classes_)
+        if len(self.alphas_) != len(self.stumps_) or any(
+            not (_LEAF <= s.feature < self.n_features_ and 0 <= s.left < K and 0 <= s.right < K)
+            for s in self.stumps_
+        ):
+            raise DriverIdError("adaboost stumps do not fit its classes and feature count")
 
 
 class MajorityVote(Classifier):
@@ -260,19 +259,13 @@ class MajorityVote(Classifier):
 
         self.members_ = [make(k, c).fit(X, y_idx, classes=self.classes_) for k, c in self.members]
 
-    def _vote_counts(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))
         rows = np.arange(X.shape[0])
         for member in self.members_:
             # A member's class index is the ensemble's: they share classes_.
             votes[rows, np.argmax(member._scores(X), axis=1)] += 1.0
         return votes
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._vote_counts(X)
-
-    def _proba(self, X: np.ndarray) -> np.ndarray:
-        return self._vote_counts(X) / len(self.members_)
 
     def _params_dict(self) -> dict:
         return {"members": [m.to_dict() for m in self.members_]}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DriverIdError
 from .base import Classifier, whole_number
 
 
@@ -50,7 +51,7 @@ class KNearestNeighbors(Classifier):
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
         return np.maximum(d2, 0.0, out=d2)
 
-    def _vote_counts(self, Q: np.ndarray) -> np.ndarray:
+    def _scores(self, Q: np.ndarray) -> np.ndarray:
         """(n_queries, n_classes) neighbor vote counts."""
         n_train = self.X_.shape[0]
         k = min(self.k, n_train)
@@ -74,20 +75,12 @@ class KNearestNeighbors(Classifier):
             counts[lo : lo + q.shape[0]] = members @ self._onehot
         return counts
 
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._vote_counts(X)
-
-    def _proba(self, X: np.ndarray) -> np.ndarray:
-        counts = self._vote_counts(X)
-        return counts / counts.sum(axis=1, keepdims=True)
-
     def _params_dict(self) -> dict:
-        return {
-            "train": [[float(v) for v in row] for row in self.X_],
-            "labels": [int(i) for i in self.y_idx_],
-        }
+        return {"train": self.X_.tolist(), "labels": self.y_idx_.tolist()}
 
     def _load_params(self, params: dict) -> None:
         X = np.asarray(params["train"], dtype=np.float64)
         y_idx = np.asarray(params["labels"], dtype=np.intp)
+        if ((y_idx < 0) | (y_idx >= len(self.classes_))).any():
+            raise DriverIdError("knn labels must be indices into its classes")
         self._fit(X, y_idx)

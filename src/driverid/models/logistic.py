@@ -136,11 +136,8 @@ class LogisticRegression(Classifier):
         self.final_loss_ = loss
         self.converged_ = converged
 
-    def _logits(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights_[:, :-1].T + self.weights_[:, -1]
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._logits(X)
+        return X @ self.weights_[:, :-1].T + self.weights_[:, -1]  # logits
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self._logits(X), axis=1)
+        return softmax(self._scores(X), axis=1)

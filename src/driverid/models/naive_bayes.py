@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, logsumexp, softmax
+from .base import Classifier, softmax
 
 
 class GaussianNaiveBayes(Classifier):
@@ -34,16 +34,13 @@ class GaussianNaiveBayes(Classifier):
         np.maximum(self.var_, self.var_floor, out=self.var_)
         self.log_priors_ = np.log(counts / n)
 
-    def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        # log P(c) + Σ_j log N(x_j | μ_cj, σ²_cj), shape (n, K)
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        # joint log-likelihood log P(c) + Σ_j log N(x_j | μ_cj, σ²_cj), shape (n, K)
         const = -0.5 * np.sum(np.log(2.0 * np.pi * self.var_), axis=1)
         quad = -0.5 * (
             (X[:, None, :] - self.theta_[None, :, :]) ** 2 / self.var_[None, :, :]
         ).sum(axis=2)
         return self.log_priors_ + const + quad
 
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._joint_log_likelihood(X)
-
     def _proba(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self._joint_log_likelihood(X), axis=1)
+        return softmax(self._scores(X), axis=1)

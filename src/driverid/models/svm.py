@@ -79,12 +79,9 @@ class LinearSvm(Classifier):
                 W *= (radius / norms)[:, None]
         self.weights_ = W
 
-    def _margins(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights_[:, :-1].T + self.weights_[:, -1]
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._margins(X)
+        return X @ self.weights_[:, :-1].T + self.weights_[:, -1]  # margins
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         # softmax-calibrated margins; ordering matches predict
-        return softmax(self._margins(X), axis=1)
+        return softmax(self._scores(X), axis=1)

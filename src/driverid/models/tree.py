@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DriverIdError
 from .base import Classifier, whole_number
 
 _LEAF = -1
@@ -306,6 +307,19 @@ class RepTree(Classifier):
         )
         self.depth_ = max(depths)
 
+    def _load_params(self, params: dict) -> None:
+        super()._load_params(params)
+        # Children after their parent, as _compact numbers them, so every
+        # walk from the root ends at a leaf.
+        n = self.node_count
+        inner = np.flatnonzero(self.feature_ != _LEAF)
+        if (
+            any(len(a) != n for a in (self.threshold_, self.left_, self.right_, self.counts_))
+            or ((self.feature_[inner] < 0) | (self.feature_[inner] >= self.n_features_)).any()
+            or any(((c[inner] <= inner) | (c[inner] >= n)).any() for c in (self.left_, self.right_))
+        ):
+            raise DriverIdError("reptree nodes do not form a tree over its feature count")
+
     # -- inference ----------------------------------------------------------
 
     @property
@@ -326,6 +340,5 @@ class RepTree(Classifier):
             go_left = X[live, self.feature_[at]] <= self.threshold_[at]
             node_of[live] = np.where(go_left, self.left_[at], self.right_[at])
 
-    def _proba(self, X: np.ndarray) -> np.ndarray:
-        counts = self.counts_[self._leaf_of(X)].astype(np.float64)
-        return counts / counts.sum(axis=1, keepdims=True)
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        return self.counts_[self._leaf_of(X)].astype(np.float64)

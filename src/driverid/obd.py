@@ -112,8 +112,6 @@ class _FuelSystemStatus:
             "bank2": _FUEL_SYSTEM_STATES.get(payload[1], "unknown"),
         }
 
-    encode = None
-
 
 class _IatSensorBank:
     """Support bitfield followed by per-sensor temperatures (byte - 40)."""
@@ -125,8 +123,6 @@ class _IatSensorBank:
             "supported": [bool(support >> i & 1) for i in range(len(temps))],
             "temperatures_c": temps,
         }
-
-    encode = None
 
 
 _SCALINGS: Mapping[str, object] = {
@@ -201,34 +197,22 @@ def _packaged_registry() -> dict[tuple[int, int], PidDescriptor]:
     return load_registry()
 
 
-def registry() -> dict[tuple[int, int], PidDescriptor]:
-    """The packaged PID registry, loaded once. Returns a copy."""
-    return dict(_packaged_registry())
-
-
-def lookup(service: int, pid: int, table: Mapping[tuple[int, int], PidDescriptor] | None = None) -> PidDescriptor:
+def lookup(service: int, pid: int) -> PidDescriptor:
     """Descriptor for (service, pid), raising UnknownPid when absent."""
-    if table is None:
-        table = _packaged_registry()
     try:
-        return table[service, pid]
+        return _packaged_registry()[service, pid]
     except KeyError:
         raise UnknownPid(f"service {service:#04x} PID {pid:#04x} is not registered") from None
 
 
-def decode(
-    service: int,
-    pid: int,
-    payload: bytes | bytearray | list[int],
-    table: Mapping[tuple[int, int], PidDescriptor] | None = None,
-) -> PidReading:
+def decode(service: int, pid: int, payload: bytes | bytearray | list[int]) -> PidReading:
     """Decode a raw service-01 payload into a physical reading.
 
     Pure function of its inputs: the same payload always yields the same
     reading.  Raises UnknownPid for unregistered pairs and
     PayloadLengthMismatch for truncated or overlong frames.
     """
-    desc = lookup(service, pid, table)
+    desc = lookup(service, pid)
     raw = bytes(payload)
     if len(raw) != desc.data_bytes:
         raise PayloadLengthMismatch(

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import evaluate, ingest, models
 from .errors import DriverIdError
-from .features import WindowSpec, extract_windows, select_features
+from .features import SELECTION_MODES, WindowSpec, extract_windows, select_features
+from .models.base import whole_number
 
 #: Environment variable consulted for the benchmark dataset location.
 DATASET_ENV_VAR = "OCSLAB_DRIVING_CSV"
@@ -133,18 +134,28 @@ def prepare_matrix(config: RunConfig):
 
 
 def cv_plan(config: RunConfig) -> evaluate.CvPlan:
-    """The cross-validation plan of ``config``, after checking its model side.
+    """The cross-validation plan of ``config``, after checking every option
+    that needs no data.
 
-    Unknown kinds, ``model_configs`` for kinds that do not run, a bad
-    normalize policy and a bad plan raise DriverIdError, so a run can fail
-    before its data half.
+    ``model_configs`` for kinds that do not run, kinds or model configs
+    that ``models.make`` rejects, a bad feature mode or count, window,
+    normalize policy or plan raise DriverIdError, so a run can fail before
+    its data half.
     """
-    unknown = [kind for kind in config.kinds if kind not in models.KINDS]
-    if unknown:
-        raise DriverIdError(f"unknown model kinds {unknown}; choose from {sorted(models.KINDS)}")
     stray = sorted(set(config.model_configs) - set(config.kinds))
     if stray:
         raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
+    for kind in config.kinds:
+        models.make(kind, config.model_configs.get(kind))
+    if config.feature_mode not in SELECTION_MODES:
+        raise DriverIdError(
+            f"feature_mode must be one of {SELECTION_MODES}, got {config.feature_mode!r}"
+        )
+    try:
+        whole_number("feature_count", config.feature_count, 1)
+    except ValueError as e:
+        raise DriverIdError(str(e)) from None
+    config.window_spec()
     evaluate.check_normalize(config.normalize)
     return evaluate.CvPlan(
         folds=config.folds,

@@ -406,13 +406,13 @@ def test_criterion_14_reports_reproduce_bit_for_bit(tmp_path):
         out_dir=str(tmp_path / "run_a"),
     )
     bundle_a = pipeline.run_pipeline(config)
-    bytes_a = open(tmp_path / "run_a" / "report.json", "rb").read()
+    bytes_a = (tmp_path / "run_a" / "report.json").read_bytes()
 
     # same config again
     bundle_b = pipeline.run_pipeline(
         pipeline.RunConfig.from_dict({**config.to_dict(), "out_dir": str(tmp_path / "run_b")})
     )
-    bytes_b = open(tmp_path / "run_b" / "report.json", "rb").read()
+    bytes_b = (tmp_path / "run_b" / "report.json").read_bytes()
     if json.dumps({**bundle_a, "config": None}, sort_keys=True) != json.dumps(
         {**bundle_b, "config": None}, sort_keys=True
     ):
@@ -425,7 +425,7 @@ def test_criterion_14_reports_reproduce_bit_for_bit(tmp_path):
     # the embedded config reproduces its own report byte for byte
     embedded = pipeline.RunConfig.from_dict(bundle_a["config"])
     pipeline.run_pipeline(embedded)
-    bytes_again = open(tmp_path / "run_a" / "report.json", "rb").read()
+    bytes_again = (tmp_path / "run_a" / "report.json").read_bytes()
     if bytes_again != bytes_a:
         failures.append("embedded config did not reproduce the original report")
     _verdict(14, failures)

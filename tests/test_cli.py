@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config precedence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,7 +100,7 @@ def test_prepare_writes_matrix_and_sidecar(tmp_path, trip_csv, capsys):
                           "--features", "rank:2", "--window", "20",
                           "--stride", "20", "--out", out, "--format", "json")
     assert code == 0
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text(encoding="utf-8"))
     assert sidecar["windows"]["count"] == 18  # 120 rows per driver / 20
     assert sidecar["windows"]["dropped_mixed_label"] == 0
     assert len(sidecar["selection"]["kept"]) == 2
@@ -128,7 +129,7 @@ def test_train_writes_model(tmp_path, prepared, capsys):
     code, out, _ = run(capsys, "train", "--input", prepared, "--kind", "knn",
                        "--k", "3", "--out", model_path, "--format", "json")
     assert code == 0
-    saved = json.load(open(model_path))
+    saved = json.loads(Path(model_path).read_text(encoding="utf-8"))
     assert saved["kind"] == "knn"
     assert saved["config"]["k"] == 3
 
@@ -148,7 +149,7 @@ def test_evaluate_single_kind_report(tmp_path, prepared, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["knn"]["accuracy"] > 90.0
-    on_disk = json.load(open(report_path))
+    on_disk = json.loads(Path(report_path).read_text(encoding="utf-8"))
     assert on_disk["results"]["knn"]["metadata"]["plan"]["folds"] == 5
 
 
@@ -238,11 +239,11 @@ def test_compare_accepts_bare_per_model_reports(tmp_path, prepared, capsys):
                  "--folds", "3", "--report", rpt])
     capsys.readouterr()
     assert code == 0
-    results = json.load(open(rpt))["results"]
+    results = json.loads(Path(rpt).read_text(encoding="utf-8"))["results"]
     flats = []
     for kind in ("zeror", "reptree"):
         flat = str(tmp_path / f"{kind}_flat.json")
-        json.dump(results[kind], open(flat, "w"))
+        Path(flat).write_text(json.dumps(results[kind]), encoding="utf-8")
         flats.append(flat)
     code, out, _ = run(capsys, "compare", *flats, "--format", "json")
     assert code == 0
@@ -251,7 +252,7 @@ def test_compare_accepts_bare_per_model_reports(tmp_path, prepared, capsys):
 
 def test_compare_rejects_non_report_file(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
-    json.dump({"nope": 1}, open(bad, "w"))
+    Path(bad).write_text(json.dumps({"nope": 1}), encoding="utf-8")
     code, _, err = run(capsys, "compare", bad)
     assert code == 2
     assert "not an evaluation report" in err
@@ -263,7 +264,8 @@ def test_compare_without_baseline_is_data_error(tmp_path, prepared, capsys):
                  "--report", rpt])
     capsys.readouterr()
     flat = str(tmp_path / "flat.json")
-    json.dump(json.load(open(rpt))["results"]["knn"], open(flat, "w"))
+    knn = json.loads(Path(rpt).read_text(encoding="utf-8"))["results"]["knn"]
+    Path(flat).write_text(json.dumps(knn), encoding="utf-8")
     code, _, err = run(capsys, "compare", flat)
     assert code == 2
     assert "NoBaselineDesignated" in err
@@ -306,7 +308,7 @@ def test_missing_input_is_usage_error(capsys, argv):
 
 def test_config_file_supplies_defaults(tmp_path, trip_csv, capsys):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"input": trip_csv, "keep": "A,B"}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"input": trip_csv, "keep": "A,B"}), encoding="utf-8")
     code, out, _ = run(capsys, "ingest", "--config", cfg, "--format", "json")
     assert code == 0
     assert json.loads(out)["n_records"] == 240
@@ -314,7 +316,7 @@ def test_config_file_supplies_defaults(tmp_path, trip_csv, capsys):
 
 def test_flags_override_config_file(tmp_path, trip_csv, capsys):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"input": trip_csv, "keep": "A,B"}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"input": trip_csv, "keep": "A,B"}), encoding="utf-8")
     code, out, _ = run(capsys, "ingest", "--config", cfg, "--keep", "A",
                        "--format", "json")
     assert code == 0
@@ -323,7 +325,7 @@ def test_flags_override_config_file(tmp_path, trip_csv, capsys):
 
 def test_dashed_config_keys_are_normalized(tmp_path, trip_csv, capsys):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"input": trip_csv, "label-column": "Class"}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"input": trip_csv, "label-column": "Class"}), encoding="utf-8")
     code, out, _ = run(capsys, "ingest", "--config", cfg, "--format", "json")
     assert code == 0
     assert json.loads(out)["n_records"] == 360
@@ -336,7 +338,7 @@ def test_cli_report_bytes_are_deterministic(tmp_path, prepared, capsys):
                      "--folds", "5", "--seed", "3", "--report", path])
         capsys.readouterr()
         assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.mark.parametrize("command, text, status, named", [
@@ -385,7 +387,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, trip_csv, prepared, capsys,
 def test_config_keys_of_other_subcommands_are_allowed(tmp_path, prepared, capsys):
     # one shared file: "window" and "stats" are prepare's, "service" is decode's
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"window": 30, "stats": "mean", "service": "01", "folds": 4}, open(cfg, "w"))
+    settings = {"window": 30, "stats": "mean", "service": "01", "folds": 4}
+    Path(cfg).write_text(json.dumps(settings), encoding="utf-8")
     code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
                        "--kind", "zeror", "--format", "json")
     assert code == 0
@@ -394,7 +397,8 @@ def test_config_keys_of_other_subcommands_are_allowed(tmp_path, prepared, capsys
 
 def test_config_file_sets_evaluation_plan(tmp_path, prepared, capsys):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"stratified": False, "folds": 4, "split": "blocked"}, open(cfg, "w"))
+    settings = {"stratified": False, "folds": 4, "split": "blocked"}
+    Path(cfg).write_text(json.dumps(settings), encoding="utf-8")
     code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
                        "--kind", "zeror", "--format", "json")
     assert code == 0
@@ -418,8 +422,8 @@ def test_cli_prepare_and_evaluate_match_the_pipeline(tmp_path, trip_csv, capsys)
     _, _, matrix, _ = pipeline.prepare_matrix(config)
     direct_csv = str(tmp_path / "direct.csv")
     matrix.to_csv(direct_csv)
-    assert open(matrix_csv, "rb").read() == open(direct_csv, "rb").read()
+    assert Path(matrix_csv).read_bytes() == Path(direct_csv).read_bytes()
     bundle = json.loads(json.dumps(pipeline.run_pipeline(config)))
-    from_cli = json.load(open(report))
+    from_cli = json.loads(Path(report).read_text(encoding="utf-8"))
     assert from_cli["results"] == bundle["results"]
     assert from_cli["comparison"] == bundle["comparison"]

@@ -1,7 +1,9 @@
 """Classifier behaviour: correctness on separable data, ties, serialization."""
 
+import contextlib
 import io
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -120,11 +122,44 @@ def test_load_model_rejects_malformed_files():
     ragged = {**logreg, "params": {"weights": [weights[0], weights[1][:-1]]}}
     string_cell = {**logreg, "params": {"weights": [["x", *weights[0][1:]], *weights[1:]]}}
     models.load_model(io.StringIO(json.dumps(logreg)))  # the intact payload loads
-    for text in ("not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
-                 json.dumps(bad_member), json.dumps(no_weights), json.dumps(ragged),
-                 json.dumps(string_cell)):
-        with pytest.raises(DriverIdError):
+    texts = ["not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
+             json.dumps(bad_member), json.dumps(no_weights), json.dumps(ragged),
+             json.dumps(string_cell)]
+    # Saved files whose params do not fit their classes or feature count.
+    # The reptree whose root is its own right child would loop in predict.
+    for kind, edit in (
+        ("logreg", lambda p: {**p, "weights": p["weights"][:2]}),
+        ("naive_bayes", lambda p: {**p, "theta": 0.5}),
+        ("knn", lambda p: {**p, "labels": [7, *p["labels"][1:]]}),
+        ("svm", lambda p: {**p, "weights": [row[:-1] for row in p["weights"]]}),
+        ("reptree", lambda p: {**p, "feature": [9, *p["feature"][1:]]}),
+        ("reptree", lambda p: {**p, "right": [0, *p["right"][1:]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "right": 7}, *p["stumps"][1:]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "feature": -2}, *p["stumps"][1:]]}),
+        ("zeror", lambda p: {**p, "priors": p["priors"][:2]}),
+    ):
+        saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
+        texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
+    zeror = json.loads((GOLDEN_MODELS / "zeror.json").read_text(encoding="utf-8"))
+    texts.append(json.dumps({**zeror, "classes": ["B", "A", "C"]}))  # classes out of order
+    for text in texts:
+        with pytest.raises(DriverIdError), time_limit(10):
             models.load_model(io.StringIO(text))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -98,10 +98,10 @@ def test_format_reading_has_value_and_unit():
     assert "rpm" in text
 
 
-def test_registry_returns_a_copy():
-    table = obd.registry()
+def test_load_registry_returns_a_fresh_table():
+    table = obd.load_registry()
     table.clear()
-    assert obd.lookup(0x01, 0x0D).pid == 0x0D  # default table unharmed
+    assert obd.lookup(0x01, 0x0D).pid == 0x0D  # packaged table unharmed
 
 
 def test_load_registry_rejects_bad_header():

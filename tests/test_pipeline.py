@@ -143,6 +143,11 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     ({"normalize": "bogus"}, "normalize"),
     ({"kinds": ("zeror", "bogus")}, "bogus"),
     ({"model_configs": {"logreg": {}}}, "logreg"),
+    ({"model_configs": {"adaboost": {"rounds": 0}}}, "rounds"),
+    ({"feature_mode": "bogus"}, "feature_mode"),
+    ({"feature_mode": "correlation-ranked", "feature_count": 2.5}, "feature_count"),
+    ({"feature_mode": "correlation-ranked", "feature_count": 0}, "feature_count"),
+    ({"statistics": ("mean", "mode")}, "statistics"),
 ])
 def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
                                                             overrides, named):
@@ -200,7 +205,7 @@ def test_table6_preset_end_to_end_on_surrogate(surrogate_csv, tmp_path):
     assert set(ranked) == set(config.kinds)
     for kind in ("knn", "reptree", "naive_bayes", "logreg"):
         assert ranked[kind]["better_than_baseline"], ranked[kind]
-    on_disk = json.load(open(tmp_path / "out" / "report.json"))
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert on_disk["windows"]["count"] == bundle["windows"]["count"]
 
 
