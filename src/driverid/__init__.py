@@ -31,7 +31,6 @@ from .features import (
     NormalizationParams,
     WindowSpec,
     apply_normalizer,
-    column_stats,
     extract_windows,
     fit_normalizer,
     select_features,
@@ -73,7 +72,6 @@ __all__ = [
     "NormalizationParams",
     "WindowSpec",
     "apply_normalizer",
-    "column_stats",
     "extract_windows",
     "fit_normalizer",
     "select_features",

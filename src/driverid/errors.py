@@ -1,13 +1,43 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of a count
+or seed option.
 
 Every error raised on a bad input derives from :class:`DriverIdError`, so
 callers (and the CLI) can catch one base class.  Where a standard category
 fits, the class also inherits from it (``LookupError``, ``ValueError``).
+
+Each option is checked once, by the type that stores it: a model by its
+constructor, ``WindowSpec``, ``CvPlan`` and ``RunConfig`` when they are
+built, the selection mode and count by ``features.check_selection``.  Every
+count and seed among them goes through :func:`whole_number`.
 """
+
+import numbers
 
 
 class DriverIdError(Exception):
     """Base class for all errors raised by this package."""
+
+
+# --- options ---
+
+class InvalidOption(DriverIdError, ValueError):
+    """An option value is out of range or of the wrong type."""
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int, for a count or seed option.
+
+    Bools, non-integral numbers and values below ``minimum`` raise
+    InvalidOption, so an option is never silently truncated.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+        or value < minimum
+    ):
+        raise InvalidOption(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 # --- OBD codec ---

@@ -25,13 +25,14 @@ from . import models
 from .errors import (
     DriverIdError,
     EmptyMatrix,
+    InvalidOption,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
     UnknownLabel,
+    whole_number,
 )
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
 from .ingest import encode_labels
-from .models.base import whole_number
 
 SPLIT_MODES = ("random-window", "blocked-time")
 NORMALIZE_POLICIES = ("train", "all", "none")
@@ -213,11 +214,10 @@ class CvPlan:
     split_mode: str = "random-window"
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "folds", whole_number("folds", self.folds, 2))
-            object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
-        except ValueError as e:
-            raise DriverIdError(str(e)) from None
+        object.__setattr__(self, "folds", whole_number("folds", self.folds, 2))
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        if not isinstance(self.stratified, bool):
+            raise InvalidOption(f"stratified must be true or false, got {self.stratified!r}")
         if self.split_mode not in SPLIT_MODES:
             raise DriverIdError(
                 f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}"

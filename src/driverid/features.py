@@ -51,8 +51,10 @@ from . import ingest
 from .errors import (
     ColumnCountMismatch,
     DriverIdError,
+    InvalidOption,
     UnknownFeatureName,
     WindowLongerThanSeries,
+    whole_number,
 )
 
 # Channel subset used by the fixed-list selection mode: powertrain torque and
@@ -177,6 +179,14 @@ def _label_correlation_scores(
 SELECTION_MODES = ("fixed-list", "correlation-ranked")
 
 
+def check_selection(mode: str, k) -> None:
+    """Raise InvalidOption unless ``mode`` is one of SELECTION_MODES and ``k``
+    (the correlation-ranked column count) a whole number >= 1."""
+    if mode not in SELECTION_MODES:
+        raise InvalidOption(f"feature_mode must be one of {SELECTION_MODES}, got {mode!r}")
+    whole_number("feature_count", k, 1)
+
+
 def select_features(
     ds: ingest.TripDataset,
     mode: str = "fixed-list",
@@ -200,8 +210,7 @@ def select_features(
     (threshold ``correlation_threshold``) an already-kept column and whose
     score clears ``irrelevance_threshold``.
     """
-    if mode not in SELECTION_MODES:
-        raise DriverIdError(f"unknown selection mode {mode!r}; choose from {SELECTION_MODES}")
+    check_selection(mode, k)
     X = ds.channels
     names = ds.column_names
 
@@ -280,26 +289,6 @@ def select_features(
     )
 
 
-def column_stats(obj, column) -> tuple[float, float]:
-    """Population mean and std (divisor N) of one column of a TripDataset or
-    FeatureMatrix; ``column`` is a name or an integer index."""
-    if isinstance(obj, ingest.TripDataset):
-        names, data = obj.column_names, obj.channels
-    elif isinstance(obj, FeatureMatrix):
-        names, data = obj.column_names, obj.features
-    else:
-        data = np.asarray(obj, dtype=np.float64)
-        names = None
-        if data.ndim == 1:
-            data = data[:, None]
-    if isinstance(column, str):
-        if names is None:
-            raise UnknownFeatureName("bare arrays have no column names")
-        column = _resolve_columns(names, [column])[0]
-    values = data[:, column]
-    return float(values.mean()), float(values.std())
-
-
 @dataclass(frozen=True)
 class NormalizationParams:
     """Per-column (min, max) fitted on training rows only."""
@@ -370,10 +359,8 @@ class WindowSpec:
     statistics: tuple[str, ...] = ALLOWED_STATISTICS
 
     def __post_init__(self) -> None:
-        if self.length < 2:
-            raise DriverIdError(f"window length must be >= 2, got {self.length}")
-        if self.stride < 1:
-            raise DriverIdError(f"stride must be >= 1, got {self.stride}")
+        object.__setattr__(self, "length", whole_number("window length", self.length, 2))
+        object.__setattr__(self, "stride", whole_number("stride", self.stride, 1))
         if self.stride > self.length:
             raise DriverIdError(
                 f"stride {self.stride} must not exceed window length {self.length} "

@@ -30,7 +30,6 @@ majority vote (each member's own document).
 from __future__ import annotations
 
 import inspect
-import numbers
 
 import numpy as np
 
@@ -43,22 +42,6 @@ from ..errors import (
     SingleClassForDiscriminative,
 )
 from ..ingest import decode_labels, encode_labels, present_classes
-
-
-def whole_number(name: str, value, minimum: int) -> int:
-    """``value`` as an int, for a count or seed option.
-
-    Bools, non-integral numbers and values below ``minimum`` raise
-    ValueError, so an option is never silently truncated.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
-        or value < minimum
-    ):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 class Classifier:
@@ -136,6 +119,8 @@ class Classifier:
     def _load_params(self, params: dict) -> None:
         for name, dtype in self.fitted.items():
             value = np.asarray(params[name[:-1]], dtype)
+            if dtype is np.float64 and not np.isfinite(value).all():
+                raise DriverIdError(f"{self.kind} {name[:-1]} must be finite")
             setattr(self, name, value.item() if dtype is int else value)
 
     def to_dict(self) -> dict:

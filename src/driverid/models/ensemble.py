@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError
-from .base import Classifier, whole_number
+from ..errors import DriverIdError, whole_number
+from .base import Classifier
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
 #: Member kinds trained by a default-configured MajorityVote.
@@ -226,10 +226,13 @@ class AdaBoost(Classifier):
         self.alphas_ = [float(a) for a in params["alphas"]]
         K = len(self.classes_)
         if len(self.alphas_) != len(self.stumps_) or any(
-            not (_LEAF <= s.feature < self.n_features_ and 0 <= s.left < K and 0 <= s.right < K)
+            not (_LEAF <= s.feature < self.n_features_ and 0 <= s.left < K and 0 <= s.right < K
+                 and np.isfinite(s.threshold))
             for s in self.stumps_
         ):
             raise DriverIdError("adaboost stumps do not fit its classes and feature count")
+        if not all(0.0 < a < np.inf for a in self.alphas_):
+            raise DriverIdError("adaboost stage weights must be finite and > 0")
 
 
 class MajorityVote(Classifier):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError
-from .base import Classifier, whole_number
+from ..errors import DriverIdError, whole_number
+from .base import Classifier
 
 
 class KNearestNeighbors(Classifier):
@@ -81,6 +81,8 @@ class KNearestNeighbors(Classifier):
     def _load_params(self, params: dict) -> None:
         X = np.asarray(params["train"], dtype=np.float64)
         y_idx = np.asarray(params["labels"], dtype=np.intp)
+        if not np.isfinite(X).all():
+            raise DriverIdError("knn train must be finite")
         if ((y_idx < 0) | (y_idx >= len(self.classes_))).any():
             raise DriverIdError("knn labels must be indices into its classes")
         self._fit(X, y_idx)

@@ -19,7 +19,8 @@ from collections import deque
 
 import numpy as np
 
-from .base import Classifier, logsumexp, softmax, whole_number
+from ..errors import whole_number
+from .base import Classifier, logsumexp, softmax
 
 #: curvature pairs (s, y) kept by the two-loop recursion
 _MEMORY = 10
@@ -87,8 +88,8 @@ class LogisticRegression(Classifier):
     fitted = {"weights_": np.float64}
 
     def __init__(self, max_epochs: int = 1000, tol: float = 1e-8, l2: float = 0.0):
-        if not tol >= 0:
-            raise ValueError("tol must be >= 0")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError("tol must be finite and >= 0")
         if not (np.isfinite(l2) and l2 >= 0):
             raise ValueError("l2 must be finite and >= 0")
         self.max_epochs = whole_number("max_epochs", max_epochs, 1)

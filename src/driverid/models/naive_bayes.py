@@ -17,8 +17,8 @@ class GaussianNaiveBayes(Classifier):
     fitted = {"theta_": np.float64, "var_": np.float64, "log_priors_": np.float64}
 
     def __init__(self, var_floor: float = 1e-9):
-        if var_floor <= 0:
-            raise ValueError("var_floor must be positive")
+        if not (np.isfinite(var_floor) and var_floor > 0):
+            raise ValueError("var_floor must be finite and > 0")
         self.var_floor = float(var_floor)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:

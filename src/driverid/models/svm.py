@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, softmax, whole_number
+from ..errors import whole_number
+from .base import Classifier, softmax
 
 
 def hinge_loss(margins):
@@ -44,8 +45,8 @@ class LinearSvm(Classifier):
     fitted = {"weights_": np.float64}
 
     def __init__(self, lam: float = 1e-4, epochs: int = 20, seed: int = 1, batch_size: int = 64):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError("lam must be finite and > 0")
         self.lam = float(lam)
         self.epochs = whole_number("epochs", epochs, 1)
         self.seed = whole_number("seed", seed, 0)

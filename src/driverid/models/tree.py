@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError
-from .base import Classifier, whole_number
+from ..errors import DriverIdError, whole_number
+from .base import Classifier
 
 _LEAF = -1
 
@@ -319,16 +319,15 @@ class RepTree(Classifier):
             or any(((c[inner] <= inner) | (c[inner] >= n)).any() for c in (self.left_, self.right_))
         ):
             raise DriverIdError("reptree nodes do not form a tree over its feature count")
+        # predict_proba divides a leaf's counts by their sum.
+        if (self.counts_ < 0).any() or (self.counts_.sum(axis=1) <= 0).any():
+            raise DriverIdError("reptree node counts must be >= 0 with a positive sum")
 
     # -- inference ----------------------------------------------------------
 
     @property
     def node_count(self) -> int:
         return int(self.feature_.shape[0])
-
-    @property
-    def depth(self) -> int:
-        return int(self.depth_)
 
     def _leaf_of(self, X: np.ndarray) -> np.ndarray:
         node_of = np.zeros(X.shape[0], dtype=np.intp)

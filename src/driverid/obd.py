@@ -74,7 +74,7 @@ class PidReading:
 
 
 class _Affine:
-    """value = int.from_bytes(payload) * num / den + offset; invertible.
+    """value = int.from_bytes(payload) * num / den + offset.
 
     The scale is kept as a rational so boundary payloads decode exactly
     (e.g. 0xFF * 100 / 255 == 100.0, which 0xFF * (100/255) is not).
@@ -87,10 +87,6 @@ class _Affine:
 
     def decode(self, payload: bytes) -> float:
         return int.from_bytes(payload, "big") * self.num / self.den + self.offset
-
-    def encode(self, value: float, n_bytes: int) -> bytes:
-        raw = round((value - self.offset) * self.den / self.num)
-        return int(raw).to_bytes(n_bytes, "big")
 
 
 _FUEL_SYSTEM_STATES = {
@@ -223,17 +219,6 @@ def decode(service: int, pid: int, payload: bytes | bytearray | list[int]) -> Pi
         # guaranteed by _check_range; assert the contract anyway
         assert desc.min_value <= value <= desc.max_value
     return PidReading(descriptor=desc, raw=raw, value=value)
-
-
-def encode(descriptor: PidDescriptor, value: float) -> bytes:
-    """Inverse of decode for affine scalings (round-trip checking only).
-
-    Structured scalings (status bitfields) have no inverse and raise.
-    """
-    scaling = _SCALINGS[descriptor.scaling]
-    if not isinstance(scaling, _Affine):
-        raise DriverIdError(f"scaling {descriptor.scaling!r} is not invertible")
-    return scaling.encode(value, descriptor.data_bytes)
 
 
 def format_reading(reading: PidReading) -> str:

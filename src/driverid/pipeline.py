@@ -3,6 +3,9 @@
 A :class:`RunConfig` captures every knob of a run and is embedded verbatim
 in the emitted report, so re-running a report's config reproduces it
 bit-for-bit (reports carry no timestamps, and all randomness is seeded).
+A RunConfig checks every option that needs no data when it is built, so a
+bad kind, model config, selection, window, normalize policy or
+cross-validation plan raises DriverIdError before any file is read.
 
 Two presets reproduce the headline benchmark setups: ``table6`` (binary
 driver A vs D) and ``table7`` (all ten drivers).
@@ -12,12 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import evaluate, ingest, models
 from .errors import DriverIdError
-from .features import SELECTION_MODES, WindowSpec, extract_windows, select_features
-from .models.base import whole_number
+from .features import WindowSpec, check_selection, extract_windows, select_features
 
 #: Environment variable consulted for the benchmark dataset location.
 DATASET_ENV_VAR = "OCSLAB_DRIVING_CSV"
@@ -50,8 +52,22 @@ class RunConfig:
     seed: int = 1
     out_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        stray = sorted(set(self.model_configs) - set(self.kinds))
+        if stray:
+            raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
+        for kind in self.kinds:
+            models.make(kind, self.model_configs.get(kind))
+        check_selection(self.feature_mode, self.feature_count)
+        self.window_spec()
+        evaluate.check_normalize(self.normalize)
+        self.cv_plan()
+
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.window_length, self.window_stride, self.statistics)
+
+    def cv_plan(self) -> evaluate.CvPlan:
+        return evaluate.CvPlan(self.folds, self.stratified, self.seed, self.split_mode)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -95,7 +111,7 @@ def preset_config(name: str, input_path: str, **overrides) -> RunConfig:
     """RunConfig for a named preset, with optional field overrides."""
     if name not in PRESETS:
         raise DriverIdError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return replace(RunConfig(input=input_path, **PRESETS[name]), **overrides)
+    return RunConfig(input=input_path, **{**PRESETS[name], **overrides})
 
 
 def default_dataset_path() -> str:
@@ -133,48 +149,14 @@ def prepare_matrix(config: RunConfig):
     return ds, selection, matrix, n_dropped
 
 
-def cv_plan(config: RunConfig) -> evaluate.CvPlan:
-    """The cross-validation plan of ``config``, after checking every option
-    that needs no data.
-
-    ``model_configs`` for kinds that do not run, kinds or model configs
-    that ``models.make`` rejects, a bad feature mode or count, window,
-    normalize policy or plan raise DriverIdError, so a run can fail before
-    its data half.
-    """
-    stray = sorted(set(config.model_configs) - set(config.kinds))
-    if stray:
-        raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
-    for kind in config.kinds:
-        models.make(kind, config.model_configs.get(kind))
-    if config.feature_mode not in SELECTION_MODES:
-        raise DriverIdError(
-            f"feature_mode must be one of {SELECTION_MODES}, got {config.feature_mode!r}"
-        )
-    try:
-        whole_number("feature_count", config.feature_count, 1)
-    except ValueError as e:
-        raise DriverIdError(str(e)) from None
-    config.window_spec()
-    evaluate.check_normalize(config.normalize)
-    return evaluate.CvPlan(
-        folds=config.folds,
-        stratified=config.stratified,
-        seed=config.seed,
-        split_mode=config.split_mode,
-    )
-
-
 def cross_validate_kinds(config: RunConfig, matrix) -> tuple[dict, dict | None]:
     """Cross-validate each of ``config.kinds`` on ``matrix``, in that order.
 
     The folds and their normalizers are built once and shared by every kind.
     Returns ``({kind: MetricsReport}, comparison)``; ``comparison`` ranks them
-    against ZeroR, or is None without a ``zeror`` run.  A config that
-    :func:`cv_plan` rejects raises DriverIdError up front.
+    against ZeroR, or is None without a ``zeror`` run.
     """
-    plan = cv_plan(config)
-    folds = evaluate.Folds.build(matrix, plan, config.normalize)
+    folds = evaluate.Folds.build(matrix, config.cv_plan(), config.normalize)
     # One kind at a time, so only one kind's normalized fold copies are alive.
     results = {
         kind: evaluate.cross_validate(kind, config.model_configs.get(kind), folds)
@@ -215,7 +197,6 @@ def run_pipeline(config: RunConfig) -> dict:
     ``config.out_dir`` set, the bundle is also written to
     ``<out_dir>/report.json``.
     """
-    cv_plan(config)  # a bad model or CV option fails before the data half
     ds, selection, matrix, n_dropped = prepare_matrix(config)
     results, comparison = cross_validate_kinds(config, matrix)
     bundle = {

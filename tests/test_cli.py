@@ -177,6 +177,10 @@ def test_evaluate_rejects_bad_split(prepared, capsys):
     ("svm", {"epochs": 2.5}),
     ("logreg", {"max_epochs": 2.5}),
     ("reptree", {"max_depth": 1.5}),
+    # json.dumps writes these as NaN and Infinity, which json.loads reads back.
+    ("svm", {"lam": float("nan")}),
+    ("naive_bayes", {"var_floor": float("inf")}),
+    ("logreg", {"tol": float("inf")}),
 ])
 def test_evaluate_bad_model_config_is_data_error(prepared, capsys, kind, config):
     code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", kind,

@@ -19,7 +19,6 @@ from driverid.features import (
     NormalizationParams,
     WindowSpec,
     apply_normalizer,
-    column_stats,
     extract_windows,
     fit_normalizer,
     select_features,
@@ -412,7 +411,7 @@ def test_variance_screen_keeps_every_selection_report(seed, layout, correlation_
         assert {"steps", "steps_reversed"} <= set(got["kept"])
 
 
-# -- FeatureMatrix / column_stats ---------------------------------------------
+# -- FeatureMatrix -----------------------------------------------------------
 
 def test_feature_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
@@ -478,15 +477,8 @@ def test_windows_carry_the_labels_of_their_rows(trip_dataset):
     assert all(type(lab) is str for lab in matrix.labels)
 
 
-def test_column_stats_population_std():
-    ds = _dataset(["x"], [[1.0], [2.0], [3.0], [4.0]], ["A"] * 4)
-    mean, std = column_stats(ds, "x")
-    assert mean == 2.5
-    np.testing.assert_allclose(std, np.std([1, 2, 3, 4]))  # ddof=0
-
-
-def test_column_stats_by_index_and_unknown_name():
-    ds = _dataset(["x", "y"], [[1.0, 10.0], [3.0, 30.0]], ["A", "B"])
-    assert column_stats(ds, 1)[0] == 20.0
-    with pytest.raises(UnknownFeatureName):
-        column_stats(ds, "z")
+@pytest.mark.parametrize("mode", ["correlation-ranked", "fixed-list"])
+def test_select_features_takes_a_whole_feature_count(trip_dataset, mode):
+    for bad in (2.5, 0, True):
+        with pytest.raises(DriverIdError, match="feature_count"):
+            select_features(trip_dataset, mode, k=bad)

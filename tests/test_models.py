@@ -1,8 +1,10 @@
 """Classifier behaviour: correctness on separable data, ties, serialization."""
 
 import contextlib
+import inspect
 import io
 import json
+import numbers
 import signal
 from pathlib import Path
 
@@ -88,6 +90,7 @@ def test_serialization_round_trip(kind, tmp_path):
 
 
 GOLDEN_MODELS = Path(__file__).parent / "data" / "models"
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -137,6 +140,15 @@ def test_load_model_rejects_malformed_files():
         ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "right": 7}, *p["stumps"][1:]]}),
         ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "feature": -2}, *p["stumps"][1:]]}),
         ("zeror", lambda p: {**p, "priors": p["priors"][:2]}),
+        # Non-finite params: the logreg would predict class A for every row
+        # and the all-zero reptree counts would give 0/0 probabilities.
+        ("logreg", lambda p: {**p, "weights": [[NAN, *p["weights"][0][1:]], *p["weights"][1:]]}),
+        ("naive_bayes", lambda p: {**p, "var": [[INF, *p["var"][0][1:]], *p["var"][1:]]}),
+        ("knn", lambda p: {**p, "train": [[INF, *p["train"][0][1:]], *p["train"][1:]]}),
+        ("reptree", lambda p: {**p, "counts": [[0] * len(row) for row in p["counts"]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "threshold": NAN}, *p["stumps"][1:]]}),
+        ("adaboost", lambda p: {**p, "alphas": [INF, *p["alphas"][1:]]}),
+        ("adaboost", lambda p: {**p, "alphas": [0.0] * len(p["alphas"])}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
@@ -248,6 +260,22 @@ def test_count_options_take_whole_numbers_only(kind, option, minimum):
     for good in (minimum, minimum + 2, np.int64(minimum + 2), float(minimum + 2)):
         value = getattr(models.make(kind, {option: good}), option)
         assert type(value) is int and value == good
+
+
+#: (kind, option) for every numeric constructor parameter of every kind.
+NUMERIC_OPTIONS = [
+    (kind, name)
+    for kind, cls in models.KINDS.items()
+    for name, p in inspect.signature(cls).parameters.items()
+    if p.default is None or (isinstance(p.default, numbers.Real) and not isinstance(p.default, bool))
+]
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, "x"])
+@pytest.mark.parametrize("kind, option", NUMERIC_OPTIONS)
+def test_numeric_options_reject_non_finite_values_and_strings(kind, option, bad):
+    with pytest.raises(DriverIdError):
+        models.make(kind, {option: bad})
 
 
 # -- ZeroR ---------------------------------------------------------------------
@@ -547,7 +575,7 @@ def test_tree_max_depth_limits_growth():
     X, y = blobs(seed=10)
     deep = RepTree(seed=1).fit(X, y)
     shallow = RepTree(max_depth=1, seed=1).fit(X, y)
-    assert shallow.depth <= 1
+    assert shallow.depth_ <= 1
     assert shallow.node_count <= deep.node_count
 
 

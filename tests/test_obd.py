@@ -78,20 +78,6 @@ def test_wrong_payload_length_raises():
         obd.decode(0x01, 0x0D, b"\x0a\x0b")  # needs 1
 
 
-def test_encode_round_trips_affine_pids():
-    for pid, payload in ((0x0C, bytes([0x1A, 0xF8])), (0x0D, bytes([0x4B])),
-                         (0x05, bytes([0x8C])), (0x04, bytes([0xFF]))):
-        desc = obd.lookup(0x01, pid)
-        value = obd.decode(0x01, pid, payload).value
-        assert obd.encode(desc, value) == payload
-
-
-def test_encode_rejects_bitfield_pids():
-    desc = obd.lookup(0x01, 0x03)
-    with pytest.raises(DriverIdError):
-        obd.encode(desc, 2.0)
-
-
 def test_format_reading_has_value_and_unit():
     text = obd.format_reading(obd.decode(0x01, 0x0C, bytes([0x1A, 0xF8])))
     assert "1726" in text

@@ -126,12 +126,11 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     fitted = []
     monkeypatch.setattr(pipeline.evaluate, "cross_validate",
                         lambda kind, *a, **kw: fitted.append(kind))
-    config = pipeline.preset_config(
-        "table7", surrogate_csv, window_length=20, window_stride=10,
-        kinds=kinds, model_configs=model_configs,
-    )
     with pytest.raises(DriverIdError, match=named):
-        pipeline.run_pipeline(config)
+        pipeline.run_pipeline(pipeline.preset_config(
+            "table7", surrogate_csv, window_length=20, window_stride=10,
+            kinds=kinds, model_configs=model_configs,
+        ))
     assert fitted == []
 
 
@@ -148,6 +147,9 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     ({"feature_mode": "correlation-ranked", "feature_count": 2.5}, "feature_count"),
     ({"feature_mode": "correlation-ranked", "feature_count": 0}, "feature_count"),
     ({"statistics": ("mean", "mode")}, "statistics"),
+    ({"window_length": 60.5}, "window length"),
+    ({"window_stride": True}, "stride"),
+    ({"stratified": "no"}, "stratified"),
 ])
 def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
                                                             overrides, named):
@@ -159,12 +161,19 @@ def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monke
         return prepare_matrix(config)
 
     monkeypatch.setattr(pipeline, "prepare_matrix", counted)
-    config = pipeline.preset_config(
-        "table7", surrogate_csv, window_length=20, window_stride=10, **overrides
-    )
     with pytest.raises(DriverIdError, match=named):
-        pipeline.run_pipeline(config)
+        pipeline.run_pipeline(pipeline.preset_config(
+            "table7", surrogate_csv, **{"window_length": 20, "window_stride": 10, **overrides}
+        ))
     assert calls == []
+
+
+def test_prepare_matrix_takes_a_whole_feature_count(surrogate_csv):
+    # The count is checked when the config is built, and again by select_features.
+    with pytest.raises(DriverIdError, match="feature_count"):
+        pipeline.prepare_matrix(pipeline.preset_config(
+            "table7", surrogate_csv, feature_mode="correlation-ranked", feature_count=2.5,
+        ))
 
 
 @pytest.mark.parametrize("normalize, fits", [("train", 4), ("all", 1), ("none", 0)])
