@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the one check of a count
-or seed option.
+"""Exception types shared across the package, and the checks of an option.
 
 Every error raised on a bad input derives from :class:`DriverIdError`, so
 callers (and the CLI) can catch one base class.  Where a standard category
@@ -7,10 +6,13 @@ fits, the class also inherits from it (``LookupError``, ``ValueError``).
 
 Each option is checked once, by the type that stores it: a model by its
 constructor, ``WindowSpec``, ``CvPlan`` and ``RunConfig`` when they are
-built, the selection mode and count by ``features.check_selection``.  Every
-count and seed among them goes through :func:`whole_number`.
+built, the selection options by ``features.check_selection``.  Every count
+and seed among them goes through :func:`whole_number`, every real through
+:func:`finite_real` and every choice through :func:`one_of`; each raises
+:class:`InvalidOption` naming the option.
 """
 
+import math
 import numbers
 
 
@@ -38,6 +40,35 @@ def whole_number(name: str, value, minimum: int) -> int:
     ):
         raise InvalidOption(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def finite_real(
+    name: str, value, low: float, high: float = math.inf, *, strict: bool = False
+) -> float:
+    """``value`` as a float, for a real option in [low, high], or in
+    (low, high) when ``strict``.
+
+    Bools, strings, NaN, ±inf and values out of range raise InvalidOption.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not (low < value < high if strict else low <= value <= high)
+    ):
+        opening = "(" if strict else "["
+        closing = ")" if strict or high == math.inf else "]"
+        raise InvalidOption(
+            f"{name} must be a finite number in {opening}{low:g}, {high:g}{closing}, got {value!r}"
+        )
+    return float(value)
+
+
+def one_of(name: str, value, choices: tuple[str, ...]) -> str:
+    """``value`` if it is one of the names in ``choices``, else InvalidOption."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidOption(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 # --- OBD codec ---

@@ -29,6 +29,7 @@ from .errors import (
     NoBaselineDesignated,
     TooFewInstancesPerClass,
     UnknownLabel,
+    one_of,
     whole_number,
 )
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
@@ -38,7 +39,7 @@ SPLIT_MODES = ("random-window", "blocked-time")
 NORMALIZE_POLICIES = ("train", "all", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Square count matrix over an ordered class alphabet."""
 
@@ -109,7 +110,7 @@ def per_class_counts(cm: ConfusionMatrix, i: int) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """Percent metrics computed from one (possibly pooled) confusion matrix."""
 
@@ -218,16 +219,7 @@ class CvPlan:
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
         if not isinstance(self.stratified, bool):
             raise InvalidOption(f"stratified must be true or false, got {self.stratified!r}")
-        if self.split_mode not in SPLIT_MODES:
-            raise DriverIdError(
-                f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}"
-            )
-
-
-def check_normalize(normalize: str) -> None:
-    """Raise DriverIdError unless ``normalize`` is one of NORMALIZE_POLICIES."""
-    if normalize not in NORMALIZE_POLICIES:
-        raise DriverIdError(f"normalize must be one of {NORMALIZE_POLICIES}, got {normalize!r}")
+        one_of("split_mode", self.split_mode, SPLIT_MODES)
 
 
 def fold_assignments(matrix: FeatureMatrix, plan: CvPlan) -> np.ndarray:
@@ -260,7 +252,7 @@ def fold_assignments(matrix: FeatureMatrix, plan: CvPlan) -> np.ndarray:
     return fold_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Folds:
     """One cross-validation split of ``matrix``, built once and shared by every kind.
 
@@ -280,7 +272,7 @@ class Folds:
     def build(
         cls, matrix: FeatureMatrix, plan: CvPlan = CvPlan(), normalize: str = "train"
     ) -> "Folds":
-        check_normalize(normalize)
+        one_of("normalize", normalize, NORMALIZE_POLICIES)
         fold_of = fold_assignments(matrix, plan)
         rows = tuple(
             (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))

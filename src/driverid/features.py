@@ -54,6 +54,8 @@ from .errors import (
     InvalidOption,
     UnknownFeatureName,
     WindowLongerThanSeries,
+    finite_real,
+    one_of,
     whole_number,
 )
 
@@ -179,12 +181,15 @@ def _label_correlation_scores(
 SELECTION_MODES = ("fixed-list", "correlation-ranked")
 
 
-def check_selection(mode: str, k) -> None:
-    """Raise InvalidOption unless ``mode`` is one of SELECTION_MODES and ``k``
-    (the correlation-ranked column count) a whole number >= 1."""
-    if mode not in SELECTION_MODES:
-        raise InvalidOption(f"feature_mode must be one of {SELECTION_MODES}, got {mode!r}")
+def check_selection(mode: str, k, irrelevance_threshold, correlation_threshold) -> None:
+    """Raise InvalidOption unless ``mode`` is one of SELECTION_MODES, ``k``
+    (the correlation-ranked column count) a whole number >= 1 and both
+    thresholds finite and >= 0 (above 1, the correlation threshold never
+    discards a column)."""
+    one_of("feature_mode", mode, SELECTION_MODES)
     whole_number("feature_count", k, 1)
+    finite_real("irrelevance_threshold", irrelevance_threshold, 0.0)
+    finite_real("correlation_threshold", correlation_threshold, 0.0)
 
 
 def select_features(
@@ -210,7 +215,7 @@ def select_features(
     (threshold ``correlation_threshold``) an already-kept column and whose
     score clears ``irrelevance_threshold``.
     """
-    check_selection(mode, k)
+    check_selection(mode, k, irrelevance_threshold, correlation_threshold)
     X = ds.channels
     names = ds.column_names
 
@@ -289,7 +294,7 @@ def select_features(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationParams:
     """Per-column (min, max) fitted on training rows only."""
 
@@ -362,23 +367,21 @@ class WindowSpec:
         object.__setattr__(self, "length", whole_number("window length", self.length, 2))
         object.__setattr__(self, "stride", whole_number("stride", self.stride, 1))
         if self.stride > self.length:
-            raise DriverIdError(
+            raise InvalidOption(
                 f"stride {self.stride} must not exceed window length {self.length} "
                 "(windows must tile or overlap, not skip samples)"
             )
-        stats = tuple(dict.fromkeys(self.statistics))
+        stats = tuple(dict.fromkeys(one_of("statistics", s, ALLOWED_STATISTICS)
+                                    for s in self.statistics))
         if not stats:
-            raise DriverIdError("at least one window statistic is required")
-        unknown = [s for s in stats if s not in ALLOWED_STATISTICS]
-        if unknown:
-            raise DriverIdError(f"unknown statistics {unknown}; choose from {ALLOWED_STATISTICS}")
+            raise InvalidOption("at least one window statistic is required")
         object.__setattr__(self, "statistics", stats)
 
     def to_dict(self) -> dict:
         return {"length": self.length, "stride": self.stride, "statistics": list(self.statistics)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Rectangular numeric matrix with one driver label per row.
 

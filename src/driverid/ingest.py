@@ -110,7 +110,7 @@ def present_classes(alphabet, codes) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(a for a, u in zip(alphabet, used) if u), (np.cumsum(used) - 1)[codes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripDataset:
     """An immutable, rectangular trip log.
 
@@ -125,7 +125,7 @@ class TripDataset:
     labels: tuple[str, ...]
     label_alphabet: tuple[str, ...]
     label_column: str = DEFAULT_LABEL_COLUMN
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.channels.ndim != 2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from ..errors import DriverIdError
+from ..errors import DriverIdError, InvalidOption, one_of
 from ..features import FeatureMatrix
 from ..ingest import _text_stream
 from .base import Classifier
@@ -42,11 +42,12 @@ SERIALIZATION_VERSION = 1
 
 def make(kind: str, config: dict | None = None) -> Classifier:
     """Instantiate an unfitted classifier of the given kind."""
-    if kind not in KINDS:
-        raise DriverIdError(f"unknown model kind {kind!r}; choose from {sorted(KINDS)}")
+    one_of("kind", kind, tuple(KINDS))
     try:
         return KINDS[kind](**(config or {}))
-    except (TypeError, ValueError) as e:
+    except InvalidOption as e:
+        raise InvalidOption(f"bad config for {kind!r}: {e}") from None
+    except TypeError as e:  # e.g. an option the kind does not take
         raise DriverIdError(f"bad config for {kind!r}: {e}") from None
 
 

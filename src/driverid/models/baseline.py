@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DriverIdError
 from .base import Classifier
+
+#: How far loaded priors may sum from 1; a fit's sum is off by a few ulps at most.
+PRIORS_SUM_TOLERANCE = 1e-9
 
 
 class ZeroR(Classifier):
@@ -22,6 +26,11 @@ class ZeroR(Classifier):
         counts = np.bincount(y_idx, minlength=len(self.classes_))
         self.priors_ = counts / counts.sum()
         self.majority_ = int(np.argmax(counts))
+
+    def _load_params(self, params: dict) -> None:
+        super()._load_params(params)
+        if (self.priors_ < 0).any() or abs(self.priors_.sum() - 1.0) > PRIORS_SUM_TOLERANCE:
+            raise DriverIdError("zeror priors must be >= 0 and sum to 1")
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError, whole_number
+from ..errors import DriverIdError, InvalidOption, whole_number
 from .base import Classifier
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
@@ -238,29 +238,33 @@ class AdaBoost(Classifier):
 class MajorityVote(Classifier):
     """Hard-voting ensemble over heterogeneous member classifiers.
 
-    ``members`` is a sequence of kind names or (kind, config) pairs, each
-    fitted on the same rows and class codes, so every member shares the
+    ``members`` is a sequence of kind names or (kind, config) pairs.  Each
+    member is built, and so checked, with the ensemble; a fit fits every
+    one on the same rows and class codes, so every member shares the
     ensemble's ``classes_``.  Vote ties resolve to the lowest class.
     """
 
     kind = "vote"
 
     def __init__(self, members=DEFAULT_VOTE_MEMBERS):
-        specs = []
-        for m in members:
-            if isinstance(m, str):
-                specs.append((m, {}))
-            else:
-                kind, config = m
-                specs.append((str(kind), dict(config)))
-        if not specs:
-            raise ValueError("at least one member is required")
-        self.members = tuple(specs)
-
-    def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         from . import make  # deferred: the registry imports this module
 
-        self.members_ = [make(k, c).fit(X, y_idx, classes=self.classes_) for k, c in self.members]
+        specs = []
+        for m in members:
+            try:
+                kind, config = (m, {}) if isinstance(m, str) else m
+                specs.append((str(kind), dict(config)))
+            except (TypeError, ValueError):
+                raise InvalidOption(
+                    f"each of members must be a kind or a (kind, config) pair, got {m!r}"
+                ) from None
+        if not specs:
+            raise InvalidOption("members must name at least one kind")
+        self.members = tuple(specs)
+        self._member_models = [make(kind, config) for kind, config in specs]
+
+    def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
+        self.members_ = [m.fit(X, y_idx, classes=self.classes_) for m in self._member_models]
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))

@@ -19,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from ..errors import whole_number
+from ..errors import finite_real, whole_number
 from .base import Classifier, logsumexp, softmax
 
 #: curvature pairs (s, y) kept by the two-loop recursion
@@ -88,13 +88,9 @@ class LogisticRegression(Classifier):
     fitted = {"weights_": np.float64}
 
     def __init__(self, max_epochs: int = 1000, tol: float = 1e-8, l2: float = 0.0):
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValueError("tol must be finite and >= 0")
-        if not (np.isfinite(l2) and l2 >= 0):
-            raise ValueError("l2 must be finite and >= 0")
         self.max_epochs = whole_number("max_epochs", max_epochs, 1)
-        self.tol = float(tol)
-        self.l2 = float(l2)
+        self.tol = finite_real("tol", tol, 0.0)
+        self.l2 = finite_real("l2", l2, 0.0)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         X_aug = np.hstack([X, np.ones((X.shape[0], 1))])

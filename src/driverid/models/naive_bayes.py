@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DriverIdError, finite_real
 from .base import Classifier, softmax
 
 
@@ -17,9 +18,7 @@ class GaussianNaiveBayes(Classifier):
     fitted = {"theta_": np.float64, "var_": np.float64, "log_priors_": np.float64}
 
     def __init__(self, var_floor: float = 1e-9):
-        if not (np.isfinite(var_floor) and var_floor > 0):
-            raise ValueError("var_floor must be finite and > 0")
-        self.var_floor = float(var_floor)
+        self.var_floor = finite_real("var_floor", var_floor, 0.0, strict=True)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         n, d = X.shape
@@ -33,6 +32,11 @@ class GaussianNaiveBayes(Classifier):
             self.var_[c] = rows.var(axis=0)  # population variance
         np.maximum(self.var_, self.var_floor, out=self.var_)
         self.log_priors_ = np.log(counts / n)
+
+    def _load_params(self, params: dict) -> None:
+        super()._load_params(params)
+        if not (self.var_ > 0).all():
+            raise DriverIdError("naive_bayes var must be > 0")
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         # joint log-likelihood log P(c) + Σ_j log N(x_j | μ_cj, σ²_cj), shape (n, K)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import whole_number
+from ..errors import finite_real, whole_number
 from .base import Classifier, softmax
 
 
@@ -45,9 +45,7 @@ class LinearSvm(Classifier):
     fitted = {"weights_": np.float64}
 
     def __init__(self, lam: float = 1e-4, epochs: int = 20, seed: int = 1, batch_size: int = 64):
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError("lam must be finite and > 0")
-        self.lam = float(lam)
+        self.lam = finite_real("lam", lam, 0.0, strict=True)
         self.epochs = whole_number("epochs", epochs, 1)
         self.seed = whole_number("seed", seed, 0)
         self.batch_size = whole_number("batch_size", batch_size, 1)

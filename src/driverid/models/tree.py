@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError, whole_number
+from ..errors import DriverIdError, finite_real, whole_number
 from .base import Classifier
 
 _LEAF = -1
@@ -88,11 +88,11 @@ class RepTree(Classifier):
         pruning_fraction: float = 1.0 / 3.0,
         seed: int = 1,
     ):
-        if not 0.0 < pruning_fraction < 1.0:
-            raise ValueError("pruning_fraction must lie strictly between 0 and 1")
         self.max_depth = None if max_depth is None else whole_number("max_depth", max_depth, 1)
         self.min_leaf_count = whole_number("min_leaf_count", min_leaf_count, 1)
-        self.pruning_fraction = float(pruning_fraction)
+        self.pruning_fraction = finite_real(
+            "pruning_fraction", pruning_fraction, 0.0, 1.0, strict=True
+        )
         self.seed = whole_number("seed", seed, 0)
 
     # -- training ----------------------------------------------------------

@@ -5,7 +5,7 @@ in the emitted report, so re-running a report's config reproduces it
 bit-for-bit (reports carry no timestamps, and all randomness is seeded).
 A RunConfig checks every option that needs no data when it is built, so a
 bad kind, model config, selection, window, normalize policy or
-cross-validation plan raises DriverIdError before any file is read.
+cross-validation plan raises InvalidOption before any file is read.
 
 Two presets reproduce the headline benchmark setups: ``table6`` (binary
 driver A vs D) and ``table7`` (all ten drivers).
@@ -18,13 +18,15 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from . import evaluate, ingest, models
-from .errors import DriverIdError
+from .errors import DriverIdError, InvalidOption, one_of
 from .features import WindowSpec, check_selection, extract_windows, select_features
 
 #: Environment variable consulted for the benchmark dataset location.
 DATASET_ENV_VAR = "OCSLAB_DRIVING_CSV"
 #: Fallback dataset path relative to the working directory.
 DATASET_DEFAULT_PATH = os.path.join("data", "driving_dataset.csv")
+#: RunConfig fields that hold a list of names (None allowed where the default is None).
+NAME_LISTS = ("exclude_columns", "keep_labels", "feature_list", "statistics", "kinds")
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,21 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for key in NAME_LISTS:
+            names = getattr(self, key)
+            if names is None and self.__dataclass_fields__[key].default is None:
+                continue
+            if not (isinstance(names, (tuple, list)) and all(isinstance(n, str) for n in names)):
+                raise InvalidOption(f"{key} must be a list of names, got {names!r}")
         stray = sorted(set(self.model_configs) - set(self.kinds))
         if stray:
-            raise DriverIdError(f"model_configs for kinds that do not run: {stray}")
+            raise InvalidOption(f"model_configs for kinds that do not run: {stray}")
         for kind in self.kinds:
             models.make(kind, self.model_configs.get(kind))
-        check_selection(self.feature_mode, self.feature_count)
+        check_selection(self.feature_mode, self.feature_count,
+                        self.irrelevance_threshold, self.correlation_threshold)
         self.window_spec()
-        evaluate.check_normalize(self.normalize)
+        one_of("normalize", self.normalize, evaluate.NORMALIZE_POLICIES)
         self.cv_plan()
 
     def window_spec(self) -> WindowSpec:
@@ -79,8 +88,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         kwargs = dict(d)
-        for key in ("exclude_columns", "keep_labels", "feature_list", "statistics", "kinds"):
-            if kwargs.get(key) is not None:
+        for key in NAME_LISTS:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
@@ -109,8 +118,7 @@ PRESETS: dict[str, dict] = {
 
 def preset_config(name: str, input_path: str, **overrides) -> RunConfig:
     """RunConfig for a named preset, with optional field overrides."""
-    if name not in PRESETS:
-        raise DriverIdError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    one_of("preset", name, tuple(PRESETS))
     return RunConfig(input=input_path, **{**PRESETS[name], **overrides})
 
 

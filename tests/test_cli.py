@@ -181,12 +181,16 @@ def test_evaluate_rejects_bad_split(prepared, capsys):
     ("svm", {"lam": float("nan")}),
     ("naive_bayes", {"var_floor": float("inf")}),
     ("logreg", {"tol": float("inf")}),
+    ("logreg", {"tol": True}),
 ])
 def test_evaluate_bad_model_config_is_data_error(prepared, capsys, kind, config):
     code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", kind,
                        "--folds", "3", "--model-config", json.dumps(config))
     assert code == 2
-    assert "DriverIdError" in err
+    # An option the kind does not take is a DriverIdError; a bad value of
+    # one it takes is its InvalidOption subclass.
+    unknown_option = "learning_rate" in config or kind == "vote"
+    assert ("DriverIdError" if unknown_option else "InvalidOption") in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

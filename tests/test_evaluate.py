@@ -11,6 +11,7 @@ from driverid import evaluate, ingest, models
 from driverid.errors import (
     DriverIdError,
     EmptyMatrix,
+    InvalidOption,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
     UnknownLabel,
@@ -204,8 +205,9 @@ def test_too_few_instances_per_class():
 def test_plan_validation():
     with pytest.raises(DriverIdError):
         CvPlan(folds=1)
-    with pytest.raises(DriverIdError):
-        CvPlan(split_mode="bootstrap")
+    for split_mode in ("bootstrap", None):
+        with pytest.raises(InvalidOption, match="split_mode"):
+            CvPlan(split_mode=split_mode)
     with pytest.raises(DriverIdError):
         CvPlan(seed=-1)
 
@@ -290,8 +292,9 @@ def test_cv_normalize_policies_run():
         rep = cross_validate("knn", {"k": 1}, Folds.build(m, CvPlan(folds=3, seed=1), policy))
         assert rep.metadata["normalize"] == policy
         assert rep.accuracy > 90.0
-    with pytest.raises(DriverIdError):
-        Folds.build(m, CvPlan(folds=3), "zscore")
+    for policy in ("zscore", True):
+        with pytest.raises(InvalidOption, match="normalize"):
+            Folds.build(m, CvPlan(folds=3), policy)
 
 
 def test_cv_metadata_carries_the_run():

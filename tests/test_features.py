@@ -1,15 +1,17 @@
 """Feature selection, normalization, sliding-window extraction."""
 
+import copy
 import io
 import warnings
 
 import numpy as np
 import pytest
 
-from driverid import features, ingest
+from driverid import evaluate, features, ingest
 from driverid.errors import (
     ColumnCountMismatch,
     DriverIdError,
+    InvalidOption,
     UnknownFeatureName,
     WindowLongerThanSeries,
 )
@@ -114,6 +116,16 @@ def test_selection_rejects_unknown_mode(trip_dataset):
         select_features(trip_dataset, "chi-squared")
 
 
+@pytest.mark.parametrize("mode", ["correlation-ranked", "fixed-list"])
+@pytest.mark.parametrize("name", ["irrelevance_threshold", "correlation_threshold"])
+def test_selection_thresholds_are_finite_and_not_negative(trip_dataset, mode, name):
+    for bad in (float("nan"), float("inf"), -float("inf"), "x", True, -0.1):
+        with pytest.raises(InvalidOption, match=name):
+            select_features(trip_dataset, mode, **{name: bad})
+    # Above any |r|, a correlation threshold keeps every column.
+    select_features(trip_dataset, "correlation-ranked", **{name: 2.0})
+
+
 # -- normalization -----------------------------------------------------------
 
 def test_normalizer_maps_train_to_unit_interval():
@@ -167,8 +179,9 @@ def test_window_spec_validation():
         WindowSpec(length=0)
     with pytest.raises(DriverIdError):
         WindowSpec(stride=0)
-    with pytest.raises(DriverIdError):
-        WindowSpec(statistics=("mean", "mode"))
+    for stats in (("mean", "mode"), ("mean", None), ()):
+        with pytest.raises(InvalidOption, match="statistic"):
+            WindowSpec(statistics=stats)
 
 
 def test_extract_windows_statistics_against_numpy():
@@ -449,6 +462,18 @@ def test_feature_matrix_checks_its_codes():
     ]:
         with pytest.raises(DriverIdError):
             FeatureMatrix(("f",), X, alphabet, np.array(codes))
+
+
+def test_array_holding_types_compare_by_identity():
+    # A generated __eq__ would compare the ndarray fields and raise ValueError.
+    ds = _dataset(["x"], [[float(i)] for i in range(12)], ["A"] * 6 + ["B"] * 6)
+    matrix, _ = extract_windows(ds, ("x",), WindowSpec(length=2, stride=1))
+    folds = evaluate.Folds.build(matrix, evaluate.CvPlan(folds=2))
+    report = evaluate.cross_validate("zeror", None, folds)
+    cm = evaluate.ConfusionMatrix(report.classes, report.counts)
+    for value in (ds, matrix, folds.params[0], cm, report, folds):
+        assert (value == copy.copy(value)) is False
+        assert (value == value) is True
 
 
 def test_windows_and_normalizer_pass_the_codes_through():

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driverid import models
+from driverid import models, pipeline
 from driverid.errors import (
     DimensionMismatch,
     DriverIdError,
     EmptyTrainingSet,
+    InvalidOption,
     LengthMismatch,
     NonFiniteFeature,
     SingleClassForDiscriminative,
@@ -149,6 +150,11 @@ def test_load_model_rejects_malformed_files():
         ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "threshold": NAN}, *p["stumps"][1:]]}),
         ("adaboost", lambda p: {**p, "alphas": [INF, *p["alphas"][1:]]}),
         ("adaboost", lambda p: {**p, "alphas": [0.0] * len(p["alphas"])}),
+        # Distributions that are not valid: a zero variance divides by zero
+        # in predict_proba, and ZeroR returns its priors as probabilities.
+        ("naive_bayes", lambda p: {**p, "var": [[0.0, *p["var"][0][1:]], *p["var"][1:]]}),
+        ("zeror", lambda p: {**p, "priors": [0.5, 0.7, -0.2]}),
+        ("zeror", lambda p: {**p, "priors": [0.2, 0.2, 0.2]}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
@@ -271,11 +277,29 @@ NUMERIC_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [NAN, INF, "x"])
+#: Values just outside the range of each numeric option, by option name.
+OUT_OF_RANGE = {
+    "k": (0,), "rounds": (0,), "max_epochs": (0,), "epochs": (0,), "batch_size": (0,),
+    "seed": (-1,), "max_depth": (0,), "min_leaf_count": (0,),
+    "var_floor": (0.0, -1e-9), "tol": (-1e-9,), "l2": (-0.1,), "lam": (0.0, -1.0),
+    "pruning_fraction": (0.0, 1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, "x", -INF, True,
+                                 pytest.param(OUT_OF_RANGE, id="out_of_range")])
 @pytest.mark.parametrize("kind, option", NUMERIC_OPTIONS)
 def test_numeric_options_reject_non_finite_values_and_strings(kind, option, bad):
-    with pytest.raises(DriverIdError):
-        models.make(kind, {option: bad})
+    # Built directly, through models.make and through a RunConfig, a bad
+    # value is an InvalidOption that names the option.
+    for value in OUT_OF_RANGE[option] if bad is OUT_OF_RANGE else (bad,):
+        with pytest.raises(InvalidOption, match=f"{option} must"):
+            models.KINDS[kind](**{option: value})
+        with pytest.raises(InvalidOption, match=f"{option} must"):
+            models.make(kind, {option: value})
+        with pytest.raises(InvalidOption, match=f"{option} must"):
+            pipeline.RunConfig(input="unused.csv", kinds=(kind,),
+                               model_configs={kind: {option: value}})
 
 
 # -- ZeroR ---------------------------------------------------------------------
@@ -501,15 +525,6 @@ def test_logreg_loss_not_worse_than_fixed_step_gradient_descent(l2):
     assert model.final_loss_ == loss_and_grad(model.weights_, X_aug, y_idx, l2)[0]
 
 
-def test_logreg_hyperparameter_validation():
-    for bad in ({"max_epochs": 0}, {"tol": -1e-9}, {"tol": float("nan")},
-                {"l2": -0.1}, {"l2": float("inf")}, {"l2": float("nan")}):
-        with pytest.raises(ValueError):
-            LogisticRegression(**bad)
-        with pytest.raises(DriverIdError):
-            models.make("logreg", bad)
-
-
 def test_logreg_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     X = np.column_stack([rng.normal(size=(12, 3)), np.ones(12)])
@@ -601,15 +616,6 @@ def _grow_only_tree(**kwargs):
             self._compact()
 
     return GrowOnly(**kwargs)
-
-
-def test_tree_hyperparameter_validation():
-    with pytest.raises(ValueError):
-        RepTree(max_depth=0)
-    with pytest.raises(ValueError):
-        RepTree(min_leaf_count=0)
-    with pytest.raises(ValueError):
-        RepTree(pruning_fraction=1.5)
 
 
 # -- AdaBoost ----------------------------------------------------------------------
@@ -980,6 +986,22 @@ def test_vote_uses_default_members():
     assert len(model.members_) == 5
     acc = np.mean(np.asarray(model.predict(X)) == y)
     assert acc >= 0.9
+
+
+@pytest.mark.parametrize("members, named", [
+    (["bogus"], "bogus"),
+    ([["svm", {"lam": -1}]], "lam"),
+    ([["knn", {"k": 0}]], "k must"),
+    ([["knn"]], "members"),
+    ([5], "members"),
+    ([], "members"),
+])
+def test_vote_members_are_checked_when_the_vote_is_built(members, named):
+    with pytest.raises(InvalidOption, match=named):
+        MajorityVote(members)
+    with pytest.raises(InvalidOption, match=named):
+        pipeline.RunConfig(input="unused.csv", kinds=("zeror", "vote"),
+                           model_configs={"vote": {"members": members}})
 
 
 def test_vote_of_configured_members():

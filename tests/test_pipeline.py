@@ -15,7 +15,7 @@ import pytest
 
 from driverid import pipeline
 from driverid.cli import main
-from driverid.errors import DriverIdError
+from driverid.errors import DriverIdError, InvalidOption
 from driverid.features import FeatureMatrix
 
 # production spellings of the fifteen benchmark channels
@@ -150,6 +150,24 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     ({"window_length": 60.5}, "window length"),
     ({"window_stride": True}, "stride"),
     ({"stratified": "no"}, "stratified"),
+    ({"split_mode": True}, "split_mode"),
+    ({"normalize": None}, "normalize"),
+    ({"feature_mode": "Fixed-List"}, "feature_mode"),
+    ({"statistics": ("mean", 1)}, "statistics"),
+    ({"irrelevance_threshold": float("nan")}, "irrelevance_threshold"),
+    ({"irrelevance_threshold": -0.1}, "irrelevance_threshold"),
+    ({"irrelevance_threshold": True}, "irrelevance_threshold"),
+    ({"correlation_threshold": float("inf")}, "correlation_threshold"),
+    ({"correlation_threshold": -float("inf")}, "correlation_threshold"),
+    ({"correlation_threshold": "x"}, "correlation_threshold"),
+    ({"exclude_columns": "Time(s)"}, "exclude_columns"),
+    ({"keep_labels": "AD"}, "keep_labels"),
+    ({"feature_list": "Engine torque"}, "feature_list"),
+    ({"statistics": "mean"}, "statistics"),
+    ({"kinds": "zeror"}, "kinds"),
+    ({"kinds": None}, "kinds"),
+    ({"statistics": 5}, "statistics"),
+    ({"keep_labels": ("A", 4)}, "keep_labels"),
 ])
 def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
                                                             overrides, named):
@@ -161,7 +179,7 @@ def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monke
         return prepare_matrix(config)
 
     monkeypatch.setattr(pipeline, "prepare_matrix", counted)
-    with pytest.raises(DriverIdError, match=named):
+    with pytest.raises(InvalidOption, match=named):
         pipeline.run_pipeline(pipeline.preset_config(
             "table7", surrogate_csv, **{"window_length": 20, "window_stride": 10, **overrides}
         ))
