@@ -48,20 +48,22 @@ def finite_real(
     """``value`` as a float, for a real option in [low, high], or in
     (low, high) when ``strict``.
 
-    Bools, strings, NaN, ±inf and values out of range raise InvalidOption.
+    Bools, strings, NaN, ±inf, ints too large for a float and values out
+    of range raise InvalidOption.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or not (low < value < high if strict else low <= value <= high)
-    ):
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not (math.isfinite(number) and (low < number < high if strict else low <= number <= high)):
         opening = "(" if strict else "["
         closing = ")" if strict or high == math.inf else "]"
         raise InvalidOption(
             f"{name} must be a finite number in {opening}{low:g}, {high:g}{closing}, got {value!r}"
         )
-    return float(value)
+    return number
 
 
 def one_of(name: str, value, choices: tuple[str, ...]) -> str:

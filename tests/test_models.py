@@ -281,7 +281,7 @@ NUMERIC_OPTIONS = [
 OUT_OF_RANGE = {
     "k": (0,), "rounds": (0,), "max_epochs": (0,), "epochs": (0,), "batch_size": (0,),
     "seed": (-1,), "max_depth": (0,), "min_leaf_count": (0,),
-    "var_floor": (0.0, -1e-9), "tol": (-1e-9,), "l2": (-0.1,), "lam": (0.0, -1.0),
+    "var_floor": (0.0, -1e-9), "tol": (-1e-9, 10**400), "l2": (-0.1,), "lam": (0.0, -1.0),
     "pruning_fraction": (0.0, 1.0, 1.5),
 }
 
