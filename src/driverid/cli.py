@@ -6,11 +6,11 @@ one model), ``evaluate`` (cross-validate models on a prepared matrix),
 ``compare`` (rank evaluation reports against the ZeroR baseline), and
 ``repro`` (run a named benchmark preset end to end).
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
-unknown PIDs, malformed datasets), 3 internal error.  ``--config FILE``
-supplies flat JSON defaults; explicit flags win over the file, and a flag
-set in neither takes its value from ``pipeline.RunConfig`` (or, for
-``repro``, the preset).  Every subcommand accepts ``--format json``.
+Exit codes: 0 success, 1 usage error, 2 data error (an input file that is
+missing, undecodable or malformed, unknown PIDs), 3 internal error.
+``--config FILE`` supplies flat JSON defaults; explicit flags win over the
+file, and a flag set in neither takes its value from ``pipeline.RunConfig``
+(or, for ``repro``, the preset).  Every subcommand accepts ``--format json``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from . import evaluate, models, obd, pipeline
+from . import errors, evaluate, ingest, models, obd, pipeline
 from .errors import DriverIdError
 from .features import FeatureMatrix
 
@@ -125,11 +125,8 @@ class _Settings:
         self._file = {}
         self._path = path = args.config
         if path:
-            with open(path, encoding="utf-8") as fh:
-                try:
-                    loaded = json.load(fh)
-                except ValueError as e:
-                    raise DriverIdError(f"config file {path} is not valid JSON: {e}") from None
+            with errors.reading(f"config file {path}"), ingest._text_stream(path, "r") as fh:
+                loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise DriverIdError(f"config file {path} must hold a JSON object")
             self._file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
@@ -305,14 +302,11 @@ def _load_reports(path: str) -> list:
     Accepts either a single per-model report or a composite document from
     ``evaluate --report``/``repro`` (per-model reports under ``results``).
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        if isinstance(doc, dict) and "results" in doc:
-            return [evaluate.MetricsReport.from_dict(d) for d in doc["results"].values()]
-        return [evaluate.MetricsReport.from_dict(doc)]
-    except (KeyError, TypeError, AttributeError, ValueError):
-        raise DriverIdError(f"{path} is not an evaluation report") from None
+    with errors.reading(f"{path} is not an evaluation report"):
+        with ingest._text_stream(path, "r") as fh:
+            doc = json.load(fh)
+        docs = doc["results"].values() if isinstance(doc, dict) and "results" in doc else [doc]
+        return [evaluate.MetricsReport.from_dict(d) for d in docs]
 
 
 def _cmd_compare(args, settings: _Settings) -> int:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks of an option.
+"""Exception types shared across the package, the checks of an option, and
+:func:`reading`, the one place where a malformed input file becomes an error.
 
 Every error raised on a bad input derives from :class:`DriverIdError`, so
 callers (and the CLI) can catch one base class.  Where a standard category
@@ -8,16 +9,31 @@ Each option is checked once, by the type that stores it: a model by its
 constructor, ``WindowSpec``, ``CvPlan`` and ``RunConfig`` when they are
 built, the selection options by ``features.check_selection``.  Every count
 and seed among them goes through :func:`whole_number`, every real through
-:func:`finite_real` and every choice through :func:`one_of`; each raises
-:class:`InvalidOption` naming the option.
+:func:`finite_real`, every choice through :func:`one_of` and every list
+of names through :func:`name_list`; each raises :class:`InvalidOption`
+naming the option.
 """
 
+import csv
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class DriverIdError(Exception):
     """Base class for all errors raised by this package."""
+
+
+@contextmanager
+def reading(what: str):
+    """Read one input in the block, where its undecodable bytes, bad CSV or
+    JSON, or ill-fitting document raise DriverIdError naming ``what``."""
+    try:
+        yield
+    except (DriverIdError, OSError):
+        raise
+    except (csv.Error, LookupError, TypeError, ValueError, AttributeError) as e:
+        raise DriverIdError(f"{what}: {type(e).__name__}: {e}") from e
 
 
 # --- options ---
@@ -71,6 +87,14 @@ def one_of(name: str, value, choices: tuple[str, ...]) -> str:
     if not (isinstance(value, str) and value in choices):
         raise InvalidOption(f"{name} must be one of {choices}, got {value!r}")
     return value
+
+
+def name_list(name: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple, for an option that lists names: a list or tuple
+    of strings.  A bare string is not a list of its characters."""
+    if not (isinstance(value, (tuple, list)) and all(isinstance(n, str) for n in value)):
+        raise InvalidOption(f"{name} must be a list of names, got {value!r}")
+    return tuple(value)
 
 
 # --- OBD codec ---

@@ -296,7 +296,7 @@ def select_features(
 
 @dataclass(frozen=True, eq=False)
 class NormalizationParams:
-    """Per-column (min, max) fitted on training rows only."""
+    """Per-column (min, max) fitted on training rows only; both finite."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -304,6 +304,8 @@ class NormalizationParams:
     def __post_init__(self) -> None:
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise DriverIdError("mins/maxs must be matching 1-D arrays")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise DriverIdError("per-column min and max must be finite")
         if np.any(self.mins > self.maxs):
             raise DriverIdError("per-column min exceeds max")
         self.mins.flags.writeable = False
@@ -494,7 +496,7 @@ def extract_windows(
     if n < L:
         raise WindowLongerThanSeries(f"series has {n} samples, window needs {L}")
 
-    starts = np.arange(0, n - L + 1, S)
+    starts = np.arange(window_count(n, L, S)) * S
     codes = ds.codes
     # Windows are label-uniform iff no label change occurs strictly inside
     # them; a cumulative change count makes that an O(1) range query.

@@ -49,6 +49,8 @@ from .errors import (
     NonNumericCell,
     RaggedRow,
     UnknownLabel,
+    name_list,
+    reading,
 )
 
 #: Columns excluded from the channel matrix by default: elapsed trip time and
@@ -221,7 +223,7 @@ def load_dataset(
     cells count as non-numeric — missing data is a hard error), and
     :class:`EmptyDataset` for a header-only file.
     """
-    with _text_stream(source, "r") as stream:
+    with _text_stream(source, "r") as stream, reading(f"CSV {getattr(stream, 'name', 'stream')}"):
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
@@ -319,10 +321,12 @@ def _raise_non_numeric(cells, column_names, line_numbers) -> None:
 def filter_labels(ds: TripDataset, keep) -> TripDataset:
     """Dataset restricted to rows whose label is in ``keep`` (order preserved).
 
-    The result's label alphabet becomes exactly ``keep`` (sorted).  Requesting
-    a class absent from ``ds`` raises :class:`UnknownLabel`.
+    The result's label alphabet becomes exactly ``keep`` (sorted).  ``keep``
+    must be a list or tuple of labels (a bare string raises
+    :class:`InvalidOption`); a class absent from ``ds`` raises
+    :class:`UnknownLabel`.
     """
-    _, keep_codes = encode_labels(tuple(keep), ds.label_alphabet)
+    _, keep_codes = encode_labels(name_list("keep", keep), ds.label_alphabet)
     if keep_codes.size == 0:
         raise DriverIdError("keep set must be nonempty")
     kept = np.unique(keep_codes)

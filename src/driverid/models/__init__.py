@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from ..errors import DriverIdError, InvalidOption, one_of
+from ..errors import DriverIdError, InvalidOption, one_of, reading
 from ..features import FeatureMatrix
 from ..ingest import _text_stream
 from .base import Classifier
@@ -74,11 +74,8 @@ def load_model(source) -> Classifier:
     its kind (a missing key, a config option the kind does not take, a
     value of the wrong type), raises :class:`DriverIdError`.
     """
-    try:
-        with _text_stream(source, "r") as fh:
-            payload = json.load(fh)
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise DriverIdError(f"not a model file: {e}") from None
+    with reading("not a model file"), _text_stream(source, "r") as fh:
+        payload = json.load(fh)
     if not isinstance(payload, dict):
         raise DriverIdError("not a model file (not a JSON object)")
     if payload.get("format") != SERIALIZATION_FORMAT:
@@ -88,12 +85,8 @@ def load_model(source) -> Classifier:
     kind = payload.get("kind")
     if kind not in KINDS:
         raise DriverIdError(f"unknown model kind {kind!r}")
-    try:
+    with reading(f"malformed {kind} model file"):
         return KINDS[kind].from_dict(payload)
-    except DriverIdError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError) as e:
-        raise DriverIdError(f"malformed {kind} model file: {type(e).__name__}: {e}") from None
 
 
 __all__ = [

@@ -144,10 +144,7 @@ class Classifier:
             raise DriverIdError(f"model classes must be sorted and distinct: {d['classes']!r}")
         model._load_params(d["params"])
         # Params that do not fit the classes and width fail here, not in predict.
-        try:
-            shape = model._scores(np.zeros((1, model.n_features_))).shape
-        except (IndexError, ValueError) as e:
-            raise DriverIdError(f"{cls.kind} params do not fit the model: {e}") from None
+        shape = model._scores(np.zeros((1, model.n_features_))).shape
         if shape != (1, len(model.classes_)):
             raise DriverIdError(f"{cls.kind} params score a row as shape {shape}, not (1, K)")
         return model

@@ -31,6 +31,8 @@ class ZeroR(Classifier):
         super()._load_params(params)
         if (self.priors_ < 0).any() or abs(self.priors_.sum() - 1.0) > PRIORS_SUM_TOLERANCE:
             raise DriverIdError("zeror priors must be >= 0 and sum to 1")
+        if self.majority_ != np.argmax(self.priors_):
+            raise DriverIdError("zeror majority must be the class of the largest prior")
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))

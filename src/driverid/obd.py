@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Union
 
-from .errors import DriverIdError, PayloadLengthMismatch, UnknownPid
+from .errors import DriverIdError, PayloadLengthMismatch, UnknownPid, reading
 from .ingest import _text_stream
 
 # Diagnostic services accepted by the registry.  Only service 01 rows carry
@@ -144,7 +144,7 @@ def load_registry(source=None) -> dict[tuple[int, int], PidDescriptor]:
         source = io.StringIO(text)
 
     registry: dict[tuple[int, int], PidDescriptor] = {}
-    with _text_stream(source, "r") as stream:
+    with reading("PID registry"), _text_stream(source, "r") as stream:
         rows = csv.reader(line for line in stream if not line.startswith("#"))
         header = next(rows, None)
         if header != ["service", "pid", "data_bytes", "description", "scaling", "min", "max", "unit"]:

@@ -18,7 +18,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from . import evaluate, ingest, models
-from .errors import DriverIdError, InvalidOption, one_of
+from .errors import DriverIdError, InvalidOption, name_list, one_of
 from .features import WindowSpec, check_selection, extract_windows, select_features
 
 #: Environment variable consulted for the benchmark dataset location.
@@ -57,10 +57,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for key in NAME_LISTS:
             names = getattr(self, key)
-            if names is None and self.__dataclass_fields__[key].default is None:
-                continue
-            if not (isinstance(names, (tuple, list)) and all(isinstance(n, str) for n in names)):
-                raise InvalidOption(f"{key} must be a list of names, got {names!r}")
+            if not (names is None and self.__dataclass_fields__[key].default is None):
+                name_list(key, names)
         stray = sorted(set(self.model_configs) - set(self.kinds))
         if stray:
             raise InvalidOption(f"model_configs for kinds that do not run: {stray}")
@@ -223,6 +221,6 @@ def run_pipeline(config: RunConfig) -> dict:
 
 def write_report(bundle: dict, path: str) -> None:
     """Serialize a report deterministically (sorted keys, repr floats)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with ingest._text_stream(path, "w") as fh:
         json.dump(bundle, fh, sort_keys=True, indent=2)
         fh.write("\n")

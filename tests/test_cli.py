@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from driverid import models, pipeline
+from driverid import evaluate, models, pipeline
 from driverid.cli import main
 
 from conftest import write_trip_csv
@@ -264,6 +264,39 @@ def test_compare_rejects_non_report_file(tmp_path, capsys):
     code, _, err = run(capsys, "compare", bad)
     assert code == 2
     assert "not an evaluation report" in err
+
+
+def _report_with_a_short_averaged_2x2() -> bytes:
+    cm = evaluate.confusion_from_predictions(["A", "B"], ["A", "B"])
+    report = {**evaluate.metrics(cm).to_dict(), "averaged_2x2": [[1]]}
+    return json.dumps(report).encode()
+
+
+_UNDECODABLE_LOG = b"Speed,Class\n1.0,A\n2.0,\xff\n"
+
+
+@pytest.mark.parametrize("command, content", [
+    pytest.param("ingest", _UNDECODABLE_LOG, id="ingest-undecodable"),
+    pytest.param("train", _UNDECODABLE_LOG, id="train-undecodable"),
+    pytest.param("ingest", b"Speed,Class\n1.0," + b"A" * 200_000 + b"\n",
+                 id="ingest-field-over-the-csv-limit"),
+    pytest.param("compare", b"not json", id="compare-not-json"),
+    pytest.param("compare", b"\xff\xfe", id="compare-undecodable"),
+    pytest.param("compare", _report_with_a_short_averaged_2x2(), id="compare-short-averaged-2x2"),
+])
+def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, command, content):
+    path = tmp_path / "input.data"
+    path.write_bytes(content)
+    argv = {
+        "ingest": ["ingest", "--input", str(path)],
+        "train": ["train", "--input", str(path), "--kind", "zeror",
+                  "--out", str(tmp_path / "model.json")],
+        "compare": ["compare", str(path)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"driverid {command}: DriverIdError: " in err and str(path) in err
+    assert "internal error" not in err
 
 
 def test_compare_without_baseline_is_data_error(tmp_path, prepared, capsys):

@@ -165,6 +165,18 @@ def test_normalizer_dict_round_trip():
     np.testing.assert_array_equal(again.maxs, params.maxs)
 
 
+@pytest.mark.parametrize("mins, maxs", [
+    ([float("nan")], [1.0]),
+    ([0.0], [float("nan")]),
+    ([0.0, float("-inf")], [1.0, 1.0]),
+    ([0.0], [float("inf")]),
+])
+def test_normalizer_params_must_be_finite(mins, maxs):
+    # A NaN bound would make apply_normalizer return NaN without a word.
+    with pytest.raises(DriverIdError, match="finite"):
+        NormalizationParams.from_dict({"mins": mins, "maxs": maxs})
+
+
 # -- windows -----------------------------------------------------------------
 
 def test_window_count_formula():

@@ -12,6 +12,7 @@ from driverid.features import FeatureMatrix
 from driverid.errors import (
     DriverIdError,
     EmptyDataset,
+    InvalidOption,
     MissingLabelColumn,
     NonNumericCell,
     RaggedRow,
@@ -236,6 +237,12 @@ def test_filter_labels_unknown_label(trip_dataset):
 def test_filter_labels_empty_keep(trip_dataset):
     with pytest.raises(DriverIdError):
         ingest.filter_labels(trip_dataset, ())
+
+
+def test_filter_labels_rejects_a_bare_string(trip_dataset):
+    # "AC" is not the labels A and C; RunConfig's keep_labels says the same.
+    with pytest.raises(InvalidOption, match="keep"):
+        ingest.filter_labels(trip_dataset, "AC")
 
 
 def test_class_distribution_sums_to_one(trip_dataset):

@@ -155,6 +155,9 @@ def test_load_model_rejects_malformed_files():
         ("naive_bayes", lambda p: {**p, "var": [[0.0, *p["var"][0][1:]], *p["var"][1:]]}),
         ("zeror", lambda p: {**p, "priors": [0.5, 0.7, -0.2]}),
         ("zeror", lambda p: {**p, "priors": [0.2, 0.2, 0.2]}),
+        # ZeroR's majority is the class of its largest prior.
+        ("zeror", lambda p: {**p, "majority": 7}),
+        ("zeror", lambda p: {**p, "priors": [0.2, 0.5, 0.3]}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))

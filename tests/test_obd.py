@@ -113,3 +113,13 @@ def test_load_registry_rejects_unknown_scaling_id():
     )
     with pytest.raises(DriverIdError):
         obd.load_registry(bad)
+
+
+@pytest.mark.parametrize("row", [
+    "zz,0D,1,Vehicle speed,identity,0,255,km/h",  # service is not hex
+    "01,0D,1",  # three of eight fields
+])
+def test_load_registry_rejects_malformed_rows(row):
+    bad = io.StringIO("service,pid,data_bytes,description,scaling,min,max,unit\n" + row + "\n")
+    with pytest.raises(DriverIdError, match="PID registry"):
+        obd.load_registry(bad)
