@@ -27,12 +27,13 @@ class DriverIdError(Exception):
 @contextmanager
 def reading(what: str):
     """Read one input in the block, where its undecodable bytes, bad CSV or
-    JSON, or ill-fitting document raise DriverIdError naming ``what``."""
+    JSON (nested past the recursion limit too), or ill-fitting document
+    raise DriverIdError naming ``what``."""
     try:
         yield
     except (DriverIdError, OSError):
         raise
-    except (csv.Error, LookupError, TypeError, ValueError, AttributeError) as e:
+    except (csv.Error, LookupError, TypeError, ValueError, AttributeError, RecursionError) as e:
         raise DriverIdError(f"{what}: {type(e).__name__}: {e}") from e
 
 

@@ -28,12 +28,12 @@ from .errors import (
     InvalidOption,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
-    UnknownLabel,
+    name_list,
     one_of,
     whole_number,
 )
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
-from .ingest import encode_labels
+from .ingest import check_codes, encode_labels, holds_integers
 
 SPLIT_MODES = ("random-window", "blocked-time")
 NORMALIZE_POLICIES = ("train", "all", "none")
@@ -66,8 +66,9 @@ def confusion_from_predictions(
 ) -> ConfusionMatrix:
     """Count (true, predicted) pairs over ``classes`` (default: sorted union).
 
-    With ``classes`` given, either side may be an integer array of codes
-    into it.  A label or code outside it raises :class:`UnknownLabel`.
+    ``classes``, in any order, must be a list or tuple of names; either side
+    may then be an integer array of codes into it.  A label or code outside
+    it raises :class:`UnknownLabel`.
     """
     n = len(y_true)
     if n != len(y_pred):
@@ -77,7 +78,7 @@ def confusion_from_predictions(
         classes, codes = encode_labels(both)
         true, pred = codes[:n], codes[n:]
     else:
-        classes = tuple(classes)
+        classes = name_list("classes", classes)
         true, pred = (_codes_into(classes, y) for y in (y_true, y_pred))
     k = len(classes)
     counts = np.bincount(true * k + pred, minlength=k * k).reshape(k, k)
@@ -85,11 +86,9 @@ def confusion_from_predictions(
 
 
 def _codes_into(classes: tuple[str, ...], y) -> np.ndarray:
-    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"):
-        return encode_labels(y, classes)[1]
-    if y.size and (y.min() < 0 or y.max() >= len(classes)):
-        raise UnknownLabel(f"label codes outside [0, {len(classes)})")
-    return y
+    if isinstance(y, np.ndarray) and holds_integers(y):
+        return check_codes(classes, y)
+    return encode_labels(y, classes)[1]
 
 
 def per_class_counts(cm: ConfusionMatrix, i: int) -> tuple[int, int, int, int]:

@@ -8,8 +8,11 @@ is preserved because downstream windowing treats the rows as a time series.
 Driver labels are encoded once, by :func:`encode_labels`, as a sorted
 alphabet plus one integer code per row; every later layer works on
 ``(label_alphabet, codes)`` and turns codes back into strings only where a
-label leaves the package.  Layers handed codes check them with
-:func:`present_classes`.
+label leaves the package.  The label rule lives here, in two checks: an
+alphabet is a list or tuple of sorted, distinct strings
+(:func:`check_alphabet`), and codes are a 1-D integer array indexing it
+(:func:`check_codes`).  Every layer handed an alphabet or codes from
+outside runs them.
 
 Bookkeeping columns that are not sensor channels (elapsed time, path order)
 are dropped through an explicit exclusion list rather than heuristics.
@@ -95,19 +98,37 @@ def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
     return np.asarray(alphabet, dtype=object)[codes].tolist()
 
 
-def present_classes(alphabet, codes) -> tuple[tuple[str, ...], np.ndarray]:
-    """The classes of a sorted, distinct ``alphabet`` that ``codes`` uses, and
-    the codes renumbered into them.  A bad alphabet raises :class:`DriverIdError`;
-    codes that are not 1-D integers indexing it raise :class:`UnknownLabel`."""
-    alphabet = tuple(alphabet)
+def check_alphabet(alphabet) -> tuple[str, ...]:
+    """``alphabet`` as a tuple, if it is a list or tuple of sorted, distinct
+    strings.  Anything else (a bare string too) raises :class:`DriverIdError`."""
+    alphabet = name_list("label alphabet", alphabet)
     if list(alphabet) != sorted(set(alphabet)):
         raise DriverIdError(f"label alphabet {list(alphabet)} is not sorted and distinct")
+    return alphabet
+
+
+def holds_integers(values: np.ndarray) -> bool:
+    """Whether an array holds integers only: an integer dtype (bools are not
+    integers here), or no values at all."""
+    return values.dtype.kind in "iu" or values.size == 0
+
+
+def check_codes(alphabet: tuple[str, ...], codes) -> np.ndarray:
+    """``codes`` as an intp array, if they are 1-D integers indexing
+    ``alphabet``; anything else raises :class:`UnknownLabel`."""
     codes = np.asarray(codes)
-    if codes.ndim != 1 or codes.size and (
-        codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(alphabet)
+    if not (codes.ndim == 1 and holds_integers(codes)) or codes.size and (
+        codes.min() < 0 or codes.max() >= len(alphabet)
     ):
         raise UnknownLabel(f"label codes must be 1-D integers in [0, {len(alphabet)})")
-    codes = codes.astype(np.intp, copy=False)
+    return codes.astype(np.intp, copy=False)
+
+
+def present_classes(alphabet, codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """The classes of ``alphabet`` that ``codes`` uses, and the codes
+    renumbered into them; both are checked first."""
+    alphabet = check_alphabet(alphabet)
+    codes = check_codes(alphabet, codes)
     used = np.bincount(codes, minlength=len(alphabet)) > 0
     return tuple(a for a, u in zip(alphabet, used) if u), (np.cumsum(used) - 1)[codes]
 
@@ -118,8 +139,8 @@ class TripDataset:
 
     ``channels`` is a read-only (N, d) float64 array; ``labels`` holds the
     per-row driver class and ``codes`` its index into ``label_alphabet``,
-    which must be sorted and free of duplicates.  Row order is the original
-    file order.
+    which :func:`check_alphabet` checks and stores as a tuple.  Row order is
+    the original file order.
     """
 
     column_names: tuple[str, ...]
@@ -141,12 +162,9 @@ class TripDataset:
             )
         if len(self.labels) != n:
             raise DriverIdError(f"{len(self.labels)} labels for {n} records")
-        if list(self.label_alphabet) != sorted(set(self.label_alphabet)):
-            raise DriverIdError(
-                f"label alphabet {list(self.label_alphabet)} is not sorted and distinct"
-            )
-        _, codes = encode_labels(self.labels, self.label_alphabet)
+        alphabet, codes = encode_labels(self.labels, check_alphabet(self.label_alphabet))
         codes.flags.writeable = False
+        object.__setattr__(self, "label_alphabet", alphabet)
         object.__setattr__(self, "codes", codes)
         self.channels.flags.writeable = False
 

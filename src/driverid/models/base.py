@@ -14,8 +14,9 @@ of class scores, higher meaning more likely.  ``predict`` is its argmax.
 weights (k-NN votes, tree leaf counts, boosting stage weights, ensemble
 votes); naive Bayes, logistic regression and the SVM override it with the
 softmax of their scores, and ZeroR's scores are already its priors.
-``from_dict`` checks a loaded model: its classes must be sorted and
-distinct, and its params must score one zero row as a (1, K) matrix.
+``from_dict`` checks a loaded model: its classes must pass
+``ingest.check_alphabet`` and be non-empty, its ``n_features`` must be a
+whole number, and its params must score one zero row as a (1, K) matrix.
 
 A model document (``to_dict``) holds the ``kind``, the ``classes``, the
 ``n_features`` and two maps.  ``config`` has every constructor parameter,
@@ -40,8 +41,15 @@ from ..errors import (
     LengthMismatch,
     NonFiniteFeature,
     SingleClassForDiscriminative,
+    whole_number,
 )
-from ..ingest import decode_labels, encode_labels, present_classes
+from ..ingest import (
+    check_alphabet,
+    decode_labels,
+    encode_labels,
+    holds_integers,
+    present_classes,
+)
 
 
 class Classifier:
@@ -109,8 +117,9 @@ class Classifier:
 
     #: Fitted state saved under "params": attribute → dtype.  Each value is
     #: stored under the attribute's name without its trailing ``_``, as
-    #: ``tolist()`` writes it, and loads back through ``np.asarray(value,
-    #: dtype)``; an ``int`` entry is a scalar and loads as a Python int.
+    #: ``tolist()`` writes it, and loads back through ``np.asarray(value)``
+    #: cast to ``dtype``; an integer entry must hold integers, and an ``int``
+    #: entry is a scalar and loads as a Python int.
     fitted: dict = {}
 
     def _params_dict(self) -> dict:
@@ -118,7 +127,10 @@ class Classifier:
 
     def _load_params(self, params: dict) -> None:
         for name, dtype in self.fitted.items():
-            value = np.asarray(params[name[:-1]], dtype)
+            value = np.asarray(params[name[:-1]])
+            if dtype is not np.float64 and not holds_integers(value):
+                raise DriverIdError(f"{self.kind} {name[:-1]} must be integers")
+            value = value.astype(dtype, copy=False)
             if dtype is np.float64 and not np.isfinite(value).all():
                 raise DriverIdError(f"{self.kind} {name[:-1]} must be finite")
             setattr(self, name, value.item() if dtype is int else value)
@@ -138,13 +150,14 @@ class Classifier:
         if d.get("kind") != cls.kind:
             raise DriverIdError(f"expected kind {cls.kind!r}, got {d.get('kind')!r}")
         model = cls(**d.get("config", {}))
-        model.classes_ = tuple(d["classes"])
-        model.n_features_ = int(d["n_features"])
-        if not model.classes_ or list(model.classes_) != sorted(set(model.classes_)):
-            raise DriverIdError(f"model classes must be sorted and distinct: {d['classes']!r}")
+        model.classes_ = check_alphabet(d["classes"])
+        if not model.classes_:
+            raise DriverIdError(f"{cls.kind} model has no classes")
+        model.n_features_ = whole_number("n_features", d["n_features"], 0)
         model._load_params(d["params"])
-        # Params that do not fit the classes and width fail here, not in predict.
-        shape = model._scores(np.zeros((1, model.n_features_))).shape
+        # Params that do not fit the classes and width fail here, not in
+        # predict.  The probe row has stride 0: one float, whatever the width.
+        shape = model._scores(np.broadcast_to(0.0, (1, model.n_features_))).shape
         if shape != (1, len(model.classes_)):
             raise DriverIdError(f"{cls.kind} params score a row as shape {shape}, not (1, K)")
         return model

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DriverIdError, InvalidOption, whole_number
+from ..ingest import holds_integers
 from .base import Classifier
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
 
@@ -165,10 +166,12 @@ class _Stump:
     @classmethod
     def from_dict(cls, d: dict) -> "_Stump":
         s = cls()
-        s.feature = int(d["feature"])
+        for name in ("feature", "left", "right"):
+            value = np.asarray(d[name])
+            if value.ndim or not holds_integers(value):
+                raise DriverIdError(f"adaboost stump {name} must be an integer")
+            setattr(s, name, int(value))
         s.threshold = float(d["threshold"])
-        s.left = int(d["left"])
-        s.right = int(d["right"])
         return s
 
 

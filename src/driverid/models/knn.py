@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DriverIdError, whole_number
+from ..ingest import check_codes
 from .base import Classifier
 
 
@@ -80,9 +81,9 @@ class KNearestNeighbors(Classifier):
 
     def _load_params(self, params: dict) -> None:
         X = np.asarray(params["train"], dtype=np.float64)
-        y_idx = np.asarray(params["labels"], dtype=np.intp)
+        y_idx = check_codes(self.classes_, params["labels"])
         if not np.isfinite(X).all():
             raise DriverIdError("knn train must be finite")
-        if ((y_idx < 0) | (y_idx >= len(self.classes_))).any():
-            raise DriverIdError("knn labels must be indices into its classes")
+        if len(y_idx) != len(X):
+            raise DriverIdError(f"knn has {len(y_idx)} labels for {len(X)} training rows")
         self._fit(X, y_idx)

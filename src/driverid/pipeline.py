@@ -4,8 +4,9 @@ A :class:`RunConfig` captures every knob of a run and is embedded verbatim
 in the emitted report, so re-running a report's config reproduces it
 bit-for-bit (reports carry no timestamps, and all randomness is seeded).
 A RunConfig checks every option that needs no data when it is built, so a
-bad kind, model config, selection, window, normalize policy or
-cross-validation plan raises InvalidOption before any file is read.
+path that is not a string, or a bad kind, model config, selection, window,
+normalize policy or cross-validation plan raises InvalidOption before any
+file is read.
 
 Two presets reproduce the headline benchmark setups: ``table6`` (binary
 driver A vs D) and ``table7`` (all ten drivers).
@@ -55,6 +56,10 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for key in ("input", "label_column", "out_dir"):
+            value = getattr(self, key)
+            if not (isinstance(value, str) or value is None and key == "out_dir"):
+                raise InvalidOption(f"{key} must be a string, got {value!r}")
         for key in NAME_LISTS:
             names = getattr(self, key)
             if not (names is None and self.__dataclass_fields__[key].default is None):

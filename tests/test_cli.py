@@ -283,6 +283,7 @@ _UNDECODABLE_LOG = b"Speed,Class\n1.0,A\n2.0,\xff\n"
     pytest.param("compare", b"not json", id="compare-not-json"),
     pytest.param("compare", b"\xff\xfe", id="compare-undecodable"),
     pytest.param("compare", _report_with_a_short_averaged_2x2(), id="compare-short-averaged-2x2"),
+    pytest.param("compare", b"[" * 100_000, id="compare-nested-past-the-recursion-limit"),
 ])
 def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, command, content):
     path = tmp_path / "input.data"
@@ -297,6 +298,14 @@ def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, comman
     assert code == 2
     assert f"driverid {command}: DriverIdError: " in err and str(path) in err
     assert "internal error" not in err
+
+
+def test_config_nested_past_the_recursion_limit_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, _, err = run(capsys, "ingest", "--config", str(path))
+    assert code == 2
+    assert "DriverIdError: config file" in err and "RecursionError" in err
 
 
 def test_compare_without_baseline_is_data_error(tmp_path, prepared, capsys):

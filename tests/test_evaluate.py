@@ -92,9 +92,13 @@ def test_confusion_counts_codes_into_explicit_classes():
     mixed = confusion_from_predictions(true, ["A", "C", "B", "B"], classes)
     np.testing.assert_array_equal(by_codes.counts, by_labels.counts)
     np.testing.assert_array_equal(mixed.counts, by_labels.counts)
-    for bad in (np.array([0, 3, 1, 1]), np.array([0, -1, 1, 1])):
+    for bad in (np.array([0, 3, 1, 1]), np.array([0, -1, 1, 1]), np.array([[0], [2], [1], [1]])):
         with pytest.raises(UnknownLabel):
             confusion_from_predictions(true, bad, classes)
+    with pytest.raises(InvalidOption):
+        confusion_from_predictions(["A"], ["B"], "AB")
+    # Any order of classes counts over that order.
+    assert confusion_from_predictions(["A"], ["B"], ["B", "A"]).counts.tolist() == [[0, 0], [1, 0]]
 
 
 def test_per_class_counts_identities():

@@ -471,6 +471,8 @@ def test_feature_matrix_checks_its_codes():
         (("A", "B"), [1, 0]),  # one code short
         (("A", "B"), [1, 2, 0]),  # out of range
         (("A", "B"), [1.0, 0.0, 1.0]),  # not integers
+        ("AB", [1, 0, 1]),  # a string, not a list of labels
+        (("A", 1), [1, 0, 1]),  # not all strings
     ]:
         with pytest.raises(DriverIdError):
             FeatureMatrix(("f",), X, alphabet, np.array(codes))

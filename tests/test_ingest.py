@@ -80,7 +80,9 @@ def test_dataset_codes_index_the_alphabet(trip_dataset):
     assert ingest.decode_labels(ds.label_alphabet, ds.codes) == list(ds.labels)
 
 
-@pytest.mark.parametrize("alphabet", [("B", "A"), ("A", "A", "B"), ("A", "B", "A")])
+@pytest.mark.parametrize(
+    "alphabet", [("B", "A"), ("A", "A", "B"), ("A", "B", "A"), "AB", ("A", 1)]
+)
 def test_dataset_rejects_unsorted_or_duplicate_alphabet(alphabet):
     with pytest.raises(DriverIdError):
         ingest.TripDataset(
@@ -89,6 +91,25 @@ def test_dataset_rejects_unsorted_or_duplicate_alphabet(alphabet):
             labels=("A", "B"),
             label_alphabet=alphabet,
         )
+
+
+def test_dataset_stores_its_alphabet_as_a_tuple():
+    ds = ingest.TripDataset(("x",), np.zeros((2, 1)), ("A", "B"), ["A", "B"])
+    assert ds.label_alphabet == ("A", "B")
+
+
+def test_label_checks():
+    assert ingest.check_alphabet(["A", "B"]) == ("A", "B")
+    assert ingest.check_alphabet(()) == ()
+    for alphabet in ("AB", ("A", 1), ("B", "A"), ("A", "A"), None, 5):
+        with pytest.raises(DriverIdError):
+            ingest.check_alphabet(alphabet)
+    codes = ingest.check_codes(("A", "B"), np.array([1, 0], dtype=np.uint8))
+    assert codes.tolist() == [1, 0] and codes.dtype == np.intp
+    assert ingest.check_codes((), []).shape == (0,)
+    for codes in ([[0], [1]], [True, False], [0.0, 1.0], [0, 2], [-1, 0], 0, [2**70]):
+        with pytest.raises(UnknownLabel):
+            ingest.check_codes(("A", "B"), codes)
 
 
 def test_dataset_rejects_label_outside_alphabet():

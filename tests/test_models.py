@@ -6,6 +6,7 @@ import io
 import json
 import numbers
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,12 @@ def test_saved_model_files_load_and_save_back_unchanged(kind):
     assert np.array_equal(model.predict_proba(queries), np.asarray(recorded["proba"][kind]))
 
 
+def _golden_with(kind, **top):
+    """The golden ``kind`` model file with ``top`` replacing top-level keys."""
+    saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
+    return json.dumps({**saved, **top})
+
+
 def test_load_model_rejects_malformed_files():
     X, y = blobs(seed=2)
     buf = io.StringIO()
@@ -128,7 +135,7 @@ def test_load_model_rejects_malformed_files():
     models.load_model(io.StringIO(json.dumps(logreg)))  # the intact payload loads
     texts = ["not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
              json.dumps(bad_member), json.dumps(no_weights), json.dumps(ragged),
-             json.dumps(string_cell)]
+             json.dumps(string_cell), "[" * 100_000]
     # Saved files whose params do not fit their classes or feature count.
     # The reptree whose root is its own right child would loop in predict.
     for kind, edit in (
@@ -158,14 +165,57 @@ def test_load_model_rejects_malformed_files():
         # ZeroR's majority is the class of its largest prior.
         ("zeror", lambda p: {**p, "majority": 7}),
         ("zeror", lambda p: {**p, "priors": [0.2, 0.5, 0.3]}),
+        # Integer params hold integers; none is truncated.
+        ("reptree", lambda p: {**p, "feature": [0.4, *p["feature"][1:]]}),
+        ("reptree", lambda p: {**p, "counts": [[4.4, *p["counts"][0][1:]], *p["counts"][1:]]}),
+        ("reptree", lambda p: {**p, "depth": 1.5}),
+        ("zeror", lambda p: {**p, "majority": True}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "feature": 0.5}, *p["stumps"][1:]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "left": True}, *p["stumps"][1:]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "right": 0.0}, *p["stumps"][1:]]}),
+        # k-NN labels are one integer code for each of its 12 training rows;
+        # a cast to int would predict one class for every row.
+        ("knn", lambda p: {**p, "labels": [[c] for c in p["labels"]]}),
+        ("knn", lambda p: {**p, "labels": [True] * 12}),
+        ("knn", lambda p: {**p, "labels": [0.0] * 12}),
+        ("knn", lambda p: {**p, "labels": [2]}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
-    zeror = json.loads((GOLDEN_MODELS / "zeror.json").read_text(encoding="utf-8"))
-    texts.append(json.dumps({**zeror, "classes": ["B", "A", "C"]}))  # classes out of order
+    # The classes are a list of sorted, distinct strings (a bare string is
+    # not a list of its characters; ZeroR would predict the ints of [1, 2, 3])
+    # and n_features is a whole number.
+    for kind, top in (
+        ("zeror", {"classes": ["B", "A", "C"]}),
+        ("zeror", {"classes": "ABC"}),
+        ("naive_bayes", {"classes": "ABC"}),
+        ("knn", {"classes": "ABC"}),
+        ("zeror", {"classes": [1, 2, 3]}),
+        ("zeror", {"n_features": 2.7}),
+        ("zeror", {"n_features": True}),
+        ("zeror", {"n_features": "2"}),
+    ):
+        texts.append(_golden_with(kind, **top))
     for text in texts:
         with pytest.raises(DriverIdError), time_limit(10):
             models.load_model(io.StringIO(text))
+
+
+def test_load_model_probes_a_wide_model_without_allocating_its_row():
+    # ZeroR's scores do not depend on the width, so any width loads; its
+    # predict still checks the rows it is given.
+    wide = models.load_model(io.StringIO(_golden_with("zeror", n_features=10**13)))
+    assert wide.n_features_ == 10**13
+    with pytest.raises(DimensionMismatch):
+        wide.predict(np.zeros((1, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DriverIdError):
+            models.load_model(io.StringIO(_golden_with("knn", n_features=10**9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24  # an 8 GB zero row would show here
 
 
 @contextlib.contextmanager
@@ -226,7 +276,7 @@ def test_fit_rejects_bad_codes_and_classes():
                   [[0, 1], [1, 0]]):
         with pytest.raises(UnknownLabel):
             ZeroR().fit(X, np.asarray(codes), classes=classes)
-    for alphabet in (("B", "A", "C"), ("A", "A", "B")):
+    for alphabet in (("B", "A", "C"), ("A", "A", "B"), "AB", ("A", 1)):
         with pytest.raises(DriverIdError):
             ZeroR().fit(X, [0, 1, 1, 0], classes=alphabet)
     with pytest.raises(LengthMismatch):

@@ -168,6 +168,8 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     ({"kinds": None}, "kinds"),
     ({"statistics": 5}, "statistics"),
     ({"keep_labels": ("A", 4)}, "keep_labels"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"label_column": None}, "label_column"),
 ])
 def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
                                                             overrides, named):
@@ -184,6 +186,11 @@ def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monke
             "table7", surrogate_csv, **{"window_length": 20, "window_stride": 10, **overrides}
         ))
     assert calls == []
+
+
+def test_run_config_input_must_be_a_string():
+    with pytest.raises(InvalidOption, match="input"):
+        pipeline.RunConfig(input=5)
 
 
 def test_prepare_matrix_takes_a_whole_feature_count(surrogate_csv):
