@@ -23,7 +23,7 @@ from . import errors, evaluate, ingest, models, obd, pipeline
 from .errors import DriverIdError
 from .features import FeatureMatrix
 
-_SPLIT_FLAGS = {"random": "random-window", "blocked": "blocked-time"}
+_SPLIT_FLAGS = {"random": "random-window"}
 
 
 class _UsageError(Exception):
@@ -301,12 +301,18 @@ def _load_reports(path: str) -> list:
 
     Accepts either a single per-model report or a composite document from
     ``evaluate --report``/``repro`` (per-model reports under ``results``).
+    Each is rebuilt from its confusion counts, and a report that does not
+    agree with them is a data error naming ``path``.
     """
-    with errors.reading(f"{path} is not an evaluation report"):
+    what = f"{path} is not an evaluation report"
+    with errors.reading(what):
         with ingest._text_stream(path, "r") as fh:
             doc = json.load(fh)
         docs = doc["results"].values() if isinstance(doc, dict) and "results" in doc else [doc]
-        return [evaluate.MetricsReport.from_dict(d) for d in docs]
+        try:
+            return [evaluate.MetricsReport.from_dict(d) for d in docs]
+        except DriverIdError as e:
+            raise DriverIdError(f"{what}: {type(e).__name__}: {e}") from e
 
 
 def _cmd_compare(args, settings: _Settings) -> int:

@@ -1,17 +1,18 @@
 """Cross-validation, confusion matrices, and classification metrics.
 
 The confusion convention is ``counts[i, j]`` = instances of true class ``i``
-predicted as class ``j``.  Per-class TP/FP/FN/TN follow from the matrix
-(diagonal / column remainder / row remainder / double sum), precision,
-recall, and F1 are reported in percent, and overall accuracy is
-``100 · trace / total`` — algebraically the same as computing accuracy on
-the class-averaged 2×2 matrix, which is also reported.
+predicted as class ``j``.  :class:`ConfusionMatrix` checks the counts and
+is the one source of every number derived from them: overall accuracy
+(``100 · trace / total``) and per-class TP/FP/FN/TN vectors, which
+:func:`metrics` turns into precision, recall and F1 (in percent) and the
+class-averaged 2×2 matrix for all classes at once.  A report read back from
+JSON is rebuilt from its counts, and must agree with them.
 
 Cross-validation is split in two.  :meth:`Folds.build` assigns windows to
-folds once per run (stratified round-robin after a seeded per-class shuffle
-by default, or contiguous time blocks) and fits each fold's normalization,
-on its training rows only by default.  :func:`cross_validate` then fits and
-scores one model kind on those folds and pools one confusion matrix.
+folds once per run (a seeded shuffle dealt round-robin, per class when
+stratified) and fits each fold's normalization, on its training rows only
+by default.  :func:`cross_validate` then fits and scores one model kind on
+those folds and pools one confusion matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     InvalidOption,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
+    finite_real,
     name_list,
     one_of,
     whole_number,
@@ -35,30 +37,53 @@ from .errors import (
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
 from .ingest import check_codes, encode_labels, holds_integers
 
-SPLIT_MODES = ("random-window", "blocked-time")
+SPLIT_MODES = ("random-window",)
 NORMALIZE_POLICIES = ("train", "all", "none")
 
 
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Square count matrix over an ordered class alphabet."""
+    """Square count matrix over an ordered class alphabet: ``classes`` must
+    be a list or tuple of distinct names, in any order, and ``counts`` a
+    square matrix of integers >= 0 whose total fits in int64."""
 
     classes: tuple[str, ...]
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        n = len(self.classes)
-        if counts.shape != (n, n):
-            raise DriverIdError(f"counts shape {counts.shape} for {n} classes")
-        if (counts < 0).any():
-            raise DriverIdError("confusion counts must be nonnegative")
+        classes = name_list("classes", self.classes)
+        if len(set(classes)) != len(classes):
+            raise DriverIdError(f"classes {list(classes)} are not distinct")
+        counts, n = np.asarray(self.counts), len(classes)
+        if counts.shape != (n, n) or not holds_integers(counts):
+            raise DriverIdError(f"confusion counts must be a {n} x {n} integer matrix")
+        counts = counts.astype(np.int64)
+        if (counts < 0).any() or counts.sum(dtype=np.float64) >= 2.0**63:
+            raise DriverIdError("confusion counts must be >= 0 with a total below 2**63")
         counts.flags.writeable = False
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+    @property
+    def accuracy(self) -> float:
+        """Percent of instances on the diagonal.  Parenthesized so the ratio
+        rounds once: a baseline's pooled accuracy is then bit-identical to
+        100 * the majority proportion (count / n)."""
+        return 100.0 * (float(np.trace(self.counts)) / self.total)
+
+    @property
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-class (TP, FP, FN, TN) vectors: the diagonal, the rest of each
+        column (others predicted as the class), the rest of each row (the
+        class predicted as others), and the rest, which sum to the total."""
+        tp = np.diagonal(self.counts)
+        fp = self.counts.sum(axis=0) - tp
+        fn = self.counts.sum(axis=1) - tp
+        return tp, fp, fn, self.total - tp - fp - fn
 
 
 def confusion_from_predictions(
@@ -74,12 +99,11 @@ def confusion_from_predictions(
     if n != len(y_pred):
         raise DriverIdError(f"{n} true labels vs {len(y_pred)} predictions")
     if classes is None:
-        both = np.concatenate([np.asarray(y_true, dtype=str), np.asarray(y_pred, dtype=str)])
-        classes, codes = encode_labels(both)
-        true, pred = codes[:n], codes[n:]
-    else:
-        classes = name_list("classes", classes)
-        true, pred = (_codes_into(classes, y) for y in (y_true, y_pred))
+        # Without classes both sides are labels, even integer arrays.
+        y_true, y_pred = (np.asarray(y, dtype=str) for y in (y_true, y_pred))
+        classes = tuple(sorted({*encode_labels(y_true)[0], *encode_labels(y_pred)[0]}))
+    classes = name_list("classes", classes)
+    true, pred = (_codes_into(classes, y) for y in (y_true, y_pred))
     k = len(classes)
     counts = np.bincount(true * k + pred, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(classes=classes, counts=counts)
@@ -92,21 +116,11 @@ def _codes_into(classes: tuple[str, ...], y) -> np.ndarray:
 
 
 def per_class_counts(cm: ConfusionMatrix, i: int) -> tuple[int, int, int, int]:
-    """(TP, FP, FN, TN) for class index ``i``.
-
-    TP is the diagonal cell; FP sums the rest of column i (others predicted
-    as i); FN sums the rest of row i (i predicted as others); TN is
-    everything else.  The four always sum to the instance total.
-    """
-    n = len(cm.classes)
-    if not 0 <= i < n:
-        raise IndexError(f"class index {i} out of range [0, {n})")
-    c = cm.counts
-    tp = int(c[i, i])
-    fp = int(c[:, i].sum() - c[i, i])
-    fn = int(c[i, :].sum() - c[i, i])
-    tn = int(c.sum() - tp - fp - fn)
-    return tp, fp, fn, tn
+    """(TP, FP, FN, TN) for class index ``i``: entry ``i`` of
+    :attr:`ConfusionMatrix.outcomes`."""
+    if not 0 <= i < len(cm.classes):
+        raise IndexError(f"class index {i} out of range [0, {len(cm.classes)})")
+    return tuple(int(v[i]) for v in cm.outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,30 +138,37 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "classes": list(self.classes),
-            "confusion": [[int(v) for v in row] for row in self.counts],
+            "confusion": self.counts.tolist(),
             "accuracy": self.accuracy,
             "per_class": [dict(d) for d in self.per_class],
             "averaged_2x2": [list(row) for row in self.averaged_2x2],
-            "fold_accuracies": list(self.fold_accuracies)
-            if self.fold_accuracies is not None
-            else None,
+            "fold_accuracies": None if self.fold_accuracies is None else list(self.fold_accuracies),
             "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        avg = d["averaged_2x2"]
-        return cls(
-            classes=tuple(d["classes"]),
-            counts=np.asarray(d["confusion"], dtype=np.int64),
-            accuracy=float(d["accuracy"]),
-            per_class=tuple(dict(row) for row in d["per_class"]),
-            averaged_2x2=((avg[0][0], avg[0][1]), (avg[1][0], avg[1][1])),
-            fold_accuracies=tuple(d["fold_accuracies"])
-            if d.get("fold_accuracies") is not None
-            else None,
-            metadata=dict(d.get("metadata", {})),
-        )
+        """The report :func:`metrics` rebuilds from ``d``'s classes and counts;
+        ``d``'s accuracy, per-class rows and averaged 2×2 must equal it, and
+        each fold accuracy must be a finite number in [0, 100]."""
+        folds = d.get("fold_accuracies")
+        if folds is not None:
+            folds = tuple(finite_real("fold_accuracies", a, 0.0, 100.0) for a in folds)
+        cm = ConfusionMatrix(d["classes"], d["confusion"])
+        report = metrics(cm, fold_accuracies=folds, metadata=dict(d.get("metadata", {})))
+        rebuilt = report.to_dict()
+        for key in ("accuracy", "per_class", "averaged_2x2"):
+            if d[key] != rebuilt[key]:
+                raise DriverIdError(f"{key} does not follow from the confusion counts")
+        return report
+
+
+_SCORES = ("precision", "recall", "f1")
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
 def metrics(cm: ConfusionMatrix, **report_fields) -> MetricsReport:
@@ -157,50 +178,20 @@ def metrics(cm: ConfusionMatrix, **report_fields) -> MetricsReport:
     precision and recall zero for F1) yields metric 0 and an entry in that
     class's ``undefined`` list — the report never divides by zero.
     """
-    total = cm.total
-    if total == 0:
+    if cm.total == 0:
         raise EmptyMatrix("confusion matrix has no instances")
-    rows = []
-    avg = np.zeros((2, 2))
-    for i, cls in enumerate(cm.classes):
-        tp, fp, fn, tn = per_class_counts(cm, i)
-        undefined = []
-        if tp + fp > 0:
-            precision = 100.0 * tp / (tp + fp)
-        else:
-            precision = 0.0
-            undefined.append("precision")
-        if tp + fn > 0:
-            recall = 100.0 * tp / (tp + fn)
-        else:
-            recall = 0.0
-            undefined.append("recall")
-        if precision + recall > 0:
-            f1 = 2.0 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-            undefined.append("f1")
-        rows.append(
-            {
-                "class": cls,
-                "precision": precision,
-                "recall": recall,
-                "f1": f1,
-                "undefined": undefined,
-            }
-        )
-        avg += np.array([[tp, fn], [fp, tn]], dtype=np.float64)
-    avg /= len(cm.classes)
-    # Parenthesized so the ratio rounds once: a baseline's pooled accuracy is
-    # then bit-identical to 100 * the majority proportion (count / n).
-    accuracy = 100.0 * (float(np.trace(cm.counts)) / total)
+    tp, fp, fn, tn = cm.outcomes
+    precision, recall = _ratio(100.0 * tp, tp + fp), _ratio(100.0 * tp, tp + fn)
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
+    scores = np.column_stack([precision, recall, f1]).tolist()
+    undefined = (np.column_stack([tp + fp, tp + fn, precision + recall]) == 0).tolist()
+    rows = tuple(
+        {"class": c, **dict(zip(_SCORES, s)), "undefined": [n for n, u in zip(_SCORES, f) if u]}
+        for c, s, f in zip(cm.classes, scores, undefined)
+    )
+    avg = (np.array([[tp, fn], [fp, tn]]).sum(axis=2) / len(cm.classes)).tolist()
     return MetricsReport(
-        classes=cm.classes,
-        counts=cm.counts,
-        accuracy=accuracy,
-        per_class=tuple(rows),
-        averaged_2x2=((avg[0, 0], avg[0, 1]), (avg[1, 0], avg[1, 1])),
-        **report_fields,
+        cm.classes, cm.counts, cm.accuracy, rows, (tuple(avg[0]), tuple(avg[1])), **report_fields
     )
 
 
@@ -222,21 +213,15 @@ class CvPlan:
 
 
 def fold_assignments(matrix: FeatureMatrix, plan: CvPlan) -> np.ndarray:
-    """Fold index per row of ``matrix``.
-
-    random-window: seeded shuffle, then round-robin — per class when
-    stratified (requiring every class to have at least ``folds`` instances)
-    or globally otherwise.  blocked-time: ``folds`` contiguous index blocks,
-    preserving time order at the cost of class balance.  Every instance
-    lands in exactly one fold.
+    """Fold index per row of ``matrix``: a seeded shuffle, then round-robin
+    — per class when stratified (requiring every class to have at least
+    ``folds`` instances) or globally otherwise.  Every instance lands in
+    exactly one fold.
     """
     n = len(matrix)
     if n < plan.folds:
         raise TooFewInstancesPerClass(f"{n} instances for {plan.folds} folds")
     fold_of = np.empty(n, dtype=np.intp)
-    if plan.split_mode == "blocked-time":
-        fold_of[:] = (np.arange(n) * plan.folds) // n
-        return fold_of
     rng = np.random.default_rng(plan.seed)
     if not plan.stratified:
         fold_of[rng.permutation(n)] = np.arange(n) % plan.folds
@@ -301,7 +286,7 @@ def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsRepor
         model = models.make(kind, config).fit(X_train, codes[train], classes=classes)
         cm = confusion_from_predictions(codes[test], model.predict(X_test), classes)
         pooled += cm.counts
-        fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
+        fold_accuracies.append(cm.accuracy)
     return metrics(
         ConfusionMatrix(classes=classes, counts=pooled),
         fold_accuracies=tuple(fold_accuracies),

@@ -77,10 +77,14 @@ def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels as ``(alphabet, codes)``: ``alphabet[codes[i]] == str(labels[i])``.
 
     Without ``alphabet`` it is the distinct labels in ``sorted()`` order.
-    A given ``alphabet`` is kept in its own order, and a label outside it
-    raises :class:`UnknownLabel`.
+    A given ``alphabet`` is kept in its own order.  Labels that are not a
+    1-D sequence (a bare string too), or a label outside ``alphabet``,
+    raise :class:`UnknownLabel`.
     """
-    values, codes = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+    labels = np.asarray(labels, dtype=str)
+    if labels.ndim != 1:
+        raise UnknownLabel(f"labels must be a 1-D sequence, got a {labels.ndim}-D one")
+    values, codes = np.unique(labels, return_inverse=True)
     if alphabet is None:
         return tuple(values.tolist()), codes
     alphabet = tuple(alphabet)
@@ -138,9 +142,9 @@ class TripDataset:
     """An immutable, rectangular trip log.
 
     ``channels`` is a read-only (N, d) float64 array; ``labels`` holds the
-    per-row driver class and ``codes`` its index into ``label_alphabet``,
-    which :func:`check_alphabet` checks and stores as a tuple.  Row order is
-    the original file order.
+    per-row driver class as a string and ``codes`` its index into
+    ``label_alphabet``, which :func:`check_alphabet` checks and stores as a
+    tuple.  Row order is the original file order.
     """
 
     column_names: tuple[str, ...]
@@ -162,6 +166,9 @@ class TripDataset:
             )
         if len(self.labels) != n:
             raise DriverIdError(f"{len(self.labels)} labels for {n} records")
+        odd = [label for label in self.labels if not isinstance(label, str)]
+        if odd:
+            raise DriverIdError(f"labels must be strings, got {odd[0]!r}")
         alphabet, codes = encode_labels(self.labels, check_alphabet(self.label_alphabet))
         codes.flags.writeable = False
         object.__setattr__(self, "label_alphabet", alphabet)

@@ -161,9 +161,10 @@ def test_evaluate_text_ranking(prepared, capsys):
 
 
 def test_evaluate_rejects_bad_split(prepared, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--input", prepared, "--kind", "knn", "--split", "holdout"])
-    assert exc.value.code == 1
+    for split in ("holdout", "blocked"):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--input", prepared, "--kind", "knn", "--split", split])
+        assert exc.value.code == 1
 
 
 @pytest.mark.parametrize("kind, config", [
@@ -248,6 +249,8 @@ def test_compare_accepts_bare_per_model_reports(tmp_path, prepared, capsys):
     capsys.readouterr()
     assert code == 0
     results = json.loads(Path(rpt).read_text(encoding="utf-8"))["results"]
+    for doc in results.values():  # each report rebuilds from its counts
+        assert evaluate.MetricsReport.from_dict(doc).to_dict() == doc
     flats = []
     for kind in ("zeror", "reptree"):
         flat = str(tmp_path / f"{kind}_flat.json")
@@ -264,6 +267,50 @@ def test_compare_rejects_non_report_file(tmp_path, capsys):
     code, _, err = run(capsys, "compare", bad)
     assert code == 2
     assert "not an evaluation report" in err
+
+
+def _zeror_and_knn_reports(knn_edits) -> dict:
+    """A composite document of a zeror and a knn report.  ``knn_edits``
+    maps a knn field to its new value, or to a function of its old one."""
+    zeror, knn = (
+        evaluate.metrics(
+            evaluate.ConfusionMatrix(("A", "B"), counts),
+            fold_accuracies=(100.0, 50.0), metadata={"kind": kind},
+        ).to_dict()
+        for kind, counts in (("zeror", [[3, 0], [1, 0]]), ("knn", [[3, 0], [0, 1]]))
+    )
+    for key, new in knn_edits.items():
+        knn[key] = new(knn[key]) if callable(new) else new
+    return {"results": {"zeror": zeror, "knn": knn}}
+
+
+@pytest.mark.parametrize("knn_edits", [
+    pytest.param({"accuracy": float("nan")}, id="accuracy-nan"),
+    pytest.param({"accuracy": "12.5"}, id="accuracy-string"),
+    pytest.param({"accuracy": True}, id="accuracy-bool"),
+    pytest.param({"accuracy": 1e9}, id="accuracy-1e9"),
+    pytest.param({"accuracy": -5}, id="accuracy-negative"),
+    pytest.param({"accuracy": 75.0}, id="accuracy-not-the-counts"),
+    pytest.param({"classes": ["A"], "confusion": [[-1]]}, id="negative-count"),
+    pytest.param({"classes": ["A"], "confusion": [[1.5]]}, id="fractional-count"),
+    pytest.param({"confusion": [[3, 0, 0], [0, 1, 0]]}, id="non-square-counts"),
+    pytest.param({"classes": ["A", "A"]}, id="repeated-class"),
+    pytest.param({"per_class": lambda rows: [{**rows[0], "precision": 99.0}, rows[1]]},
+                 id="edited-per-class"),
+    pytest.param({"per_class": lambda rows: [rows[0], {**rows[1], "undefined": ["f1"]}]},
+                 id="edited-undefined"),
+    pytest.param({"averaged_2x2": lambda avg: [avg[0], [avg[1][0], avg[1][1] + 0.5]]},
+                 id="edited-averaged-2x2"),
+    pytest.param({"fold_accuracies": [100.0, 101.0]}, id="fold-accuracy-over-100"),
+    pytest.param({"fold_accuracies": [float("nan"), 100.0]}, id="fold-accuracy-nan"),
+])
+def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edits):
+    path = tmp_path / "reports.json"
+    for edits, status in (({}, 0), (knn_edits, 2)):
+        path.write_text(json.dumps(_zeror_and_knn_reports(edits)), encoding="utf-8")
+        code, _, err = run(capsys, "compare", str(path))
+        assert code == status, err
+    assert f"driverid compare: DriverIdError: {path} is not an evaluation report: " in err
 
 
 def _report_with_a_short_averaged_2x2() -> bytes:
@@ -401,6 +448,7 @@ def test_cli_report_bytes_are_deterministic(tmp_path, prepared, capsys):
     ("evaluate", '{"folds": true}', 1, "folds"),
     ("evaluate", '{"stratified": "false"}', 1, "stratified"),
     ("evaluate", '{"split": "holdout"}', 1, "split"),
+    ("evaluate", '{"split": "blocked"}', 1, "split"),
     ("evaluate", '{"kind": "nope"}', 1, "kind"),
     ("evaluate", '{"model_config": [1]}', 1, "model_config"),
 ])
@@ -447,13 +495,13 @@ def test_config_keys_of_other_subcommands_are_allowed(tmp_path, prepared, capsys
 
 def test_config_file_sets_evaluation_plan(tmp_path, prepared, capsys):
     cfg = str(tmp_path / "cfg.json")
-    settings = {"stratified": False, "folds": 4, "split": "blocked"}
+    settings = {"stratified": False, "folds": 4, "split": "random"}
     Path(cfg).write_text(json.dumps(settings), encoding="utf-8")
     code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
                        "--kind", "zeror", "--format", "json")
     assert code == 0
     plan = json.loads(out)["results"]["zeror"]["metadata"]["plan"]
-    assert plan == {"folds": 4, "stratified": False, "seed": 1, "split_mode": "blocked-time"}
+    assert plan == {"folds": 4, "stratified": False, "seed": 1, "split_mode": "random-window"}
 
 
 # -- the CLI and the pipeline compute the same numbers ------------------------------

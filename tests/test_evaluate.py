@@ -101,6 +101,38 @@ def test_confusion_counts_codes_into_explicit_classes():
     assert confusion_from_predictions(["A"], ["B"], ["B", "A"]).counts.tolist() == [[0, 0], [1, 0]]
 
 
+def test_confusion_without_classes_needs_1d_labels():
+    for y_true, y_pred in (("AB", "BA"), ([["A"], ["B"]], [["B"], ["A"]])):
+        with pytest.raises(UnknownLabel, match="1-D"):
+            confusion_from_predictions(y_true, y_pred)
+
+
+@pytest.mark.parametrize("classes, counts", [
+    pytest.param(("A", "A"), [[1, 0], [0, 1]], id="repeated-class"),
+    pytest.param("AB", [[1, 0], [0, 1]], id="bare-string-classes"),
+    pytest.param((1, 2), [[1, 0], [0, 1]], id="non-string-classes"),
+    pytest.param(("A",), [[1.5]], id="fractional-count"),
+    pytest.param(("A",), [[1.0]], id="float-count"),
+    pytest.param(("A",), [[True]], id="bool-count"),
+    pytest.param(("A",), [["1"]], id="string-count"),
+    pytest.param(("A",), [[-1]], id="negative-count"),
+    pytest.param(("A",), [[2**63]], id="count-beyond-int64"),
+    pytest.param(("A", "B"), [[2**62, 2**62], [0, 0]], id="total-beyond-int64"),
+    pytest.param(("A", "B"), [[1, 0]], id="not-square"),
+    pytest.param(("A",), [1], id="one-dimensional"),
+])
+def test_confusion_matrix_checks_what_it_stores(classes, counts):
+    with pytest.raises(DriverIdError):
+        ConfusionMatrix(classes, counts)
+
+
+def test_confusion_matrix_keeps_class_order_and_its_own_counts():
+    counts = np.array([[2, 1], [0, 3]])
+    cm = ConfusionMatrix(["B", "A"], counts)
+    assert cm.classes == ("B", "A") and cm.accuracy == 100.0 * (5 / 6)
+    assert counts.flags.writeable and not cm.counts.flags.writeable
+
+
 def test_per_class_counts_identities():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -163,6 +195,66 @@ def test_metrics_report_round_trip():
     assert again.accuracy == rep.accuracy
     assert again.per_class == rep.per_class
     np.testing.assert_array_equal(again.counts, rep.counts)
+    assert again.to_dict() == rep.to_dict()
+
+
+def _per_class_loop(cm):
+    """metrics(cm).to_dict(), one class at a time in plain Python."""
+    c = cm.counts.tolist()
+    k, total = len(c), sum(map(sum, c))
+    rows, avg = [], [[0.0, 0.0], [0.0, 0.0]]
+    for i, cls in enumerate(cm.classes):
+        tp = c[i][i]
+        fp = sum(row[i] for row in c) - tp
+        fn = sum(c[i]) - tp
+        tn = total - tp - fp - fn
+        undefined = []
+        if tp + fp > 0:
+            precision = 100.0 * tp / (tp + fp)
+        else:
+            precision = 0.0
+            undefined.append("precision")
+        if tp + fn > 0:
+            recall = 100.0 * tp / (tp + fn)
+        else:
+            recall = 0.0
+            undefined.append("recall")
+        if precision + recall > 0:
+            f1 = 2.0 * precision * recall / (precision + recall)
+        else:
+            f1 = 0.0
+            undefined.append("f1")
+        rows.append({"class": cls, "precision": precision, "recall": recall, "f1": f1,
+                     "undefined": undefined})
+        avg = [[avg[0][0] + tp, avg[0][1] + fn], [avg[1][0] + fp, avg[1][1] + tn]]
+    return {
+        "classes": list(cm.classes),
+        "confusion": c,
+        "accuracy": 100.0 * (float(sum(c[i][i] for i in range(k))) / total),
+        "per_class": rows,
+        "averaged_2x2": [[v / k for v in row] for row in avg],
+        "fold_accuracies": None,
+        "metadata": {},
+    }
+
+
+def test_metrics_match_the_per_class_loop():
+    # Sparse random matrices of 1 to 11 classes and counts up to a million,
+    # with whole rows (a class never true) and columns (never predicted) empty.
+    rng = np.random.default_rng(20)
+    checked = 0
+    for _ in range(1200):
+        k = int(rng.integers(1, 12))
+        counts = rng.integers(0, 10 ** int(rng.integers(1, 7)), size=(k, k))
+        counts *= rng.random((k, k)) < 0.7
+        counts[rng.random(k) < 0.2] = 0
+        counts[:, rng.random(k) < 0.2] = 0
+        cm = ConfusionMatrix(tuple(f"c{i}" for i in range(k)), counts)
+        if cm.total == 0:
+            continue
+        assert json.dumps(metrics(cm).to_dict()) == json.dumps(_per_class_loop(cm))
+        checked += 1
+    assert checked >= 1000
 
 
 # -- fold assignment ----------------------------------------------------------
@@ -190,16 +282,6 @@ def test_stratified_folds_preserve_proportions():
         assert (in_fold == "B").sum() == 3
 
 
-def test_blocked_folds_are_contiguous():
-    labels = ["A"] * 40
-    plan = CvPlan(folds=4, seed=1, split_mode="blocked-time", stratified=False)
-    fold_of = fold_assignments(labeled(labels), plan)
-    # each fold is one contiguous run of indices
-    changes = np.count_nonzero(np.diff(fold_of))
-    assert changes == 3
-    assert list(np.unique(fold_of)) == [0, 1, 2, 3]
-
-
 def test_too_few_instances_per_class():
     labels = ["A"] * 30 + ["B"] * 3
     with pytest.raises(TooFewInstancesPerClass):
@@ -209,7 +291,7 @@ def test_too_few_instances_per_class():
 def test_plan_validation():
     with pytest.raises(DriverIdError):
         CvPlan(folds=1)
-    for split_mode in ("bootstrap", None):
+    for split_mode in ("bootstrap", "blocked-time", None):
         with pytest.raises(InvalidOption, match="split_mode"):
             CvPlan(split_mode=split_mode)
     with pytest.raises(DriverIdError):
@@ -309,32 +391,45 @@ def test_cv_metadata_carries_the_run():
     assert rep.metadata["n_instances"] == len(m)
 
 
-def test_duplicated_points_make_knn_perfect():
-    # every point has an exact twin placed in a different blocked-time fold,
-    # so its nearest neighbor is always in training
+#: One plan per split route: stratified and global shuffles.
+SPLIT_PLANS = {
+    "stratified": CvPlan(folds=5, seed=3),
+    "unstratified": CvPlan(folds=5, seed=3, stratified=False),
+}
+
+#: The split routes above, and "hand-blocks" (see _split).
+SPLITS = [*sorted(SPLIT_PLANS), "hand-blocks"]
+
+
+def _split(monkeypatch, split, matrix):
+    """The plan and fold vector of one split route.  "hand-blocks" cuts the
+    rows into five contiguous blocks, which no plan does, and patches them
+    in as fold_assignments' result, so Folds.build uses them."""
+    if split in SPLIT_PLANS:
+        return SPLIT_PLANS[split], fold_assignments(matrix, SPLIT_PLANS[split])
+    plan = CvPlan(folds=5, seed=3, stratified=False)
+    fold_of = (np.arange(len(matrix)) * plan.folds) // len(matrix)
+    monkeypatch.setattr(evaluate, "fold_assignments", lambda *_: fold_of)
+    return plan, fold_of
+
+
+def test_duplicated_points_make_knn_perfect(monkeypatch):
+    # every point has an exact twin 30 rows on, so in another of five
+    # contiguous blocks: its nearest neighbor is always in training
     rng = np.random.default_rng(8)
     P = rng.normal(size=(30, 3))
     X = np.vstack([P, P])
     labels = [chr(ord("A") + (i % 3)) for i in range(30)] * 2
     m = FeatureMatrix.from_arrays(("x", "y", "z"), X, labels)
-    plan = CvPlan(folds=10, seed=1, split_mode="blocked-time", stratified=False)
+    plan, _ = _split(monkeypatch, "hand-blocks", m)
     rep = cross_validate("knn", {"k": 1}, Folds.build(m, plan))
     assert rep.accuracy == 100.0
 
 
-#: One plan per split route: stratified and global shuffles, contiguous blocks.
-SPLIT_PLANS = {
-    "stratified": CvPlan(folds=5, seed=3),
-    "unstratified": CvPlan(folds=5, seed=3, stratified=False),
-    "blocked-time": CvPlan(folds=5, seed=3, split_mode="blocked-time", stratified=False),
-}
-
-
-def _per_kind_cv(kind, config, matrix, plan, normalize):
-    """Cross-validation as one self-contained loop per kind: fold vector,
-    boolean masks, and a normalizer fitted inside the loop."""
+def _per_kind_cv(kind, config, matrix, plan, normalize, fold_of):
+    """Cross-validation as one self-contained loop per kind over the fold
+    vector ``fold_of``: boolean masks, and a normalizer fitted inside the loop."""
     classes = matrix.label_alphabet
-    fold_of = fold_assignments(matrix, plan)
     labels = np.asarray(matrix.labels)
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accuracies = []
@@ -365,34 +460,34 @@ def _per_kind_cv(kind, config, matrix, plan, normalize):
     )
 
 
-@pytest.mark.parametrize("split", sorted(SPLIT_PLANS))
+@pytest.mark.parametrize("split", SPLITS)
 @pytest.mark.parametrize("normalize", ["train", "all", "none"])
 @pytest.mark.parametrize("kind, config", [("knn", {"k": 3}), ("reptree", None)])
-def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split):
+def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split, monkeypatch):
     # Overlapping classes on unequal scales plus one far outlier, so whether
     # a normalizer saw the outlier's fold changes knn's votes.
     m = small_matrix(seed=11, n_per=25, spread=1.5)
     X = m.features * [1.0, 10.0, 100.0, 0.1]
     X[0, 0] = 60.0
     m = FeatureMatrix.from_arrays(m.column_names, X, m.labels)
-    plan = SPLIT_PLANS[split]
+    plan, fold_of = _split(monkeypatch, split, m)
     shared = cross_validate(kind, config, Folds.build(m, plan, normalize))
-    assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize).to_dict()
+    assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize, fold_of).to_dict()
 
 
 @pytest.mark.parametrize("kind", sorted(models.KINDS))
-def test_codes_cv_matches_the_string_loop_when_a_fold_lacks_a_class(kind):
+def test_codes_cv_matches_the_string_loop_when_a_fold_lacks_a_class(kind, monkeypatch):
     # Rows are grouped by class and C fills the last of five blocks, so the
     # last fold trains on A and B only and tests on C only.
     m = small_matrix(seed=13, n_per=40, spread=1.5)
     keep = np.flatnonzero((m.codes < 2) | (np.arange(len(m)) >= 100))
     m = FeatureMatrix.from_arrays(m.column_names, m.features[keep], np.asarray(m.labels)[keep])
-    plan = CvPlan(folds=5, seed=3, split_mode="blocked-time")
+    plan, fold_of = _split(monkeypatch, "hand-blocks", m)
     folds = Folds.build(m, plan)
     train, test = folds.rows[-1]
     assert set(m.codes[train]) == {0, 1} and set(m.codes[test]) == {2}
     shared = cross_validate(kind, None, folds)
-    assert shared.to_dict() == _per_kind_cv(kind, None, m, plan, "train").to_dict()
+    assert shared.to_dict() == _per_kind_cv(kind, None, m, plan, "train", fold_of).to_dict()
 
 
 def test_cv_calls_each_traced_name_once_per_fold(monkeypatch):
@@ -420,10 +515,10 @@ def test_cv_calls_each_traced_name_once_per_fold(monkeypatch):
         assert calls["confusion_from_predictions"] == 4, kind
 
 
-@pytest.mark.parametrize("split", sorted(SPLIT_PLANS))
-def test_fold_rows_partition_the_matrix(split):
+@pytest.mark.parametrize("split", SPLITS)
+def test_fold_rows_partition_the_matrix(split, monkeypatch):
     m = small_matrix(seed=12, n_per=21)
-    folds = Folds.build(m, SPLIT_PLANS[split])
+    folds = Folds.build(m, _split(monkeypatch, split, m)[0])
     assert len(folds.rows) == len(folds.params) == 5
     every = np.arange(len(m))
     tests = np.concatenate([test for _, test in folds.rows])

@@ -13,6 +13,7 @@ from driverid.errors import (
     DriverIdError,
     InvalidOption,
     UnknownFeatureName,
+    UnknownLabel,
     WindowLongerThanSeries,
 )
 from driverid.features import (
@@ -456,6 +457,11 @@ def test_feature_matrix_encodes_its_labels_once():
     m = FeatureMatrix.from_arrays(("f",), np.zeros((6, 1)), labels)
     assert m.label_alphabet == tuple(sorted(set(labels)))
     assert m.codes.tolist() == [m.label_alphabet.index(v) for v in labels]
+
+
+def test_feature_matrix_labels_must_be_1d():
+    with pytest.raises(UnknownLabel, match="labels must be a 1-D sequence"):
+        FeatureMatrix.from_arrays(("f",), np.zeros((2, 1)), "AB")
 
 
 def test_feature_matrix_checks_its_codes():

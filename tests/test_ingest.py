@@ -93,6 +93,14 @@ def test_dataset_rejects_unsorted_or_duplicate_alphabet(alphabet):
         )
 
 
+def test_dataset_labels_must_be_strings():
+    with pytest.raises(DriverIdError, match="labels must be strings"):
+        ingest.TripDataset(("x",), np.zeros((2, 1)), (1, 2), ("1", "2"))
+    # numpy's str_ is a str
+    ds = ingest.TripDataset(("x",), np.zeros((2, 1)), tuple(np.array(["B", "A"])), ("A", "B"))
+    assert ds.codes.tolist() == [1, 0]
+
+
 def test_dataset_stores_its_alphabet_as_a_tuple():
     ds = ingest.TripDataset(("x",), np.zeros((2, 1)), ("A", "B"), ["A", "B"])
     assert ds.label_alphabet == ("A", "B")

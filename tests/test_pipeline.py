@@ -16,6 +16,7 @@ import pytest
 from driverid import pipeline
 from driverid.cli import main
 from driverid.errors import DriverIdError, InvalidOption
+from driverid.evaluate import MetricsReport
 from driverid.features import FeatureMatrix
 
 # production spellings of the fifteen benchmark channels
@@ -241,6 +242,8 @@ def test_table6_preset_end_to_end_on_surrogate(surrogate_csv, tmp_path):
         assert ranked[kind]["better_than_baseline"], ranked[kind]
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert on_disk["windows"]["count"] == bundle["windows"]["count"]
+    for doc in on_disk["results"].values():  # each report rebuilds from its counts
+        assert MetricsReport.from_dict(doc).to_dict() == doc
 
 
 def test_table7_preset_end_to_end_on_surrogate(surrogate_csv):
