@@ -304,15 +304,11 @@ def _load_reports(path: str) -> list:
     Each is rebuilt from its confusion counts, and a report that does not
     agree with them is a data error naming ``path``.
     """
-    what = f"{path} is not an evaluation report"
-    with errors.reading(what):
+    with errors.reading(f"{path} is not an evaluation report"):
         with ingest._text_stream(path, "r") as fh:
             doc = json.load(fh)
         docs = doc["results"].values() if isinstance(doc, dict) and "results" in doc else [doc]
-        try:
-            return [evaluate.MetricsReport.from_dict(d) for d in docs]
-        except DriverIdError as e:
-            raise DriverIdError(f"{what}: {type(e).__name__}: {e}") from e
+        return [evaluate.MetricsReport.from_dict(d) for d in docs]
 
 
 def _cmd_compare(args, settings: _Settings) -> int:

@@ -28,11 +28,12 @@ class DriverIdError(Exception):
 def reading(what: str):
     """Read one input in the block, where its undecodable bytes, bad CSV or
     JSON (nested past the recursion limit too), or ill-fitting document
-    raise DriverIdError naming ``what``."""
+    raise DriverIdError naming ``what``.  A DriverIdError raised in the
+    block keeps its type, with ``what`` put before its message."""
     try:
         yield
-    except (DriverIdError, OSError):
-        raise
+    except DriverIdError as e:
+        raise type(e)(f"{what}: {e}") from e
     except (csv.Error, LookupError, TypeError, ValueError, AttributeError, RecursionError) as e:
         raise DriverIdError(f"{what}: {type(e).__name__}: {e}") from e
 

@@ -276,11 +276,10 @@ def load_dataset(
                     failed = cells, line_numbers
                 else:
                     blocks.append(block)
-
-    if not labels:
-        raise EmptyDataset("source has a header but no records")
-    if failed is not None:
-        _raise_non_numeric(failed[0], column_names, failed[1])
+        if not labels:
+            raise EmptyDataset("source has a header but no records")
+        if failed is not None:
+            _raise_non_numeric(failed[0], column_names, failed[1])
 
     return TripDataset(
         column_names=column_names,

@@ -14,7 +14,7 @@ from ..features import FeatureMatrix
 from ..ingest import _text_stream
 from .base import Classifier
 from .baseline import ZeroR
-from .ensemble import DEFAULT_VOTE_MEMBERS, AdaBoost, MajorityVote
+from .ensemble import AdaBoost
 from .knn import KNearestNeighbors
 from .logistic import LogisticRegression
 from .naive_bayes import GaussianNaiveBayes
@@ -32,7 +32,6 @@ KINDS: dict[str, type[Classifier]] = {
         LinearSvm,
         RepTree,
         AdaBoost,
-        MajorityVote,
     )
 }
 
@@ -70,35 +69,36 @@ def save_model(model: Classifier, target) -> None:
 def load_model(source) -> Classifier:
     """Inverse of :func:`save_model`.
 
-    A file that is not a model JSON object, or whose payload does not fit
-    its kind (a missing key, a config option the kind does not take, a
-    value of the wrong type), raises :class:`DriverIdError`.
+    A file that is not a model JSON object of a known kind and version, or
+    whose payload does not fit its kind (a missing key, a config option the
+    kind does not take, a value of the wrong type), raises
+    :class:`DriverIdError` naming the file.
     """
-    with reading("not a model file"), _text_stream(source, "r") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise DriverIdError("not a model file (not a JSON object)")
-    if payload.get("format") != SERIALIZATION_FORMAT:
-        raise DriverIdError(f"not a model file (format={payload.get('format')!r})")
-    if payload.get("version") != SERIALIZATION_VERSION:
-        raise DriverIdError(f"unsupported model version {payload.get('version')!r}")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise DriverIdError(f"unknown model kind {kind!r}")
-    with reading(f"malformed {kind} model file"):
+    with _text_stream(source, "r") as fh:
+        name = getattr(fh, "name", "stream")
+        with reading(f"{name} is not a model file"):
+            payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise DriverIdError("not a JSON object")
+            if payload.get("format") != SERIALIZATION_FORMAT:
+                raise DriverIdError(f"format {payload.get('format')!r}")
+            if payload.get("version") != SERIALIZATION_VERSION:
+                raise DriverIdError(f"unsupported version {payload.get('version')!r}")
+            kind = payload.get("kind")
+            if kind not in KINDS:
+                raise DriverIdError(f"unknown kind {kind!r}")
+    with reading(f"{name} is a malformed {kind} model file"):
         return KINDS[kind].from_dict(payload)
 
 
 __all__ = [
     "AdaBoost",
     "Classifier",
-    "DEFAULT_VOTE_MEMBERS",
     "GaussianNaiveBayes",
     "KINDS",
     "KNearestNeighbors",
     "LinearSvm",
     "LogisticRegression",
-    "MajorityVote",
     "RepTree",
     "ZeroR",
     "load_model",

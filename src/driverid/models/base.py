@@ -11,9 +11,9 @@ alphabet, which `np.argmax` delivers for free by returning the first maximum.
 A kind supplies ``_fit(X, y_idx)`` and one ``_scores(X)``: an (n, K) matrix
 of class scores, higher meaning more likely.  ``predict`` is its argmax.
 ``_proba`` divides each row of scores by its sum, which suits counts and
-weights (k-NN votes, tree leaf counts, boosting stage weights, ensemble
-votes); naive Bayes, logistic regression and the SVM override it with the
-softmax of their scores, and ZeroR's scores are already its priors.
+weights (k-NN votes, tree leaf counts, boosting stage weights); naive
+Bayes, logistic regression and the SVM override it with the softmax of
+their scores, and ZeroR's scores are already its priors.
 ``from_dict`` checks a loaded model: its classes must pass
 ``ingest.check_alphabet`` and be non-empty, its ``n_features`` must be a
 whole number, and its params must score one zero row as a (1, K) matrix.
@@ -22,10 +22,9 @@ A model document (``to_dict``) holds the ``kind``, the ``classes``, the
 ``n_features`` and two maps.  ``config`` has every constructor parameter,
 read back from the attribute of the same name, so ``cls(**config)`` builds
 the same unfitted model.  ``params`` has the fitted state: by default each
-attribute a class lists in ``fitted``.  Three kinds write their own
+attribute a class lists in ``fitted``.  Two kinds write their own
 ``params``: k-NN (the training rows and label codes, from which it rebuilds
-its distance caches), AdaBoost (its stumps and stage weights) and the
-majority vote (each member's own document).
+its distance caches) and AdaBoost (its stumps and stage weights).
 """
 
 from __future__ import annotations

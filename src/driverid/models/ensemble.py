@@ -1,4 +1,4 @@
-"""Boosting and voting ensembles.
+"""Boosting ensemble.
 
 ``AdaBoost`` is the multiclass (SAMME) variant over depth-1 decision stumps:
 each round fits a weight-sensitive stump, scores it by weighted error, and
@@ -7,21 +7,16 @@ grouping of each feature's rows by class do not depend on the weights, so
 ``_StumpScan`` builds them once per boosting fit (with the tree's
 ``presort``); each round then finds the best cut of every feature in O(n),
 not O(K·n), over blocks of features.
-``MajorityVote`` trains independent members of different kinds on the same
-data and lets them vote.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DriverIdError, InvalidOption, whole_number
+from ..errors import DriverIdError, whole_number
 from ..ingest import holds_integers
 from .base import Classifier
 from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
-
-#: Member kinds trained by a default-configured MajorityVote.
-DEFAULT_VOTE_MEMBERS = ("naive_bayes", "logreg", "knn", "reptree", "svm")
 
 
 class _StumpScan:
@@ -236,54 +231,3 @@ class AdaBoost(Classifier):
             raise DriverIdError("adaboost stumps do not fit its classes and feature count")
         if not all(0.0 < a < np.inf for a in self.alphas_):
             raise DriverIdError("adaboost stage weights must be finite and > 0")
-
-
-class MajorityVote(Classifier):
-    """Hard-voting ensemble over heterogeneous member classifiers.
-
-    ``members`` is a sequence of kind names or (kind, config) pairs.  Each
-    member is built, and so checked, with the ensemble; a fit fits every
-    one on the same rows and class codes, so every member shares the
-    ensemble's ``classes_``.  Vote ties resolve to the lowest class.
-    """
-
-    kind = "vote"
-
-    def __init__(self, members=DEFAULT_VOTE_MEMBERS):
-        from . import make  # deferred: the registry imports this module
-
-        specs = []
-        for m in members:
-            try:
-                kind, config = (m, {}) if isinstance(m, str) else m
-                specs.append((str(kind), dict(config)))
-            except (TypeError, ValueError):
-                raise InvalidOption(
-                    f"each of members must be a kind or a (kind, config) pair, got {m!r}"
-                ) from None
-        if not specs:
-            raise InvalidOption("members must name at least one kind")
-        self.members = tuple(specs)
-        self._member_models = [make(kind, config) for kind, config in specs]
-
-    def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
-        self.members_ = [m.fit(X, y_idx, classes=self.classes_) for m in self._member_models]
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros((X.shape[0], len(self.classes_)))
-        rows = np.arange(X.shape[0])
-        for member in self.members_:
-            # A member's class index is the ensemble's: they share classes_.
-            votes[rows, np.argmax(member._scores(X), axis=1)] += 1.0
-        return votes
-
-    def _params_dict(self) -> dict:
-        return {"members": [m.to_dict() for m in self.members_]}
-
-    def _load_params(self, params: dict) -> None:
-        from . import KINDS
-
-        self.members_ = [KINDS[d["kind"]].from_dict(d) for d in params["members"]]
-        if any((m.classes_, m.n_features_) != (self.classes_, self.n_features_)
-               for m in self.members_):
-            raise DriverIdError("vote members do not share its classes and feature count")

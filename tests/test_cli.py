@@ -7,6 +7,7 @@ import pytest
 
 from driverid import evaluate, models, pipeline
 from driverid.cli import main
+from driverid.errors import DriverIdError
 
 from conftest import write_trip_csv
 
@@ -170,7 +171,7 @@ def test_evaluate_rejects_bad_split(prepared, capsys):
 @pytest.mark.parametrize("kind, config", [
     ("logreg", {"max_epochs": 0}),
     ("logreg", {"learning_rate": 0.5}),
-    ("vote", {"members": [["logreg", {"bogus": 1}]]}),
+    ("zeror", {"seed": 1}),
     ("reptree", {"seed": -1}),
     ("svm", {"seed": -1}),
     ("knn", {"k": 1.5}),
@@ -190,8 +191,14 @@ def test_evaluate_bad_model_config_is_data_error(prepared, capsys, kind, config)
     assert code == 2
     # An option the kind does not take is a DriverIdError; a bad value of
     # one it takes is its InvalidOption subclass.
-    unknown_option = "learning_rate" in config or kind == "vote"
+    unknown_option = "learning_rate" in config or kind == "zeror"
     assert ("DriverIdError" if unknown_option else "InvalidOption") in err
+
+
+def test_evaluate_vote_is_an_unknown_kind(prepared, capsys):
+    code, _, err = run(capsys, "evaluate", "--input", prepared, "--kind", "vote", "--folds", "3")
+    assert code == 1
+    assert "unknown kind 'vote'" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -310,7 +317,11 @@ def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edit
         path.write_text(json.dumps(_zeror_and_knn_reports(edits)), encoding="utf-8")
         code, _, err = run(capsys, "compare", str(path))
         assert code == status, err
-    assert f"driverid compare: DriverIdError: {path} is not an evaluation report: " in err
+    # The report's own error keeps its type and gains the path, once.
+    with pytest.raises(DriverIdError) as exc:
+        evaluate.MetricsReport.from_dict(_zeror_and_knn_reports(knn_edits)["results"]["knn"])
+    what = f"{path} is not an evaluation report"
+    assert err == f"driverid compare: {exc.type.__name__}: {what}: {exc.value}\n"
 
 
 def _report_with_a_short_averaged_2x2() -> bytes:
@@ -322,17 +333,23 @@ def _report_with_a_short_averaged_2x2() -> bytes:
 _UNDECODABLE_LOG = b"Speed,Class\n1.0,A\n2.0,\xff\n"
 
 
-@pytest.mark.parametrize("command, content", [
-    pytest.param("ingest", _UNDECODABLE_LOG, id="ingest-undecodable"),
-    pytest.param("train", _UNDECODABLE_LOG, id="train-undecodable"),
-    pytest.param("ingest", b"Speed,Class\n1.0," + b"A" * 200_000 + b"\n",
+@pytest.mark.parametrize("command, content, error", [
+    pytest.param("ingest", _UNDECODABLE_LOG, "DriverIdError", id="ingest-undecodable"),
+    pytest.param("train", _UNDECODABLE_LOG, "DriverIdError", id="train-undecodable"),
+    pytest.param("ingest", b"Speed,Class\n1.0," + b"A" * 200_000 + b"\n", "DriverIdError",
                  id="ingest-field-over-the-csv-limit"),
-    pytest.param("compare", b"not json", id="compare-not-json"),
-    pytest.param("compare", b"\xff\xfe", id="compare-undecodable"),
-    pytest.param("compare", _report_with_a_short_averaged_2x2(), id="compare-short-averaged-2x2"),
-    pytest.param("compare", b"[" * 100_000, id="compare-nested-past-the-recursion-limit"),
+    pytest.param("ingest", b"Speed,Class\n1.0,A\n2.0\n", "RaggedRow", id="ingest-ragged-row"),
+    pytest.param("ingest", b"Speed,Class\n1.0,A\nx,B\n", "NonNumericCell",
+                 id="ingest-non-numeric-cell"),
+    pytest.param("ingest", b"Speed,Class\n", "EmptyDataset", id="ingest-header-only"),
+    pytest.param("compare", b"not json", "DriverIdError", id="compare-not-json"),
+    pytest.param("compare", b"\xff\xfe", "DriverIdError", id="compare-undecodable"),
+    pytest.param("compare", _report_with_a_short_averaged_2x2(), "DriverIdError",
+                 id="compare-short-averaged-2x2"),
+    pytest.param("compare", b"[" * 100_000, "DriverIdError",
+                 id="compare-nested-past-the-recursion-limit"),
 ])
-def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, command, content):
+def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, command, content, error):
     path = tmp_path / "input.data"
     path.write_bytes(content)
     argv = {
@@ -343,8 +360,7 @@ def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, comman
     }[command]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert f"driverid {command}: DriverIdError: " in err and str(path) in err
-    assert "internal error" not in err
+    assert err.startswith(f"driverid {command}: {error}: ") and err.count(str(path)) == 1
 
 
 def test_config_nested_past_the_recursion_limit_is_a_data_error(tmp_path, capsys):

@@ -179,14 +179,14 @@ def test_non_numeric_cell_in_a_later_block_names_its_line_and_column(two_row_blo
     )
     with pytest.raises(NonNumericCell) as exc:
         ingest.load_dataset(stream)
-    assert str(exc.value) == "line 7, column 'y': 'oops' is not a finite number"
+    assert str(exc.value) == "CSV stream: line 7, column 'y': 'oops' is not a finite number"
 
 
 def test_non_finite_cell_in_the_first_block_rejected(two_row_blocks):
     stream = io.StringIO("x,y,Class\n1,2,A\n-inf,4,A\n5,6,B\n7,8,B\n")
     with pytest.raises(NonNumericCell) as exc:
         ingest.load_dataset(stream)
-    assert str(exc.value) == "line 3, column 'x': '-inf' is not a finite number"
+    assert str(exc.value) == "CSV stream: line 3, column 'x': '-inf' is not a finite number"
 
 
 def test_blank_lines_across_a_block_boundary_are_skipped(two_row_blocks):

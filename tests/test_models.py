@@ -29,7 +29,6 @@ from driverid.models import (
     KNearestNeighbors,
     LinearSvm,
     LogisticRegression,
-    MajorityVote,
     RepTree,
     ZeroR,
 )
@@ -117,24 +116,27 @@ def _golden_with(kind, **top):
     return json.dumps({**saved, **top})
 
 
-def test_load_model_rejects_malformed_files():
+def test_load_model_rejects_malformed_files(tmp_path):
     X, y = blobs(seed=2)
     buf = io.StringIO()
-    models.save_model(models.make("vote", {"members": ["logreg", "zeror"]}).fit(X, y), buf)
-    vote = json.loads(buf.getvalue())
-    logreg = {"format": vote["format"], "version": vote["version"], **vote["params"]["members"][0]}
+    models.save_model(models.make("logreg").fit(X, y), buf)
+    logreg = json.loads(buf.getvalue())
     outdated = json.loads(json.dumps(logreg))
     outdated["config"]["learning_rate"] = 0.1  # option of an older logreg
     no_params = {k: v for k, v in logreg.items() if k != "params"}
-    bad_member = json.loads(json.dumps(vote))
-    bad_member["params"]["members"][1]["kind"] = "perceptron"
+    # A saved majority vote over the logreg: vote is no longer a kind.
+    member = {k: v for k, v in logreg.items() if k not in ("format", "version")}
+    vote = {**logreg, "kind": "vote", "config": {"members": [["logreg", {}]]},
+            "params": {"members": [member]}}
+    with pytest.raises(DriverIdError, match="unknown kind 'vote'"):
+        models.load_model(io.StringIO(json.dumps(vote)))
     weights = logreg["params"]["weights"]
     no_weights = {**logreg, "params": {}}
     ragged = {**logreg, "params": {"weights": [weights[0], weights[1][:-1]]}}
     string_cell = {**logreg, "params": {"weights": [["x", *weights[0][1:]], *weights[1:]]}}
     models.load_model(io.StringIO(json.dumps(logreg)))  # the intact payload loads
     texts = ["not json", "[1, 2]", json.dumps(outdated), json.dumps(no_params),
-             json.dumps(bad_member), json.dumps(no_weights), json.dumps(ragged),
+             json.dumps(no_weights), json.dumps(ragged),
              json.dumps(string_cell), "[" * 100_000]
     # Saved files whose params do not fit their classes or feature count.
     # The reptree whose root is its own right child would loop in predict.
@@ -196,9 +198,17 @@ def test_load_model_rejects_malformed_files():
         ("zeror", {"n_features": "2"}),
     ):
         texts.append(_golden_with(kind, **top))
+    path = tmp_path / "model.json"
     for text in texts:
-        with pytest.raises(DriverIdError), time_limit(10):
-            models.load_model(io.StringIO(text))
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DriverIdError) as exc, time_limit(10):
+            models.load_model(str(path))
+        assert str(exc.value).count(str(path)) == 1, exc.value
+    # An error raised while the params are read keeps its type.
+    path.write_text(_golden_with("zeror", classes="ABC"), encoding="utf-8")
+    with pytest.raises(InvalidOption) as exc:
+        models.load_model(str(path))
+    assert str(exc.value).startswith(f"{path} is a malformed zeror model file: label alphabet")
 
 
 def test_load_model_probes_a_wide_model_without_allocating_its_row():
@@ -1030,61 +1040,3 @@ def test_adaboost_alphas_recompute_from_clamped_errors():
     assert "errors" not in saved
     assert not hasattr(AdaBoost.from_dict(json.loads(saved)), "errors_")
 
-
-# -- majority vote -----------------------------------------------------------------
-
-def test_vote_uses_default_members():
-    X, y = blobs(seed=14)
-    model = MajorityVote().fit(X, y)
-    assert len(model.members_) == 5
-    acc = np.mean(np.asarray(model.predict(X)) == y)
-    assert acc >= 0.9
-
-
-@pytest.mark.parametrize("members, named", [
-    (["bogus"], "bogus"),
-    ([["svm", {"lam": -1}]], "lam"),
-    ([["knn", {"k": 0}]], "k must"),
-    ([["knn"]], "members"),
-    ([5], "members"),
-    ([], "members"),
-])
-def test_vote_members_are_checked_when_the_vote_is_built(members, named):
-    with pytest.raises(InvalidOption, match=named):
-        MajorityVote(members)
-    with pytest.raises(InvalidOption, match=named):
-        pipeline.RunConfig(input="unused.csv", kinds=("zeror", "vote"),
-                           model_configs={"vote": {"members": members}})
-
-
-def test_vote_of_configured_members():
-    X, y = blobs(seed=15)
-    members = [("knn", {"k": 1}), "naive_bayes", ("reptree", {"seed": 1})]
-    model = MajorityVote(members=members).fit(X, y)
-    assert [m.kind for m in model.members_] == ["knn", "naive_bayes", "reptree"]
-    assert model.members_[0].k == 1
-    assert all(m.classes_ == model.classes_ for m in model.members_)
-    assert model.predict(X[:1]) == [y[0]]
-
-
-def test_vote_rejects_mismatched_alphabets():
-    # A saved vote whose member was fitted on fewer classes does not load.
-    X, y = blobs(seed=16)
-    saved = MajorityVote(members=["knn", "naive_bayes"]).fit(X, y).to_dict()
-    saved["params"]["members"][1] = GaussianNaiveBayes().fit(X[:80], y[:80]).to_dict()
-    with pytest.raises(DriverIdError):
-        MajorityVote.from_dict(saved)
-
-
-def test_vote_tie_breaks_to_lowest_class():
-    X, y = blobs(seed=17)
-    vote = MajorityVote(members=[("knn", {"k": 1}), ("reptree", {"seed": 1})]).fit(X, y)
-    m1, m2 = vote.members_
-    # wherever the two members disagree, the vote must pick the
-    # alphabetically lower of the two candidates
-    p1, p2 = np.asarray(m1.predict(X)), np.asarray(m2.predict(X))
-    pv = np.asarray(vote.predict(X))
-    disagree = p1 != p2
-    if disagree.any():
-        expect = np.minimum(p1[disagree], p2[disagree])
-        assert (pv[disagree] == expect).all()
