@@ -150,7 +150,13 @@ class MetricsReport:
     def from_dict(cls, d: dict) -> "MetricsReport":
         """The report :func:`metrics` rebuilds from ``d``'s classes and counts;
         ``d``'s accuracy, per-class rows and averaged 2×2 must equal it, and
-        each fold accuracy must be a finite number in [0, 100]."""
+        each fold accuracy must be a finite number in [0, 100].
+
+        The pooled accuracy is a weighted mean of the fold accuracies, and
+        each is ``100 * (trace / total)`` in correctly rounded (so
+        monotone) operations: it must lie between their least and greatest
+        exactly.  A report whose ``metadata.plan`` names its folds must hold
+        one accuracy per fold."""
         folds = d.get("fold_accuracies")
         if folds is not None:
             folds = tuple(finite_real("fold_accuracies", a, 0.0, 100.0) for a in folds)
@@ -160,6 +166,11 @@ class MetricsReport:
         for key in ("accuracy", "per_class", "averaged_2x2"):
             if d[key] != rebuilt[key]:
                 raise DriverIdError(f"{key} does not follow from the confusion counts")
+        n_folds, plan = len(folds or ()), report.metadata.get("plan")
+        if isinstance(plan, dict) and "folds" in plan and n_folds != plan["folds"]:
+            raise DriverIdError(f"{n_folds} fold accuracies for a plan of {plan['folds']!r} folds")
+        if folds and not min(folds) <= report.accuracy <= max(folds):
+            raise DriverIdError("accuracy is not between the least and greatest fold accuracy")
         return report
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -189,12 +190,21 @@ class TripDataset:
             raise DriverIdError(f"no column named {name!r}") from None
 
 
+def _is_path(target) -> bool:
+    return isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+
+
+def _source_name(source):
+    """How an error names a path or an open stream."""
+    return os.fspath(source) if _is_path(source) else getattr(source, "name", "stream")
+
+
 @contextmanager
 def _text_stream(target, mode: str):
     """Open a path as a UTF-8 text stream without newline translation (as
     csv wants), or pass an open stream through (the caller keeps ownership
     and it is left open)."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+    if _is_path(target):
         with open(target, mode, encoding="utf-8", newline="") as stream:
             yield stream
     else:
@@ -248,7 +258,7 @@ def load_dataset(
     cells count as non-numeric — missing data is a hard error), and
     :class:`EmptyDataset` for a header-only file.
     """
-    with _text_stream(source, "r") as stream, reading(f"CSV {getattr(stream, 'name', 'stream')}"):
+    with reading(f"CSV {_source_name(source)}"), _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:

@@ -11,7 +11,7 @@ import json
 
 from ..errors import DriverIdError, InvalidOption, one_of, reading
 from ..features import FeatureMatrix
-from ..ingest import _text_stream
+from ..ingest import _source_name, _text_stream
 from .base import Classifier
 from .baseline import ZeroR
 from .ensemble import AdaBoost
@@ -74,19 +74,18 @@ def load_model(source) -> Classifier:
     kind does not take, a value of the wrong type), raises
     :class:`DriverIdError` naming the file.
     """
-    with _text_stream(source, "r") as fh:
-        name = getattr(fh, "name", "stream")
-        with reading(f"{name} is not a model file"):
-            payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise DriverIdError("not a JSON object")
-            if payload.get("format") != SERIALIZATION_FORMAT:
-                raise DriverIdError(f"format {payload.get('format')!r}")
-            if payload.get("version") != SERIALIZATION_VERSION:
-                raise DriverIdError(f"unsupported version {payload.get('version')!r}")
-            kind = payload.get("kind")
-            if kind not in KINDS:
-                raise DriverIdError(f"unknown kind {kind!r}")
+    name = _source_name(source)
+    with reading(f"{name} is not a model file"), _text_stream(source, "r") as fh:
+        payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise DriverIdError("not a JSON object")
+        if payload.get("format") != SERIALIZATION_FORMAT:
+            raise DriverIdError(f"format {payload.get('format')!r}")
+        if payload.get("version") != SERIALIZATION_VERSION:
+            raise DriverIdError(f"unsupported version {payload.get('version')!r}")
+        kind = payload.get("kind")
+        if kind not in KINDS:
+            raise DriverIdError(f"unknown kind {kind!r}")
     with reading(f"{name} is a malformed {kind} model file"):
         return KINDS[kind].from_dict(payload)
 

@@ -164,9 +164,9 @@ class Classifier:
 
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """Numerically stable log(sum(exp(a)))."""
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    return out if keepdims else np.squeeze(out, axis=axis)
+    m = a.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
+    return out if keepdims else out.squeeze(axis=axis)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -7,9 +7,22 @@ grouping of each feature's rows by class do not depend on the weights, so
 ``_StumpScan`` builds them once per boosting fit (with the tree's
 ``presort``); each round then finds the best cut of every feature in O(n),
 not O(K·n), over blocks of features.
+
+A round is a pure function of its input weights on the fit's fixed
+``_StumpScan``: the stump, its misses, the clamped error, α and the next
+weights all follow from them.  So once a round starts from weights that
+are bit for bit those of an earlier round of the same fit, the rounds in
+between are a cycle, and the fit repeats their stumps, α and errors up to
+``rounds`` without searching again; the result is exactly that of running
+every round.  This pays off when a stump separates two classes and the
+weights only renormalize (table6's drivers A and D); on table7's ten
+classes no round repeats, so every round runs.
 """
 
 from __future__ import annotations
+
+import hashlib
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -177,7 +190,10 @@ class AdaBoost(Classifier):
     [1e-10, (K−1)/K − 1e-10], keeping every stage weight
     α = ln((1−err)/err) + ln(K−1) finite and positive.  A fit keeps the
     clamped errors in ``errors_`` (memory only: not serialized, not
-    reported).
+    reported).  Each round's input weights are kept as a SHA-256 digest
+    (32 bytes a round, not 8 bytes a row); a round whose weights repeat
+    an earlier round's ends the search and the cycle since that round is
+    replayed (see the module docstring).
     """
 
     kind = "adaboost"
@@ -195,7 +211,13 @@ class AdaBoost(Classifier):
         self.errors_: list[float] = []
         hi = (K - 1) / K - self._ERR_EPS
         scan = _StumpScan(X, y_idx, K)
-        for _ in range(self.rounds):
+        seen: dict[bytes, int] = {}  # digest of a round's input weights -> the round
+        for r in range(self.rounds):
+            first = seen.setdefault(hashlib.sha256(w.tobytes()).digest(), r)
+            if first < r:
+                for kept in (self.stumps_, self.alphas_, self.errors_):
+                    kept += islice(cycle(kept[first:]), self.rounds - r)
+                return
             stump = _Stump().fit(scan, w)
             miss = stump.predict_idx(X) != y_idx
             err = float(np.clip(w[miss].sum(), self._ERR_EPS, hi))

@@ -41,14 +41,14 @@ def loss_and_grad(W: np.ndarray, X_aug: np.ndarray, y_idx: np.ndarray, l2: float
     rows = np.arange(n)
     logits = X_aug @ W.T
     lse = logsumexp(logits, axis=1)
-    loss = float(np.mean(lse - logits[rows, y_idx]))
+    loss = float((lse - logits[rows, y_idx]).mean())
     G = np.exp(logits - lse[:, None])  # softmax probabilities, edited in place
     G[rows, y_idx] -= 1.0
     grad = (G.T @ X_aug) / n
     if l2:
         penalized = W.copy()
         penalized[:, -1] = 0.0
-        loss += 0.5 * l2 * float(np.sum(penalized**2))
+        loss += 0.5 * l2 * float((penalized**2).sum())
         grad = grad + l2 * penalized
     return loss, grad
 

@@ -63,16 +63,17 @@ class LinearSvm(Classifier):
         rng = np.random.default_rng(self.seed)
         t = 0
         for _ in range(self.epochs):
+            # one gather per epoch; each batch is then a view of it
             perm = rng.permutation(n)
+            X_epoch, S_epoch = X_aug[perm], y_signs[perm]
             for lo in range(0, n, self.batch_size):
                 t += 1
                 eta = 1.0 / (self.lam * t)
-                rows = perm[lo : lo + self.batch_size]
-                Xb = X_aug[rows]  # (b, d+1)
-                Sb = y_signs[rows]  # (b, K)
+                Xb = X_epoch[lo : lo + self.batch_size]  # (b, d+1)
+                Sb = S_epoch[lo : lo + self.batch_size]  # (b, K)
                 active = Sb * (Xb @ W.T) < 1.0  # (b, K)
                 W *= 1.0 - eta * self.lam
-                W += (eta / rows.size) * ((Sb * active).T @ Xb)
+                W += (eta / len(Xb)) * ((Sb * active).T @ Xb)
                 norms = np.sqrt(np.einsum("ij,ij->i", W, W))
                 np.maximum(norms, radius, out=norms)
                 W *= (radius / norms)[:, None]

@@ -310,6 +310,16 @@ def _zeror_and_knn_reports(knn_edits) -> dict:
                  id="edited-averaged-2x2"),
     pytest.param({"fold_accuracies": [100.0, 101.0]}, id="fold-accuracy-over-100"),
     pytest.param({"fold_accuracies": [float("nan"), 100.0]}, id="fold-accuracy-nan"),
+    # The pooled accuracy (100 %) lies between the least and greatest fold
+    # accuracy, and a plan's fold count is the number of fold accuracies.
+    pytest.param({"fold_accuracies": [50.0, 60.0]}, id="accuracy-above-every-fold"),
+    pytest.param({"fold_accuracies": [100.0, 100.0, 100.0],
+                  "metadata": {"kind": "knn", "plan": {"folds": 2}}},
+                 id="more-fold-accuracies-than-folds"),
+    pytest.param({"metadata": {"kind": "knn", "plan": {"folds": 3}}},
+                 id="fewer-fold-accuracies-than-folds"),
+    pytest.param({"fold_accuracies": None, "metadata": {"kind": "knn", "plan": {"folds": 2}}},
+                 id="folds-without-fold-accuracies"),
 ])
 def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edits):
     path = tmp_path / "reports.json"
@@ -361,6 +371,18 @@ def test_malformed_input_file_is_a_data_error_naming_it(tmp_path, capsys, comman
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(f"driverid {command}: {error}: ") and err.count(str(path)) == 1
+
+
+def test_input_path_with_a_null_byte_is_a_data_error_naming_it(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": "a\u0000b.csv"}), encoding="utf-8")
+    code, _, err = run(capsys, "ingest", "--config", str(config))
+    assert code == 2
+    assert err == "driverid ingest: DriverIdError: CSV a\x00b.csv: ValueError: embedded null byte\n"
+    # a log that is not there stays an OSError, a file error
+    config.write_text(json.dumps({"input": str(tmp_path / "missing.csv")}), encoding="utf-8")
+    code, _, err = run(capsys, "ingest", "--config", str(config))
+    assert code == 2 and err.startswith("driverid ingest: file error: ")
 
 
 def test_config_nested_past_the_recursion_limit_is_a_data_error(tmp_path, capsys):

@@ -32,6 +32,7 @@ from driverid.models import (
     RepTree,
     ZeroR,
 )
+from driverid.models.ensemble import _StumpScan
 from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
 from driverid.models.tree import midpoint, presort
@@ -209,6 +210,16 @@ def test_load_model_rejects_malformed_files(tmp_path):
     with pytest.raises(InvalidOption) as exc:
         models.load_model(str(path))
     assert str(exc.value).startswith(f"{path} is a malformed zeror model file: label alphabet")
+
+
+def test_load_model_names_a_path_that_cannot_be_opened(tmp_path):
+    # open() rejects a null byte with ValueError: a data error naming the path
+    with pytest.raises(DriverIdError) as exc:
+        models.load_model("a\x00b.json")
+    assert str(exc.value) == "a\x00b.json is not a model file: ValueError: embedded null byte"
+    # a file that is not there stays an OSError
+    with pytest.raises(FileNotFoundError):
+        models.load_model(str(tmp_path / "missing.json"))
 
 
 def test_load_model_probes_a_wide_model_without_allocating_its_row():
@@ -971,6 +982,53 @@ def test_adaboost_matches_row_major_reference(make, K, seed, n, rounds):
     params, errors = _row_major_adaboost(X, y_idx, len(model.classes_), rounds)
     assert model.to_dict()["params"] == params
     assert model.errors_ == errors
+
+
+def _stump_searches(monkeypatch) -> list:
+    """A list that gains one entry per ``_StumpScan.best_cut`` call."""
+    calls = []
+    best_cut = _StumpScan.best_cut
+
+    def counted(self, *args):
+        calls.append(None)
+        return best_cut(self, *args)
+
+    monkeypatch.setattr(_StumpScan, "best_cut", counted)
+    return calls
+
+
+def _one_stump_separates(seed, n):
+    """Two classes split by the sign of column 0; column 1 is noise."""
+    X = np.random.default_rng(seed).normal(size=(n, 2))
+    return X, np.where(X[:, 0] > 0, "B", "A")
+
+
+@pytest.mark.parametrize("rounds", [10, 200])
+def test_adaboost_replays_rounds_whose_weights_repeat(monkeypatch, rounds):
+    # The first stump misses nothing, so the weights only renormalize and
+    # soon repeat bit for bit: the later rounds are replayed, not searched,
+    # and the fit still equals running every round.
+    X, y = _one_stump_separates(0, 150)
+    searches = _stump_searches(monkeypatch)
+    model = AdaBoost(rounds=rounds).fit(X, y)
+    assert len(searches) <= 3
+    params, errors = _row_major_adaboost(X, np.searchsorted(model.classes_, y), 2, rounds)
+    assert model.to_dict()["params"] == params
+    assert model.errors_ == errors
+
+
+@pytest.mark.parametrize("make, K, seed, n, rounds, replays", [
+    # ten classes: the weights never repeat, so every round searches
+    (_tie_heavy_classes, 10, 22, 97, 200, False),
+    # the class_blocked-3-173-200r-10 reference case: a cycle is replayed
+    (_class_blocked, 3, 10, 173, 200, True),
+])
+def test_adaboost_searches_until_its_weights_repeat(monkeypatch, make, K, seed, n, rounds, replays):
+    X, y = make(seed, n, K)
+    searches = _stump_searches(monkeypatch)
+    model = AdaBoost(rounds=rounds).fit(X, y)
+    assert len(model.stumps_) == len(model.alphas_) == len(model.errors_) == rounds
+    assert len(searches) < rounds if replays else len(searches) == rounds
 
 
 def _mixed_tie_blocks(seed, n, K):
