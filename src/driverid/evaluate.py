@@ -1,18 +1,20 @@
 """Cross-validation, confusion matrices, and classification metrics.
 
 The confusion convention is ``counts[i, j]`` = instances of true class ``i``
-predicted as class ``j``.  :class:`ConfusionMatrix` checks the counts and
-is the one source of every number derived from them: overall accuracy
-(``100 · trace / total``) and per-class TP/FP/FN/TN vectors, which
-:func:`metrics` turns into precision, recall and F1 (in percent) and the
-class-averaged 2×2 matrix for all classes at once.  A report read back from
-JSON is rebuilt from its counts, and must agree with them.
+predicted as class ``j``, counted from label codes by
+:func:`confusion_from_predictions`.  :class:`ConfusionMatrix` checks the
+counts and is the one source of every number derived from them: overall
+accuracy (``100 · trace / total``) and per-class TP/FP/FN/TN vectors,
+which :func:`metrics` turns into precision, recall and F1 (in percent)
+and the class-averaged 2×2 matrix for all classes at once.  A report read
+back from JSON is rebuilt from its counts, and must agree with them.
 
 Cross-validation is split in two.  :meth:`Folds.build` assigns windows to
 folds once per run (a seeded shuffle dealt round-robin, per class when
 stratified) and fits each fold's normalization, on its training rows only
 by default.  :func:`cross_validate` then fits and scores one model kind on
-those folds and pools one confusion matrix.
+those folds and pools one confusion matrix; only each fold's predicted
+labels are encoded into codes.
 """
 
 from __future__ import annotations
@@ -86,41 +88,19 @@ class ConfusionMatrix:
         return tp, fp, fn, self.total - tp - fp - fn
 
 
-def confusion_from_predictions(
-    y_true, y_pred, classes: Sequence[str] | None = None
-) -> ConfusionMatrix:
-    """Count (true, predicted) pairs over ``classes`` (default: sorted union).
+def confusion_from_predictions(y_true, y_pred, classes: Sequence[str]) -> ConfusionMatrix:
+    """Count (true, predicted) pairs of codes into ``classes``.
 
-    ``classes``, in any order, must be a list or tuple of names; either side
-    may then be an integer array of codes into it.  A label or code outside
-    it raises :class:`UnknownLabel`.
+    ``classes``, in any order, must be a list or tuple of names, and both
+    sides 1-D integer codes into it (else :class:`UnknownLabel`).
     """
-    n = len(y_true)
-    if n != len(y_pred):
-        raise DriverIdError(f"{n} true labels vs {len(y_pred)} predictions")
-    if classes is None:
-        # Without classes both sides are labels, even integer arrays.
-        y_true, y_pred = (np.asarray(y, dtype=str) for y in (y_true, y_pred))
-        classes = tuple(sorted({*encode_labels(y_true)[0], *encode_labels(y_pred)[0]}))
     classes = name_list("classes", classes)
-    true, pred = (_codes_into(classes, y) for y in (y_true, y_pred))
+    true, pred = check_codes(classes, y_true), check_codes(classes, y_pred)
+    if true.size != pred.size:
+        raise DriverIdError(f"{true.size} true labels vs {pred.size} predictions")
     k = len(classes)
     counts = np.bincount(true * k + pred, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(classes=classes, counts=counts)
-
-
-def _codes_into(classes: tuple[str, ...], y) -> np.ndarray:
-    if isinstance(y, np.ndarray) and holds_integers(y):
-        return check_codes(classes, y)
-    return encode_labels(y, classes)[1]
-
-
-def per_class_counts(cm: ConfusionMatrix, i: int) -> tuple[int, int, int, int]:
-    """(TP, FP, FN, TN) for class index ``i``: entry ``i`` of
-    :attr:`ConfusionMatrix.outcomes`."""
-    if not 0 <= i < len(cm.classes):
-        raise IndexError(f"class index {i} out of range [0, {len(cm.classes)})")
-    return tuple(int(v[i]) for v in cm.outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +275,8 @@ def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsRepor
         if params is not None:
             X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
         model = models.make(kind, config).fit(X_train, codes[train], classes=classes)
-        cm = confusion_from_predictions(codes[test], model.predict(X_test), classes)
+        predicted = encode_labels(model.predict(X_test), classes)[1]
+        cm = confusion_from_predictions(codes[test], predicted, classes)
         pooled += cm.counts
         fold_accuracies.append(cm.accuracy)
     return metrics(

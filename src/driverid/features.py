@@ -55,6 +55,7 @@ from .errors import (
     UnknownFeatureName,
     WindowLongerThanSeries,
     finite_real,
+    name_list,
     one_of,
     whole_number,
 )
@@ -107,6 +108,10 @@ def _resolve_columns(column_names: Sequence[str], wanted: Sequence[str]) -> list
         if key not in table:
             raise UnknownFeatureName(
                 f"no column matching {name!r} among {len(column_names)} columns"
+            )
+        if table[key] in indices:
+            raise InvalidOption(
+                f"{name!r} requests column {column_names[table[key]]!r} a second time"
             )
         indices.append(table[key])
     return indices
@@ -374,7 +379,7 @@ class WindowSpec:
                 "(windows must tile or overlap, not skip samples)"
             )
         stats = tuple(dict.fromkeys(one_of("statistics", s, ALLOWED_STATISTICS)
-                                    for s in self.statistics))
+                                    for s in name_list("statistics", self.statistics)))
         if not stats:
             raise InvalidOption("at least one window statistic is required")
         object.__setattr__(self, "statistics", stats)
@@ -423,20 +428,14 @@ class FeatureMatrix:
         return self.features.shape[1]
 
     @classmethod
-    def from_arrays(cls, column_names, features, labels) -> "FeatureMatrix":
-        return cls(
-            tuple(column_names),
-            np.ascontiguousarray(features, dtype=np.float64),
-            *ingest.encode_labels(labels),
-        )
-
-    @classmethod
     def from_csv(cls, source, *, label_column: str = "Class") -> "FeatureMatrix":
         ds = ingest.load_dataset(source, label_column=label_column, exclude_columns=())
         return cls(ds.column_names, ds.channels, ds.label_alphabet, ds.codes)
 
     def to_csv(self, target, *, label_column: str = "Class") -> None:
-        ingest.write_csv(target, self.column_names, self.features, self.labels, label_column)
+        ingest.write_csv(
+            target, self.column_names, self.features, self.label_alphabet, self.codes, label_column
+        )
 
 
 def window_count(n_samples: int, length: int, stride: int) -> int:

@@ -6,16 +6,17 @@ whose channels form an (N, d) float64 matrix in original file order.  Order
 is preserved because downstream windowing treats the rows as a time series.
 
 Driver labels are encoded once, by :func:`encode_labels`, as a sorted
-alphabet plus one integer code per row; every later layer works on
-``(label_alphabet, codes)`` and turns codes back into strings only where a
-label leaves the package.  The label rule lives here, in two checks: an
-alphabet is a list or tuple of sorted, distinct strings
-(:func:`check_alphabet`), and codes are a 1-D integer array indexing it
-(:func:`check_codes`).  Every layer handed an alphabet or codes from
-outside runs them.
+alphabet plus one integer code per row: ``(label_alphabet, codes)`` is the
+only label state below the package's edges (the CSV text, the
+:class:`TripDataset` constructor, the ``labels`` properties).  The label
+rule lives here, in two checks: an alphabet is a list or tuple of sorted,
+distinct strings (:func:`check_alphabet`), and codes are a 1-D integer
+array indexing it (:func:`check_codes`).  Every layer handed an alphabet
+or codes from outside runs them.
 
-Bookkeeping columns that are not sensor channels (elapsed time, path order)
-are dropped through an explicit exclusion list rather than heuristics.
+A header that names a column twice is a data error.  Bookkeeping columns
+that are not sensor channels (elapsed time, path order) are dropped
+through an explicit exclusion list rather than heuristics.
 
 Memory: :func:`load_dataset` parses the records in blocks of at most
 ``_PARSE_BLOCK_CELLS`` (16,384) channel cells, each cast to float64 on its
@@ -28,11 +29,12 @@ the first in file order.
 
 :func:`write_csv` formats rows in chunks of at most ``_WRITE_CHUNK_BYTES``
 (64 KiB) of float64 cells: each chunk becomes Python floats through one
-``tolist()``, each row one ``",".join`` of float reprs, each chunk
-one ``writelines``.  A write holds some ten chunks' worth of floats and
-strings besides the labels, never the text of the whole matrix.  The
-header and each distinct label go through :mod:`csv`, so they are quoted
-exactly as a per-row ``csv.writer`` quotes them.
+``tolist()``, each row one ``",".join`` of float reprs plus the line tail
+of its code's class, each chunk one ``writelines``.  A write holds some
+ten chunks' worth of floats and strings, never the text of the whole
+matrix nor the decoded labels.  The header and each class's tail go
+through :mod:`csv`, so they are quoted exactly as a per-row
+``csv.writer`` quotes them.
 """
 
 from __future__ import annotations
@@ -105,10 +107,14 @@ def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
 
 def check_alphabet(alphabet) -> tuple[str, ...]:
     """``alphabet`` as a tuple, if it is a list or tuple of sorted, distinct
-    strings.  Anything else (a bare string too) raises :class:`DriverIdError`."""
+    strings, none ending in a NUL (numpy's str arrays, which
+    :func:`encode_labels` uses, drop trailing NULs).  Anything else (a bare
+    string too) raises :class:`DriverIdError`."""
     alphabet = name_list("label alphabet", alphabet)
     if list(alphabet) != sorted(set(alphabet)):
         raise DriverIdError(f"label alphabet {list(alphabet)} is not sorted and distinct")
+    if any(label.endswith("\0") for label in alphabet):
+        raise DriverIdError(f"label alphabet {list(alphabet)} has a label ending in a NUL")
     return alphabet
 
 
@@ -138,43 +144,49 @@ def present_classes(alphabet, codes) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(a for a, u in zip(alphabet, used) if u), (np.cumsum(used) - 1)[codes]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TripDataset:
     """An immutable, rectangular trip log.
 
-    ``channels`` is a read-only (N, d) float64 array; ``labels`` holds the
-    per-row driver class as a string and ``codes`` its index into
-    ``label_alphabet``, which :func:`check_alphabet` checks and stores as a
-    tuple.  Row order is the original file order.
+    ``channels`` is a read-only (N, d) float64 array and ``codes`` indexes
+    each row's driver in ``label_alphabet``, which :func:`check_alphabet`
+    checks and stores as a tuple.  The constructor takes label strings and
+    keeps only their codes; ``labels`` decodes them on each access.  Row
+    order is the original file order.
     """
 
     column_names: tuple[str, ...]
     channels: np.ndarray
-    labels: tuple[str, ...]
     label_alphabet: tuple[str, ...]
-    label_column: str = DEFAULT_LABEL_COLUMN
-    codes: np.ndarray = field(init=False, repr=False)
+    codes: np.ndarray = field(repr=False)
+    label_column: str
 
-    def __post_init__(self) -> None:
-        if self.channels.ndim != 2:
+    def __init__(self, column_names, channels, labels, label_alphabet,
+                 label_column=DEFAULT_LABEL_COLUMN) -> None:
+        if channels.ndim != 2:
             raise DriverIdError("channels must be a 2-D array")
-        n, d = self.channels.shape
+        n, d = channels.shape
         if n == 0:
             raise EmptyDataset("dataset has no records")
-        if d != len(self.column_names):
-            raise DriverIdError(
-                f"{len(self.column_names)} column names for {d} channel columns"
-            )
-        if len(self.labels) != n:
-            raise DriverIdError(f"{len(self.labels)} labels for {n} records")
-        odd = [label for label in self.labels if not isinstance(label, str)]
+        if d != len(column_names):
+            raise DriverIdError(f"{len(column_names)} column names for {d} channel columns")
+        if len(labels) != n:
+            raise DriverIdError(f"{len(labels)} labels for {n} records")
+        odd = [label for label in labels if not isinstance(label, str)]
         if odd:
             raise DriverIdError(f"labels must be strings, got {odd[0]!r}")
-        alphabet, codes = encode_labels(self.labels, check_alphabet(self.label_alphabet))
+        alphabet, codes = encode_labels(labels, check_alphabet(label_alphabet))
         codes.flags.writeable = False
+        channels.flags.writeable = False
+        object.__setattr__(self, "column_names", column_names)
+        object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "label_alphabet", alphabet)
         object.__setattr__(self, "codes", codes)
-        self.channels.flags.writeable = False
+        object.__setattr__(self, "label_column", label_column)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(decode_labels(self.label_alphabet, self.codes))
 
     def __len__(self) -> int:
         return self.channels.shape[0]
@@ -211,34 +223,36 @@ def _text_stream(target, mode: str):
         yield target
 
 
-def write_csv(target, column_names, rows, labels, label_column) -> None:
-    """Write a header and one line per row with its label last; numeric
-    cells use repr so that a load/save round trip is bit-exact.
+def write_csv(target, column_names, rows, label_alphabet, codes, label_column) -> None:
+    """Write a header and one line per row with its label, the class of its
+    code, last; numeric cells use repr so that a load/save round trip is
+    bit-exact.  ``codes`` must index ``label_alphabet``, one per row.
 
     The header and labels are quoted by :mod:`csv`; float cells never need
     quoting.
     """
-    labels = tuple(labels)
-    n = min(len(rows), len(labels))
+    codes = check_codes(label_alphabet, codes)
+    if len(codes) != len(rows):
+        raise DriverIdError(f"{len(codes)} label codes for {len(rows)} rows")
     n_cols = len(column_names)
     with _text_stream(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([*column_names, label_column])
-        # Each distinct label's csv-quoted line tail, made once: the row
-        # ["", label] is exactly the comma and the label as csv writes
-        # them after other cells (a lone [label] when there are no cells).
-        tails = {}
-        for label in dict.fromkeys(labels[:n]):
+        # Each class's csv-quoted line tail, made once: the row ["", label]
+        # is exactly the comma and the label as csv writes them after other
+        # cells (a lone [label] when there are no cells).
+        tails = []
+        for label in label_alphabet:
             line = io.StringIO()
             csv.writer(line, lineterminator="\n").writerow(["", label] if n_cols else [label])
-            tails[label] = line.getvalue()
+            tails.append(line.getvalue())
         join = ",".join
         chunk = max(1, _WRITE_CHUNK_BYTES // (8 * max(1, n_cols)))
-        for lo in range(0, n, chunk):
+        for lo in range(0, len(codes), chunk):
             block = np.asarray(rows[lo : lo + chunk], dtype=np.float64).tolist()
             stream.writelines(
-                [join(map(repr, row)) + tails[label]
-                 for row, label in zip(block, labels[lo : lo + chunk])]
+                [join(map(repr, row)) + tails[code]
+                 for row, code in zip(block, codes[lo : lo + chunk].tolist())]
             )
 
 
@@ -264,6 +278,9 @@ def load_dataset(
         if header is None:
             raise EmptyDataset("source contains no header row")
         header = [name.strip() for name in header]
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise DriverIdError(f"header names column(s) {repeated} more than once")
         if label_column not in header:
             raise MissingLabelColumn(
                 f"no column named {label_column!r}; header has {header}"
@@ -294,8 +311,8 @@ def load_dataset(
     return TripDataset(
         column_names=column_names,
         channels=np.concatenate(blocks),
-        labels=tuple(labels),
-        label_alphabet=encode_labels(labels)[0],
+        labels=labels,
+        label_alphabet=tuple(sorted(set(labels))),
         label_column=label_column,
     )
 
@@ -365,13 +382,9 @@ def filter_labels(ds: TripDataset, keep) -> TripDataset:
         raise DriverIdError("keep set must be nonempty")
     kept = np.unique(keep_codes)
     mask = np.isin(ds.codes, kept)
-    return TripDataset(
-        column_names=ds.column_names,
-        channels=ds.channels[mask],
-        labels=tuple(decode_labels(ds.label_alphabet, ds.codes[mask])),
-        label_alphabet=tuple(decode_labels(ds.label_alphabet, kept)),
-        label_column=ds.label_column,
-    )
+    labels = decode_labels(ds.label_alphabet, ds.codes[mask])
+    return TripDataset(ds.column_names, ds.channels[mask], labels,
+                       decode_labels(ds.label_alphabet, kept), ds.label_column)
 
 
 def class_distribution(ds) -> dict[str, float]:

@@ -205,11 +205,17 @@ def decode(service: int, pid: int, payload: bytes | bytearray | list[int]) -> Pi
     """Decode a raw service-01 payload into a physical reading.
 
     Pure function of its inputs: the same payload always yields the same
-    reading.  Raises UnknownPid for unregistered pairs and
-    PayloadLengthMismatch for truncated or overlong frames.
+    reading.  Raises UnknownPid for unregistered pairs, PayloadLengthMismatch
+    for truncated or overlong frames and DriverIdError for a payload that is
+    not a sequence of byte values 0-255 (a string or a bare int is not).
     """
     desc = lookup(service, pid)
-    raw = bytes(payload)
+    try:
+        raw = None if isinstance(payload, (str, int)) else bytes(payload)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None:
+        raise DriverIdError(f"payload {payload!r} is not a sequence of byte values 0-255")
     if len(raw) != desc.data_bytes:
         raise PayloadLengthMismatch(
             f"PID {pid:#04x} expects {desc.data_bytes} data byte(s), got {len(raw)}"

@@ -18,7 +18,7 @@ import pytest
 
 from driverid import evaluate, features, ingest, models, obd, pipeline
 from driverid.errors import PayloadLengthMismatch
-from driverid.evaluate import ConfusionMatrix, CvPlan, Folds, cross_validate, per_class_counts
+from driverid.evaluate import ConfusionMatrix, CvPlan, Folds, cross_validate
 from driverid.features import (
     DEFAULT_FIXED_FEATURES,
     FeatureMatrix,
@@ -229,15 +229,13 @@ def test_criterion_08_confusion_matrix_identities():
             classes=tuple(chr(ord("a") + i) for i in range(k)), counts=counts
         )
         n = int(counts.sum())
-        tps, fps = [], []
+        tps, fps, fns, tns = (v.tolist() for v in cm.outcomes)
         for i in range(k):
-            tp, fp, fn, tn = per_class_counts(cm, i)
+            tp, fp, fn, tn = tps[i], fps[i], fns[i], tns[i]
             if tp + fp + fn + tn != n:
                 failures.append(f"trial {trial}: class {i} counts sum {tp+fp+fn+tn} != {n}")
         if failures:
             break
-        tps = [per_class_counts(cm, i)[0] for i in range(k)]
-        fps = [per_class_counts(cm, i)[1] for i in range(k)]
         if sum(tps) != np.trace(counts):
             failures.append(f"trial {trial}: sum TP != trace")
             break

@@ -123,6 +123,21 @@ def test_prepare_rejects_bad_feature_spec(capsys, trip_csv, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("header, row, repeated", [
+    ("Speed,Speed,Class", "1.0,2.0,A", "Speed"),
+    ("Class,Speed,Class", "A,1.0,A", "Class"),
+])
+def test_prepare_rejects_a_repeated_header_name(tmp_path, capsys, header, row, repeated):
+    log, out = tmp_path / "log.csv", tmp_path / "w.csv"
+    log.write_text(f"{header}\n" + f"{row}\n" * 4, encoding="utf-8")
+    code, _, err = run(capsys, "prepare", "--input", str(log), "--features", "rank:1",
+                       "--window", "2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("driverid prepare: DriverIdError: ")
+    assert str(log) in err and repr(repeated) in err
+    assert not out.exists()
+
+
 # -- train -------------------------------------------------------------------
 
 def test_train_writes_model(tmp_path, prepared, capsys):
@@ -335,7 +350,7 @@ def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edit
 
 
 def _report_with_a_short_averaged_2x2() -> bytes:
-    cm = evaluate.confusion_from_predictions(["A", "B"], ["A", "B"])
+    cm = evaluate.confusion_from_predictions([0, 1], [0, 1], ["A", "B"])
     report = {**evaluate.metrics(cm).to_dict(), "averaged_2x2": [[1]]}
     return json.dumps(report).encode()
 

@@ -26,7 +26,6 @@ from driverid.evaluate import (
     cross_validate,
     fold_assignments,
     metrics,
-    per_class_counts,
 )
 from driverid.features import FeatureMatrix, apply_normalizer, fit_normalizer
 
@@ -38,15 +37,13 @@ def small_matrix(seed=0, n_per=30, n_classes=3, d=4, spread=4.0):
         X.append(rng.normal(spread * i, 1.0, size=(n_per, d)))
         y += [chr(ord("A") + i)] * n_per
     cols = tuple(f"f{j}" for j in range(d))
-    return FeatureMatrix.from_arrays(cols, np.vstack(X), y)
+    return FeatureMatrix(cols, np.vstack(X), *ingest.encode_labels(y))
 
 
 # -- confusion matrix ---------------------------------------------------------
 
 def test_confusion_from_predictions_layout():
-    cm = confusion_from_predictions(
-        ["A", "A", "B", "B", "B"], ["A", "B", "B", "B", "A"]
-    )
+    cm = confusion_from_predictions([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], ("A", "B"))
     # rows are truth, columns are prediction
     np.testing.assert_array_equal(cm.counts, [[1, 1], [1, 2]])
     assert cm.classes == ("A", "B")
@@ -54,14 +51,14 @@ def test_confusion_from_predictions_layout():
 
 
 def test_confusion_with_explicit_class_order():
-    cm = confusion_from_predictions(["B"], ["B"], classes=("A", "B", "C"))
+    cm = confusion_from_predictions([1], [1], classes=("A", "B", "C"))
     assert cm.counts.shape == (3, 3)
     assert cm.counts[1, 1] == 1
 
 
 def test_confusion_rejects_unknown_label():
-    with pytest.raises(DriverIdError):
-        confusion_from_predictions(["A"], ["Z"], classes=("A", "B"))
+    with pytest.raises(UnknownLabel):
+        confusion_from_predictions([0], [2], classes=("A", "B"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -70,41 +67,47 @@ def test_confusion_matches_pairwise_count_oracle(seed):
     alphabet = ("b", "A", "10", "9", "é", "a")
     y_true = [alphabet[i] for i in rng.integers(0, len(alphabet), 300)]
     y_pred = [alphabet[i] for i in rng.integers(0, len(alphabet), 300)]
-    for classes in (None, alphabet, tuple(reversed(alphabet)) + ("unused",)):
-        order = sorted(set(y_true) | set(y_pred)) if classes is None else list(classes)
-        expect = np.zeros((len(order), len(order)), dtype=np.int64)
+    for classes in (alphabet, tuple(reversed(alphabet)) + ("unused",)):
+        true, pred = (np.array([classes.index(y) for y in ys]) for ys in (y_true, y_pred))
+        expect = np.zeros((len(classes), len(classes)), dtype=np.int64)
         for t, p in zip(y_true, y_pred):
-            expect[order.index(t), order.index(p)] += 1
-        cm = confusion_from_predictions(y_true, y_pred, classes=classes)
-        assert cm.classes == tuple(order)
+            expect[classes.index(t), classes.index(p)] += 1
+        cm = confusion_from_predictions(true, pred, classes=classes)
+        assert cm.classes == classes
         np.testing.assert_array_equal(cm.counts, expect)
     with pytest.raises(UnknownLabel):
-        confusion_from_predictions(y_true, y_pred, classes=alphabet[1:])
-    with pytest.raises(UnknownLabel):
-        confusion_from_predictions(y_true[:5] + ["Z"], y_pred[:6], classes=alphabet)
+        confusion_from_predictions(true, pred, classes=classes[: len(alphabet) - 1])
+    with pytest.raises(DriverIdError, match="true labels vs"):
+        confusion_from_predictions(true[:5], pred[:6], classes=classes)
 
 
 def test_confusion_counts_codes_into_explicit_classes():
     classes = ("A", "B", "C")
     true, pred = np.array([0, 2, 2, 1]), np.array([0, 2, 1, 1])
-    by_codes = confusion_from_predictions(true, pred, classes)
-    by_labels = confusion_from_predictions(["A", "C", "C", "B"], ["A", "C", "B", "B"], classes)
-    mixed = confusion_from_predictions(true, ["A", "C", "B", "B"], classes)
-    np.testing.assert_array_equal(by_codes.counts, by_labels.counts)
-    np.testing.assert_array_equal(mixed.counts, by_labels.counts)
-    for bad in (np.array([0, 3, 1, 1]), np.array([0, -1, 1, 1]), np.array([[0], [2], [1], [1]])):
+    cm = confusion_from_predictions(true, pred, classes)
+    assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
+    assert confusion_from_predictions(true.tolist(), pred.tolist(), classes).counts.tolist() == (
+        cm.counts.tolist()
+    )
+    for bad in (np.array([0, 3, 1, 1]), np.array([0, -1, 1, 1])):
         with pytest.raises(UnknownLabel):
             confusion_from_predictions(true, bad, classes)
     with pytest.raises(InvalidOption):
-        confusion_from_predictions(["A"], ["B"], "AB")
+        confusion_from_predictions([0], [1], "AB")
     # Any order of classes counts over that order.
-    assert confusion_from_predictions(["A"], ["B"], ["B", "A"]).counts.tolist() == [[0, 0], [1, 0]]
+    assert confusion_from_predictions([1], [0], ["B", "A"]).counts.tolist() == [[0, 0], [1, 0]]
 
 
-def test_confusion_without_classes_needs_1d_labels():
-    for y_true, y_pred in (("AB", "BA"), ([["A"], ["B"]], [["B"], ["A"]])):
-        with pytest.raises(UnknownLabel, match="1-D"):
-            confusion_from_predictions(y_true, y_pred)
+def test_confusion_needs_1d_integer_codes():
+    classes = ("A", "B")
+    for y_true, y_pred in (
+        (["A", "B"], ["B", "A"]),
+        ("AB", "BA"),
+        (np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+        (np.array([[0], [1]]), np.array([[1], [0]])),
+    ):
+        with pytest.raises(UnknownLabel, match="1-D integers"):
+            confusion_from_predictions(y_true, y_pred, classes)
 
 
 @pytest.mark.parametrize("classes, counts", [
@@ -139,15 +142,11 @@ def test_per_class_counts_identities():
         k = rng.integers(2, 8)
         counts = rng.integers(0, 30, size=(k, k))
         cm = ConfusionMatrix(classes=tuple("abcdefgh"[:k]), counts=counts)
-        n = counts.sum()
-        tps = []
-        for i in range(k):
-            tp, fp, fn, tn = per_class_counts(cm, i)
-            assert tp + fp + fn + tn == n
-            tps.append(tp)
-        assert sum(tps) == np.trace(counts)
-    with pytest.raises(IndexError):
-        per_class_counts(cm, k)
+        tp, fp, fn, tn = cm.outcomes
+        assert (tp + fp + fn + tn == counts.sum()).all()
+        assert tp.sum() == np.trace(counts)
+        assert (tp + fn).tolist() == counts.sum(axis=1).tolist()
+        assert (tp + fp).tolist() == counts.sum(axis=0).tolist()
 
 
 # -- metrics -----------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_averaged_2x2_for_binary_matches_accuracy():
 
 
 def test_metrics_report_round_trip():
-    cm = confusion_from_predictions(["A", "B", "B"], ["A", "B", "A"])
+    cm = confusion_from_predictions([0, 1, 1], [0, 1, 0], ("A", "B"))
     rep = metrics(cm, metadata={"kind": "knn"})
     again = MetricsReport.from_dict(rep.to_dict())
     assert again.accuracy == rep.accuracy
@@ -261,7 +260,7 @@ def test_metrics_match_the_per_class_loop():
 
 def labeled(labels):
     """A one-column matrix of zeros with the given row labels."""
-    return FeatureMatrix.from_arrays(("x",), np.zeros((len(labels), 1)), labels)
+    return FeatureMatrix(("x",), np.zeros((len(labels), 1)), *ingest.encode_labels(labels))
 
 
 def test_folds_partition_the_data():
@@ -348,9 +347,7 @@ def test_zeror_cv_accuracy_equals_majority_proportion():
     m = small_matrix(n_per=30)
     # unbalance it: drop some of class C
     keep = [i for i, lab in enumerate(m.labels) if not (lab == "C" and i % 3 == 0)]
-    m = FeatureMatrix.from_arrays(
-        m.column_names, m.features[keep], [m.labels[i] for i in keep]
-    )
+    m = FeatureMatrix(m.column_names, m.features[keep], m.label_alphabet, m.codes[keep])
     rep = cross_validate("zeror", None, Folds.build(m, CvPlan(folds=5, seed=1)))
     dist = ingest.class_distribution(m)
     maj = max(dist, key=lambda k: dist[k])
@@ -420,7 +417,7 @@ def test_duplicated_points_make_knn_perfect(monkeypatch):
     P = rng.normal(size=(30, 3))
     X = np.vstack([P, P])
     labels = [chr(ord("A") + (i % 3)) for i in range(30)] * 2
-    m = FeatureMatrix.from_arrays(("x", "y", "z"), X, labels)
+    m = FeatureMatrix(("x", "y", "z"), X, *ingest.encode_labels(labels))
     plan, _ = _split(monkeypatch, "hand-blocks", m)
     rep = cross_validate("knn", {"k": 1}, Folds.build(m, plan))
     assert rep.accuracy == 100.0
@@ -443,7 +440,9 @@ def _per_kind_cv(kind, config, matrix, plan, normalize, fold_of):
         elif normalize == "all":
             X_train, X_test = apply_normalizer(whole, X_train), apply_normalizer(whole, X_test)
         model = models.make(kind, config).fit(X_train, labels[~test_mask])
-        cm = confusion_from_predictions(labels[test_mask], model.predict(X_test), classes)
+        true, pred = (ingest.encode_labels(y, classes)[1]
+                      for y in (labels[test_mask], model.predict(X_test)))
+        cm = confusion_from_predictions(true, pred, classes)
         pooled += cm.counts
         fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
     return metrics(
@@ -469,7 +468,7 @@ def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split, mo
     m = small_matrix(seed=11, n_per=25, spread=1.5)
     X = m.features * [1.0, 10.0, 100.0, 0.1]
     X[0, 0] = 60.0
-    m = FeatureMatrix.from_arrays(m.column_names, X, m.labels)
+    m = FeatureMatrix(m.column_names, X, m.label_alphabet, m.codes)
     plan, fold_of = _split(monkeypatch, split, m)
     shared = cross_validate(kind, config, Folds.build(m, plan, normalize))
     assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize, fold_of).to_dict()
@@ -481,7 +480,7 @@ def test_codes_cv_matches_the_string_loop_when_a_fold_lacks_a_class(kind, monkey
     # last fold trains on A and B only and tests on C only.
     m = small_matrix(seed=13, n_per=40, spread=1.5)
     keep = np.flatnonzero((m.codes < 2) | (np.arange(len(m)) >= 100))
-    m = FeatureMatrix.from_arrays(m.column_names, m.features[keep], np.asarray(m.labels)[keep])
+    m = FeatureMatrix(m.column_names, m.features[keep], m.label_alphabet, m.codes[keep])
     plan, fold_of = _split(monkeypatch, "hand-blocks", m)
     folds = Folds.build(m, plan)
     train, test = folds.rows[-1]

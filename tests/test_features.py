@@ -197,6 +197,20 @@ def test_window_spec_validation():
             WindowSpec(statistics=stats)
 
 
+def test_window_statistics_must_be_a_list_of_names():
+    with pytest.raises(InvalidOption, match="got 'mean'"):
+        WindowSpec(statistics="mean")
+
+
+def test_a_channel_requested_twice_is_an_invalid_option():
+    ds = _dataset(["Rpm", "Speed"], [[float(i), 2.0 * i] for i in range(8)], ["A"] * 8)
+    with pytest.raises(InvalidOption, match="column 'Rpm' a second time"):
+        select_features(ds, feature_list=["Rpm", "rpm"])
+    with pytest.raises(InvalidOption, match="column 'Rpm' a second time"):
+        extract_windows(ds, ["Rpm", "Speed", "Rpm"], WindowSpec(length=2))
+    assert select_features(ds, feature_list=["speed", "Rpm"]).kept == ("Speed", "Rpm")
+
+
 def test_extract_windows_statistics_against_numpy():
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(40, 2))
@@ -441,8 +455,8 @@ def test_variance_screen_keeps_every_selection_report(seed, layout, correlation_
 
 def test_feature_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
-    m = FeatureMatrix.from_arrays(
-        ("p_mean", "p_std"), rng.normal(size=(12, 2)), ["A", "B"] * 6
+    m = FeatureMatrix(
+        ("p_mean", "p_std"), rng.normal(size=(12, 2)), *ingest.encode_labels(["A", "B"] * 6)
     )
     path = str(tmp_path / "m.csv")
     m.to_csv(path)
@@ -454,14 +468,14 @@ def test_feature_matrix_csv_round_trip(tmp_path):
 
 def test_feature_matrix_encodes_its_labels_once():
     labels = ["J", "10", "b", "9", "J", "b"]
-    m = FeatureMatrix.from_arrays(("f",), np.zeros((6, 1)), labels)
+    m = FeatureMatrix(("f",), np.zeros((6, 1)), *ingest.encode_labels(labels))
     assert m.label_alphabet == tuple(sorted(set(labels)))
     assert m.codes.tolist() == [m.label_alphabet.index(v) for v in labels]
 
 
 def test_feature_matrix_labels_must_be_1d():
     with pytest.raises(UnknownLabel, match="labels must be a 1-D sequence"):
-        FeatureMatrix.from_arrays(("f",), np.zeros((2, 1)), "AB")
+        FeatureMatrix(("f",), np.zeros((2, 1)), *ingest.encode_labels("AB"))
 
 
 def test_feature_matrix_checks_its_codes():

@@ -1,6 +1,7 @@
 """Trip-log ingestion: parsing, validation, label handling."""
 
 import csv
+import dataclasses
 import io
 from collections import Counter
 
@@ -106,10 +107,54 @@ def test_dataset_stores_its_alphabet_as_a_tuple():
     assert ds.label_alphabet == ("A", "B")
 
 
+def test_dataset_keeps_codes_and_decodes_its_labels():
+    ds = ingest.load_dataset(io.StringIO("x,Class\n1,b\n2,A\n3,b\n4,10\n"))
+    fields = [f.name for f in dataclasses.fields(ingest.TripDataset)]
+    assert fields == ["column_names", "channels", "label_alphabet", "codes", "label_column"]
+    assert ds.label_alphabet == ("10", "A", "b") and ds.codes.tolist() == [2, 1, 2, 0]
+    assert ds.labels == ("b", "A", "b", "10")
+    assert not ds.codes.flags.writeable
+
+
+def test_load_dataset_encodes_its_labels_once(monkeypatch):
+    calls = []
+    encode = ingest.encode_labels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "encode_labels", counted)
+    ds = ingest.load_dataset(io.StringIO("x,Class\n1,B\n2,A\n3,B\n"))
+    assert len(calls) == 1 and ds.codes.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("header, row, repeated", [
+    ("Speed,Speed,Class", "1.0,2.0,A", "Speed"),
+    ("Class,Speed,Class", "A,1.0,B", "Class"),
+    ("Time(s),Speed,Time(s),Class", "0,1.0,0,A", "Time(s)"),
+])
+def test_repeated_header_name_is_a_data_error_naming_the_file(tmp_path, header, row, repeated):
+    path = tmp_path / "log.csv"
+    # The ragged record would fail its parse: the header is checked first.
+    path.write_text(f"{header}\n{row}\n1.0\n", encoding="utf-8")
+    with pytest.raises(DriverIdError) as exc:
+        ingest.load_dataset(path)
+    assert type(exc.value) is DriverIdError
+    assert str(path) in str(exc.value) and repr(repeated) in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["x,Class\n1,A\0\n2,A\n", "x,Class\n1,A\0\n2,B\n"])
+def test_label_ending_in_a_nul_is_a_data_error(text):
+    # numpy's str arrays would read 'A\0' as 'A'.
+    with pytest.raises(DriverIdError, match="ending in a NUL"):
+        ingest.load_dataset(io.StringIO(text))
+
+
 def test_label_checks():
     assert ingest.check_alphabet(["A", "B"]) == ("A", "B")
     assert ingest.check_alphabet(()) == ()
-    for alphabet in ("AB", ("A", 1), ("B", "A"), ("A", "A"), None, 5):
+    for alphabet in ("AB", ("A", 1), ("B", "A"), ("A", "A"), None, 5, ("A\0",), ("A", "A\0")):
         with pytest.raises(DriverIdError):
             ingest.check_alphabet(alphabet)
     codes = ingest.check_codes(("A", "B"), np.array([1, 0], dtype=np.uint8))
@@ -318,11 +363,23 @@ def test_filter_labels_matches_comprehension_oracle(keep):
 def test_to_csv_round_trip(tmp_path, trip_dataset):
     path = str(tmp_path / "echo.csv")
     ds = trip_dataset
-    ingest.write_csv(path, ds.column_names, ds.channels, ds.labels, ds.label_column)
+    ingest.write_csv(
+        path, ds.column_names, ds.channels, ds.label_alphabet, ds.codes, ds.label_column
+    )
     back = ingest.load_dataset(path, exclude_columns=())
     assert back.column_names == trip_dataset.column_names
     assert back.labels == trip_dataset.labels
     np.testing.assert_array_equal(back.channels, trip_dataset.channels)
+
+
+@pytest.mark.parametrize("n_codes", [2, 4])
+def test_write_csv_needs_one_code_per_row(tmp_path, n_codes):
+    path = tmp_path / "m.csv"
+    with pytest.raises(DriverIdError, match=f"{n_codes} label codes for 3 rows"):
+        ingest.write_csv(path, ("x",), np.zeros((3, 1)), ("A",), np.zeros(n_codes, int), "Class")
+    assert not path.exists()
+    with pytest.raises(UnknownLabel):
+        ingest.write_csv(path, ("x",), np.zeros((3, 1)), ("A",), np.ones(3, int), "Class")
 
 
 def test_grouped_layout_from_helper(tmp_path):
@@ -346,7 +403,7 @@ def _per_row_write_csv(column_names, rows, labels, label_column):
 
 def _chunked_write_csv(column_names, rows, labels, label_column):
     stream = io.StringIO()
-    ingest.write_csv(stream, column_names, rows, labels, label_column)
+    ingest.write_csv(stream, column_names, rows, *ingest.encode_labels(labels), label_column)
     return stream.getvalue()
 
 
@@ -360,7 +417,7 @@ def test_chunked_write_matches_the_per_row_writer(tmp_path):
     rows = np.resize(np.asarray(AWKWARD_CELLS), (n, len(names)))
     labels = [AWKWARD_LABELS[i % len(AWKWARD_LABELS)] for i in range(n)]
     path = tmp_path / "trip.csv"
-    ingest.write_csv(path, names, rows, labels, 'the "class"')
+    ingest.write_csv(path, names, rows, *ingest.encode_labels(labels), 'the "class"')
     want = _per_row_write_csv(names, rows, labels, 'the "class"')
     assert path.read_bytes() == want.encode("utf-8")
     assert _chunked_write_csv(names, rows, labels, 'the "class"') == want
@@ -391,9 +448,10 @@ def test_chunked_write_of_float32_cells():
     assert _chunked_write_csv(*args) == _per_row_write_csv(*args)
 
 
-def test_chunked_write_peak_memory_is_a_few_chunks_plus_the_labels():
+def test_chunked_write_peak_memory_is_a_few_chunks():
     # Formatting all 20,000 rows at once holds some 49 MB of Python floats
-    # and strings, thirty times this bound.
+    # and strings, fifty times this bound.  The labels are never decoded:
+    # each row's line tail is looked up by its code.
     class Sink:
         def write(self, text):
             return len(text)
@@ -402,11 +460,10 @@ def test_chunked_write_peak_memory_is_a_few_chunks_plus_the_labels():
             pass
 
     n, d = 20_000, 45
-    matrix = FeatureMatrix.from_arrays(
-        [f"c{j}" for j in range(d)],
+    matrix = FeatureMatrix(
+        tuple(f"c{j}" for j in range(d)),
         np.random.default_rng(9).normal(size=(n, d)),
-        ["ABCDEFGHIJ"[i * 10 // n] for i in range(n)],
+        *ingest.encode_labels(["ABCDEFGHIJ"[i * 10 // n] for i in range(n)]),
     )
     _, peak = traced_peak(lambda: matrix.to_csv(Sink()))
-    decoded_labels = 3 * 8 * n  # object array, list and tuple of the labels
-    assert peak < 16 * ingest._WRITE_CHUNK_BYTES + decoded_labels
+    assert peak < 16 * ingest._WRITE_CHUNK_BYTES

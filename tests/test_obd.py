@@ -78,6 +78,13 @@ def test_wrong_payload_length_raises():
         obd.decode(0x01, 0x0D, b"\x0a\x0b")  # needs 1
 
 
+@pytest.mark.parametrize("payload", [[256, 0], [-1, 0], "ab", 2, [1.5, 2], None])
+def test_payload_that_is_not_byte_values_raises_a_typed_error(payload):
+    with pytest.raises(DriverIdError, match="not a sequence of byte values"):
+        obd.decode(0x01, 0x0C, payload)
+    assert obd.decode(0x01, 0x0C, [0x1A, 0xF8]).value == 1726.0
+
+
 def test_format_reading_has_value_and_unit():
     text = obd.format_reading(obd.decode(0x01, 0x0C, bytes([0x1A, 0xF8])))
     assert "1726" in text

@@ -18,6 +18,7 @@ from driverid.cli import main
 from driverid.errors import DriverIdError, InvalidOption
 from driverid.evaluate import MetricsReport
 from driverid.features import FeatureMatrix
+from driverid.ingest import encode_labels
 
 # production spellings of the fifteen benchmark channels
 REAL_SPELLINGS = (
@@ -217,7 +218,7 @@ def test_folds_and_normalizers_are_built_once_per_run(monkeypatch, normalize, fi
     for name in calls:
         monkeypatch.setattr(pipeline.evaluate, name, counted(name))
     rng = np.random.default_rng(0)
-    matrix = FeatureMatrix.from_arrays(("x", "y"), rng.normal(size=(40, 2)), ["A", "B"] * 20)
+    matrix = FeatureMatrix(("x", "y"), rng.normal(size=(40, 2)), *encode_labels(["A", "B"] * 20))
     config = pipeline.RunConfig(input="unused.csv", kinds=("zeror", "naive_bayes", "knn"),
                                 folds=4, normalize=normalize)
     results, _ = pipeline.cross_validate_kinds(config, matrix)
