@@ -7,14 +7,14 @@ counts and is the one source of every number derived from them: overall
 accuracy (``100 · trace / total``) and per-class TP/FP/FN/TN vectors,
 which :func:`metrics` turns into precision, recall and F1 (in percent)
 and the class-averaged 2×2 matrix for all classes at once.  A report read
-back from JSON is rebuilt from its counts, and must agree with them.
+back from JSON is rebuilt from its pooled and per-fold counts.
 
 Cross-validation is split in two.  :meth:`Folds.build` assigns windows to
 folds once per run (a seeded shuffle dealt round-robin, per class when
 stratified) and fits each fold's normalization, on its training rows only
 by default.  :func:`cross_validate` then fits and scores one model kind on
-those folds and pools one confusion matrix; only each fold's predicted
-labels are encoded into codes.
+those folds, keeping each fold's confusion matrix and pooling their sum;
+only each fold's predicted labels are encoded into codes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     InvalidOption,
     NoBaselineDesignated,
     TooFewInstancesPerClass,
-    finite_real,
     name_list,
     one_of,
     whole_number,
@@ -75,6 +74,8 @@ class ConfusionMatrix:
         """Percent of instances on the diagonal.  Parenthesized so the ratio
         rounds once: a baseline's pooled accuracy is then bit-identical to
         100 * the majority proportion (count / n)."""
+        if self.total == 0:
+            raise EmptyMatrix("confusion matrix has no instances")
         return 100.0 * (float(np.trace(self.counts)) / self.total)
 
     @property
@@ -105,52 +106,57 @@ def confusion_from_predictions(y_true, y_pred, classes: Sequence[str]) -> Confus
 
 @dataclass(frozen=True, eq=False)
 class MetricsReport:
-    """Percent metrics computed from one (possibly pooled) confusion matrix."""
+    """Percent metrics computed from one confusion matrix; a cross-validation's
+    report also holds each fold's matrix, in fold order, which sum to it."""
 
     classes: tuple[str, ...]
     counts: np.ndarray
     accuracy: float
     per_class: tuple[dict, ...]
     averaged_2x2: tuple[tuple[float, float], tuple[float, float]]
-    fold_accuracies: tuple[float, ...] | None = None
+    fold_matrices: tuple[ConfusionMatrix, ...] | None = None
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def fold_accuracies(self) -> tuple[float, ...] | None:
+        return None if self.fold_matrices is None else tuple(f.accuracy for f in self.fold_matrices)
+
     def to_dict(self) -> dict:
+        folds = self.fold_matrices
         return {
             "classes": list(self.classes),
             "confusion": self.counts.tolist(),
             "accuracy": self.accuracy,
             "per_class": [dict(d) for d in self.per_class],
             "averaged_2x2": [list(row) for row in self.averaged_2x2],
-            "fold_accuracies": None if self.fold_accuracies is None else list(self.fold_accuracies),
+            "fold_accuracies": None if folds is None else [f.accuracy for f in folds],
+            "fold_confusion": None if folds is None else [f.counts.tolist() for f in folds],
             "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        """The report :func:`metrics` rebuilds from ``d``'s classes and counts;
-        ``d``'s accuracy, per-class rows and averaged 2×2 must equal it, and
-        each fold accuracy must be a finite number in [0, 100].
-
-        The pooled accuracy is a weighted mean of the fold accuracies, and
-        each is ``100 * (trace / total)`` in correctly rounded (so
-        monotone) operations: it must lie between their least and greatest
-        exactly.  A report whose ``metadata.plan`` names its folds must hold
-        one accuracy per fold."""
-        folds = d.get("fold_accuracies")
+        """The report :func:`metrics` rebuilds from ``d``'s classes, pooled and
+        fold counts; ``d``'s accuracy, per-class rows, averaged 2×2 and fold
+        accuracies must equal its.  The fold counts must sum to the pooled ones
+        (totals first, so that no int64 partial sum wraps), and a report whose
+        ``metadata.plan`` names its folds must hold one matrix per fold."""
+        cm, folds = ConfusionMatrix(d["classes"], d["confusion"]), d.get("fold_confusion")
+        if folds is None and d.get("fold_accuracies") is not None:
+            raise DriverIdError("fold counts are missing: fold_accuracies but no fold_confusion")
         if folds is not None:
-            folds = tuple(finite_real("fold_accuracies", a, 0.0, 100.0) for a in folds)
-        cm = ConfusionMatrix(d["classes"], d["confusion"])
-        report = metrics(cm, fold_accuracies=folds, metadata=dict(d.get("metadata", {})))
+            folds = tuple(ConfusionMatrix(cm.classes, f) for f in folds)
+            same_total = sum(f.total for f in folds) == cm.total
+            if not (same_total and (sum(f.counts for f in folds) == cm.counts).all()):
+                raise DriverIdError("fold counts do not sum to the confusion counts")
+        report = metrics(cm, fold_matrices=folds, metadata=dict(d.get("metadata", {})))
         rebuilt = report.to_dict()
-        for key in ("accuracy", "per_class", "averaged_2x2"):
-            if d[key] != rebuilt[key]:
+        for key in ("accuracy", "per_class", "averaged_2x2", "fold_accuracies"):
+            if d.get(key) != rebuilt[key]:
                 raise DriverIdError(f"{key} does not follow from the confusion counts")
         n_folds, plan = len(folds or ()), report.metadata.get("plan")
         if isinstance(plan, dict) and "folds" in plan and n_folds != plan["folds"]:
-            raise DriverIdError(f"{n_folds} fold accuracies for a plan of {plan['folds']!r} folds")
-        if folds and not min(folds) <= report.accuracy <= max(folds):
-            raise DriverIdError("accuracy is not between the least and greatest fold accuracy")
+            raise DriverIdError(f"{n_folds} fold matrices for a plan of {plan['folds']!r} folds")
         return report
 
 
@@ -169,8 +175,6 @@ def metrics(cm: ConfusionMatrix, **report_fields) -> MetricsReport:
     precision and recall zero for F1) yields metric 0 and an entry in that
     class's ``undefined`` list — the report never divides by zero.
     """
-    if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no instances")
     tp, fp, fn, tn = cm.outcomes
     precision, recall = _ratio(100.0 * tp, tp + fp), _ratio(100.0 * tp, tp + fn)
     f1 = _ratio(2.0 * precision * recall, precision + recall)
@@ -261,27 +265,23 @@ class Folds:
 
 
 def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsReport:
-    """K-fold evaluation of one kind over ``folds``, with one pooled confusion matrix.
-
-    Per-fold accuracies ride along in the report; everything is
-    deterministic for a fixed plan seed.
+    """K-fold evaluation of one kind over ``folds``: one confusion matrix per
+    fold, and the report of their sum.  Everything is deterministic for a
+    fixed plan seed.
     """
     matrix = folds.matrix
     classes, codes = matrix.label_alphabet, matrix.codes
-    pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    fold_accuracies = []
+    fold_matrices = []
     for (train, test), params in zip(folds.rows, folds.params):
         X_train, X_test = matrix.features[train], matrix.features[test]
         if params is not None:
             X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
         model = models.make(kind, config).fit(X_train, codes[train], classes=classes)
         predicted = encode_labels(model.predict(X_test), classes)[1]
-        cm = confusion_from_predictions(codes[test], predicted, classes)
-        pooled += cm.counts
-        fold_accuracies.append(cm.accuracy)
+        fold_matrices.append(confusion_from_predictions(codes[test], predicted, classes))
     return metrics(
-        ConfusionMatrix(classes=classes, counts=pooled),
-        fold_accuracies=tuple(fold_accuracies),
+        ConfusionMatrix(classes=classes, counts=sum(cm.counts for cm in fold_matrices)),
+        fold_matrices=tuple(fold_matrices),
         metadata={
             "kind": kind,
             "config": dict(config or {}),

@@ -62,8 +62,8 @@ from .errors import (
 
 # Channel subset used by the fixed-list selection mode: powertrain torque and
 # load channels, fuel trim/consumption, pedal position, temperatures, and the
-# four wheel speeds.  Names are matched case- and punctuation-insensitively
-# against the dataset header.
+# four wheel speeds.  Names are matched against the dataset header exactly
+# first, else case- and punctuation-insensitively (see _resolve_columns).
 DEFAULT_FIXED_FEATURES = (
     "Long term fuel trim bank1",
     "Intake air pressure",
@@ -99,21 +99,30 @@ def _canon(name: str) -> str:
 
 
 def _resolve_columns(column_names: Sequence[str], wanted: Sequence[str]) -> list[int]:
-    table: dict[str, int] = {}
+    """The column of each ``wanted`` name: the header name it equals, else
+    the one column whose :func:`_canon` key it shares.  No such column, or
+    several, raise :class:`UnknownFeatureName`."""
+    exact: dict[str, int] = {}
+    folded: dict[str, list[int]] = {}
     for i, name in enumerate(column_names):
-        table.setdefault(_canon(name), i)
+        exact.setdefault(name, i)
+        folded.setdefault(_canon(name), []).append(i)
     indices = []
     for name in wanted:
-        key = _canon(name)
-        if key not in table:
+        matches = [exact[name]] if name in exact else folded.get(_canon(name), [])
+        if not matches:
             raise UnknownFeatureName(
                 f"no column matching {name!r} among {len(column_names)} columns"
             )
-        if table[key] in indices:
-            raise InvalidOption(
-                f"{name!r} requests column {column_names[table[key]]!r} a second time"
+        if len(matches) > 1:
+            raise UnknownFeatureName(
+                f"{name!r} matches columns {[column_names[i] for i in matches]}; name one exactly"
             )
-        indices.append(table[key])
+        if matches[0] in indices:
+            raise InvalidOption(
+                f"{name!r} requests column {column_names[matches[0]]!r} a second time"
+            )
+        indices.append(matches[0])
     return indices
 
 

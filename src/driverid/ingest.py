@@ -172,9 +172,10 @@ class TripDataset:
             raise DriverIdError(f"{len(column_names)} column names for {d} channel columns")
         if len(labels) != n:
             raise DriverIdError(f"{len(labels)} labels for {n} records")
-        odd = [label for label in labels if not isinstance(label, str)]
+        # numpy's str arrays, which encode_labels uses, drop trailing NULs.
+        odd = [label for label in labels if not isinstance(label, str) or label.endswith("\0")]
         if odd:
-            raise DriverIdError(f"labels must be strings, got {odd[0]!r}")
+            raise DriverIdError(f"labels must be strings not ending in a NUL, got {odd[0]!r}")
         alphabet, codes = encode_labels(labels, check_alphabet(label_alphabet))
         codes.flags.writeable = False
         channels.flags.writeable = False
@@ -375,9 +376,14 @@ def filter_labels(ds: TripDataset, keep) -> TripDataset:
     The result's label alphabet becomes exactly ``keep`` (sorted).  ``keep``
     must be a list or tuple of labels (a bare string raises
     :class:`InvalidOption`); a class absent from ``ds`` raises
-    :class:`UnknownLabel`.
+    :class:`UnknownLabel`, and so does one ending in a NUL, which no
+    alphabet holds.
     """
-    _, keep_codes = encode_labels(name_list("keep", keep), ds.label_alphabet)
+    keep = name_list("keep", keep)
+    odd = [label for label in keep if label.endswith("\0")]
+    if odd:
+        raise UnknownLabel(f"label {odd[0]!r} ends in a NUL")
+    _, keep_codes = encode_labels(keep, ds.label_alphabet)
     if keep_codes.size == 0:
         raise DriverIdError("keep set must be nonempty")
     kept = np.unique(keep_codes)

@@ -20,19 +20,16 @@ class ZeroR(Classifier):
 
     kind = "zeror"
     requires_multiclass = False
-    fitted = {"priors_": np.float64, "majority_": int}
+    fitted = {"priors_": np.float64}
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         counts = np.bincount(y_idx, minlength=len(self.classes_))
         self.priors_ = counts / counts.sum()
-        self.majority_ = int(np.argmax(counts))
 
     def _load_params(self, params: dict) -> None:
         super()._load_params(params)
         if (self.priors_ < 0).any() or abs(self.priors_.sum() - 1.0) > PRIORS_SUM_TOLERANCE:
             raise DriverIdError("zeror priors must be >= 0 and sum to 1")
-        if self.majority_ != np.argmax(self.priors_):
-            raise DriverIdError("zeror majority must be the class of the largest prior")
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.priors_, (X.shape[0], 1))

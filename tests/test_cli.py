@@ -291,16 +291,19 @@ def test_compare_rejects_non_report_file(tmp_path, capsys):
     assert "not an evaluation report" in err
 
 
+def _two_fold_report(kind, *fold_counts) -> dict:
+    folds = tuple(evaluate.ConfusionMatrix(("A", "B"), counts) for counts in fold_counts)
+    pooled = evaluate.ConfusionMatrix(("A", "B"), sum(f.counts for f in folds))
+    return evaluate.metrics(pooled, fold_matrices=folds, metadata={"kind": kind}).to_dict()
+
+
 def _zeror_and_knn_reports(knn_edits) -> dict:
-    """A composite document of a zeror and a knn report.  ``knn_edits``
-    maps a knn field to its new value, or to a function of its old one."""
-    zeror, knn = (
-        evaluate.metrics(
-            evaluate.ConfusionMatrix(("A", "B"), counts),
-            fold_accuracies=(100.0, 50.0), metadata={"kind": kind},
-        ).to_dict()
-        for kind, counts in (("zeror", [[3, 0], [1, 0]]), ("knn", [[3, 0], [0, 1]]))
-    )
+    """A composite document of a zeror and a knn report, both of two folds:
+    zeror pools [[3, 0], [1, 0]] (75 %), knn [[3, 0], [0, 1]] (100 %).
+    ``knn_edits`` maps a knn field to its new value, or to a function of
+    its old one."""
+    zeror = _two_fold_report("zeror", [[1, 0], [0, 0]], [[2, 0], [1, 0]])
+    knn = _two_fold_report("knn", [[1, 0], [0, 0]], [[2, 0], [0, 1]])
     for key, new in knn_edits.items():
         knn[key] = new(knn[key]) if callable(new) else new
     return {"results": {"zeror": zeror, "knn": knn}}
@@ -323,18 +326,33 @@ def _zeror_and_knn_reports(knn_edits) -> dict:
                  id="edited-undefined"),
     pytest.param({"averaged_2x2": lambda avg: [avg[0], [avg[1][0], avg[1][1] + 0.5]]},
                  id="edited-averaged-2x2"),
+    # Each fold accuracy follows from that fold's counts, which sum to the
+    # pooled counts; a plan's fold count is the number of fold matrices.
     pytest.param({"fold_accuracies": [100.0, 101.0]}, id="fold-accuracy-over-100"),
     pytest.param({"fold_accuracies": [float("nan"), 100.0]}, id="fold-accuracy-nan"),
-    # The pooled accuracy (100 %) lies between the least and greatest fold
-    # accuracy, and a plan's fold count is the number of fold accuracies.
     pytest.param({"fold_accuracies": [50.0, 60.0]}, id="accuracy-above-every-fold"),
+    # A pooled 100 % means every fold scored 100 %.
+    pytest.param({"fold_accuracies": [100.0, 50.0]}, id="pooled-100-but-a-fold-at-50"),
     pytest.param({"fold_accuracies": [100.0, 100.0, 100.0],
                   "metadata": {"kind": "knn", "plan": {"folds": 2}}},
                  id="more-fold-accuracies-than-folds"),
+    pytest.param({"fold_confusion": [[[1, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]],
+                  "fold_accuracies": [100.0, 100.0, 100.0],
+                  "metadata": {"kind": "knn", "plan": {"folds": 2}}},
+                 id="more-fold-matrices-than-folds"),
     pytest.param({"metadata": {"kind": "knn", "plan": {"folds": 3}}},
                  id="fewer-fold-accuracies-than-folds"),
     pytest.param({"fold_accuracies": None, "metadata": {"kind": "knn", "plan": {"folds": 2}}},
                  id="folds-without-fold-accuracies"),
+    pytest.param({"fold_accuracies": None, "fold_confusion": None,
+                  "metadata": {"kind": "knn", "plan": {"folds": 2}}},
+                 id="plan-folds-without-fold-counts"),
+    pytest.param({"fold_confusion": None}, id="fold-accuracies-without-fold-counts"),
+    pytest.param({"fold_confusion": [[[1, 0], [0, 0]], [[2, 0], [0, 0]]]},
+                 id="fold-counts-not-summing-to-confusion"),
+    pytest.param({"fold_confusion": [[[3, 0], [0, 1]], [[0, 0], [0, 0]]],
+                  "fold_accuracies": [100.0, 0.0]}, id="fold-with-no-instances"),
+    pytest.param({"fold_confusion": [[[1]], [[2, 0], [0, 1]]]}, id="fold-of-one-class"),
 ])
 def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edits):
     path = tmp_path / "reports.json"
@@ -347,6 +365,20 @@ def test_compare_rebuilds_each_report_from_its_counts(tmp_path, capsys, knn_edit
         evaluate.MetricsReport.from_dict(_zeror_and_knn_reports(knn_edits)["results"]["knn"])
     what = f"{path} is not an evaluation report"
     assert err == f"driverid compare: {exc.type.__name__}: {what}: {exc.value}\n"
+
+
+@pytest.mark.parametrize("fold_keys", [{"fold_confusion": None, "fold_accuracies": None}, {}])
+def test_compare_loads_a_report_with_no_fold_data(tmp_path, capsys, fold_keys):
+    # Both fold keys null, or both absent, as in a report of one confusion matrix.
+    doc = _zeror_and_knn_reports({})
+    for report in doc["results"].values():
+        del report["fold_confusion"], report["fold_accuracies"]
+        report.update(fold_keys)
+    path = tmp_path / "reports.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "compare", str(path), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["baseline"]["accuracy"] == 75.0
 
 
 def _report_with_a_short_averaged_2x2() -> bytes:

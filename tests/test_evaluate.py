@@ -197,6 +197,53 @@ def test_metrics_report_round_trip():
     assert again.to_dict() == rep.to_dict()
 
 
+def _two_fold_report():
+    folds = tuple(ConfusionMatrix(("A", "B"), c) for c in ([[1, 0], [0, 1]], [[2, 1], [0, 0]]))
+    pooled = ConfusionMatrix(("A", "B"), sum(f.counts for f in folds))
+    return metrics(pooled, fold_matrices=folds, metadata={"kind": "knn", "plan": {"folds": 2}})
+
+
+def test_fold_accuracies_follow_from_the_fold_counts():
+    rep = _two_fold_report()
+    assert rep.fold_accuracies == (100.0, 100.0 * (2 / 3))
+    d = rep.to_dict()
+    assert d["fold_confusion"] == [[[1, 0], [0, 1]], [[2, 1], [0, 0]]]
+    assert MetricsReport.from_dict(d).to_dict() == d
+    # A report with no fold data loads, whether its fold keys are null or absent.
+    plain = metrics(ConfusionMatrix(("A",), [[3]])).to_dict()
+    absent = {k: v for k, v in plain.items() if not k.startswith("fold")}
+    for d in (plain, absent):
+        assert MetricsReport.from_dict(d).fold_matrices is None
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({"fold_confusion": [[[1, 0], [0, 1]], [[2, 1], [0, 1]]]},
+                 "do not sum", id="folds-not-summing-to-the-pool"),
+    pytest.param({"fold_confusion": [[[3, 1], [0, 1]], [[0, 0], [0, 0]]],
+                  "fold_accuracies": [75.0, 0.0]}, "no instances", id="fold-with-no-instances"),
+    pytest.param({"fold_confusion": [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[2, 1], [0, 0]]]},
+                 "2 x 2", id="fold-of-three-classes"),
+    pytest.param({"fold_confusion": None}, "fold counts are missing", id="old-report"),
+    pytest.param({"fold_accuracies": [100.0, 66.0]}, "fold_accuracies", id="edited-fold-accuracy"),
+    pytest.param({"fold_accuracies": None}, "fold_accuracies", id="fold-counts-without-accuracies"),
+    pytest.param({"metadata": {"kind": "knn", "plan": {"folds": 3}}}, "2 fold matrices",
+                 id="fewer-folds-than-the-plan"),
+])
+def test_report_fold_counts_are_checked_when_read(edits, message):
+    with pytest.raises(DriverIdError, match=message):
+        MetricsReport.from_dict({**_two_fold_report().to_dict(), **edits})
+
+
+def test_fold_counts_whose_int64_sum_wraps_do_not_sum_to_the_pool():
+    # Three one-class folds, each below 2**63, whose int64 sum wraps to 2.
+    x = (2**64 + 2) // 3
+    assert sum(np.full(1, x, dtype=np.int64) for _ in range(3)).tolist() == [2]
+    d = {**metrics(ConfusionMatrix(("A",), [[2]])).to_dict(),
+         "fold_confusion": [[[x]]] * 3, "fold_accuracies": [100.0] * 3}
+    with pytest.raises(DriverIdError, match="do not sum"):
+        MetricsReport.from_dict(d)
+
+
 def _per_class_loop(cm):
     """metrics(cm).to_dict(), one class at a time in plain Python."""
     c = cm.counts.tolist()
@@ -233,6 +280,7 @@ def _per_class_loop(cm):
         "per_class": rows,
         "averaged_2x2": [[v / k for v in row] for row in avg],
         "fold_accuracies": None,
+        "fold_confusion": None,
         "metadata": {},
     }
 
@@ -358,7 +406,12 @@ def test_cv_pools_one_prediction_per_instance():
     m = small_matrix()
     rep = cross_validate("knn", {"k": 1}, Folds.build(m, CvPlan(folds=5, seed=1)))
     assert rep.counts.sum() == len(m)
-    assert len(rep.fold_accuracies) == 5
+    assert len(rep.fold_matrices) == len(rep.fold_accuracies) == 5
+    np.testing.assert_array_equal(sum(f.counts for f in rep.fold_matrices), rep.counts)
+    d = rep.to_dict()
+    assert d["fold_confusion"] == [f.counts.tolist() for f in rep.fold_matrices]
+    assert d["fold_accuracies"] == [ConfusionMatrix(d["classes"], f).accuracy
+                                    for f in d["fold_confusion"]]
 
 
 def test_cv_is_deterministic():
@@ -424,12 +477,13 @@ def test_duplicated_points_make_knn_perfect(monkeypatch):
 
 
 def _per_kind_cv(kind, config, matrix, plan, normalize, fold_of):
-    """Cross-validation as one self-contained loop per kind over the fold
-    vector ``fold_of``: boolean masks, and a normalizer fitted inside the loop."""
+    """The report dict of cross-validation as one self-contained loop per
+    kind over the fold vector ``fold_of``: boolean masks, a normalizer
+    fitted inside the loop, and fold counts and accuracies kept by hand."""
     classes = matrix.label_alphabet
     labels = np.asarray(matrix.labels)
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    fold_accuracies = []
+    fold_counts, fold_accuracies = [], []
     whole = fit_normalizer(matrix.features) if normalize == "all" else None
     for f in range(plan.folds):
         test_mask = fold_of == f
@@ -444,10 +498,10 @@ def _per_kind_cv(kind, config, matrix, plan, normalize, fold_of):
                       for y in (labels[test_mask], model.predict(X_test)))
         cm = confusion_from_predictions(true, pred, classes)
         pooled += cm.counts
+        fold_counts.append(cm.counts.tolist())
         fold_accuracies.append(100.0 * (float(np.trace(cm.counts)) / cm.total))
-    return metrics(
+    report = metrics(
         ConfusionMatrix(classes=classes, counts=pooled),
-        fold_accuracies=tuple(fold_accuracies),
         metadata={
             "kind": kind,
             "config": dict(config or {}),
@@ -457,6 +511,7 @@ def _per_kind_cv(kind, config, matrix, plan, normalize, fold_of):
             "n_features": matrix.n_features,
         },
     )
+    return {**report.to_dict(), "fold_accuracies": fold_accuracies, "fold_confusion": fold_counts}
 
 
 @pytest.mark.parametrize("split", SPLITS)
@@ -471,7 +526,7 @@ def test_shared_folds_match_the_per_kind_loop(kind, config, normalize, split, mo
     m = FeatureMatrix(m.column_names, X, m.label_alphabet, m.codes)
     plan, fold_of = _split(monkeypatch, split, m)
     shared = cross_validate(kind, config, Folds.build(m, plan, normalize))
-    assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize, fold_of).to_dict()
+    assert shared.to_dict() == _per_kind_cv(kind, config, m, plan, normalize, fold_of)
 
 
 @pytest.mark.parametrize("kind", sorted(models.KINDS))
@@ -486,7 +541,7 @@ def test_codes_cv_matches_the_string_loop_when_a_fold_lacks_a_class(kind, monkey
     train, test = folds.rows[-1]
     assert set(m.codes[train]) == {0, 1} and set(m.codes[test]) == {2}
     shared = cross_validate(kind, None, folds)
-    assert shared.to_dict() == _per_kind_cv(kind, None, m, plan, "train", fold_of).to_dict()
+    assert shared.to_dict() == _per_kind_cv(kind, None, m, plan, "train", fold_of)
 
 
 def test_cv_calls_each_traced_name_once_per_fold(monkeypatch):

@@ -65,6 +65,19 @@ def test_fixed_list_unknown_feature():
         select_features(ds, "fixed-list", feature_list=("nonexistent_channel",))
 
 
+def _speed_twice():
+    # Two header names that fold to one key; "speed" holds the larger values.
+    return _dataset(["Speed", "speed"], [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], ["A"] * 3)
+
+
+def test_fixed_list_exact_name_wins_over_a_folded_one():
+    ds = _speed_twice()
+    assert select_features(ds, "fixed-list", feature_list=["speed"]).kept == ("speed",)
+    assert select_features(ds, "fixed-list", feature_list=["Speed"]).kept == ("Speed",)
+    with pytest.raises(UnknownFeatureName, match=r"'SPEED' matches columns \['Speed', 'speed'\]"):
+        select_features(ds, "fixed-list", feature_list=["SPEED"])
+
+
 def test_selection_report_buckets_are_disjoint_cover():
     rng = np.random.default_rng(1)
     n = 200
@@ -243,6 +256,16 @@ def test_extract_windows_too_long():
     ds = _dataset(["x"], [[1.0], [2.0]], ["A", "A"])
     with pytest.raises(WindowLongerThanSeries):
         extract_windows(ds, ("x",), WindowSpec(length=3))
+
+
+def test_extract_windows_exact_name_wins_over_a_folded_one():
+    ds = _speed_twice()
+    spec = WindowSpec(length=2, stride=1, statistics=("mean",))
+    matrix, _ = extract_windows(ds, ["speed"], spec)
+    assert matrix.column_names == ("speed_mean",)
+    np.testing.assert_array_equal(matrix.features[:, 0], [15.0, 25.0])
+    with pytest.raises(UnknownFeatureName, match="'SPEED' matches columns"):
+        extract_windows(ds, ["SPEED"], spec)
 
 
 def test_extract_windows_subset_and_order():

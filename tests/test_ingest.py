@@ -102,6 +102,12 @@ def test_dataset_labels_must_be_strings():
     assert ds.codes.tolist() == [1, 0]
 
 
+def test_dataset_rejects_a_label_ending_in_a_nul():
+    # numpy's str arrays drop trailing NULs, so "A\0" would be read as "A".
+    with pytest.raises(DriverIdError, match=r"not ending in a NUL, got 'A\\x00'"):
+        ingest.TripDataset(("x",), np.zeros((2, 1)), ["A\0", "A"], ("A",))
+
+
 def test_dataset_stores_its_alphabet_as_a_tuple():
     ds = ingest.TripDataset(("x",), np.zeros((2, 1)), ("A", "B"), ["A", "B"])
     assert ds.label_alphabet == ("A", "B")
@@ -306,6 +312,11 @@ def test_filter_labels(trip_dataset):
 def test_filter_labels_unknown_label(trip_dataset):
     with pytest.raises(UnknownLabel):
         ingest.filter_labels(trip_dataset, ("A", "Z"))
+
+
+def test_filter_labels_rejects_a_label_ending_in_a_nul(trip_dataset):
+    with pytest.raises(UnknownLabel, match="ends in a NUL"):
+        ingest.filter_labels(trip_dataset, ["A\0"])
 
 
 def test_filter_labels_empty_keep(trip_dataset):

@@ -257,6 +257,31 @@ def test_table7_preset_end_to_end_on_surrogate(surrogate_csv):
     assert bundle["results"]["knn"]["accuracy"] > zeror
 
 
+def test_every_written_report_loads_through_compare(surrogate_csv, tmp_path, capsys):
+    # Both presets' report.json, and an evaluate --report file on a prepared
+    # matrix: each kind holds one matrix per planned fold, and they sum to
+    # its pooled counts.
+    paths = []
+    for preset in ("table6", "table7"):
+        out_dir = tmp_path / preset
+        pipeline.run_pipeline(pipeline.preset_config(
+            preset, surrogate_csv, window_length=20, window_stride=10, out_dir=str(out_dir)))
+        paths.append(out_dir / "report.json")
+    matrix, evaluated = tmp_path / "windows.csv", tmp_path / "evaluate.json"
+    assert main(["prepare", "--input", surrogate_csv, "--features", "fixed15", "--window", "20",
+                 "--stride", "10", "--out", str(matrix)]) == 0
+    assert main(["evaluate", "--input", str(matrix), "--folds", "3",
+                 "--report", str(evaluated)]) == 0
+    paths.append(evaluated)
+    for path in paths:
+        capsys.readouterr()
+        assert main(["compare", str(path)]) == 0, capsys.readouterr().err
+        for doc in json.loads(path.read_text(encoding="utf-8"))["results"].values():
+            folds = np.asarray(doc["fold_confusion"])
+            assert len(folds) == doc["metadata"]["plan"]["folds"]
+            assert folds.sum(axis=0).tolist() == doc["confusion"]
+
+
 def test_repro_subcommand_runs_the_surrogate(surrogate_csv, tmp_path, capsys):
     code = main([
         "repro", "table6", "--input", surrogate_csv,
