@@ -145,6 +145,8 @@ class MetricsReport:
         if folds is None and d.get("fold_accuracies") is not None:
             raise DriverIdError("fold counts are missing: fold_accuracies but no fold_confusion")
         if folds is not None:
+            if not isinstance(folds, list):
+                raise DriverIdError(f"fold_confusion must be a list of matrices, not {folds!r}")
             folds = tuple(ConfusionMatrix(cm.classes, f) for f in folds)
             same_total = sum(f.total for f in folds) == cm.total
             if not (same_total and (sum(f.counts for f in folds) == cm.counts).all()):

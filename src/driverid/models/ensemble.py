@@ -4,9 +4,9 @@
 each round fits a weight-sensitive stump, scores it by weighted error, and
 re-weights the rows it missed.  Sorting X, the valid cuts and the
 grouping of each feature's rows by class do not depend on the weights, so
-``_StumpScan`` builds them once per boosting fit (with the tree's
-``presort``); each round then finds the best cut of every feature in O(n),
-not O(K·n), over blocks of features.
+``_StumpScan`` builds them once per boosting fit (with ``presort``); each
+round then finds the best cut of every feature in O(n), not O(K·n), over
+blocks of features.
 
 A round is a pure function of its input weights on the fit's fixed
 ``_StumpScan``: the stump, its misses, the clamped error, α and the next
@@ -29,7 +29,12 @@ import numpy as np
 from ..errors import DriverIdError, whole_number
 from ..ingest import holds_integers
 from .base import Classifier
-from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint, presort
+from .tree import _BLOCK_ELEMENTS, _LEAF, midpoint
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row orders of X by each feature, shape (d, n); equal values keep row order."""
+    return np.argsort(X, axis=0, kind="stable").T
 
 
 class _StumpScan:

@@ -62,10 +62,15 @@ class LinearSvm(Classifier):
         radius = 1.0 / np.sqrt(self.lam)
         rng = np.random.default_rng(self.seed)
         t = 0
+        # One gather per epoch into buffers allocated once, so no two
+        # epochs' copies are alive together; each batch is a view of them.
+        # take's default mode="raise" gathers into a temporary copy of the
+        # output; a permutation never needs clipping, so "clip" writes in place.
+        X_epoch, S_epoch = np.empty_like(X_aug), np.empty_like(y_signs)
         for _ in range(self.epochs):
-            # one gather per epoch; each batch is then a view of it
             perm = rng.permutation(n)
-            X_epoch, S_epoch = X_aug[perm], y_signs[perm]
+            np.take(X_aug, perm, axis=0, out=X_epoch, mode="clip")
+            np.take(y_signs, perm, axis=0, out=S_epoch, mode="clip")
             for lo in range(0, n, self.batch_size):
                 t += 1
                 eta = 1.0 / (self.lam * t)

@@ -9,17 +9,36 @@ pruning can only shrink the tree and can never increase held-out error.
 
 Split search follows SLIQ (Mehta, Agrawal & Rissanen, 1996): each feature
 is sorted once per fit and every child node filters its parent's orders.
-A node scores only the cuts that can win.  Fayyad & Irani (*Machine
-Learning* 8:87, 1992, Theorem 1) show that the entropy-optimal binary cut
-lies on a class boundary: between two valid cuts (distinct adjacent
-values, ``min_leaf`` rows each side) whose rows all share one class, the
-node's weighted entropy is strictly concave in the number of rows moved
-across, so no cut strictly inside such a run can beat both its ends.  Each
-node's features are scanned in blocks: one pass per block finds the valid
-cuts, drops those interior ones, and counts the classes left of the rest
-with one integer ``bincount``.  ``presort`` and ``midpoint`` are shared
-with the AdaBoost stump, which has its own O(n)-per-feature scan
-(``ensemble._StumpScan``).
+The sort need not be stable.  Equal values never straddle a valid cut, so
+the rows left of every valid cut, the class counts there and every exact
+gain are the same whatever order ties come in; tie order moves only the
+rounding of the stage-1 gains below, and the margin covers that.  So the
+fitted tree is the same on every numpy build and CPU, whichever sort
+numpy's default ``argsort`` dispatches to.
+
+A node's split is found in two stages (``RepTree._best_split``):
+
+1. Every cut of every feature is scored in O(1) per sorted row, with no
+   per-class factor.  With T[c] = c·log2 c, n times the drop in entropy at
+   a cut equals T[n] − T[p] − T[n−p] + Σ_k (T[l_k] + T[r_k] − T[N_k]), and
+   the class sum is a running sum along the sorted rows: each row adds
+   the change of its class's two terms as one more row of that class
+   moves left.  A row's count of its own class so far comes from one
+   stable radix sort of the class codes (``_rank_gains``).
+2. The kept cuts whose stage-1 gain is within a proven margin
+   (``_gain_margin``) of the best one are scored again, exactly as a full
+   scan would score them: class counts from one integer ``bincount`` and
+   entropies from ``_entropy_rows``.  The highest exact gain wins.
+
+Only cuts that can win are kept (Fayyad & Irani, *Machine Learning* 8:87,
+1992, Theorem 1): the entropy-optimal binary cut lies on a class boundary.
+Between two valid cuts (distinct adjacent values, ``min_leaf`` rows each
+side) whose rows all share one class, the node's weighted entropy is
+strictly concave in the number of rows moved across, so no cut strictly
+inside such a run can beat both its ends.
+
+``midpoint`` is shared with the AdaBoost stump, which has its own
+O(n)-per-feature scan (``ensemble._StumpScan``).
 
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
@@ -35,9 +54,9 @@ from .base import Classifier
 
 _LEAF = -1
 
-#: Most elements that one block of features holds in a split search: the
-#: tree counts features × rows × classes (which bounds the class counts at
-#: its kept cuts), the boosting stump features × rows.
+#: Most elements that one block of features holds in a split search:
+#: features × rows, for the tree's stage-1 scan and the boosting stump's
+#: scan alike (at least one feature per block).
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -56,9 +75,45 @@ def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Row orders of X by each feature, shape (d, n); equal values keep row order."""
-    return np.argsort(X, axis=0, kind="stable").T
+def _rank_gains(ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Stage-1 information gains (bits) of every cut of each row of ``ys``.
+
+    ``ys`` holds one node's class codes (an unsigned integer type, so the
+    stable ``argsort`` runs as a radix sort), each row in ascending order
+    of one feature; ``counts`` holds the node's class counts.  Column i of
+    the (rows, n − 1) result is the cut after i + 1 rows.  The arithmetic
+    and its error bound are set out in ``RepTree._best_split``.
+    """
+    n = ys.shape[1]
+    c = np.arange(n + 1, dtype=np.float64)
+    T = c * np.log2(np.maximum(c, 1.0))  # T[c] = c·log2 c, T[0] = 0
+    dT = T[1:] - T[:-1]
+    # Grouped by class, each class's rows keep their sorted order, so the
+    # r-th row of class k (of N_k) has r of its class before it: moving it
+    # left adds T[r+1] − T[r] to Σ T[l_k] and T[N_k−r−1] − T[N_k−r] to Σ T[r_k].
+    rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = dT[rank] - dT[np.repeat(counts, counts) - rank - 1]
+    grouping = np.argsort(ys, axis=1, kind="stable")
+    gains = np.empty(ys.shape)
+    np.put_along_axis(gains, grouping, step[None, :], axis=1)
+    np.cumsum(gains, axis=1, out=gains)
+    gains = gains[:, :-1]
+    gains -= T[1:n] + T[n - 1 : 0 : -1] - T[n]
+    gains /= n
+    return gains
+
+
+def _gain_margin(n: int, K: int) -> float:
+    """How far below the best stage-1 gain of a node of n rows and K
+    classes a cut is still scored exactly: twice a bound on |stage-1 gain −
+    exact gain| (``RepTree._best_split`` derives it)."""
+    eps = float(np.finfo(np.float64).eps)
+    return 2.0 * eps * (n + 32.0 * (np.log2(n) + K * np.log2(K) + 1.0))
+
+
+def _feature_orders(X: np.ndarray) -> np.ndarray:
+    """Row orders of X by each feature, shape (d, n); ties in any order."""
+    return np.argsort(X.T, axis=1)
 
 
 def midpoint(vs: np.ndarray, cut: int) -> float:
@@ -128,8 +183,9 @@ class RepTree(Classifier):
 
         # Each stack entry carries its node's rows as presorted orders;
         # children filter their parent's orders, so X is sorted once.
+        y = y.astype(np.min_scalar_type(K - 1))
         root_counts = np.bincount(y, minlength=K)
-        stack = [(new_node(root_counts), presort(X), 0)]
+        stack = [(new_node(root_counts), _feature_orders(X), 0)]
         while stack:
             slot, orders, depth = stack.pop()
             node_counts = counts[slot]
@@ -163,90 +219,141 @@ class RepTree(Classifier):
     def _best_split(self, X, orders, y, parent_counts):
         """Highest-information-gain split of a node as (feature, left size, threshold).
 
-        Ties resolve to the lowest feature index, then the lowest cut.
-        Returns None when no cut satisfies the leaf-size minimum or improves
-        on the parent entropy.
+        The winner has the highest exact gain, which must be > 0; ties go
+        to the lowest feature index, then the lowest cut.  Returns None when
+        no cut satisfies the leaf-size minimum or improves on the parent
+        entropy.  Exact gains are those of a scan over every kept cut:
+        integer class counts, ``_entropy_rows`` of each side, weighted by
+        its share of the n rows and subtracted from the parent entropy.
 
-        Only cuts that can win are scored (Fayyad & Irani, 1992).  A valid
-        cut is skipped when every row between the previous and the next
-        valid cut of its feature has one class, k.  Moving t such rows
-        from the right side (R rows, r_k of class k) to the left (L, l_k)
-        makes n times the node's weighted entropy, in nats,
-        (L+t)·H(left) + (R−t)·H(right), whose second derivative in t is
-        1/(L+t) − 1/(l_k+t) + 1/(R−t) − 1/(r_k−t).  That is negative,
+        **Kept cuts.**  A valid cut is not kept when every row between the
+        previous and the next valid cut of its feature has one class, k.
+        Moving t such rows from the right side (R rows, r_k of class k) to
+        the left (L, l_k) makes n times the node's weighted entropy, in
+        nats, (L+t)·H(left) + (R−t)·H(right), whose second derivative in t
+        is 1/(L+t) − 1/(l_k+t) + 1/(R−t) − 1/(r_k−t).  That is negative,
         since the node holds a second class on one side or the other, so
-        the gain at a skipped cut is strictly below the gain at one of the
+        the real gain at such a cut is strictly below that at one of the
         two kept cuts that bound its one-class stretch.  The first and last
-        valid cut of a feature have no valid cut beyond them to bound
-        them, so they are always kept.
+        valid cut of a feature are always kept.
 
-        Tree rows weigh 1, so class counts are exact integers, and the
-        counts at the kept cuts (one ``bincount`` over the runs between
-        them) are the very values a prefix sum over every cut would give.
-        ``_entropy_rows``, the gain and the feature-major ``argmax`` then
-        do the same float operations on the same operands as a scan of
-        every valid cut; a skipped cut could only have won if rounding
-        outweighed its real margin.
+        **Stage 1** (``_rank_gains``) scores every cut.  With T[c] =
+        c·log2 c, n·gain = C − B, where B = T[p] + T[n−p] − T[n] at a cut
+        with p rows left, and C = Σ_k (T[l_k] + T[r_k] − T[N_k]) is a
+        running sum of one step per sorted row, T[r+1] − T[r] − (T[N_k−r]
+        − T[N_k−r−1]) for the r-th row of its class k.
 
-        Features are scanned in blocks of at most ``_BLOCK_ELEMENTS``
-        features × rows × classes (at least one feature), which bounds the
-        (features, rows) arrays and the (kept cuts, K) counts alike.
+        **The margin.**  Let u = 2⁻⁵³, Λ = T[n] = n·log2 n, and allow
+        numpy's ``log2`` 4 ulp, so every T[c] is within α = 10u·T[c].  In
+        bits of gain, against the real value:
+
+        - The T errors of the steps telescope to those of T[l_k], T[r_k]
+          and T[N_k], whose sum is at most 2Λ since T is superadditive; B
+          adds 2Λ.  Together 4α·log2 n.
+        - Rounding a step costs at most 2u times the sum of its two
+          differences' sizes, each below log2 n + 2; over at most n rows,
+          4u·(log2 n + 2).
+        - Each partial sum of the running sum is C at some cut, and
+          |C| = Σ_k N_k·h(l_k/N_k) ≤ n (h the binary entropy), so its
+          rounding adds at most u·n.
+        - B's two roundings (|B| ≤ Λ, then |B| ≤ n), C − B (|n·gain| ≤
+          n·log2 K) and the division by n add u·(log2 n + 1 + 2·log2 K).
+
+        So e1 ≤ u·(n + 45·log2 n + 2·log2 K + 9).  The exact gain differs
+        from the real one by e2 ≤ u·((2K + 22)·log2 K + 3): each of the K
+        terms p·log2 p of an entropy is within 10u of its size plus
+        1.45u·p, the K-term sum adds (K − 1)u·H, the weighting 3u·H and
+        the final subtraction u·log2 K.  ``_gain_margin`` is M =
+        4u·(n + 32·(log2 n + K·log2 K + 1)), so e1 + e2 ≤ M/2 with about
+        u·n to spare for second-order terms and the rounding of the
+        threshold below.  The stage-1 gain of every valid cut is thus
+        within M/2 of its exact gain, and the test suite checks that.
+
+        **Stage 2** takes the kept cuts whose stage-1 gain is at least the
+        best stage-1 gain over all valid cuts, G, less M, and scores them
+        exactly.  No cut that could win is left out: G is at most a cut's
+        real gain plus e1, which is at most the real gain of a kept cut
+        plus e1, hence at most the best exact gain plus e1 + e2; and any
+        cut whose exact gain is the best has a stage-1 gain of at least
+        that less e1 + e2, so at least G − M.  The chosen split is the
+        one a full exact scan of the kept cuts would choose, bit for bit.
+
+        Stage 1 works on blocks of at most ``_BLOCK_ELEMENTS`` features ×
+        rows; each block keeps only its cuts within M of the best stage-1
+        gain seen so far, a superset of the final candidates.
         """
-        n = orders.shape[1]
+        d, n = orders.shape
         K = len(parent_counts)
-        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
         pos = np.arange(1, n)
         sized = (pos >= self.min_leaf_count) & (pos <= n - self.min_leaf_count)
-        step = max(1, _BLOCK_ELEMENTS // (n * K))
-        best_gain, best = 0.0, None
-        for lo in range(0, len(orders), step):
+        margin = _gain_margin(n, K)
+        step = max(1, _BLOCK_ELEMENTS // n)
+        best, near = -np.inf, []
+        for lo in range(0, d, step):
             order = orders[lo : lo + step]
             vs = X[order, np.arange(lo, lo + len(order))[:, None]]
-            ys = y[order]
-            # valid cuts as flat indices into the (features, n - 1) cut grid
-            valid = np.flatnonzero((vs[:, 1:] > vs[:, :-1]) & sized)
-            if valid.size == 0:
+            gains = _rank_gains(y[order], parent_counts)
+            np.copyto(gains, -np.inf, where=~((vs[:, 1:] > vs[:, :-1]) & sized))
+            best = max(best, float(gains.max()))
+            if best == -np.inf:
                 continue
-            f, i = np.divmod(valid, n - 1)
-            # Class changes between sorted neighbours, cumulated over the
-            # flattened block, so a difference within one feature's row
-            # counts the changes between two of its positions.  An interior
-            # cut is kept when a class changes anywhere from the previous
-            # valid cut of its feature to the next.
-            changes = np.cumsum(ys[:, 1:] != ys[:, :-1])
-            keep = np.ones(valid.size, dtype=bool)
-            keep[1:-1] = (
-                (f[1:-1] != f[:-2])
-                | (f[1:-1] != f[2:])
-                | (changes[valid[2:] - 1] > changes[valid[:-2]])
-            )
-            f, p = f[keep], i[keep] + 1  # feature in the block, rows left of the cut
-            # Runs of sorted rows, one starting at each feature and after
-            # each kept cut: kept cut s ends run f[s] + s, and the class
-            # counts through it, less the node's counts once per earlier
-            # feature, are the counts left of the cut.
-            starts = np.zeros(ys.shape, dtype=bool)
-            starts[:, 0] = True
-            starts[f, p] = True
-            run = np.cumsum(starts) - 1
-            n_runs = len(order) + f.size
-            through = np.bincount(ys.ravel() * n_runs + run, minlength=K * n_runs).reshape(K, n_runs)
-            np.cumsum(through, axis=1, out=through)
-            # C-ordered (m, K) rows: numpy sums a contiguous row of K >= 8
-            # pairwise but a strided one in sequence, which can move a gain
-            # by an ulp and flip a near-tie.
-            left = np.empty((f.size, K))
-            np.subtract(through[:, f + np.arange(f.size)].T, f[:, None] * parent_counts, out=left)
-            right = parent_counts - left
-            h = (p / n) * _entropy_rows(left, p) + ((n - p) / n) * _entropy_rows(right, n - p)
-            gains = parent_h - h
-            at = int(np.argmax(gains))
-            if gains[at] > best_gain:
-                best_gain, best = float(gains[at]), (lo + int(f[at]), int(p[at]))
-        if best is None:
+            f, i = np.nonzero(gains >= best - margin)
+            near.append((f + lo, i, gains[f, i]))
+        if not near:
             return None
-        j, cut = best
-        return j, cut, midpoint(X[orders[j], j], cut)
+        f, i, g = (np.concatenate(parts) for parts in zip(*near))
+        close = g >= best - margin
+        # In (feature, cut) order: rows of the candidate features only.
+        feats, row = np.unique(f[close], return_inverse=True)
+        i = i[close]
+        order = orders[feats]
+        vs = X[order, feats[:, None]]
+        ys = y[order]
+        # Kept cuts (see above), found among the valid cuts of those rows
+        # as flat indices into their (features, n - 1) cut grid.  Class
+        # changes between sorted neighbours are cumulated over the grid, so
+        # a difference within one row counts the changes between two of
+        # its positions.
+        valid = np.flatnonzero((vs[:, 1:] > vs[:, :-1]) & sized)
+        at = np.searchsorted(valid, row * (n - 1) + i)
+        prev = valid[np.maximum(at - 1, 0)]
+        nxt = valid[np.minimum(at + 1, valid.size - 1)]
+        changes = np.cumsum(ys[:, 1:] != ys[:, :-1])
+        keep = (
+            (at == 0)
+            | (at == valid.size - 1)
+            | (prev // (n - 1) != row)
+            | (nxt // (n - 1) != row)
+            | (changes[nxt - 1] > changes[prev])
+        )
+        row, p = row[keep], i[keep] + 1  # candidate row, rows left of the cut
+        # Runs of sorted rows, one starting at each row of ys and after each
+        # candidate: candidate s ends run row[s] + s, and the class counts
+        # through it, less the node's counts once per earlier row, are the
+        # counts left of the cut.
+        starts = np.zeros(ys.shape, dtype=bool)
+        starts[:, 0] = True
+        starts[row, p] = True
+        run = np.cumsum(starts) - 1
+        n_runs = len(feats) + p.size
+        through = np.bincount(
+            ys.ravel().astype(np.intp) * n_runs + run, minlength=K * n_runs
+        ).reshape(K, n_runs)
+        np.cumsum(through, axis=1, out=through)
+        # C-ordered (m, K) rows: numpy sums a contiguous row of K >= 8
+        # pairwise but a strided one in sequence, which can move a gain
+        # by an ulp and flip a near-tie.
+        left = np.empty((p.size, K))
+        np.subtract(through[:, row + np.arange(p.size)].T, row[:, None] * parent_counts, out=left)
+        right = parent_counts - left
+        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
+        h = (p / n) * _entropy_rows(left, p) + ((n - p) / n) * _entropy_rows(right, n - p)
+        gains = parent_h - h
+        at = int(np.argmax(gains))
+        if not gains[at] > 0.0:
+            return None
+        cut = int(p[at])
+        return int(feats[row[at]]), cut, midpoint(vs[row[at]], cut)
 
     def _prune(self, Xp: np.ndarray, yp: np.ndarray) -> None:
         n_nodes = self.feature_.shape[0]

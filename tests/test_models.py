@@ -32,10 +32,12 @@ from driverid.models import (
     RepTree,
     ZeroR,
 )
-from driverid.models.ensemble import _StumpScan
+from driverid.models.ensemble import _StumpScan, presort
 from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
-from driverid.models.tree import midpoint, presort
+from driverid.models import tree as tree_module
+from driverid.models.tree import _entropy_rows as _tree_entropy_rows
+from driverid.models.tree import _gain_margin, _rank_gains, midpoint
 
 
 def blobs(seed=0, n_per=40, centers=((0, 0), (6, 0), (0, 6))):
@@ -1059,6 +1061,8 @@ _TREE_CASES = [
         (_mixed_tie_blocks, 2, 3, 61),
         (_mixed_tie_blocks, 3, 1, 100),
         (_mixed_tie_blocks, 10, 3, 250),
+        (_tie_heavy_classes, 10, 0, 3000),
+        (_class_blocked, 2, 0, 3000),
     ]
 ]
 
@@ -1073,6 +1077,63 @@ def test_tree_matches_row_major_reference(make, K, seed, n):
         reference = _RowMajorTree(min_leaf_count=min_leaf).fit(X, y)
         assert tree.to_dict() == reference.to_dict()
         assert tree.node_count > 3
+
+
+def _ties_reversed(X):
+    """Stable row orders of X by each feature with every run of equal
+    values reversed."""
+    orders = presort(X)
+    for j, order in enumerate(orders):
+        run = np.concatenate([[0], np.cumsum(X[order[1:], j] != X[order[:-1], j])])
+        orders[j] = order[np.lexsort((-np.arange(len(order)), run))]
+    return orders
+
+
+@pytest.mark.parametrize("K", [2, 3, 10])
+def test_tree_does_not_depend_on_the_order_of_ties(monkeypatch, K):
+    # numpy's default argsort orders equal values differently by version
+    # and CPU; the tree must come out the same for any order of ties.
+    X, y = _tie_heavy_classes(K, 400, K)
+    fits = [RepTree().fit(X, y).to_dict()]
+    for sort in (presort, _ties_reversed):
+        monkeypatch.setattr(tree_module, "_feature_orders", sort)
+        fits.append(RepTree().fit(X, y).to_dict())
+    assert fits[0] == fits[1] == fits[2]
+    assert len(fits[0]["params"]["feature"]) > 3
+
+
+def _node(seed, n, K):
+    """Sorted class codes of one node, shape (3, n): a tie-heavy column, a
+    class-blocked column with one-class stretches, and a shuffled one;
+    with the values that decide which cuts are valid."""
+    rng = np.random.default_rng(seed)
+    codes = np.sort(rng.integers(0, K, n))
+    codes = np.where(rng.random(n) < 0.02, rng.integers(0, K, n), codes).astype(np.uint8)
+    X = np.column_stack([
+        np.round(rng.normal(size=n) + codes / K, 1),
+        np.arange(n) // 3,
+        rng.permutation(n),
+    ]).astype(float)
+    orders = np.argsort(X.T, axis=1)
+    return codes[orders], np.take_along_axis(X.T, orders, axis=1), np.bincount(codes, minlength=K)
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 5000, 20000])
+@pytest.mark.parametrize("K", [2, 10])
+def test_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K):
+    for seed in range(3):
+        ys, vs, counts = _node(seed, n, K)
+        stage_one = _rank_gains(ys, counts)
+        parent_h = _tree_entropy_rows(counts[None, :], np.array([n]))[0]
+        half = _gain_margin(n, K) / 2
+        p = np.arange(1, n)
+        for row, gains, values in zip(ys, stage_one, vs):
+            left = np.cumsum(np.eye(K)[row], axis=0)[:-1]
+            h = (p / n) * _tree_entropy_rows(left, p) + ((n - p) / n) * _tree_entropy_rows(
+                counts - left, n - p
+            )
+            valid = values[1:] > values[:-1]
+            assert np.abs(gains - (parent_h - h))[valid].max(initial=0.0) <= half
 
 
 def test_stump_classes_come_from_the_chosen_cut():
