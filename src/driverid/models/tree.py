@@ -25,17 +25,12 @@ A node's split is found in two stages (``RepTree._best_split``):
    the change of its class's two terms as one more row of that class
    moves left.  A row's count of its own class so far comes from one
    stable radix sort of the class codes (``_rank_gains``).
-2. The kept cuts whose stage-1 gain is within a proven margin
-   (``_gain_margin``) of the best one are scored again, exactly as a full
-   scan would score them: class counts from one integer ``bincount`` and
-   entropies from ``_entropy_rows``.  The highest exact gain wins.
-
-Only cuts that can win are kept (Fayyad & Irani, *Machine Learning* 8:87,
-1992, Theorem 1): the entropy-optimal binary cut lies on a class boundary.
-Between two valid cuts (distinct adjacent values, ``min_leaf`` rows each
-side) whose rows all share one class, the node's weighted entropy is
-strictly concave in the number of rows moved across, so no cut strictly
-inside such a run can beat both its ends.
+2. The valid cuts (distinct adjacent values, ``min_leaf`` rows each
+   side) whose stage-1 gain is within a proven margin (``_gain_margin``)
+   of the best one are scored again, exactly as a full scan would score
+   them: class counts from an integer ``bincount`` and entropies from
+   ``_entropy_rows``.  The highest exact gain wins, ties going to the
+   lowest feature, then the lowest cut.
 
 ``midpoint`` is shared with the AdaBoost stump, which has its own
 O(n)-per-feature scan (``ensemble._StumpScan``).
@@ -222,20 +217,9 @@ class RepTree(Classifier):
         The winner has the highest exact gain, which must be > 0; ties go
         to the lowest feature index, then the lowest cut.  Returns None when
         no cut satisfies the leaf-size minimum or improves on the parent
-        entropy.  Exact gains are those of a scan over every kept cut:
+        entropy.  Exact gains are those of a scan over every valid cut:
         integer class counts, ``_entropy_rows`` of each side, weighted by
         its share of the n rows and subtracted from the parent entropy.
-
-        **Kept cuts.**  A valid cut is not kept when every row between the
-        previous and the next valid cut of its feature has one class, k.
-        Moving t such rows from the right side (R rows, r_k of class k) to
-        the left (L, l_k) makes n times the node's weighted entropy, in
-        nats, (L+t)·H(left) + (R−t)·H(right), whose second derivative in t
-        is 1/(L+t) − 1/(l_k+t) + 1/(R−t) − 1/(r_k−t).  That is negative,
-        since the node holds a second class on one side or the other, so
-        the real gain at such a cut is strictly below that at one of the
-        two kept cuts that bound its one-class stretch.  The first and last
-        valid cut of a feature are always kept.
 
         **Stage 1** (``_rank_gains``) scores every cut.  With T[c] =
         c·log2 c, n·gain = C − B, where B = T[p] + T[n−p] − T[n] at a cut
@@ -269,14 +253,15 @@ class RepTree(Classifier):
         threshold below.  The stage-1 gain of every valid cut is thus
         within M/2 of its exact gain, and the test suite checks that.
 
-        **Stage 2** takes the kept cuts whose stage-1 gain is at least the
+        **Stage 2** takes the valid cuts whose stage-1 gain is at least the
         best stage-1 gain over all valid cuts, G, less M, and scores them
-        exactly.  No cut that could win is left out: G is at most a cut's
-        real gain plus e1, which is at most the real gain of a kept cut
-        plus e1, hence at most the best exact gain plus e1 + e2; and any
-        cut whose exact gain is the best has a stage-1 gain of at least
-        that less e1 + e2, so at least G − M.  The chosen split is the
-        one a full exact scan of the kept cuts would choose, bit for bit.
+        exactly, each from one integer ``bincount`` of its left rows.  No
+        cut that could win is left out: G is the stage-1 gain of a valid
+        cut, so at most the best exact gain plus M/2; and any cut whose
+        exact gain is the best has a stage-1 gain of at least that less
+        M/2, so at least G − M.  Candidates come in (feature, cut) order,
+        so the chosen split is the one a full exact scan of every valid
+        cut would choose, bit for bit.
 
         Stage 1 works on blocks of at most ``_BLOCK_ELEMENTS`` features ×
         rows; each block keeps only its cuts within M of the best stage-1
@@ -303,48 +288,14 @@ class RepTree(Classifier):
             return None
         f, i, g = (np.concatenate(parts) for parts in zip(*near))
         close = g >= best - margin
-        # In (feature, cut) order: rows of the candidate features only.
-        feats, row = np.unique(f[close], return_inverse=True)
-        i = i[close]
-        order = orders[feats]
-        vs = X[order, feats[:, None]]
-        ys = y[order]
-        # Kept cuts (see above), found among the valid cuts of those rows
-        # as flat indices into their (features, n - 1) cut grid.  Class
-        # changes between sorted neighbours are cumulated over the grid, so
-        # a difference within one row counts the changes between two of
-        # its positions.
-        valid = np.flatnonzero((vs[:, 1:] > vs[:, :-1]) & sized)
-        at = np.searchsorted(valid, row * (n - 1) + i)
-        prev = valid[np.maximum(at - 1, 0)]
-        nxt = valid[np.minimum(at + 1, valid.size - 1)]
-        changes = np.cumsum(ys[:, 1:] != ys[:, :-1])
-        keep = (
-            (at == 0)
-            | (at == valid.size - 1)
-            | (prev // (n - 1) != row)
-            | (nxt // (n - 1) != row)
-            | (changes[nxt - 1] > changes[prev])
-        )
-        row, p = row[keep], i[keep] + 1  # candidate row, rows left of the cut
-        # Runs of sorted rows, one starting at each row of ys and after each
-        # candidate: candidate s ends run row[s] + s, and the class counts
-        # through it, less the node's counts once per earlier row, are the
-        # counts left of the cut.
-        starts = np.zeros(ys.shape, dtype=bool)
-        starts[:, 0] = True
-        starts[row, p] = True
-        run = np.cumsum(starts) - 1
-        n_runs = len(feats) + p.size
-        through = np.bincount(
-            ys.ravel().astype(np.intp) * n_runs + run, minlength=K * n_runs
-        ).reshape(K, n_runs)
-        np.cumsum(through, axis=1, out=through)
+        f, p = f[close], i[close] + 1  # candidates in (feature, cut) order
         # C-ordered (m, K) rows: numpy sums a contiguous row of K >= 8
         # pairwise but a strided one in sequence, which can move a gain
         # by an ulp and flip a near-tie.
-        left = np.empty((p.size, K))
-        np.subtract(through[:, row + np.arange(p.size)].T, row[:, None] * parent_counts, out=left)
+        left = np.array(
+            [np.bincount(y[orders[j, :cut]], minlength=K) for j, cut in zip(f, p)],
+            dtype=np.float64,
+        )
         right = parent_counts - left
         parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
         h = (p / n) * _entropy_rows(left, p) + ((n - p) / n) * _entropy_rows(right, n - p)
@@ -352,8 +303,8 @@ class RepTree(Classifier):
         at = int(np.argmax(gains))
         if not gains[at] > 0.0:
             return None
-        cut = int(p[at])
-        return int(feats[row[at]]), cut, midpoint(vs[row[at]], cut)
+        j, cut = int(f[at]), int(p[at])
+        return j, cut, midpoint(X[orders[j], j], cut)
 
     def _prune(self, Xp: np.ndarray, yp: np.ndarray) -> None:
         n_nodes = self.feature_.shape[0]

@@ -39,6 +39,8 @@ from driverid.models import tree as tree_module
 from driverid.models.tree import _entropy_rows as _tree_entropy_rows
 from driverid.models.tree import _gain_margin, _rank_gains, midpoint
 
+from conftest import write_trip_csv
+
 
 def blobs(seed=0, n_per=40, centers=((0, 0), (6, 0), (0, 6))):
     rng = np.random.default_rng(seed)
@@ -713,9 +715,9 @@ def test_adaboost_stage_weights_positive():
 
 # -- split choice against exhaustive search -------------------------------------------
 #
-# The tree and the stump search presorted columns, the tree only at the cuts
-# that can win; these oracles check their choices against a plain search
-# over every distinct adjacent-value cut.
+# The tree and the stump search presorted columns, the tree exactly at the
+# valid cuts whose stage-1 gain is near the best; these oracles check their
+# choices against a plain search over every distinct adjacent-value cut.
 
 _TIE = 1e-12  # gains closer than this are tied up to float rounding
 
@@ -831,8 +833,9 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
 
 # -- split scans against the plain row-major layout ----------------------------------
 #
-# The tree scores only the cuts that can win and counts classes per run of
-# rows between them; the stump's scan keeps one own-class prefix per row.
+# The tree scores exactly only the valid cuts whose stage-1 gain is within its
+# margin of the best, one class ``bincount`` each, and must pick what a full
+# exact scan picks; the stump's scan keeps one own-class prefix per row.
 # These references scan every valid cut in the row-major (n, K) layout: an
 # (n, K) mass per row, ``cumsum(axis=0)`` gathered at the cuts and
 # ``max(axis=1)`` over classes.  Tree counts are exact integers and every
@@ -1045,10 +1048,11 @@ def _mixed_tie_blocks(seed, n, K):
     return X[perm].astype(float), np.array([chr(65 + int(c)) for c in codes[perm]])
 
 
-# (data, K, seed, rows).  The tree scores only the valid cuts that can win;
-# the reference scores every valid cut.  Class-blocked columns leave most
-# cuts inside one-class runs, and min_leaf 5 puts the leaf bound inside
-# such a run.  The first twelve keep their ids from before this list.
+# (data, K, seed, rows).  The tree scores exactly only the valid cuts near
+# the best stage-1 gain; the reference scores every valid cut.  Class-blocked
+# columns leave most cuts inside one-class runs, and min_leaf 5 puts the
+# leaf bound inside such a run.  The first twelve keep their ids from
+# before this list.
 _TREE_CASES = [
     pytest.param(_tie_heavy_classes, 10, seed, 300, id=str(seed)) for seed in range(12)
 ] + [
@@ -1077,6 +1081,56 @@ def test_tree_matches_row_major_reference(make, K, seed, n):
         reference = _RowMajorTree(min_leaf_count=min_leaf).fit(X, y)
         assert tree.to_dict() == reference.to_dict()
         assert tree.node_count > 3
+
+
+def _scaled_copies(seed, n, K):
+    """100 columns.  Column 0 nearly separates K classes in one-decimal
+    steps, so it ties often; every tenth column is column 0 times a power of
+    two, exact, so it sorts and ties the same way; the rest is noise."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, K, n)
+    X = np.round(rng.normal(size=(n, 100)), 1)
+    X[:, ::10] = np.round(codes + rng.normal(scale=0.7, size=n), 1)[:, None] * 2.0 ** np.arange(10)
+    return X, np.array([chr(65 + int(c)) for c in codes])
+
+
+@pytest.mark.parametrize("K", [3, 10])
+def test_tree_breaks_many_way_ties_to_the_first_copy(K):
+    # The ten copies tie bit for bit at every node, and at 3,000 rows the
+    # last one lies in the second block of the stage-1 scan, so the
+    # near-best cuts come from two blocks; the first copy must always win.
+    X, y = _scaled_copies(K, 3000, K)
+    assert tree_module._BLOCK_ELEMENTS // len(y) < 90
+    tree = _GrowAll(max_depth=6).fit(X, y)
+    assert tree.to_dict() == _RowMajorTree(max_depth=6).fit(X, y).to_dict()
+    assert tree.feature_[0] == 0
+    assert not np.isin(tree.feature_, np.arange(10, 100, 10)).any()
+    assert tree.node_count > 15
+
+
+def test_pipeline_report_matches_the_row_major_tree(tmp_path, monkeypatch):
+    # The oracles above grow one tree on all rows; a preset run also prunes,
+    # folds and normalizes, and must write the same report either way.
+    channels = ("Fuel_consumption", "Engine_speed", "Vehicle_speed")
+    log = write_trip_csv(str(tmp_path / "trip.csv"), labels=tuple("ABCDEFGHIJ"),
+                         rows_per_label=60, separation=0.5)
+    config = pipeline.preset_config(
+        "table7", log, kinds=("zeror", "reptree"), feature_list=channels,
+        window_length=10, window_stride=2, out_dir=str(tmp_path / "out"),
+    )
+    report = tmp_path / "out" / "report.json"
+    pipeline.run_pipeline(config)
+    fast = report.read_bytes()
+    searches = []
+
+    def reference(self, *args):
+        searches.append(None)
+        return _RowMajorTree._best_split(self, *args)
+
+    monkeypatch.setattr(RepTree, "_best_split", reference)
+    pipeline.run_pipeline(config)
+    assert report.read_bytes() == fast
+    assert len(searches) > 100
 
 
 def _ties_reversed(X):
