@@ -151,7 +151,10 @@ class MetricsReport:
             same_total = sum(f.total for f in folds) == cm.total
             if not (same_total and (sum(f.counts for f in folds) == cm.counts).all()):
                 raise DriverIdError("fold counts do not sum to the confusion counts")
-        report = metrics(cm, fold_matrices=folds, metadata=dict(d.get("metadata", {})))
+        metadata = d.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise DriverIdError(f"metadata must be an object, not {metadata!r}")
+        report = metrics(cm, fold_matrices=folds, metadata=dict(metadata))
         rebuilt = report.to_dict()
         for key in ("accuracy", "per_class", "averaged_2x2", "fold_accuracies"):
             if d.get(key) != rebuilt[key]:

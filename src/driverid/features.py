@@ -234,7 +234,8 @@ def select_features(
     names = ds.column_names
 
     if mode == "fixed-list":
-        wanted = tuple(feature_list) if feature_list is not None else DEFAULT_FIXED_FEATURES
+        wanted = (DEFAULT_FIXED_FEATURES if feature_list is None
+                  else name_list("feature_list", feature_list))
         kept_idx = _resolve_columns(names, wanted)
         kept_set = set(kept_idx)
         homogeneous, irrelevant = [], []
@@ -498,7 +499,7 @@ def extract_windows(
     each statistic in spec order.  Raises WindowLongerThanSeries when the log
     is shorter than one window.
     """
-    cols = _resolve_columns(ds.column_names, kept)
+    cols = _resolve_columns(ds.column_names, name_list("kept", kept))
     n = len(ds)
     L, S = spec.length, spec.stride
     if n < L:

@@ -10,9 +10,9 @@ alphabet plus one integer code per row: ``(label_alphabet, codes)`` is the
 only label state below the package's edges (the CSV text, the
 :class:`TripDataset` constructor, the ``labels`` properties).  The label
 rule lives here, in two checks: an alphabet is a list or tuple of sorted,
-distinct strings (:func:`check_alphabet`), and codes are a 1-D integer
-array indexing it (:func:`check_codes`).  Every layer handed an alphabet
-or codes from outside runs them.
+distinct strings, none ending in a NUL (:func:`check_alphabet`), and codes
+are a 1-D integer array indexing it (:func:`check_codes`).  Every layer
+handed an alphabet or codes from outside runs them.
 
 A header that names a column twice is a data error.  Bookkeeping columns
 that are not sensor channels (elapsed time, path order) are dropped
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -79,25 +80,30 @@ _WRITE_CHUNK_BYTES = 1 << 16
 def encode_labels(labels, alphabet=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels as ``(alphabet, codes)``: ``alphabet[codes[i]] == str(labels[i])``.
 
-    Without ``alphabet`` it is the distinct labels in ``sorted()`` order.
-    A given ``alphabet`` is kept in its own order.  Labels that are not a
-    1-D sequence (a bare string too), or a label outside ``alphabet``,
-    raise :class:`UnknownLabel`.
+    ``labels`` is a list, tuple or 1-D array of strings or real numbers;
+    anything else (a bare string too), or a label outside a given
+    ``alphabet``, raises :class:`UnknownLabel`.  A given ``alphabet`` is kept
+    in its own order; without one it is the distinct labels in ``sorted()``
+    order, checked by :func:`check_alphabet`.
     """
-    labels = np.asarray(labels, dtype=str)
-    if labels.ndim != 1:
-        raise UnknownLabel(f"labels must be a 1-D sequence, got a {labels.ndim}-D one")
-    values, codes = np.unique(labels, return_inverse=True)
+    if not isinstance(labels, (list, tuple, np.ndarray)) or getattr(labels, "ndim", 1) != 1:
+        raise UnknownLabel(f"labels must be a 1-D sequence, got a {type(labels).__name__}")
+    try:
+        distinct = set(labels)
+    except TypeError:
+        raise UnknownLabel("labels must be strings or numbers, got an unhashable one") from None
+    odd = [v for v in distinct if not isinstance(v, (str, numbers.Real))]
+    if odd:
+        raise UnknownLabel(f"labels must be strings or numbers, got {odd[0]!r}")
+    if not all(type(v) is str for v in distinct):
+        # Numbers and np.str_ become text row by row: 1, 1.0 and True are equal.
+        return encode_labels(list(map(str, labels)), alphabet)
     if alphabet is None:
-        return tuple(values.tolist()), codes
-    alphabet = tuple(alphabet)
-    match = values[:, None] == np.asarray(alphabet, dtype=str)
-    known = match.any(axis=1)
-    if not known.all():
-        raise UnknownLabel(
-            f"labels {values[~known].tolist()} are not in the alphabet {list(alphabet)}"
-        )
-    return alphabet, match.argmax(axis=1)[codes] if match.size else codes
+        alphabet = check_alphabet(sorted(distinct))
+    index = {label: i for i, label in enumerate(alphabet)}
+    if not distinct <= index.keys():
+        raise UnknownLabel(f"labels {sorted(distinct - index.keys())} are not in {list(alphabet)}")
+    return tuple(alphabet), np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
 
 
 def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
@@ -107,9 +113,8 @@ def decode_labels(alphabet: Sequence[str], codes: np.ndarray) -> list[str]:
 
 def check_alphabet(alphabet) -> tuple[str, ...]:
     """``alphabet`` as a tuple, if it is a list or tuple of sorted, distinct
-    strings, none ending in a NUL (numpy's str arrays, which
-    :func:`encode_labels` uses, drop trailing NULs).  Anything else (a bare
-    string too) raises :class:`DriverIdError`."""
+    strings, none ending in a NUL.  Anything else (a bare string too)
+    raises :class:`DriverIdError`."""
     alphabet = name_list("label alphabet", alphabet)
     if list(alphabet) != sorted(set(alphabet)):
         raise DriverIdError(f"label alphabet {list(alphabet)} is not sorted and distinct")
@@ -172,10 +177,9 @@ class TripDataset:
             raise DriverIdError(f"{len(column_names)} column names for {d} channel columns")
         if len(labels) != n:
             raise DriverIdError(f"{len(labels)} labels for {n} records")
-        # numpy's str arrays, which encode_labels uses, drop trailing NULs.
-        odd = [label for label in labels if not isinstance(label, str) or label.endswith("\0")]
-        if odd:
-            raise DriverIdError(f"labels must be strings not ending in a NUL, got {odd[0]!r}")
+        kinds = set(map(type, labels))
+        if not all(issubclass(kind, str) for kind in kinds):
+            raise DriverIdError(f"labels must be strings, got {sorted(k.__name__ for k in kinds)}")
         alphabet, codes = encode_labels(labels, check_alphabet(label_alphabet))
         codes.flags.writeable = False
         channels.flags.writeable = False
@@ -376,14 +380,9 @@ def filter_labels(ds: TripDataset, keep) -> TripDataset:
     The result's label alphabet becomes exactly ``keep`` (sorted).  ``keep``
     must be a list or tuple of labels (a bare string raises
     :class:`InvalidOption`); a class absent from ``ds`` raises
-    :class:`UnknownLabel`, and so does one ending in a NUL, which no
-    alphabet holds.
+    :class:`UnknownLabel`.
     """
-    keep = name_list("keep", keep)
-    odd = [label for label in keep if label.endswith("\0")]
-    if odd:
-        raise UnknownLabel(f"label {odd[0]!r} ends in a NUL")
-    _, keep_codes = encode_labels(keep, ds.label_alphabet)
+    _, keep_codes = encode_labels(name_list("keep", keep), ds.label_alphabet)
     if keep_codes.size == 0:
         raise DriverIdError("keep set must be nonempty")
     kept = np.unique(keep_codes)

@@ -64,6 +64,8 @@ class RunConfig:
             names = getattr(self, key)
             if not (names is None and self.__dataclass_fields__[key].default is None):
                 name_list(key, names)
+        if not isinstance(self.model_configs, dict):
+            raise InvalidOption(f"model_configs must map kinds to configs: {self.model_configs!r}")
         stray = sorted(set(self.model_configs) - set(self.kinds))
         if stray:
             raise InvalidOption(f"model_configs for kinds that do not run: {stray}")
@@ -90,6 +92,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise DriverIdError(f"a run config must be a JSON object, got {d!r}")
         kwargs = dict(d)
         for key in NAME_LISTS:
             if isinstance(kwargs.get(key), list):

@@ -225,6 +225,9 @@ def test_fold_accuracies_follow_from_the_fold_counts():
                  "2 x 2", id="fold-of-three-classes"),
     pytest.param({"fold_confusion": None}, "fold counts are missing", id="old-report"),
     pytest.param({"fold_confusion": 5}, "must be a list", id="fold-counts-not-a-list"),
+    pytest.param({"metadata": 5}, "metadata must be an object", id="metadata-a-number"),
+    pytest.param({"metadata": "ab"}, "metadata must be an object", id="metadata-a-string"),
+    pytest.param({"metadata": [1]}, "metadata must be an object", id="metadata-a-list"),
     pytest.param({"fold_accuracies": [100.0, 66.0]}, "fold_accuracies", id="edited-fold-accuracy"),
     pytest.param({"fold_accuracies": None}, "fold_accuracies", id="fold-counts-without-accuracies"),
     pytest.param({"metadata": {"kind": "knn", "plan": {"folds": 3}}}, "2 fold matrices",

@@ -216,11 +216,17 @@ def test_window_statistics_must_be_a_list_of_names():
 
 
 def test_a_channel_requested_twice_is_an_invalid_option():
-    ds = _dataset(["Rpm", "Speed"], [[float(i), 2.0 * i] for i in range(8)], ["A"] * 8)
+    ds = _dataset(["Rpm", "Speed", "S", "p", "e", "d"],
+                  [[float(i), 2.0 * i, 0, 1, 2, 3] for i in range(8)], ["A"] * 8)
     with pytest.raises(InvalidOption, match="column 'Rpm' a second time"):
         select_features(ds, feature_list=["Rpm", "rpm"])
     with pytest.raises(InvalidOption, match="column 'Rpm' a second time"):
         extract_windows(ds, ["Rpm", "Speed", "Rpm"], WindowSpec(length=2))
+    # A bare string is not a list of its characters.
+    with pytest.raises(InvalidOption, match="feature_list must be a list of names"):
+        select_features(ds, feature_list="Speed")
+    with pytest.raises(InvalidOption, match="kept must be a list of names"):
+        extract_windows(ds, "Sped", WindowSpec(length=2))
     assert select_features(ds, feature_list=["speed", "Rpm"]).kept == ("Speed", "Rpm")
 
 

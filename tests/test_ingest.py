@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from driverid import ingest
+from driverid import ingest, models
 from driverid.features import FeatureMatrix
 from driverid.errors import (
     DriverIdError,
@@ -53,13 +53,28 @@ def test_encode_labels_matches_sorted_set_oracle():
         ["Ö", "O", "é", "e", "Z", "Ö"],
         [3, 10, 9, 3, 100],
         ["D"],
+        [],
+        # Equal as numbers, different as text.
+        [1, 1.0, True, "1", 0.0, -0.0, np.float64(1.0), np.int64(1)],
     ]
+    rng = np.random.default_rng(28)
+    pools = (list("abAB"), ["Ö", "O", "é", "e", "ß", "中"], ["A\0B", "\0A", "A", "\0\0B"],
+             list(range(-3, 12)))
+    for _ in range(30):
+        pool = pools[rng.integers(len(pools))]
+        y = [pool[i] for i in rng.integers(len(pool), size=rng.integers(0, 30))]
+        cases += [y, tuple(y), np.array(y)]
     for y in cases:
         alphabet, codes = ingest.encode_labels(y)
         expect = sorted(set(map(str, y)))
         assert alphabet == tuple(expect)
         assert all(type(c) is str for c in alphabet)
-        assert codes.tolist() == [expect.index(str(v)) for v in y]
+        assert codes.tolist() == [expect.index(str(v)) for v in y] and codes.dtype == np.intp
+        # A given alphabet, unsorted and with a label that no row has.
+        given = [(expect + ["unused"])[i] for i in rng.permutation(len(expect) + 1)]
+        alphabet, codes = ingest.encode_labels(y, given)
+        assert alphabet == tuple(given)
+        assert codes.tolist() == [given.index(str(v)) for v in y] and codes.dtype == np.intp
 
 
 def test_encode_labels_keeps_a_given_alphabet_order():
@@ -73,6 +88,16 @@ def test_encode_labels_keeps_a_given_alphabet_order():
     for alphabet in (None, (), given):
         codes = ingest.encode_labels([], alphabet)[1]
         assert codes.shape == (0,) and codes.dtype == np.intp
+
+
+@pytest.mark.parametrize("labels", [
+    "AB", b"AB", {"A": 1}, {"A", "B"}, (v for v in "AB"), 5, None,
+    np.array([["A"], ["B"]]), [["A"], ["B"]], [("A",)], [np.array(["A"])],
+    [None], [b"A"], [1j], ["A", None],
+])
+def test_encode_labels_takes_a_list_of_strings_or_numbers_only(labels):
+    with pytest.raises(UnknownLabel):
+        ingest.encode_labels(labels)
 
 
 def test_dataset_codes_index_the_alphabet(trip_dataset):
@@ -103,8 +128,7 @@ def test_dataset_labels_must_be_strings():
 
 
 def test_dataset_rejects_a_label_ending_in_a_nul():
-    # numpy's str arrays drop trailing NULs, so "A\0" would be read as "A".
-    with pytest.raises(DriverIdError, match=r"not ending in a NUL, got 'A\\x00'"):
+    with pytest.raises(DriverIdError, match=r"\['A\\x00'\] are not in \['A'\]"):
         ingest.TripDataset(("x",), np.zeros((2, 1)), ["A\0", "A"], ("A",))
 
 
@@ -152,9 +176,23 @@ def test_repeated_header_name_is_a_data_error_naming_the_file(tmp_path, header, 
 
 @pytest.mark.parametrize("text", ["x,Class\n1,A\0\n2,A\n", "x,Class\n1,A\0\n2,B\n"])
 def test_label_ending_in_a_nul_is_a_data_error(text):
-    # numpy's str arrays would read 'A\0' as 'A'.
     with pytest.raises(DriverIdError, match="ending in a NUL"):
         ingest.load_dataset(io.StringIO(text))
+
+
+@pytest.mark.parametrize("enter", [
+    pytest.param(lambda: ingest.encode_labels(["A\0", "A"]), id="encode_labels"),
+    pytest.param(lambda: ingest.TripDataset(("x",), np.zeros((2, 1)), ["A\0", "A"], ("A",)),
+                 id="TripDataset"),
+    pytest.param(lambda: ingest.filter_labels(ingest.load_dataset(io.StringIO("x,Class\n1,A\n")),
+                                              ["A\0"]), id="filter_labels"),
+    pytest.param(lambda: ingest.load_dataset(io.StringIO("x,Class\n1,A\0\n2,A\n")),
+                 id="load_dataset"),
+    pytest.param(lambda: models.make("zeror").fit(np.zeros((2, 1)), ["A\0", "A"]), id="fit"),
+])
+def test_a_label_ending_in_a_nul_is_rejected_on_every_entry_path(enter):
+    with pytest.raises(DriverIdError):
+        enter()
 
 
 def test_label_checks():
@@ -315,7 +353,7 @@ def test_filter_labels_unknown_label(trip_dataset):
 
 
 def test_filter_labels_rejects_a_label_ending_in_a_nul(trip_dataset):
-    with pytest.raises(UnknownLabel, match="ends in a NUL"):
+    with pytest.raises(UnknownLabel, match=r"\['A\\x00'\] are not in"):
         ingest.filter_labels(trip_dataset, ["A\0"])
 
 

@@ -98,6 +98,8 @@ def test_default_dataset_path_env_override(monkeypatch):
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(DriverIdError):
         pipeline.RunConfig.from_dict({"input": "x.csv", "window": 60})
+    with pytest.raises(DriverIdError, match="must be a JSON object"):
+        pipeline.RunConfig.from_dict([1])
 
 
 def test_fixed_features_resolve_against_production_spellings(surrogate_csv):
@@ -172,6 +174,7 @@ def test_bad_kinds_or_model_configs_raise_before_any_fit(surrogate_csv, monkeypa
     ({"keep_labels": ("A", 4)}, "keep_labels"),
     ({"out_dir": 5}, "out_dir"),
     ({"label_column": None}, "label_column"),
+    ({"model_configs": ["knn"]}, "model_configs"),
 ])
 def test_bad_model_or_cv_options_raise_before_the_data_half(surrogate_csv, monkeypatch,
                                                             overrides, named):
