@@ -33,6 +33,7 @@ from .errors import (
     TooFewInstancesPerClass,
     name_list,
     one_of,
+    reading,
     whole_number,
 )
 from .features import FeatureMatrix, NormalizationParams, apply_normalizer, fit_normalizer
@@ -140,8 +141,10 @@ class MetricsReport:
         fold counts; ``d``'s accuracy, per-class rows, averaged 2×2 and fold
         accuracies must equal its.  The fold counts must sum to the pooled ones
         (totals first, so that no int64 partial sum wraps), and a report whose
-        ``metadata.plan`` names its folds must hold one matrix per fold."""
-        cm, folds = ConfusionMatrix(d["classes"], d["confusion"]), d.get("fold_confusion")
+        ``metadata.plan`` names its folds must hold one matrix per fold.  A
+        document that is not an object or lacks a key raises DriverIdError."""
+        with reading("metrics report"):
+            cm, folds = ConfusionMatrix(d["classes"], d["confusion"]), d.get("fold_confusion")
         if folds is None and d.get("fold_accuracies") is not None:
             raise DriverIdError("fold counts are missing: fold_accuracies but no fold_confusion")
         if folds is not None:

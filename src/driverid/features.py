@@ -57,6 +57,7 @@ from .errors import (
     finite_real,
     name_list,
     one_of,
+    reading,
     whole_number,
 )
 
@@ -335,10 +336,11 @@ class NormalizationParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationParams":
-        return cls(
-            mins=np.asarray(d["mins"], dtype=np.float64),
-            maxs=np.asarray(d["maxs"], dtype=np.float64),
-        )
+        with reading("normalizer"):
+            return cls(
+                mins=np.asarray(d["mins"], dtype=np.float64),
+                maxs=np.asarray(d["maxs"], dtype=np.float64),
+            )
 
 
 def fit_normalizer(train) -> NormalizationParams:

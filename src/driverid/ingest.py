@@ -312,14 +312,14 @@ def load_dataset(
             raise EmptyDataset("source has a header but no records")
         if failed is not None:
             _raise_non_numeric(failed[0], column_names, failed[1])
-
-    return TripDataset(
-        column_names=column_names,
-        channels=np.concatenate(blocks),
-        labels=labels,
-        label_alphabet=tuple(sorted(set(labels))),
-        label_column=label_column,
-    )
+        # Inside the block, so a bad label alphabet names the file too.
+        return TripDataset(
+            column_names=column_names,
+            channels=np.concatenate(blocks),
+            labels=labels,
+            label_alphabet=tuple(sorted(set(labels))),
+            label_column=label_column,
+        )
 
 
 def _row_blocks(reader, n_fields, label_at, channel_at):

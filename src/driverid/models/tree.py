@@ -14,7 +14,9 @@ the rows left of every valid cut, the class counts there and every exact
 gain are the same whatever order ties come in; tie order moves only the
 rounding of the stage-1 gains below, and the margin covers that.  So the
 fitted tree is the same on every numpy build and CPU, whichever sort
-numpy's default ``argsort`` dispatches to.
+numpy's default ``argsort`` dispatches to.  With row weights a class's
+weight is a float sum whose last bits follow the order of its rows, so
+the boosting fit, the one caller that passes weights, sorts stably.
 
 A node's split is found in two stages (``RepTree._best_split``):
 
@@ -24,16 +26,16 @@ A node's split is found in two stages (``RepTree._best_split``):
    the class sum is a running sum along the sorted rows: each row adds
    the change of its class's two terms as one more row of that class
    moves left.  A row's count of its own class so far comes from one
-   stable radix sort of the class codes (``_rank_gains``).
+   stable radix sort of the class codes (``_rank_gains``); with row
+   weights, from its own-class prefix weight.
 2. The valid cuts (distinct adjacent values, ``min_leaf`` rows each
    side) whose stage-1 gain is within a proven margin (``_gain_margin``)
    of the best one are scored again, exactly as a full scan would score
-   them: class counts from an integer ``bincount`` and entropies from
-   ``_entropy_rows``.  The highest exact gain wins, ties going to the
+   them: class counts (class weights) from a ``bincount`` and entropies
+   from ``_entropy_rows``.  The highest exact gain wins, ties going to the
    lowest feature, then the lowest cut.
 
-``midpoint`` is shared with the AdaBoost stump, which has its own
-O(n)-per-feature scan (``ensemble._StumpScan``).
+The AdaBoost stump is a one-level search with row weights.
 
 Growth and pruning are iterative (explicit stacks / ordered passes), so
 degenerate chain-shaped trees cannot exhaust the interpreter's recursion
@@ -49,9 +51,8 @@ from .base import Classifier
 
 _LEAF = -1
 
-#: Most elements that one block of features holds in a split search:
-#: features × rows, for the tree's stage-1 scan and the boosting stump's
-#: scan alike (at least one feature per block).
+#: Most elements that one block of features holds in the stage-1 scan of
+#: a split search: features × rows (at least one feature per block).
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -70,40 +71,84 @@ def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def _rank_gains(ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x·log2 x, and 0 where x <= 0, in one new array."""
+    out = np.where(x > 0, x, 1.0)
+    np.log2(out, out=out)
+    out *= x
+    return out
+
+
+def _rank_gains(ys: np.ndarray, counts: np.ndarray, ws=None, total=None) -> np.ndarray:
     """Stage-1 information gains (bits) of every cut of each row of ``ys``.
 
     ``ys`` holds one node's class codes (an unsigned integer type, so the
     stable ``argsort`` runs as a radix sort), each row in ascending order
-    of one feature; ``counts`` holds the node's class counts.  Column i of
-    the (rows, n − 1) result is the cut after i + 1 rows.  The arithmetic
-    and its error bound are set out in ``RepTree._best_split``.
+    of one feature; ``counts`` holds the node's class counts.  Every row
+    weighs 1, or with ``ws`` (row weights in the order of ``ys``) its
+    weight, and ``total`` is then the node's weight.  Column i of the
+    (rows, n − 1) result is the cut after i + 1 rows.  The arithmetic and
+    its error bounds are set out in ``RepTree._best_split``.
     """
     n = ys.shape[1]
-    c = np.arange(n + 1, dtype=np.float64)
-    T = c * np.log2(np.maximum(c, 1.0))  # T[c] = c·log2 c, T[0] = 0
-    dT = T[1:] - T[:-1]
-    # Grouped by class, each class's rows keep their sorted order, so the
-    # r-th row of class k (of N_k) has r of its class before it: moving it
-    # left adds T[r+1] − T[r] to Σ T[l_k] and T[N_k−r−1] − T[N_k−r] to Σ T[r_k].
-    rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    step = dT[rank] - dT[np.repeat(counts, counts) - rank - 1]
     grouping = np.argsort(ys, axis=1, kind="stable")
+    starts = np.cumsum(counts) - counts
+    if ws is None:
+        T = _xlog2x(np.arange(n + 1, dtype=np.float64))  # T[c] = c·log2 c
+        dT = T[1:] - T[:-1]
+        # Grouped by class, each class's rows keep their sorted order, so the
+        # r-th row of class k (of N_k) has r of its class before it: moving it
+        # left adds T[r+1] − T[r] to Σ T[l_k] and T[N_k−r−1] − T[N_k−r] to Σ T[r_k].
+        rank = np.arange(n) - np.repeat(starts, counts)
+        step = (dT[rank] - dT[np.repeat(counts, counts) - rank - 1])[None, :]
+        split = T[1:n] + T[n - 1 : 0 : -1] - T[n]
+        total = n
+    else:
+        # The same grouping, with each row's class weight summed from the
+        # class's first row through it (f of it is F) and from the class's
+        # last row back to it (S): moving it left adds F − (F of the row
+        # before) to Σ f(L_k) and (S of the row after) − S to Σ f(R_k).
+        up_to = np.take_along_axis(ws, grouping, axis=1)
+        back = np.empty_like(up_to)
+        for lo, hi in zip(starts, starts + counts):
+            np.cumsum(up_to[:, lo:hi][:, ::-1], axis=1, out=back[:, lo:hi][:, ::-1])
+            np.cumsum(up_to[:, lo:hi], axis=1, out=up_to[:, lo:hi])
+        first, last = starts[counts > 0], (starts + counts - 1)[counts > 0]
+        # Each buffer is dropped once used: the block is the largest thing
+        # a boosting round holds.
+        F = _xlog2x(up_to)
+        del up_to
+        step = np.diff(F, axis=1, prepend=0.0)
+        step[:, first] = F[:, first]
+        S = _xlog2x(back)
+        del back, F
+        after = np.diff(S, axis=1, append=0.0)
+        after[:, last] = -S[:, last]
+        step += after
+        del S, after
     gains = np.empty(ys.shape)
-    np.put_along_axis(gains, grouping, step[None, :], axis=1)
+    np.put_along_axis(gains, grouping, step, axis=1)
     np.cumsum(gains, axis=1, out=gains)
     gains = gains[:, :-1]
-    gains -= T[1:n] + T[n - 1 : 0 : -1] - T[n]
-    gains /= n
+    if ws is not None:
+        split = _xlog2x(np.cumsum(ws[:, :-1], axis=1))
+        split += _xlog2x(np.cumsum(ws[:, :0:-1], axis=1)[:, ::-1])
+        split -= _xlog2x(np.float64(total))
+    gains -= split
+    gains /= total
     return gains
 
 
-def _gain_margin(n: int, K: int) -> float:
+def _gain_margin(n: int, K: int, total=None) -> float:
     """How far below the best stage-1 gain of a node of n rows and K
     classes a cut is still scored exactly: twice a bound on |stage-1 gain −
-    exact gain| (``RepTree._best_split`` derives it)."""
+    exact gain| (``RepTree._best_split`` derives it), with rows of weight 1
+    or, given the node's weight ``total``, of any positive weights."""
     eps = float(np.finfo(np.float64).eps)
-    return 2.0 * eps * (n + 32.0 * (np.log2(n) + K * np.log2(K) + 1.0))
+    if total is None:
+        return 2.0 * eps * (n + 32.0 * (np.log2(n) + K * np.log2(K) + 1.0))
+    lam = np.log2(max(total, 2.0))
+    return 2.0 * eps * (1 + K / total) * (n * (2 * lam + 5) + (K + 32) * (lam + K * np.log2(K) + 1))
 
 
 def _feature_orders(X: np.ndarray) -> np.ndarray:
@@ -116,6 +161,14 @@ def midpoint(vs: np.ndarray, cut: int) -> float:
     midpoint, or ``vs[cut - 1]`` when the midpoint rounds up to ``vs[cut]``."""
     thr = (vs[cut - 1] + vs[cut]) / 2.0
     return float(thr if thr < vs[cut] else vs[cut - 1])
+
+
+def _side_weights(y, w, order, cut, K):
+    """Class weights (counts without ``w``) of the rows left and right of
+    the cut after ``cut`` rows of ``order``, each side summed from its outer
+    end inward, as stage 1 of ``RepTree._best_split`` sums them."""
+    sides = order[:cut], order[cut:][::-1]
+    return [np.bincount(y[s], weights=None if w is None else w[s], minlength=K) for s in sides]
 
 
 class RepTree(Classifier):
@@ -211,7 +264,7 @@ class RepTree(Classifier):
         self.right_ = np.asarray(right, dtype=np.intp)
         self.counts_ = np.asarray(counts, dtype=np.int64)
 
-    def _best_split(self, X, orders, y, parent_counts):
+    def _best_split(self, X, orders, y, parent_counts, w=None):
         """Highest-information-gain split of a node as (feature, left size, threshold).
 
         The winner has the highest exact gain, which must be > 0; ties go
@@ -220,6 +273,11 @@ class RepTree(Classifier):
         entropy.  Exact gains are those of a scan over every valid cut:
         integer class counts, ``_entropy_rows`` of each side, weighted by
         its share of the n rows and subtracted from the parent entropy.
+        With row weights ``w`` (indexed by row, like ``y``),
+        ``parent_counts`` holds the node's class weights, and each side's
+        class weights, summed from its outer end inward
+        (``_side_weights``), take the place of its counts, and its weight
+        (their sum) that of its rows.
 
         **Stage 1** (``_rank_gains``) scores every cut.  With T[c] =
         c·log2 c, n·gain = C − B, where B = T[p] + T[n−p] − T[n] at a cut
@@ -253,9 +311,38 @@ class RepTree(Classifier):
         threshold below.  The stage-1 gain of every valid cut is thus
         within M/2 of its exact gain, and the test suite checks that.
 
+        **Row weights.**  With f(x) = x·log2 x, class weights t_k, L_k and
+        R_k of the node and its sides, and side weights P, Q of the node's
+        W, W·gain = C − B with C = Σ_k (f(L_k) + f(R_k) − f(t_k)) and B =
+        f(P) + f(Q) − f(W).  A row of class k steps by (F − F′) + (S′ − S):
+        F, F′ are f of the class's weight summed from its first row through
+        this row and the one before; S, S′ of it summed back from its last
+        row to this row and the one after.  ``bincount`` adds each class in
+        sorted order, as these sums do, so both stages see the same L_k and
+        R_k.  Against the real gain of those floats, with λ = log2 max(W,
+        2) and x·|log2 x| ≤ 0.531 below 1, in bits of gain:
+
+        - Consecutive rows of a class share one prefix float, so f's
+          rounding telescopes to that of f(L_k), f(R_k), f of the class
+          weight summed back and B's terms: 40u·λ + 16u·(K + 1)/W.
+        - The step roundings (∫ |f′| over a class ≤ t_k·(λ + 1.45) + 0.531)
+          add 4u·(λ + 1.45) + 2.2u·K/W, the running sum u·n.
+        - A class weight summed back, not in row order (t_k), and P and Q
+          as running sums over all rows, not Σ L_k and Σ R_k, are each off
+          by 2u·n relatively: 4u·n·(λ + 1.45) + 3.3u·n/W.  W's K-term sum
+          adds u·K·(λ + 1.45 + log2 K), B and the division u·(2λ + 1 +
+          2·log2 K).
+
+        So e1 ≤ u·(n·(4λ + 6.8) + (K + 46)·λ + (K + 2)·log2 K + 1.45K + 7
+        + (18.2K + 16 + 3.3n)/W).  Stage 2's K-term sums P, Q and W move
+        each share by (K + 1)u, so e2 ≤ u·((6K + 23)·log2 K + 2.9K + 3).
+        With W, ``_gain_margin`` is M = 4u·(1 + K/W)·(n·(2λ + 5) + (K +
+        32)·(λ + K·log2 K + 1)) ≥ 2·(e1 + e2).  A valid bound keeps the
+        chosen split exact; a loose one only adds stage-2 candidates.
+
         **Stage 2** takes the valid cuts whose stage-1 gain is at least the
         best stage-1 gain over all valid cuts, G, less M, and scores them
-        exactly, each from one integer ``bincount`` of its left rows.  No
+        exactly, each from a ``bincount`` of each side's rows.  No
         cut that could win is left out: G is the stage-1 gain of a valid
         cut, so at most the best exact gain plus M/2; and any cut whose
         exact gain is the best has a stage-1 gain of at least that less
@@ -268,16 +355,20 @@ class RepTree(Classifier):
         gain seen so far, a superset of the final candidates.
         """
         d, n = orders.shape
+        if not d:
+            return None  # no feature, no cut
         K = len(parent_counts)
+        counts = parent_counts if w is None else np.bincount(y[orders[0]], minlength=K)
+        total = parent_counts.sum()
         pos = np.arange(1, n)
         sized = (pos >= self.min_leaf_count) & (pos <= n - self.min_leaf_count)
-        margin = _gain_margin(n, K)
+        margin = _gain_margin(n, K, None if w is None else total)
         step = max(1, _BLOCK_ELEMENTS // n)
         best, near = -np.inf, []
         for lo in range(0, d, step):
             order = orders[lo : lo + step]
             vs = X[order, np.arange(lo, lo + len(order))[:, None]]
-            gains = _rank_gains(y[order], parent_counts)
+            gains = _rank_gains(y[order], counts, None if w is None else w[order], total)
             np.copyto(gains, -np.inf, where=~((vs[:, 1:] > vs[:, :-1]) & sized))
             best = max(best, float(gains.max()))
             if best == -np.inf:
@@ -292,13 +383,13 @@ class RepTree(Classifier):
         # C-ordered (m, K) rows: numpy sums a contiguous row of K >= 8
         # pairwise but a strided one in sequence, which can move a gain
         # by an ulp and flip a near-tie.
-        left = np.array(
-            [np.bincount(y[orders[j, :cut]], minlength=K) for j, cut in zip(f, p)],
-            dtype=np.float64,
+        sides = zip(*(_side_weights(y, w, orders[j], cut, K) for j, cut in zip(f, p)))
+        left, right = (np.array(side, dtype=np.float64) for side in sides)
+        left_w, right_w = left.sum(axis=1), right.sum(axis=1)
+        parent_h = _entropy_rows(parent_counts[None, :], np.array([total]))[0]
+        h = (left_w / total) * _entropy_rows(left, left_w) + (right_w / total) * _entropy_rows(
+            right, right_w
         )
-        right = parent_counts - left
-        parent_h = _entropy_rows(parent_counts[None, :], np.array([n]))[0]
-        h = (p / n) * _entropy_rows(left, p) + ((n - p) / n) * _entropy_rows(right, n - p)
         gains = parent_h - h
         at = int(np.argmax(gains))
         if not gains[at] > 0.0:

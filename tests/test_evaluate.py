@@ -238,6 +238,18 @@ def test_report_fold_counts_are_checked_when_read(edits, message):
         MetricsReport.from_dict({**_two_fold_report().to_dict(), **edits})
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param([1], id="a-list"),
+    pytest.param(5, id="a-number"),
+    pytest.param({}, id="empty"),
+    pytest.param({"classes": ["A", "B"]}, id="no-confusion"),
+    pytest.param({"confusion": [[1, 0], [0, 1]]}, id="no-classes"),
+])
+def test_a_report_that_is_not_an_object_with_its_keys_is_a_data_error(doc):
+    with pytest.raises(DriverIdError, match="metrics report"):
+        MetricsReport.from_dict(doc)
+
+
 def test_fold_counts_whose_int64_sum_wraps_do_not_sum_to_the_pool():
     # Three one-class folds, each below 2**63, whose int64 sum wraps to 2.
     x = (2**64 + 2) // 3

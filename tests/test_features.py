@@ -191,6 +191,18 @@ def test_normalizer_params_must_be_finite(mins, maxs):
         NormalizationParams.from_dict({"mins": mins, "maxs": maxs})
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param([1], id="a-list"),
+    pytest.param("mins", id="a-string"),
+    pytest.param({}, id="empty"),
+    pytest.param({"mins": [0.0]}, id="no-maxs"),
+    pytest.param({"maxs": [1.0]}, id="no-mins"),
+])
+def test_a_normalizer_that_is_not_an_object_with_its_keys_is_a_data_error(doc):
+    with pytest.raises(DriverIdError, match="normalizer"):
+        NormalizationParams.from_dict(doc)
+
+
 # -- windows -----------------------------------------------------------------
 
 def test_window_count_formula():

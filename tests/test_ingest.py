@@ -180,6 +180,14 @@ def test_label_ending_in_a_nul_is_a_data_error(text):
         ingest.load_dataset(io.StringIO(text))
 
 
+def test_label_ending_in_a_nul_in_a_log_names_the_file(tmp_path):
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"Speed,Class\n1.0,A\0\n2.0,A\n")
+    with pytest.raises(DriverIdError, match="ending in a NUL") as exc:
+        ingest.load_dataset(path)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("enter", [
     pytest.param(lambda: ingest.encode_labels(["A\0", "A"]), id="encode_labels"),
     pytest.param(lambda: ingest.TripDataset(("x",), np.zeros((2, 1)), ["A\0", "A"], ("A",)),

@@ -32,12 +32,11 @@ from driverid.models import (
     RepTree,
     ZeroR,
 )
-from driverid.models.ensemble import _StumpScan, presort
 from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
 from driverid.models import tree as tree_module
 from driverid.models.tree import _entropy_rows as _tree_entropy_rows
-from driverid.models.tree import _gain_margin, _rank_gains, midpoint
+from driverid.models.tree import _feature_orders, _gain_margin, _rank_gains, _side_weights, midpoint
 
 from conftest import write_trip_csv
 
@@ -76,6 +75,15 @@ def test_predict_proba_rows_sum_to_one(kind):
     assert P.shape == (10, 3)
     assert (P >= 0).all()
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_matrix_without_features_fits_a_constant_model(kind):
+    # No feature leaves no cut to split on and nothing to weigh: every
+    # query gets one label and a valid distribution.
+    model = models.make(kind).fit(np.zeros((4, 0)), ["A", "A", "B", "A"])
+    assert len(set(model.predict(np.zeros((3, 0))))) == 1
+    np.testing.assert_allclose(model.predict_proba(np.zeros((3, 0))).sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -715,9 +723,9 @@ def test_adaboost_stage_weights_positive():
 
 # -- split choice against exhaustive search -------------------------------------------
 #
-# The tree and the stump search presorted columns, the tree exactly at the
-# valid cuts whose stage-1 gain is near the best; these oracles check their
-# choices against a plain search over every distinct adjacent-value cut.
+# The tree and the stump share one search over presorted columns, exact at
+# the valid cuts whose stage-1 gain is near the best; these oracles check
+# their choices against a plain search over every distinct adjacent-value cut.
 
 _TIE = 1e-12  # gains closer than this are tied up to float rounding
 
@@ -803,25 +811,28 @@ def test_tree_split_choice_matches_exhaustive_search(min_leaf):
 
 
 def test_stump_split_choice_matches_exhaustive_search():
-    # 64 and 16 rows: uniform weights 1/n are powers of two, so weighted
-    # errors are exact and the stump's 1e-15 margin cannot blur a tie
+    # The first stump is the tree's root split with leaves of one row: a cut
+    # of the highest information gain (any within _TIE of it, never the
+    # copy in column 3), each side predicting its most frequent class.
     for X, y in [_tie_heavy(seed, 64) for seed in range(20)] + _ADJACENT:
         model = AdaBoost(rounds=1).fit(X, y)
         y_idx = np.searchsorted(model.classes_, y)
         K = len(model.classes_)
-        totals = np.bincount(y_idx, minlength=K)
-        majority = int(np.argmax(totals))
-        # (misclassified rows, feature, threshold, left class, right class)
-        best = (len(y) - totals[majority], -1, 0.0, majority, majority)
+        h = _entropy(y_idx, K)
+        # (gain, feature, threshold, left class, right class)
+        cuts = []
         for j in range(X.shape[1]):
             for thr, left in _cuts(X[:, j], 1):
-                lc = np.bincount(y_idx[left], minlength=K)
-                rc = totals - lc
-                err = len(y) - lc.max() - rc.max()
-                if err < best[0]:
-                    best = (err, j, thr, int(np.argmax(lc)), int(np.argmax(rc)))
+                p = left.mean()
+                gain = h - p * _entropy(y_idx[left], K) - (1 - p) * _entropy(y_idx[~left], K)
+                sides = (np.bincount(y_idx[side], minlength=K) for side in (left, ~left))
+                cuts.append((gain, j, thr, *(int(np.argmax(c)) for c in sides)))
+        best = max(c[0] for c in cuts)
+        assert best > _TIE
         stump = model.stumps_[0]
-        assert (stump.feature, stump.threshold, stump.left, stump.right) == best[1:]
+        allowed = [c[1:] for c in cuts if c[0] >= best - _TIE]
+        assert (stump.feature, stump.threshold, stump.left, stump.right) in allowed
+        assert stump.feature != 3
 
 
 @pytest.mark.parametrize("X, y", _ADJACENT)
@@ -835,12 +846,18 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
 #
 # The tree scores exactly only the valid cuts whose stage-1 gain is within its
 # margin of the best, one class ``bincount`` each, and must pick what a full
-# exact scan picks; the stump's scan keeps one own-class prefix per row.
-# These references scan every valid cut in the row-major (n, K) layout: an
-# (n, K) mass per row, ``cumsum(axis=0)`` gathered at the cuts and
-# ``max(axis=1)`` over classes.  Tree counts are exact integers and every
-# stump prefix sum adds the same values in the same order, so stumps, alphas
-# and trees must match bit for bit.
+# exact scan picks; the weighted search sums each side's class weights from
+# its outer end inward.  These references scan every valid cut in the
+# row-major (n, K) layout: an (n, K) mass per row, ``cumsum(axis=0)``
+# gathered at the cuts (from the last row back for a right side) and row
+# entropies over classes.  Tree counts are exact integers and every weighted
+# sum adds the same values in the same order, so stumps, alphas and trees
+# must match bit for bit.
+
+
+def presort(X):
+    """Row orders of X by each feature, shape (d, n); equal values keep row order."""
+    return np.argsort(X, axis=0, kind="stable").T
 
 
 def _row_major_scan(X, orders, mass, min_leaf=1):
@@ -855,18 +872,25 @@ def _row_major_scan(X, orders, mass, min_leaf=1):
 
 
 def _row_major_stump(X, y_idx, w, K, orders):
-    onehot_w = np.zeros((X.shape[0], K))
-    onehot_w[np.arange(X.shape[0]), y_idx] = w
-    totals = onehot_w.sum(axis=0)
+    """The stump from a weighted entropy scan of every valid cut."""
+    n = X.shape[0]
+    mass = np.zeros((n, K))
+    mass[np.arange(n), y_idx] = w
+    totals = np.bincount(y_idx, weights=w, minlength=K)
+    total = totals.sum()
+    parent_h = _entropy_rows(totals[None, :])[0]
     majority = int(np.argmax(totals))
-    best_err = float(totals.sum() - totals[majority])
+    best_gain = 0.0
     stump = {"feature": -1, "threshold": 0.0, "left": majority, "right": majority}
-    for j, p, left_w, vs in _row_major_scan(X, orders, onehot_w):
-        right_w = totals - left_w
-        err = totals.sum() - left_w.max(axis=1) - right_w.max(axis=1)
-        at = int(np.argmin(err))
-        if err[at] < best_err - 1e-15:
-            best_err = float(err[at])
+    for j, p, left_w, vs in _row_major_scan(X, orders, mass):
+        right_w = np.cumsum(mass[orders[j]][::-1], axis=0)[::-1][p]
+        h = (left_w.sum(axis=1) / total) * _entropy_rows(left_w) + (
+            right_w.sum(axis=1) / total
+        ) * _entropy_rows(right_w)
+        gains = parent_h - h
+        at = int(np.argmax(gains))
+        if gains[at] > best_gain:
+            best_gain = float(gains[at])
             stump = {
                 "feature": j,
                 "threshold": midpoint(vs, int(p[at])),
@@ -877,24 +901,28 @@ def _row_major_stump(X, y_idx, w, K, orders):
 
 
 def _row_major_adaboost(X, y_idx, K, rounds):
-    """SAMME as a plain loop over row-major stumps: (params, clamped errors)."""
-    w = np.full(X.shape[0], 1.0 / X.shape[0])
+    """AdaBoost.M1 as a plain loop over row-major stumps: (params, errors)."""
+    n = X.shape[0]
+    w = np.ones(n)
     orders = presort(X)
     stumps, alphas, errors = [], [], []
     for _ in range(rounds):
         s = _row_major_stump(X, y_idx, w, K, orders)
         if s["feature"] == -1:
-            pred = np.full(X.shape[0], s["left"])
+            pred = np.full(n, s["left"])
         else:
             pred = np.where(X[:, s["feature"]] <= s["threshold"], s["left"], s["right"])
         miss = pred != y_idx
-        err = float(np.clip(w[miss].sum(), 1e-10, (K - 1) / K - 1e-10))
-        alpha = np.log((1.0 - err) / err) + np.log(K - 1.0)
-        w = w * np.exp(alpha * miss)
-        w /= w.sum()
+        err = float(w[miss].sum() / w.sum())
+        if not 0.0 < err < 0.5:
+            if not stumps:
+                stumps, alphas, errors = [s], [1.0], [err]
+            break
         stumps.append(s)
-        alphas.append(float(alpha))
+        alphas.append(float(np.log((1.0 - err) / err)))
         errors.append(err)
+        w[miss] *= (1.0 - err) / err
+        w *= n / w.sum()
     return {"stumps": stumps, "alphas": alphas}, errors
 
 
@@ -950,14 +978,13 @@ def _class_blocked(seed, n, K):
     return X[perm], np.array([chr(65 + int(c)) for c in codes[perm]])
 
 
-# (data, K, seed, rows, rounds).  150 rows, 10 rounds: weights 1/150 and
-# every later re-weighting are inexact, so any change in the order of
-# additions would move an error or an alpha.  60 and 200 rounds spread the
-# weights over many orders of magnitude.  The two ten-class tie-heavy cases
-# at 97 rows pick a different cut if the stump takes a class's prefix
-# before a row as (prefix through it) − w, and in the class-blocked cases
-# the right-side floor decides the max at some cuts.  Row counts are not
-# powers of two.
+# (data, K, seed, rows, rounds).  150 rows: after the first round the
+# weights are inexact, so any change in the order of additions would move an
+# error or an alpha.  Ten classes and most tie-heavy three-class cases stop
+# after the first round, whose weighted error is ½ or more; the two-class
+# cases and the class-blocked three-class ones keep tens to hundreds of
+# rounds, and 200 rounds spread the weights over many orders of magnitude.
+# Row counts are not powers of two.
 _CLASS_MAJOR_CASES = [
     pytest.param(_tie_heavy_classes, K, seed, 150, 10, id=f"{K}-{seed}")
     for K in (2, 3, 10)
@@ -988,15 +1015,15 @@ def test_adaboost_matches_row_major_reference(make, K, seed, n, rounds):
 
 
 def _stump_searches(monkeypatch) -> list:
-    """A list that gains one entry per ``_StumpScan.best_cut`` call."""
+    """A list that gains one entry per ``RepTree._best_split`` call."""
     calls = []
-    best_cut = _StumpScan.best_cut
+    best_split = RepTree._best_split
 
     def counted(self, *args):
         calls.append(None)
-        return best_cut(self, *args)
+        return best_split(self, *args)
 
-    monkeypatch.setattr(_StumpScan, "best_cut", counted)
+    monkeypatch.setattr(RepTree, "_best_split", counted)
     return calls
 
 
@@ -1007,31 +1034,39 @@ def _one_stump_separates(seed, n):
 
 
 @pytest.mark.parametrize("rounds", [10, 200])
-def test_adaboost_replays_rounds_whose_weights_repeat(monkeypatch, rounds):
-    # The first stump misses nothing, so the weights only renormalize and
-    # soon repeat bit for bit: the later rounds are replayed, not searched,
-    # and the fit still equals running every round.
+def test_adaboost_stops_after_a_first_round_with_zero_error(monkeypatch, rounds):
+    # The first stump misses nothing, so M1 keeps it alone, with α = 1, and
+    # searches no further.
     X, y = _one_stump_separates(0, 150)
     searches = _stump_searches(monkeypatch)
     model = AdaBoost(rounds=rounds).fit(X, y)
-    assert len(searches) <= 3
+    assert len(searches) == 1
+    assert (model.alphas_, model.errors_) == ([1.0], [0.0])
     params, errors = _row_major_adaboost(X, np.searchsorted(model.classes_, y), 2, rounds)
     assert model.to_dict()["params"] == params
     assert model.errors_ == errors
 
 
-@pytest.mark.parametrize("make, K, seed, n, rounds, replays", [
-    # ten classes: the weights never repeat, so every round searches
-    (_tie_heavy_classes, 10, 22, 97, 200, False),
-    # the class_blocked-3-173-200r-10 reference case: a cycle is replayed
-    (_class_blocked, 3, 10, 173, 200, True),
+@pytest.mark.parametrize("make, K, seed, n, rounds, alone", [
+    # ten classes: the first stump errs on more than half the weight, so it
+    # is kept alone, with α = 1
+    pytest.param(_tie_heavy_classes, 10, 22, 97, 200, True, id="ten-classes"),
+    # the class_blocked-3-173-200r-10 reference case: rounds are kept until
+    # one errs on half the weight or more, and that one is dropped
+    pytest.param(_class_blocked, 3, 10, 173, 200, False, id="three-classes"),
 ])
-def test_adaboost_searches_until_its_weights_repeat(monkeypatch, make, K, seed, n, rounds, replays):
+def test_adaboost_searches_once_per_round_until_it_stops(monkeypatch, make, K, seed, n, rounds, alone):
     X, y = make(seed, n, K)
     searches = _stump_searches(monkeypatch)
     model = AdaBoost(rounds=rounds).fit(X, y)
-    assert len(model.stumps_) == len(model.alphas_) == len(model.errors_) == rounds
-    assert len(searches) < rounds if replays else len(searches) == rounds
+    kept = len(model.stumps_)
+    assert len(model.alphas_) == len(model.errors_) == kept < rounds
+    if alone:
+        assert len(searches) == kept == 1
+        assert model.alphas_ == [1.0] and model.errors_[0] >= 0.5
+    else:
+        assert len(searches) == kept + 1 and kept > 1
+        assert all(0.0 < e < 0.5 for e in model.errors_)
 
 
 def _mixed_tie_blocks(seed, n, K):
@@ -1156,10 +1191,9 @@ def test_tree_does_not_depend_on_the_order_of_ties(monkeypatch, K):
     assert len(fits[0]["params"]["feature"]) > 3
 
 
-def _node(seed, n, K):
-    """Sorted class codes of one node, shape (3, n): a tie-heavy column, a
-    class-blocked column with one-class stretches, and a shuffled one;
-    with the values that decide which cuts are valid."""
+def _node_columns(seed, n, K):
+    """One node's class codes and values, shape (n, 3): a tie-heavy column,
+    a class-blocked column with one-class stretches, and a shuffled one."""
     rng = np.random.default_rng(seed)
     codes = np.sort(rng.integers(0, K, n))
     codes = np.where(rng.random(n) < 0.02, rng.integers(0, K, n), codes).astype(np.uint8)
@@ -1168,6 +1202,13 @@ def _node(seed, n, K):
         np.arange(n) // 3,
         rng.permutation(n),
     ]).astype(float)
+    return codes, X
+
+
+def _node(seed, n, K):
+    """Sorted class codes of one node, shape (3, n), from ``_node_columns``;
+    with the values that decide which cuts are valid."""
+    codes, X = _node_columns(seed, n, K)
     orders = np.argsort(X.T, axis=1)
     return codes[orders], np.take_along_axis(X.T, orders, axis=1), np.bincount(codes, minlength=K)
 
@@ -1190,6 +1231,113 @@ def test_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K):
             assert np.abs(gains - (parent_h - h))[valid].max(initial=0.0) <= half
 
 
+@pytest.mark.parametrize("n", [2, 7, 300, 5000])
+@pytest.mark.parametrize("K", [2, 10])
+@pytest.mark.parametrize("octaves", [0, 40])
+def test_weighted_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K, octaves):
+    # Weights uniform in (0, 1], or boosting-shaped: 2^-u for u uniform in
+    # [0, 40], so from about 1e-12 to 1.  Exact gains sum each side's class
+    # weights from its outer end inward, bit for bit as the search's stage 2
+    # (``_side_weights``) does.
+    for seed in range(3):
+        codes, X = _node_columns(seed, n, K)
+        rng = np.random.default_rng(seed)
+        w = 1.0 - rng.random(n) if octaves == 0 else 2.0 ** -rng.uniform(0, octaves, n)
+        totals = np.bincount(codes, weights=w, minlength=K)
+        total = float(totals.sum())
+        orders = _feature_orders(X)
+        stage_one = _rank_gains(codes[orders], np.bincount(codes, minlength=K), w[orders], total)
+        parent_h = _tree_entropy_rows(totals[None, :], np.array([total]))[0]
+        half = _gain_margin(n, K, total) / 2
+        mass = np.zeros((n, K))
+        mass[np.arange(n), codes] = w
+        for j, (order, gains) in enumerate(zip(orders, stage_one)):
+            left = np.cumsum(mass[order], axis=0)[:-1]
+            right = np.cumsum(mass[order][::-1], axis=0)[::-1][1:]
+            lw, rw = left.sum(axis=1), right.sum(axis=1)
+            h = (lw / total) * _tree_entropy_rows(left, lw) + (rw / total) * _tree_entropy_rows(
+                right, rw
+            )
+            vs = X[order, j]
+            valid = vs[1:] > vs[:-1]
+            assert np.abs(gains - (parent_h - h))[valid].max(initial=0.0) <= half
+            for cut in range(1, n, max(1, n // 40)):
+                sides = _side_weights(codes, w, order, cut, K)
+                assert np.array_equal(sides, [left[cut - 1], right[cut - 1]])
+
+
+def _codes(labels):
+    return np.array([ord(c) - 65 for c in labels], dtype=np.uint8)
+
+
+def _exhaustive_weighted_split(X, rows, y, w, K, min_leaf):
+    """The first cut of the highest gain > 0 among every valid cut of the
+    node of ``rows``, as (feature, left size, threshold); each side's class
+    weights are summed over a row mask."""
+    totals = np.bincount(y[rows], weights=w[rows], minlength=K)
+    total = totals.sum()
+    parent_h = _tree_entropy_rows(totals[None, :], np.array([total]))[0]
+    best, best_gain = None, 0.0
+    for j in range(X.shape[1]):
+        for thr, left in _cuts(X[rows, j], min_leaf):
+            h = 0.0
+            for side in (left, ~left):
+                mass = np.bincount(y[rows][side], weights=w[rows][side], minlength=K)[None, :]
+                size = mass.sum(axis=1)
+                h = h + (size / total) * _tree_entropy_rows(mass, size)
+            gain = float((parent_h - h)[0])
+            if gain > best_gain:
+                best_gain, best = gain, (j, int(left.sum()), float(thr))
+    return best
+
+
+@pytest.mark.parametrize("K", [2, 3, 10])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+def test_weighted_split_matches_exhaustive_search(K, min_leaf):
+    # Dyadic weights k/64 make every class weight an exact sum in any order,
+    # so cuts that tie in real arithmetic tie bit for bit, and the search
+    # must pick the first best cut of a scan over every valid cut (never the
+    # copy of column 0 in column 3), at the root and at a node of half the rows.
+    search = RepTree(min_leaf_count=min_leaf)
+    for seed in range(8):
+        X, labels = _tie_heavy_classes(seed, 120, K)
+        y, n = _codes(labels), len(labels)
+        rng = np.random.default_rng(seed)
+        w = rng.integers(1, 65, n) / 64
+        all_orders = _feature_orders(X)
+        for rows in (np.arange(n), np.sort(rng.choice(n, n // 2, replace=False))):
+            keep = np.zeros(n, dtype=bool)
+            keep[rows] = True
+            orders = all_orders[keep[all_orders]].reshape(len(all_orders), -1)
+            totals = np.bincount(y[rows], weights=w[rows], minlength=K)
+            split = search._best_split(X, orders, y, totals, w)
+            assert split == _exhaustive_weighted_split(X, rows, y, w, K, min_leaf)
+            assert split is not None and split[0] != 3
+
+
+@pytest.mark.parametrize("K", [2, 3, 10])
+def test_unit_weights_choose_the_unweighted_split_bit_for_bit(K):
+    for seed in range(6):
+        X, labels = _tie_heavy_classes(seed, 150, K)
+        y, n = _codes(labels), len(labels)
+        counts = np.bincount(y, minlength=K)
+        orders = _feature_orders(X)
+        ones = np.ones(n)
+        assert np.array_equal(
+            _rank_gains(y[orders], counts), _rank_gains(y[orders], counts, ones[orders], float(n))
+        )
+        for min_leaf in (1, 2, 3):
+            tree = RepTree(min_leaf_count=min_leaf)
+            split = tree._best_split(X, orders, y, counts)
+            assert split is not None
+            assert tree._best_split(X, orders, y, counts.astype(np.float64), ones) == split
+        # AdaBoost's first round has weights of 1: its stump is the root of
+        # a one-level tree grown on every row with leaves of one row
+        stump = AdaBoost(rounds=1).fit(X, labels).stumps_[0]
+        root = _GrowAll(min_leaf_count=1, max_depth=1).fit(X, labels)
+        assert (stump.feature, stump.threshold) == (root.feature_[0], root.threshold_[0])
+
+
 def test_stump_classes_come_from_the_chosen_cut():
     # Both sides tie between two classes (lowest wins); the rows either side
     # of the cut would break either tie the other way.
@@ -1199,15 +1347,15 @@ def test_stump_classes_come_from_the_chosen_cut():
     assert stump.to_dict() == {"feature": 0, "threshold": 0.5, "left": 0, "right": 2}
 
 
-def test_adaboost_alphas_recompute_from_clamped_errors():
+def test_adaboost_alphas_recompute_from_errors():
+    # Every kept round errs strictly between 0 and 1/2, and its stage
+    # weight is ln((1 - err) / err) exactly.
     X, y = blobs(seed=13)
     model = AdaBoost(rounds=10).fit(X, y)
-    K = len(model.classes_)
     assert len(model.errors_) == 10
-    assert all(1e-10 <= e <= (K - 1) / K - 1e-10 for e in model.errors_)
+    assert all(0.0 < e < 0.5 for e in model.errors_)
     for e, alpha in zip(model.errors_, model.alphas_):
-        assert alpha == np.log((1.0 - e) / e) + np.log(K - 1.0)
+        assert alpha == np.log((1.0 - e) / e)
     saved = json.dumps(model.to_dict())
     assert "errors" not in saved
     assert not hasattr(AdaBoost.from_dict(json.loads(saved)), "errors_")
-
