@@ -127,11 +127,11 @@ class Classifier:
     def _load_params(self, params: dict) -> None:
         for name, dtype in self.fitted.items():
             value = np.asarray(params[name[:-1]])
-            if dtype is not np.float64 and not holds_integers(value):
+            if dtype is np.float64:
+                value = finite_floats(value, f"{self.kind} {name[:-1]}")
+            elif not holds_integers(value):
                 raise DriverIdError(f"{self.kind} {name[:-1]} must be integers")
             value = value.astype(dtype, copy=False)
-            if dtype is np.float64 and not np.isfinite(value).all():
-                raise DriverIdError(f"{self.kind} {name[:-1]} must be finite")
             setattr(self, name, value.item() if dtype is int else value)
 
     def to_dict(self) -> dict:
@@ -160,6 +160,21 @@ class Classifier:
         if shape != (1, len(model.classes_)):
             raise DriverIdError(f"{cls.kind} params score a row as shape {shape}, not (1, K)")
         return model
+
+
+def finite_floats(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float64 array of finite numbers, else a
+    :class:`DriverIdError` naming ``what``.  Numbers are JSON numbers: numpy
+    and ``float()`` would read the string "0.5" as 0.5, and it is refused
+    here, as is any number of dimensions but ``ndim`` when one is given."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "fiu" or ndim not in (None, value.ndim):
+        shape = {None: "numbers", 0: "a number", 1: "a list of numbers"}[ndim]
+        raise DriverIdError(f"{what} must be {shape}")
+    value = value.astype(np.float64, copy=False)
+    if not np.isfinite(value).all():
+        raise DriverIdError(f"{what} must be finite")
+    return value
 
 
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:

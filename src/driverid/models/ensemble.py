@@ -3,12 +3,14 @@
 ``AdaBoost`` is AdaBoost.M1 (Freund & Schapire, ICML 1996; Weka's
 ``AdaBoostM1`` is the name the paper uses) over depth-1 decision stumps.
 Each stump is the tree's split search with row weights
-(``RepTree._best_split``, leaves of one row or more) on one stable sort of X
-per fit.  The fit stops at the first round whose weighted error is 0 or at
-least ½.  A stump names at most two classes, so its error is at least one
-less the two largest class shares: on ten classes of about equal size the
-first round already errs on more than half the weight, and the fit keeps
-that one stump.
+(``RepTree._best_split``, leaves of one row or more) on the tree's feature
+orders (``tree._feature_orders``), sorted once per fit.  Stage 2 of that
+search adds class weights in row order, so the stumps, like the tree, do
+not depend on the order in which ties were sorted.  The fit stops at the
+first round whose weighted error is 0 or at least ½.  A stump names at
+most two classes, so its error is at least one less the two largest class
+shares: on ten classes of about equal size the first round already errs
+on more than half the weight, and the fit keeps that one stump.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import numpy as np
 
 from ..errors import DriverIdError, whole_number
 from ..ingest import holds_integers
-from .base import Classifier
-from .tree import _LEAF, RepTree, _side_weights
+from . import tree
+from .base import Classifier, finite_floats
 
 #: The stump's split search: the tree's, with leaves of one row or more.
-_SEARCH = RepTree(min_leaf_count=1)
+_SEARCH = tree.RepTree(min_leaf_count=1)
 
 
 class _Stump:
@@ -37,17 +39,17 @@ class _Stump:
 
     def fit(self, X: np.ndarray, orders: np.ndarray, y: np.ndarray, w: np.ndarray, K: int) -> "_Stump":
         totals = np.bincount(y, weights=w, minlength=K)
-        self.feature, self.threshold = _LEAF, 0.0
+        self.feature, self.threshold = tree._LEAF, 0.0
         self.left = self.right = int(np.argmax(totals))
         split = _SEARCH._best_split(X, orders, y, totals, w)
         if split is not None:
             self.feature, cut, self.threshold = split
-            left, right = _side_weights(y, w, orders[self.feature], cut, K)
+            left, right = tree._side_weights(y, w, orders[self.feature], cut, K)
             self.left, self.right = int(np.argmax(left)), int(np.argmax(right))
         return self
 
     def predict_idx(self, X: np.ndarray) -> np.ndarray:
-        if self.feature == _LEAF:
+        if self.feature == tree._LEAF:
             return np.full(X.shape[0], self.left, dtype=np.intp)
         return np.where(X[:, self.feature] <= self.threshold, self.left, self.right)
 
@@ -67,7 +69,7 @@ class _Stump:
             if value.ndim or not holds_integers(value):
                 raise DriverIdError(f"adaboost stump {name} must be an integer")
             setattr(s, name, int(value))
-        s.threshold = float(d["threshold"])
+        s.threshold = float(finite_floats(d["threshold"], "adaboost stump threshold", ndim=0))
         return s
 
 
@@ -92,9 +94,7 @@ class AdaBoost(Classifier):
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         n, K = X.shape[0], len(self.classes_)
         y = y_idx.astype(np.min_scalar_type(K - 1))
-        # A stable sort: a class's weight left of a cut then adds the rows of
-        # a run of equal values in row order, the same on every numpy build.
-        orders = np.argsort(X.T, axis=1, kind="stable")
+        orders = tree._feature_orders(X)
         w = np.ones(n)
         self.stumps_: list[_Stump] = []
         self.alphas_: list[float] = []
@@ -128,13 +128,12 @@ class AdaBoost(Classifier):
 
     def _load_params(self, params: dict) -> None:
         self.stumps_ = [_Stump.from_dict(d) for d in params["stumps"]]
-        self.alphas_ = [float(a) for a in params["alphas"]]
+        self.alphas_ = finite_floats(params["alphas"], "adaboost alphas", ndim=1).tolist()
         K = len(self.classes_)
         if len(self.alphas_) != len(self.stumps_) or any(
-            not (_LEAF <= s.feature < self.n_features_ and 0 <= s.left < K and 0 <= s.right < K
-                 and np.isfinite(s.threshold))
+            not (tree._LEAF <= s.feature < self.n_features_ and 0 <= s.left < K and 0 <= s.right < K)
             for s in self.stumps_
         ):
             raise DriverIdError("adaboost stumps do not fit its classes and feature count")
-        if not all(0.0 < a < np.inf for a in self.alphas_):
-            raise DriverIdError("adaboost stage weights must be finite and > 0")
+        if not all(a > 0.0 for a in self.alphas_):
+            raise DriverIdError("adaboost stage weights must be > 0")

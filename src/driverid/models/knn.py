@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import DriverIdError, whole_number
 from ..ingest import check_codes
-from .base import Classifier
+from .base import Classifier, finite_floats
 
 
 class KNearestNeighbors(Classifier):
@@ -80,10 +80,8 @@ class KNearestNeighbors(Classifier):
         return {"train": self.X_.tolist(), "labels": self.y_idx_.tolist()}
 
     def _load_params(self, params: dict) -> None:
-        X = np.asarray(params["train"], dtype=np.float64)
+        X = finite_floats(params["train"], "knn train")
         y_idx = check_codes(self.classes_, params["labels"])
-        if not np.isfinite(X).all():
-            raise DriverIdError("knn train must be finite")
         if len(y_idx) != len(X):
             raise DriverIdError(f"knn has {len(y_idx)} labels for {len(X)} training rows")
         self._fit(X, y_idx)

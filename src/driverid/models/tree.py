@@ -12,11 +12,12 @@ is sorted once per fit and every child node filters its parent's orders.
 The sort need not be stable.  Equal values never straddle a valid cut, so
 the rows left of every valid cut, the class counts there and every exact
 gain are the same whatever order ties come in; tie order moves only the
-rounding of the stage-1 gains below, and the margin covers that.  So the
-fitted tree is the same on every numpy build and CPU, whichever sort
-numpy's default ``argsort`` dispatches to.  With row weights a class's
-weight is a float sum whose last bits follow the order of its rows, so
-the boosting fit, the one caller that passes weights, sorts stably.
+rounding of the stage-1 gains below, and the margin covers that.  With
+row weights, stage 2 adds each side's class weights over its rows in
+ascending row order, so the exact gains are again the same floats for
+any order of ties.  So the fitted tree and the boosting stump are the
+same on every numpy build and CPU, whichever sort numpy's default
+``argsort`` dispatches to.
 
 A node's split is found in two stages (``RepTree._best_split``):
 
@@ -148,7 +149,7 @@ def _gain_margin(n: int, K: int, total=None) -> float:
     if total is None:
         return 2.0 * eps * (n + 32.0 * (np.log2(n) + K * np.log2(K) + 1.0))
     lam = np.log2(max(total, 2.0))
-    return 2.0 * eps * (1 + K / total) * (n * (2 * lam + 5) + (K + 32) * (lam + K * np.log2(K) + 1))
+    return 2.0 * eps * (1 + K / total) * (n * (3 * lam + 5) + (K + 32) * (lam + K * np.log2(K) + 1))
 
 
 def _feature_orders(X: np.ndarray) -> np.ndarray:
@@ -165,9 +166,10 @@ def midpoint(vs: np.ndarray, cut: int) -> float:
 
 def _side_weights(y, w, order, cut, K):
     """Class weights (counts without ``w``) of the rows left and right of
-    the cut after ``cut`` rows of ``order``, each side summed from its outer
-    end inward, as stage 1 of ``RepTree._best_split`` sums them."""
-    sides = order[:cut], order[cut:][::-1]
+    the cut after ``cut`` rows of ``order``.  With ``w``, each side adds its
+    rows in ascending row order, so at a valid cut, which never splits a
+    run of equal values, the floats do not depend on how ties were sorted."""
+    sides = [s if w is None else np.sort(s) for s in (order[:cut], order[cut:])]
     return [np.bincount(y[s], weights=None if w is None else w[s], minlength=K) for s in sides]
 
 
@@ -275,9 +277,9 @@ class RepTree(Classifier):
         its share of the n rows and subtracted from the parent entropy.
         With row weights ``w`` (indexed by row, like ``y``),
         ``parent_counts`` holds the node's class weights, and each side's
-        class weights, summed from its outer end inward
-        (``_side_weights``), take the place of its counts, and its weight
-        (their sum) that of its rows.
+        class weights, each summed over the side's rows in ascending row
+        order (``_side_weights``), take the place of its counts, and its
+        weight (their sum) that of its rows.
 
         **Stage 1** (``_rank_gains``) scores every cut.  With T[c] =
         c·log2 c, n·gain = C − B, where B = T[p] + T[n−p] − T[n] at a cut
@@ -317,28 +319,39 @@ class RepTree(Classifier):
         f(P) + f(Q) − f(W).  A row of class k steps by (F − F′) + (S′ − S):
         F, F′ are f of the class's weight summed from its first row through
         this row and the one before; S, S′ of it summed back from its last
-        row to this row and the one after.  ``bincount`` adds each class in
-        sorted order, as these sums do, so both stages see the same L_k and
-        R_k.  Against the real gain of those floats, with λ = log2 max(W,
-        2) and x·|log2 x| ≤ 0.531 below 1, in bits of gain:
+        row to this row and the one after.  Stage 2 adds t_k, L_k and R_k
+        over their rows in ascending row order.  A valid cut never splits a
+        run of equal values, so each side is the same set of rows, and these
+        are the same floats, whatever order ties were sorted in; stage 1
+        adds the same rows' weights in sorted order.  Against the real gain
+        of stage 2's floats, with λ = log2 max(W, 2), x·|log2 x| ≤ 0.531
+        below 1 and φ(x) = x·|log2 x + 1/ln 2| ≤ x·(λ + 1.45) + 0.2 for
+        0 < x ≤ max(W, 2), in bits of gain:
 
         - Consecutive rows of a class share one prefix float, so f's
           rounding telescopes to that of f(L_k), f(R_k), f of the class
           weight summed back and B's terms: 40u·λ + 16u·(K + 1)/W.
         - The step roundings (∫ |f′| over a class ≤ t_k·(λ + 1.45) + 0.531)
           add 4u·(λ + 1.45) + 2.2u·K/W, the running sum u·n.
-        - A class weight summed back, not in row order (t_k), and P and Q
-          as running sums over all rows, not Σ L_k and Σ R_k, are each off
-          by 2u·n relatively: 4u·n·(λ + 1.45) + 3.3u·n/W.  W's K-term sum
-          adds u·K·(λ + 1.45 + log2 K), B and the division u·(2λ + 1 +
-          2·log2 K).
+        - Stage 1's L_k and R_k, each class weight summed back (for t_k),
+          and P and Q as running sums over all rows (for Σ L_k and Σ R_k)
+          add the same weights as their stage-2 counterparts in another
+          order.  A sum of m positive terms added one by one in any order
+          is within (m − 1)u of its real value, relatively (|fl(Σx) − Σx| ≤
+          (m − 1)u·Σ|x|), so each is within 2u·n of its counterpart and
+          moves f of it by at most 2u·n·φ.  These 3K + 2 terms weigh 3W in
+          all: 6u·n·(λ + 1.45) + 0.4u·n·(3K + 2)/W.  W's K-term sum adds
+          u·K·(λ + 1.45 + log2 K), B and the division u·(2λ + 1 + 2·log2 K).
 
-        So e1 ≤ u·(n·(4λ + 6.8) + (K + 46)·λ + (K + 2)·log2 K + 1.45K + 7
-        + (18.2K + 16 + 3.3n)/W).  Stage 2's K-term sums P, Q and W move
-        each share by (K + 1)u, so e2 ≤ u·((6K + 23)·log2 K + 2.9K + 3).
-        With W, ``_gain_margin`` is M = 4u·(1 + K/W)·(n·(2λ + 5) + (K +
-        32)·(λ + K·log2 K + 1)) ≥ 2·(e1 + e2).  A valid bound keeps the
-        chosen split exact; a loose one only adds stage-2 candidates.
+        So e1 ≤ u·(n·(6λ + 9.7) + (K + 46)·λ + (K + 2)·log2 K + 1.45K + 7
+        + (18.2K + 16 + n·(1.2K + 0.8))/W).  Stage 2's K-term sums P, Q and
+        W move each share by (K + 1)u, so e2 ≤ u·((6K + 23)·log2 K + 2.9K +
+        3).  With W, ``_gain_margin`` is M = 4u·(1 + K/W)·(n·(3λ + 5) + (K
+        + 32)·(λ + K·log2 K + 1)) ≥ 2·(e1 + e2): term by term in n, λ,
+        log2 K and 1/W; the constants, (8.7K + 20)u against M's 4u·(K +
+        32), fall short only for K > 23, where M's surplus in K²·log2 K
+        covers them.  A valid bound keeps the chosen split exact; a loose
+        one only adds stage-2 candidates.
 
         **Stage 2** takes the valid cuts whose stage-1 gain is at least the
         best stage-1 gain over all valid cuts, G, less M, and scores them

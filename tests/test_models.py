@@ -34,11 +34,12 @@ from driverid.models import (
 )
 from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
+from driverid.models import naive_bayes as nb_module
 from driverid.models import tree as tree_module
 from driverid.models.tree import _entropy_rows as _tree_entropy_rows
 from driverid.models.tree import _feature_orders, _gain_margin, _rank_gains, _side_weights, midpoint
 
-from conftest import write_trip_csv
+from conftest import traced_peak, write_trip_csv
 
 
 def blobs(seed=0, n_per=40, centers=((0, 0), (6, 0), (0, 6))):
@@ -190,6 +191,11 @@ def test_load_model_rejects_malformed_files(tmp_path):
         ("knn", lambda p: {**p, "labels": [True] * 12}),
         ("knn", lambda p: {**p, "labels": [0.0] * 12}),
         ("knn", lambda p: {**p, "labels": [2]}),
+        # A JSON string is not a number, though numpy and float() parse one.
+        ("logreg", lambda p: {**p, "weights": [["0.5", *p["weights"][0][1:]], *p["weights"][1:]]}),
+        ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "threshold": "0.25"}, *p["stumps"][1:]]}),
+        ("adaboost", lambda p: {**p, "alphas": ["1.0", *p["alphas"][1:]]}),
+        ("knn", lambda p: {**p, "train": [["1e-3", *p["train"][0][1:]], *p["train"][1:]]}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
@@ -491,6 +497,41 @@ def test_nb_variance_floor_handles_constant_feature():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 4.0], [1.0, 5.0]])
     model = GaussianNaiveBayes().fit(X, ["A", "A", "B", "B"])
     assert model.predict([[1.0, 0.5]]) == ["A"]
+
+
+def _nb_ten_classes(n_queries, seed=6):
+    """naive Bayes fitted on ten classes and 45 features of mixed scales,
+    as in table7, and ``n_queries`` query rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(500, 45)) * rng.uniform(0.1, 10.0, 45)
+    model = GaussianNaiveBayes().fit(X, [chr(65 + c) for c in np.arange(500) % 10])
+    return model, rng.normal(size=(n_queries, 45)) * 3.0
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 10 * 45 * 8 + 1, 1 << 21])
+def test_nb_score_blocks_match_one_block(monkeypatch, budget):
+    # Blocks of one row, of three rows (the last one short) and the default
+    # budget (two blocks here) score bit for bit as one block of every row
+    # and as the (n, K, d) expression: each row's pairwise sum over its 45
+    # terms is the same in any block.
+    model, Q = _nb_ten_classes(1000)
+    const = -0.5 * np.sum(np.log(2.0 * np.pi * model.var_), axis=1)
+    quad = -0.5 * (
+        (Q[:, None, :] - model.theta_[None, :, :]) ** 2 / model.var_[None, :, :]
+    ).sum(axis=2)
+    monkeypatch.setattr(nb_module, "_SCORE_BLOCK_BYTES", 1 << 40)
+    one_block = model._scores(Q)
+    monkeypatch.setattr(nb_module, "_SCORE_BLOCK_BYTES", budget)
+    assert np.array_equal(one_block, model.log_priors_ + const + quad)
+    assert np.array_equal(model._scores(Q), one_block)
+
+
+def test_nb_scores_hold_one_block_at_a_time():
+    # The (n, K, d) squared deviations of 4,000 queries would take 14.4 MB;
+    # scoring holds one block of them plus a few (n, K) arrays.
+    model, Q = _nb_ten_classes(4000)
+    _, peak = traced_peak(lambda: model._scores(Q))
+    assert peak <= nb_module._SCORE_BLOCK_BYTES + 4 * Q.shape[0] * 10 * 8
 
 
 # -- logistic regression ----------------------------------------------------------
@@ -846,18 +887,33 @@ def test_threshold_between_adjacent_doubles_is_the_left_value(X, y):
 #
 # The tree scores exactly only the valid cuts whose stage-1 gain is within its
 # margin of the best, one class ``bincount`` each, and must pick what a full
-# exact scan picks; the weighted search sums each side's class weights from
-# its outer end inward.  These references scan every valid cut in the
-# row-major (n, K) layout: an (n, K) mass per row, ``cumsum(axis=0)``
-# gathered at the cuts (from the last row back for a right side) and row
-# entropies over classes.  Tree counts are exact integers and every weighted
-# sum adds the same values in the same order, so stumps, alphas and trees
-# must match bit for bit.
+# exact scan picks; the weighted search adds each side's class weights over
+# its rows in ascending row order.  These references scan every valid cut in
+# the row-major (n, K) layout: tree counts from an (n, K) mass per row,
+# ``cumsum(axis=0)`` gathered at the cuts, stump class weights from
+# ``_row_order_sides``, and row entropies over classes.  Tree counts are
+# exact integers and every weighted sum adds the same values in the same
+# order, so stumps, alphas and trees must match bit for bit.
 
 
 def presort(X):
     """Row orders of X by each feature, shape (d, n); equal values keep row order."""
     return np.argsort(X, axis=0, kind="stable").T
+
+
+def _row_order_sides(y, w, order, K):
+    """Class weights left and right of every cut of ``order``, each (n − 1,
+    K), row i for the cut after i + 1 rows.  Each class adds its rows one by
+    one in ascending row order, as ``bincount`` over a side's rows does: row
+    r is left of the cuts after more than its rank in ``order`` rows."""
+    n = len(order)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    left, right = np.zeros((K, n - 1)), np.zeros((K, n - 1))
+    for r in range(n):
+        left[y[r], rank[r] :] += w[r]
+        right[y[r], : rank[r]] += w[r]
+    return np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
 
 
 def _row_major_scan(X, orders, mass, min_leaf=1):
@@ -882,8 +938,8 @@ def _row_major_stump(X, y_idx, w, K, orders):
     majority = int(np.argmax(totals))
     best_gain = 0.0
     stump = {"feature": -1, "threshold": 0.0, "left": majority, "right": majority}
-    for j, p, left_w, vs in _row_major_scan(X, orders, mass):
-        right_w = np.cumsum(mass[orders[j]][::-1], axis=0)[::-1][p]
+    for j, p, _, vs in _row_major_scan(X, orders, mass):
+        left_w, right_w = (side[p - 1] for side in _row_order_sides(y_idx, w, orders[j], K))
         h = (left_w.sum(axis=1) / total) * _entropy_rows(left_w) + (
             right_w.sum(axis=1) / total
         ) * _entropy_rows(right_w)
@@ -1191,6 +1247,29 @@ def test_tree_does_not_depend_on_the_order_of_ties(monkeypatch, K):
     assert len(fits[0]["params"]["feature"]) > 3
 
 
+@pytest.mark.parametrize("make, K, seed, n, rounds", [
+    pytest.param(_class_blocked, 3, 14, 173, 60, id="class_blocked-3-173-60r-14"),
+    pytest.param(_tie_heavy_classes, 2, 0, 131, 200, id="tie_heavy_classes-2-131-200r-0"),
+])
+def test_adaboost_does_not_depend_on_the_order_of_ties(monkeypatch, make, K, seed, n, rounds):
+    # As for the tree: every round's stump, error and stage weight must be
+    # the same for any order of ties, here over tens of rounds whose weights
+    # are no longer exact.  The last column mirrors column 0, so each cut of
+    # one has a cut of the other with the same two sides and the same real
+    # gain; only side sums that are the same floats for any order of ties
+    # tie them exactly, every time, and then column 0 wins.
+    X, y = make(seed, n, K)
+    X = np.hstack([X, -X[:, :1]])
+    fits = [AdaBoost(rounds=rounds).fit(X, y)]
+    for sort in (presort, _ties_reversed):
+        monkeypatch.setattr(tree_module, "_feature_orders", sort)
+        fits.append(AdaBoost(rounds=rounds).fit(X, y))
+    assert fits[0].to_dict() == fits[1].to_dict() == fits[2].to_dict()
+    assert fits[0].errors_ == fits[1].errors_ == fits[2].errors_
+    assert len(fits[0].stumps_) >= 10
+    assert all(s.feature != X.shape[1] - 1 for s in fits[0].stumps_)
+
+
 def _node_columns(seed, n, K):
     """One node's class codes and values, shape (n, 3): a tie-heavy column,
     a class-blocked column with one-class stretches, and a shuffled one."""
@@ -1236,9 +1315,9 @@ def test_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K):
 @pytest.mark.parametrize("octaves", [0, 40])
 def test_weighted_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K, octaves):
     # Weights uniform in (0, 1], or boosting-shaped: 2^-u for u uniform in
-    # [0, 40], so from about 1e-12 to 1.  Exact gains sum each side's class
-    # weights from its outer end inward, bit for bit as the search's stage 2
-    # (``_side_weights``) does.
+    # [0, 40], so from about 1e-12 to 1.  Exact gains add each side's class
+    # weights in ascending row order, bit for bit as the search's stage 2
+    # (``_side_weights``) does, and stage 1 adds them in sorted order.
     for seed in range(3):
         codes, X = _node_columns(seed, n, K)
         rng = np.random.default_rng(seed)
@@ -1249,11 +1328,8 @@ def test_weighted_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K
         stage_one = _rank_gains(codes[orders], np.bincount(codes, minlength=K), w[orders], total)
         parent_h = _tree_entropy_rows(totals[None, :], np.array([total]))[0]
         half = _gain_margin(n, K, total) / 2
-        mass = np.zeros((n, K))
-        mass[np.arange(n), codes] = w
         for j, (order, gains) in enumerate(zip(orders, stage_one)):
-            left = np.cumsum(mass[order], axis=0)[:-1]
-            right = np.cumsum(mass[order][::-1], axis=0)[::-1][1:]
+            left, right = _row_order_sides(codes, w, order, K)
             lw, rw = left.sum(axis=1), right.sum(axis=1)
             h = (lw / total) * _tree_entropy_rows(left, lw) + (rw / total) * _tree_entropy_rows(
                 right, rw
@@ -1262,8 +1338,11 @@ def test_weighted_stage_one_gains_lie_within_half_the_margin_of_exact_gains(n, K
             valid = vs[1:] > vs[:-1]
             assert np.abs(gains - (parent_h - h))[valid].max(initial=0.0) <= half
             for cut in range(1, n, max(1, n // 40)):
-                sides = _side_weights(codes, w, order, cut, K)
-                assert np.array_equal(sides, [left[cut - 1], right[cut - 1]])
+                on_left = np.zeros(n, dtype=bool)
+                on_left[order[:cut]] = True
+                masked = [np.bincount(codes[m], weights=w[m], minlength=K) for m in (on_left, ~on_left)]
+                assert np.array_equal(_side_weights(codes, w, order, cut, K), masked)
+                assert np.array_equal(masked, [left[cut - 1], right[cut - 1]])
 
 
 def _codes(labels):
