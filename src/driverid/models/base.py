@@ -16,7 +16,8 @@ Bayes, logistic regression and the SVM override it with the softmax of
 their scores, and ZeroR's scores are already its priors.
 ``from_dict`` checks a loaded model: its classes must pass
 ``ingest.check_alphabet`` and be non-empty, its ``n_features`` must be a
-whole number, and its params must score one zero row as a (1, K) matrix.
+whole number, and its params must hold no true or false (numpy would
+read one as 1 or 0) and must score one zero row as a (1, K) matrix.
 
 A model document (``to_dict``) holds the ``kind``, the ``classes``, the
 ``n_features`` and two maps.  ``config`` has every constructor parameter,
@@ -153,6 +154,8 @@ class Classifier:
         if not model.classes_:
             raise DriverIdError(f"{cls.kind} model has no classes")
         model.n_features_ = whole_number("n_features", d["n_features"], 0)
+        if _holds_bool(d["params"]):
+            raise DriverIdError(f"{cls.kind} params must hold no true or false")
         model._load_params(d["params"])
         # Params that do not fit the classes and width fail here, not in
         # predict.  The probe row has stride 0: one float, whatever the width.
@@ -160,6 +163,23 @@ class Classifier:
         if shape != (1, len(model.classes_)):
             raise DriverIdError(f"{cls.kind} params score a row as shape {shape}, not (1, K)")
         return model
+
+
+def _holds_bool(doc) -> bool:
+    """Whether a parsed JSON document holds a true or false anywhere.  numpy
+    reads one in a list of numbers as 1 or 0, so no dtype check can see it;
+    no kind stores a bool param.  Each list or map is scanned by its types
+    at once, and only its lists and maps are visited one by one."""
+    stack = [[doc]]
+    while stack:
+        items = stack.pop()
+        items = items.values() if isinstance(items, dict) else items
+        types = set(map(type, items))
+        if bool in types:
+            return True
+        if list in types or dict in types:
+            stack += [v for v in items if isinstance(v, (list, dict))]
+    return False
 
 
 def finite_floats(value, what: str, ndim: int | None = None) -> np.ndarray:

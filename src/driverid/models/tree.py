@@ -38,9 +38,16 @@ A node's split is found in two stages (``RepTree._best_split``):
 
 The AdaBoost stump is a one-level search with row weights.
 
-Growth and pruning are iterative (explicit stacks / ordered passes), so
-degenerate chain-shaped trees cannot exhaust the interpreter's recursion
-limit, and the node table serializes flat for the same reason.
+The node table is in preorder.  ``_grow`` numbers a node when it takes
+the node off its stack and takes its left child next, so an inner node's
+left child is the next slot and each subtree is one run of slots.
+Pruning makes a node a leaf, which cuts its subtree's run off the tree,
+so the slots still reachable are, in order, the pruned tree's preorder;
+``_compact`` keeps just those.  ``_walk`` routes rows down the table one
+level per step, for pruning (each node's mistakes as a leaf) and for
+prediction (each row's leaf).  Nothing recurses, so a degenerate
+chain-shaped tree cannot exhaust the interpreter's recursion limit, and
+the table serializes flat for the same reason.
 """
 
 from __future__ import annotations
@@ -57,6 +64,14 @@ _LEAF = -1
 _BLOCK_ELEMENTS = 1 << 18
 
 
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x·log2 x, and 0 where x <= 0, in one new array."""
+    out = np.where(x > 0, x, 1.0)
+    np.log2(out, out=out)
+    out *= x
+    return out
+
+
 def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) of each row of class counts; ``sizes`` holds
     the row sums, all positive (the two sides of a cut, or a whole node).
@@ -65,19 +80,7 @@ def _entropy_rows(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ``sizes``) and masking ``log2`` to 0 at zero probabilities: log2(1.0)
     is exactly 0.0.  The (m, K) products are summed as C-ordered rows.
     """
-    p = counts / sizes[:, None]
-    plogp = np.where(p > 0, p, 1.0)
-    np.log2(plogp, out=plogp)
-    plogp *= p
-    return -plogp.sum(axis=-1)
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """x·log2 x, and 0 where x <= 0, in one new array."""
-    out = np.where(x > 0, x, 1.0)
-    np.log2(out, out=out)
-    out *= x
-    return out
+    return -_xlog2x(counts / sizes[:, None]).sum(axis=-1)
 
 
 def _rank_gains(ys: np.ndarray, counts: np.ndarray, ws=None, total=None) -> np.ndarray:
@@ -223,22 +226,22 @@ class RepTree(Classifier):
         right: list[int] = []
         counts: list[np.ndarray] = []
 
-        def new_node(node_counts: np.ndarray) -> int:
+        # A stack entry is a node still to be numbered: the list and index
+        # of its parent's link to it (a throwaway one for the root), its
+        # rows as presorted orders (children filter their parent's orders,
+        # so X is sorted once), its class counts and its depth.  A node is
+        # numbered when popped and its left child is popped next: preorder.
+        y = y.astype(np.min_scalar_type(K - 1))
+        stack = [([_LEAF], 0, _feature_orders(X), np.bincount(y, minlength=K), 0)]
+        while stack:
+            links, parent, orders, node_counts, depth = stack.pop()
+            slot = len(feature)
+            links[parent] = slot
             feature.append(_LEAF)
             threshold.append(0.0)
             left.append(_LEAF)
             right.append(_LEAF)
             counts.append(node_counts)
-            return len(feature) - 1
-
-        # Each stack entry carries its node's rows as presorted orders;
-        # children filter their parent's orders, so X is sorted once.
-        y = y.astype(np.min_scalar_type(K - 1))
-        root_counts = np.bincount(y, minlength=K)
-        stack = [(new_node(root_counts), _feature_orders(X), 0)]
-        while stack:
-            slot, orders, depth = stack.pop()
-            node_counts = counts[slot]
             if (
                 orders.shape[1] < 2 * self.min_leaf_count
                 or (self.max_depth is not None and depth >= self.max_depth)
@@ -253,12 +256,9 @@ class RepTree(Classifier):
             go_left = np.zeros(X.shape[0], dtype=bool)
             go_left[orders[j, :cut]] = True
             in_left = go_left[orders]
-            children = []
-            for side in (in_left, ~in_left):
+            for links, side in ((right, ~in_left), (left, in_left)):
                 child = orders[side].reshape(len(orders), -1)
-                children.append((new_node(np.bincount(y[child[0]], minlength=K)), child, depth + 1))
-            left[slot], right[slot] = children[0][0], children[1][0]
-            stack += children
+                stack.append((links, slot, child, np.bincount(y[child[0]], minlength=K), depth + 1))
 
         self.feature_ = np.asarray(feature, dtype=np.intp)
         self.threshold_ = np.asarray(threshold, dtype=np.float64)
@@ -411,76 +411,63 @@ class RepTree(Classifier):
         return j, cut, midpoint(X[orders[j], j], cut)
 
     def _prune(self, Xp: np.ndarray, yp: np.ndarray) -> None:
-        n_nodes = self.feature_.shape[0]
-        # Route pruning rows down; children were allocated after their
-        # parents, so ascending slot order visits parents first.
-        node_rows: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_nodes
-        node_rows[0] = np.arange(Xp.shape[0])
-        for slot in range(n_nodes):
-            if self.feature_[slot] == _LEAF:
-                continue
-            rows = node_rows[slot]
-            go_left = Xp[rows, self.feature_[slot]] <= self.threshold_[slot]
-            node_rows[self.left_[slot]] = rows[go_left]
-            node_rows[self.right_[slot]] = rows[~go_left]
-
+        n_nodes = self.node_count
         pred = np.argmax(self.counts_, axis=1)
+        # Each node's mistakes as a leaf: the pruning rows that reach it and
+        # that its majority class mislabels.
         err = np.zeros(n_nodes, dtype=np.int64)
+        for rows, nodes in self._walk(Xp):
+            err += np.bincount(nodes[yp[rows] != pred[nodes]], minlength=n_nodes)
         # Descending slot order is children-before-parents: bottom-up pass.
-        for slot in range(n_nodes - 1, -1, -1):
-            rows = node_rows[slot]
-            leaf_err = int(np.count_nonzero(yp[rows] != pred[slot]))
-            if self.feature_[slot] == _LEAF:
-                err[slot] = leaf_err
-                continue
+        for slot in np.flatnonzero(self.feature_ != _LEAF)[::-1]:
             subtree_err = err[self.left_[slot]] + err[self.right_[slot]]
-            if leaf_err <= subtree_err:
-                self.feature_[slot] = _LEAF  # collapse; children unreachable
-                err[slot] = leaf_err
+            if err[slot] <= subtree_err:
+                self.feature_[slot] = _LEAF  # collapse; its subtree is cut off
             else:
                 err[slot] = subtree_err
 
-    def _compact(self) -> None:
-        """Drop unreachable nodes, renumber, record node count and depth."""
-        remap: dict[int, int] = {}
-        order: list[int] = []
-        depths: list[int] = []
-        stack = [(0, 0)]
-        while stack:
-            slot, depth = stack.pop()
-            remap[slot] = len(order)
-            order.append(slot)
-            depths.append(depth)
-            if self.feature_[slot] != _LEAF:
-                stack.append((int(self.right_[slot]), depth + 1))
-                stack.append((int(self.left_[slot]), depth + 1))
+    def _depths(self) -> np.ndarray:
+        """Each node's depth, or -1 where no walk from the root reaches it;
+        one pass in slot order, which takes parents before children."""
+        depth = np.full(self.node_count, -1)
+        depth[0] = 0
+        for slot in np.flatnonzero(self.feature_ != _LEAF):
+            if depth[slot] >= 0:
+                depth[[self.left_[slot], self.right_[slot]]] = depth[slot] + 1
+        return depth
 
-        take = np.asarray(order, dtype=np.intp)
-        self.feature_ = self.feature_[take]
-        self.threshold_ = self.threshold_[take]
-        self.counts_ = self.counts_[take]
-        self.left_ = np.asarray(
-            [remap[int(s)] if f != _LEAF else _LEAF for f, s in zip(self.feature_, self.left_[take])],
-            dtype=np.intp,
-        )
-        self.right_ = np.asarray(
-            [remap[int(s)] if f != _LEAF else _LEAF for f, s in zip(self.feature_, self.right_[take])],
-            dtype=np.intp,
-        )
-        self.depth_ = max(depths)
+    def _compact(self) -> None:
+        """Keep the reachable nodes, renumbered in slot order (the pruned
+        tree's preorder), and record the depth."""
+        depth = self._depths()
+        keep = depth >= 0
+        slot_of = np.cumsum(keep, dtype=np.intp) - 1
+        self.feature_ = self.feature_[keep]
+        self.threshold_ = self.threshold_[keep]
+        self.counts_ = self.counts_[keep]
+        inner = self.feature_ != _LEAF
+        self.left_ = np.where(inner, slot_of[self.left_[keep]], _LEAF)
+        self.right_ = np.where(inner, slot_of[self.right_[keep]], _LEAF)
+        self.depth_ = int(depth.max())
 
     def _load_params(self, params: dict) -> None:
         super()._load_params(params)
-        # Children after their parent, as _compact numbers them, so every
-        # walk from the root ends at a leaf.
+        # Children after their parent, as _grow numbers them, so every walk
+        # from the root ends at a leaf; and every node the root or the child
+        # of exactly one inner node, so the nodes form one tree.
         n = self.node_count
         inner = np.flatnonzero(self.feature_ != _LEAF)
         if (
             any(len(a) != n for a in (self.threshold_, self.left_, self.right_, self.counts_))
             or ((self.feature_[inner] < 0) | (self.feature_[inner] >= self.n_features_)).any()
             or any(((c[inner] <= inner) | (c[inner] >= n)).any() for c in (self.left_, self.right_))
+            or not np.array_equal(
+                np.sort(np.concatenate([[0], self.left_[inner], self.right_[inner]])), np.arange(n)
+            )
         ):
             raise DriverIdError("reptree nodes do not form a tree over its feature count")
+        if self.depth_ != self._depths().max():
+            raise DriverIdError(f"reptree depth {self.depth_} is not the depth of its nodes")
         # predict_proba divides a leaf's counts by their sum.
         if (self.counts_ < 0).any() or (self.counts_.sum(axis=1) <= 0).any():
             raise DriverIdError("reptree node counts must be >= 0 with a positive sum")
@@ -491,15 +478,24 @@ class RepTree(Classifier):
     def node_count(self) -> int:
         return int(self.feature_.shape[0])
 
+    def _walk(self, X: np.ndarray):
+        """Route the rows of X down the tree one level per step: yield the
+        rows still descending and the node each has reached, the root
+        first.  A row is last yielded at its leaf."""
+        rows = np.arange(X.shape[0])
+        nodes = np.zeros(X.shape[0], dtype=np.intp)
+        while rows.size:
+            yield rows, nodes
+            inner = self.feature_[nodes] != _LEAF
+            rows, nodes = rows[inner], nodes[inner]
+            go_left = X[rows, self.feature_[nodes]] <= self.threshold_[nodes]
+            nodes = np.where(go_left, self.left_[nodes], self.right_[nodes])
+
     def _leaf_of(self, X: np.ndarray) -> np.ndarray:
-        node_of = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            live = np.where(self.feature_[node_of] != _LEAF)[0]
-            if live.size == 0:
-                return node_of
-            at = node_of[live]
-            go_left = X[live, self.feature_[at]] <= self.threshold_[at]
-            node_of[live] = np.where(go_left, self.left_[at], self.right_[at])
+        leaf = np.empty(X.shape[0], dtype=np.intp)
+        for rows, nodes in self._walk(X):
+            leaf[rows] = nodes
+        return leaf
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return self.counts_[self._leaf_of(X)].astype(np.float64)

@@ -196,6 +196,12 @@ def test_load_model_rejects_malformed_files(tmp_path):
         ("adaboost", lambda p: {**p, "stumps": [{**p["stumps"][0], "threshold": "0.25"}, *p["stumps"][1:]]}),
         ("adaboost", lambda p: {**p, "alphas": ["1.0", *p["alphas"][1:]]}),
         ("knn", lambda p: {**p, "train": [["1e-3", *p["train"][0][1:]], *p["train"][1:]]}),
+        # Nor is a JSON true or false, though numpy reads one as 1 or 0.
+        ("logreg", lambda p: {**p, "weights": [[True, *p["weights"][0][1:]], *p["weights"][1:]]}),
+        ("reptree", lambda p: {**p, "feature": [True, *p["feature"][1:]]}),
+        ("reptree", lambda p: {**p, "left": [True, *p["left"][1:]]}),
+        ("adaboost", lambda p: {**p, "alphas": [True, *p["alphas"][1:]]}),
+        ("knn", lambda p: {**p, "labels": [False, *p["labels"][1:]]}),
     ):
         saved = json.loads((GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8"))
         texts.append(json.dumps({**saved, "params": edit(saved["params"])}))
@@ -224,6 +230,42 @@ def test_load_model_rejects_malformed_files(tmp_path):
     with pytest.raises(InvalidOption) as exc:
         models.load_model(str(path))
     assert str(exc.value).startswith(f"{path} is a malformed zeror model file: label alphabet")
+
+
+def _reptree_with_leaf(p):
+    """Golden reptree params with one more leaf, which no node points at."""
+    leaf = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "counts": [1, 0, 0]}
+    return {**p, **{k: p[k] + [v] for k, v in leaf.items()}}
+
+
+@pytest.mark.parametrize("edit, message", [
+    # The root's right child is its left child too; node 2 hangs alone.
+    pytest.param(lambda p: {**p, "right": [1, *p["right"][1:]]}, "do not form a tree",
+                 id="a-child-on-both-sides"),
+    pytest.param(_reptree_with_leaf, "do not form a tree", id="an-unreachable-node"),
+    pytest.param(lambda p: {**p, "depth": p["depth"] + 1}, "depth 3 is not", id="a-wrong-depth"),
+])
+def test_load_model_rejects_a_reptree_that_is_not_its_tree(tmp_path, edit, message):
+    # Each edit keeps children after their parents, so every walk from the
+    # root ends at a leaf and predict would run; the file still lies.
+    saved = json.loads((GOLDEN_MODELS / "reptree.json").read_text(encoding="utf-8"))
+    path = tmp_path / "reptree.json"
+    path.write_text(json.dumps({**saved, "params": edit(saved["params"])}), encoding="utf-8")
+    with pytest.raises(DriverIdError, match=message) as exc:
+        models.load_model(str(path))
+    assert str(exc.value).startswith(f"{path} is a malformed reptree model file: ")
+
+
+# Refit on the blobs each golden file was made from, with its config.  The
+# kinds left out, logreg and svm, fit through matrix products, and BLAS may
+# sum those in another order on another machine, moving their last bits.
+@pytest.mark.parametrize("kind", ["zeror", "naive_bayes", "knn", "reptree", "adaboost"])
+def test_saved_model_files_refit_to_the_same_bytes(kind):
+    text = (GOLDEN_MODELS / f"{kind}.json").read_text(encoding="utf-8")
+    X, y = blobs(seed=7, n_per=4)
+    buf = io.StringIO()
+    models.save_model(models.make(kind, json.loads(text)["config"]).fit(X, y), buf)
+    assert buf.getvalue() == text
 
 
 def test_load_model_names_a_path_that_cannot_be_opened(tmp_path):
@@ -741,6 +783,116 @@ def _grow_only_tree(**kwargs):
             self._compact()
 
     return GrowOnly(**kwargs)
+
+
+class _ListPrunedTree(RepTree):
+    """RepTree pruned through a list of rows per node and renumbered by a
+    depth-first walk, as the tree did before it was grown in preorder."""
+
+    def _prune(self, Xp, yp):
+        n_nodes = self.feature_.shape[0]
+        node_rows = [np.empty(0, dtype=np.intp)] * n_nodes
+        node_rows[0] = np.arange(Xp.shape[0])
+        for slot in range(n_nodes):
+            if self.feature_[slot] == -1:
+                continue
+            rows = node_rows[slot]
+            go_left = Xp[rows, self.feature_[slot]] <= self.threshold_[slot]
+            node_rows[self.left_[slot]] = rows[go_left]
+            node_rows[self.right_[slot]] = rows[~go_left]
+        pred = np.argmax(self.counts_, axis=1)
+        err = np.zeros(n_nodes, dtype=np.int64)
+        for slot in range(n_nodes - 1, -1, -1):
+            leaf_err = int(np.count_nonzero(yp[node_rows[slot]] != pred[slot]))
+            if self.feature_[slot] == -1:
+                err[slot] = leaf_err
+                continue
+            subtree_err = err[self.left_[slot]] + err[self.right_[slot]]
+            if leaf_err <= subtree_err:
+                self.feature_[slot] = -1
+                err[slot] = leaf_err
+            else:
+                err[slot] = subtree_err
+
+    def _compact(self):
+        remap, order, depths = {}, [], []
+        stack = [(0, 0)]
+        while stack:
+            slot, depth = stack.pop()
+            remap[slot] = len(order)
+            order.append(slot)
+            depths.append(depth)
+            if self.feature_[slot] != -1:
+                stack.append((int(self.right_[slot]), depth + 1))
+                stack.append((int(self.left_[slot]), depth + 1))
+        take = np.asarray(order, dtype=np.intp)
+        self.feature_ = self.feature_[take]
+        self.threshold_ = self.threshold_[take]
+        self.counts_ = self.counts_[take]
+        self.left_, self.right_ = (
+            np.asarray([remap[int(c)] if f != -1 else -1 for f, c in zip(self.feature_, links[take])],
+                       dtype=np.intp)
+            for links in (self.left_, self.right_)
+        )
+        self.depth_ = max(depths)
+
+
+def _noisy(seed):
+    """Two to five normal columns, K = 2 to 4 classes from a linear rule,
+    a fifth of the labels redrawn: trees that pruning cuts back."""
+    rng = np.random.default_rng(seed)
+    n, d, K = int(rng.integers(60, 400)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    X = np.round(rng.normal(size=(n, d)), 2)
+    codes = np.floor((X[:, 0] + 0.5 * X[:, -1]) * K / 3 + K / 2).clip(0, K - 1).astype(int)
+    codes = np.where(rng.random(n) < 0.2, rng.integers(0, K, n), codes)
+    return X, np.array([chr(65 + int(c)) for c in codes])
+
+
+def _assert_preorder(tree):
+    """Each inner node's left child is the next slot and its right child
+    the slot after the left subtree, so each subtree is one run of slots."""
+    n = tree.node_count
+    end = np.arange(1, n + 1)  # one past the last slot of each subtree
+    for s in range(n - 1, -1, -1):
+        if tree.feature_[s] == -1:
+            assert tree.left_[s] == tree.right_[s] == -1
+        else:
+            assert tree.left_[s] == s + 1 and tree.right_[s] == end[s + 1], s
+            end[s] = end[tree.right_[s]]
+    assert end[0] == n
+
+
+@pytest.mark.parametrize("fraction", [0.1, 1 / 3, 0.6, 0.9])
+def test_pruning_matches_the_per_node_reference(fraction):
+    cut_back = 0
+    for seed in range(20):
+        X, y = _noisy(seed)
+        tree = RepTree(pruning_fraction=fraction, seed=seed).fit(X, y)
+        assert tree.to_dict() == _ListPrunedTree(pruning_fraction=fraction, seed=seed).fit(X, y).to_dict()
+        grown = _grow_only_tree(pruning_fraction=fraction, seed=seed).fit(X, y)
+        for fitted in (tree, grown):
+            _assert_preorder(fitted)
+        cut_back += tree.node_count < grown.node_count
+    assert cut_back >= 15
+
+
+def test_leaf_of_matches_a_descent_one_row_at_a_time():
+    def descend(tree, x):
+        node = 0
+        while tree.feature_[node] != -1:
+            go_left = x[tree.feature_[node]] <= tree.threshold_[node]
+            node = tree.left_[node] if go_left else tree.right_[node]
+        return node
+
+    for seed in range(20):
+        X, y = _noisy(seed)
+        tree = RepTree(max_depth=None if seed % 2 else 4, seed=seed).fit(X, y)
+        # Queries on each threshold too, where a row must go left.
+        inner = tree.feature_ != -1
+        Q = np.vstack([X, np.tile(X[:1], (int(inner.sum()), 1))])
+        Q[len(X) + np.arange(inner.sum()), tree.feature_[inner]] = tree.threshold_[inner]
+        assert tree._leaf_of(Q).tolist() == [descend(tree, q) for q in Q]
+    assert tree._leaf_of(np.zeros((0, X.shape[1]))).shape == (0,)
 
 
 # -- AdaBoost ----------------------------------------------------------------------
