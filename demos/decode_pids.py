@@ -33,11 +33,10 @@ def main():
     print()
     print("fuel system detail:", status.value)
 
-    # The registry is data-driven; list what this build knows how to decode.
-    table = obd.load_registry()
+    # List every PID the registry knows how to decode.
     print()
-    print(f"{len(table)} PIDs in the registry:")
-    for (service, pid), spec in sorted(table.items()):
+    print(f"{len(obd.REGISTRY)} PIDs in the registry:")
+    for (service, pid), spec in sorted(obd.REGISTRY.items()):
         print(f"  {service:02X}/{pid:02X}  {spec.description}")
 
 

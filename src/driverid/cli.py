@@ -8,9 +8,11 @@ one model), ``evaluate`` (cross-validate models on a prepared matrix),
 
 Exit codes: 0 success, 1 usage error, 2 data error (an input file that is
 missing, undecodable or malformed, unknown PIDs), 3 internal error.
-``--config FILE`` supplies flat JSON defaults; explicit flags win over the
-file, and a flag set in neither takes its value from ``pipeline.RunConfig``
-(or, for ``repro``, the preset).  Every subcommand accepts ``--format json``.
+``--config FILE`` supplies flat JSON defaults for the flags that configure a
+run and for ``--format``; any other key is a usage error.  Explicit flags win
+over the file, and a flag set in neither takes its value from
+``pipeline.RunConfig`` (or, for ``repro``, the preset).  Every subcommand
+accepts ``--format json``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ _int = _typed(int, "an integer")
 _bool = _typed(bool, "true or false")
 
 
-def _names(value) -> tuple[str, ...] | None:
-    return tuple(part.strip() for part in _str(value).split(",") if part.strip()) or None
+def _names(value) -> tuple[str, ...]:
+    return tuple(part.strip() for part in _str(value).split(",") if part.strip())
 
 
 def _feature_spec(value) -> tuple[str, int]:
@@ -68,6 +70,12 @@ def _feature_spec(value) -> tuple[str, int]:
     if head == "rank" and count.isdigit() and int(count) >= 1:
         return "correlation-ranked", int(count)
     raise ValueError(f"bad feature spec {value!r}; use fixed15 or rank:K with K >= 1")
+
+
+def _format(value) -> str:
+    if _str(value) not in ("text", "json"):
+        raise ValueError(f"expected text or json, got {value!r}")
+    return value
 
 
 def _split(value) -> str:
@@ -112,15 +120,21 @@ _FIELDS = {
     "out_dir": ("out_dir", _str),
 }
 
+#: Every key a --config file may hold: the flags above, and the flags that
+#: subcommands read through ``_Settings`` themselves.
+_CONFIG_KEYS = frozenset(_FIELDS) | {"format", "model_config", "k", "out", "sidecar", "report"}
+
 
 class _Settings:
     """Flag > config-file resolution for the subcommand's own flags.
 
-    A config-file key must name a flag of some subcommand (``known``), so a
-    shared file may hold every subcommand's keys but a typo is an error.
+    A config-file key must be one of ``_CONFIG_KEYS``, so a shared file may
+    hold every subcommand's keys, but a typo, or a flag that is never read
+    from a file, is an error.  ``format`` ("text" when unset) is resolved
+    here, since every subcommand prints.
     """
 
-    def __init__(self, args: argparse.Namespace, known: set[str]):
+    def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         self._file = {}
         self._path = path = args.config
@@ -130,9 +144,10 @@ class _Settings:
             if not isinstance(loaded, dict):
                 raise DriverIdError(f"config file {path} must hold a JSON object")
             self._file = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-            unknown = sorted(set(self._file) - known)
+            unknown = sorted(set(self._file) - _CONFIG_KEYS)
             if unknown:
                 raise _UsageError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+        self.format = self.get("format", _format) or "text"
 
     def get(self, name: str, parse=_str):
         """Parsed value of the subcommand's flag ``name`` (None when unset);
@@ -212,7 +227,7 @@ def _cmd_decode(args, settings: _Settings) -> int:
         "value": value,
         "unit": reading.unit,
     }
-    _emit(payload_dict, [obd.format_reading(reading)], args.format)
+    _emit(payload_dict, [obd.format_reading(reading)], settings.format)
     return 0
 
 
@@ -221,7 +236,7 @@ def _cmd_ingest(args, settings: _Settings) -> int:
     payload = {**pipeline.dataset_summary(ds), "columns": list(ds.column_names)}
     lines = [f"records: {len(ds)}", f"channels: {ds.n_channels}", "class distribution:"]
     lines += [f"  {lab}: {share:.4f}" for lab, share in payload["class_distribution"].items()]
-    _emit(payload, lines, args.format)
+    _emit(payload, lines, settings.format)
     return 0
 
 
@@ -243,7 +258,7 @@ def _cmd_prepare(args, settings: _Settings) -> int:
         f"columns: {matrix.n_features}",
         f"wrote {out} and {sidecar_path}",
     ]
-    _emit({"out": out, "sidecar": sidecar_path, **sidecar["windows"]}, lines, args.format)
+    _emit({"out": out, "sidecar": sidecar_path, **sidecar["windows"]}, lines, settings.format)
     return 0
 
 
@@ -269,7 +284,7 @@ def _cmd_train(args, settings: _Settings) -> int:
         payload,
         [f"trained {kind} on {len(matrix)} rows, classes {list(model.classes_)}",
          f"wrote {out}"],
-        args.format,
+        settings.format,
     )
     return 0
 
@@ -292,7 +307,7 @@ def _cmd_evaluate(args, settings: _Settings) -> int:
     ]
     if report_path:
         lines.append(f"wrote {report_path}")
-    _emit(payload, lines, args.format)
+    _emit(payload, lines, settings.format)
     return 0
 
 
@@ -316,7 +331,7 @@ def _cmd_compare(args, settings: _Settings) -> int:
     for path in args.reports:
         reports.extend(_load_reports(path))
     comparison = evaluate.baseline_compare(reports)
-    _emit(comparison, _ranking_lines(comparison), args.format)
+    _emit(comparison, _ranking_lines(comparison), settings.format)
     return 0
 
 
@@ -332,7 +347,7 @@ def _cmd_repro(args, settings: _Settings) -> int:
     ]
     if config.out_dir:
         lines.append(f"wrote {config.out_dir}/report.json")
-    _emit(bundle, lines, args.format)
+    _emit(bundle, lines, settings.format)
     return 0
 
 
@@ -342,7 +357,7 @@ def _cmd_repro(args, settings: _Settings) -> int:
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON file with default values for flags")
-    common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    common.add_argument("--format", choices=("text", "json"), help="output format (default text)")
 
     parser = _Parser(prog="driverid", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -407,11 +422,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", help="dataset CSV (default: $OCSLAB_DRIVING_CSV)")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_repro)
-
-    #: --config keys: every flag of every subcommand, plus ``stratified``.
-    parser.config_keys = set(_FIELDS).union(
-        *({a.dest for a in p._actions} for p in sub.choices.values())
-    ) - {"help"}
     return parser
 
 
@@ -420,7 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     try:
-        settings = _Settings(args, parser.config_keys)
+        settings = _Settings(args)
         return args.func(args, settings)
     except _UsageError as e:
         print(f"driverid {command}: {e}", file=sys.stderr)

@@ -5,6 +5,11 @@ training points were sorted by (distance, training index) and the first k
 taken — so distance ties always admit the lowest-index points, and the
 implementation below is exactly interchangeable with that brute-force scan.
 Vote ties resolve to the lowest class.
+
+Memory: prediction holds the squared distances of at most
+``_DISTANCE_BLOCK_BYTES`` (40 MiB) of query rows to every training row at
+once (at least one row), whatever the number of queries; for k > 1 the
+neighbour selection takes a few more arrays of the block's size.
 """
 
 from __future__ import annotations
@@ -15,17 +20,19 @@ from ..errors import DriverIdError, whole_number
 from ..ingest import check_codes
 from .base import Classifier, finite_floats
 
+#: Most bytes of squared distances that ``_scores`` holds at once (at least
+#: one query row): query rows × training rows × 8.
+_DISTANCE_BLOCK_BYTES = 40 << 20
+
 
 class KNearestNeighbors(Classifier):
     """Lazy learner: stores the training matrix, votes among the k nearest.
 
     k defaults to 1.  When fewer than k training rows exist, all of them
-    vote.  Queries are processed in chunks so the distance matrix never
-    exceeds a few hundred MB regardless of training-set size.
+    vote.
     """
 
     kind = "knn"
-    query_chunk = 256
 
     def __init__(self, k: int = 1):
         self.k = whole_number("k", k, 1)
@@ -57,9 +64,13 @@ class KNearestNeighbors(Classifier):
         n_train = self.X_.shape[0]
         k = min(self.k, n_train)
         counts = np.empty((Q.shape[0], len(self.classes_)))
-        block = np.empty((min(self.query_chunk, Q.shape[0]), n_train))
-        for lo in range(0, Q.shape[0], self.query_chunk):
-            q = Q[lo : lo + self.query_chunk]
+        # The block size changes how much is held.  A block of two or more
+        # rows gives each row the same bits; a one-row block goes through
+        # BLAS's matrix-vector product, whose last bits can differ.
+        step = max(1, _DISTANCE_BLOCK_BYTES // (8 * n_train))
+        block = np.empty((min(step, Q.shape[0]), n_train))
+        for lo in range(0, Q.shape[0], step):
+            q = Q[lo : lo + step]
             d2 = self._sq_distances(q, block[: q.shape[0]])
             if k == 1:
                 # argmin returns the lowest index among equal distances

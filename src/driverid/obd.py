@@ -1,9 +1,10 @@
 """OBD-II service-01 PID codec (SAE J1979).
 
-Raw response payloads are turned into physical sensor values through a
-registry of PID descriptors.  The registry ships as a CSV data file next to
-this module (``data/obd_pids.csv``) so new PIDs need no code change; each
-row names one of the scaling formulas registered here.
+Raw response payloads are turned into physical sensor values through
+``REGISTRY``, a read-only table of PID descriptors keyed by (service, pid).
+Each descriptor is checked when it is built, so the table is checked when
+this module is imported: its scaling must name one of the formulas below,
+and an affine scaling must stay inside [min, max] over every payload.
 
 Most service-01 scalings are affine maps of the big-endian payload integer
 (``value = raw * scale + offset``).  Status PIDs (fuel system status,
@@ -13,24 +14,11 @@ single number.
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
 from dataclasses import dataclass
-from importlib import resources
+from types import MappingProxyType
 from typing import Mapping, Union
 
-from .errors import DriverIdError, PayloadLengthMismatch, UnknownPid, reading
-from .ingest import _text_stream
-
-# Diagnostic services accepted by the registry.  Only service 01 rows carry
-# decoders; the others are listed so their codes validate.
-SERVICES: Mapping[int, str] = {
-    0x01: "Show current data",
-    0x02: "Show freeze frame data",
-    0x09: "Request vehicle information",
-    0x0A: "Permanent diagnostic trouble codes",
-}
+from .errors import DriverIdError, PayloadLengthMismatch, UnknownPid
 
 DecodedValue = Union[float, dict]
 
@@ -51,13 +39,26 @@ class PidDescriptor:
     def __post_init__(self) -> None:
         if self.data_bytes < 1:
             raise DriverIdError(f"PID {self.pid:#04x}: data_bytes must be >= 1")
-        if self.min_value is not None and self.max_value is not None:
-            if not self.min_value < self.max_value:
-                raise DriverIdError(
-                    f"PID {self.pid:#04x}: min {self.min_value} must be below max {self.max_value}"
-                )
-        if self.scaling not in _SCALINGS:
+        bounded = self.min_value is not None
+        if bounded != (self.max_value is not None) or (
+            bounded and not self.min_value < self.max_value
+        ):
+            raise DriverIdError(
+                f"PID {self.pid:#04x}: min {self.min_value} must be below max {self.max_value}"
+            )
+        scaling = _SCALINGS.get(self.scaling)
+        if scaling is None:
             raise DriverIdError(f"PID {self.pid:#04x}: unknown scaling id {self.scaling!r}")
+        if bounded and isinstance(scaling, _Affine):
+            # Affine maps are monotone in the payload integer, so the extremes
+            # of the formula are reached at the all-zeros and all-0xFF payloads.
+            ends = (bytes(self.data_bytes), b"\xff" * self.data_bytes)
+            lo, hi = sorted(scaling.decode(payload) for payload in ends)
+            if lo < self.min_value or hi > self.max_value:
+                raise DriverIdError(
+                    f"PID {self.pid:#04x}: scaling output [{lo}, {hi}] escapes "
+                    f"range [{self.min_value}, {self.max_value}]"
+                )
 
 
 @dataclass(frozen=True)
@@ -131,72 +132,34 @@ _SCALINGS: Mapping[str, object] = {
     "iat_sensor_bank": _IatSensorBank(),
 }
 
-
-def load_registry(source=None) -> dict[tuple[int, int], PidDescriptor]:
-    """Parse a PID registry file into {(service, pid): descriptor}.
-
-    ``source`` may be a path or an open text stream; by default the CSV
-    shipped with the package is used.  Each descriptor is validated: the
-    affine scalings must stay inside [min, max] over all possible payloads.
-    """
-    if source is None:
-        text = resources.files(__package__).joinpath("data/obd_pids.csv").read_text("utf-8")
-        source = io.StringIO(text)
-
-    registry: dict[tuple[int, int], PidDescriptor] = {}
-    with reading("PID registry"), _text_stream(source, "r") as stream:
-        rows = csv.reader(line for line in stream if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["service", "pid", "data_bytes", "description", "scaling", "min", "max", "unit"]:
-            raise DriverIdError(f"unrecognized PID registry header: {header}")
-        for row in rows:
-            if not row:
-                continue
-            service = int(row[0], 16)
-            pid = int(row[1], 16)
-            if service not in SERVICES:
-                raise DriverIdError(f"registry row {row!r}: unknown service {service:#04x}")
-            desc = PidDescriptor(
-                service=service,
-                pid=pid,
-                data_bytes=int(row[2]),
-                description=row[3],
-                scaling=row[4],
-                min_value=float(row[5]) if row[5] else None,
-                max_value=float(row[6]) if row[6] else None,
-                unit=row[7],
-            )
-            _check_range(desc)
-            registry[service, pid] = desc
-    return registry
-
-
-def _check_range(desc: PidDescriptor) -> None:
-    # Affine maps are monotone in the payload integer, so the extremes of the
-    # formula are reached at the all-zeros and all-0xFF payloads.
-    scaling = _SCALINGS[desc.scaling]
-    if not isinstance(scaling, _Affine) or desc.min_value is None:
-        return
-    lo = scaling.decode(bytes(desc.data_bytes))
-    hi = scaling.decode(b"\xff" * desc.data_bytes)
-    lo, hi = min(lo, hi), max(lo, hi)
-    if lo < desc.min_value or hi > desc.max_value:
-        raise DriverIdError(
-            f"PID {desc.pid:#04x}: scaling output [{lo}, {hi}] escapes "
-            f"range [{desc.min_value}, {desc.max_value}]"
-        )
-
-
-@functools.cache
-def _packaged_registry() -> dict[tuple[int, int], PidDescriptor]:
-    """The packaged PID registry, loaded on first use; shared, so read only."""
-    return load_registry()
+#: The registered PIDs, {(service, pid): descriptor}.  Fields: service, pid,
+#: data_bytes (payload length of a response), description, scaling id,
+#: physical min and max (None for status PIDs), unit.
+REGISTRY: Mapping[tuple[int, int], PidDescriptor] = MappingProxyType({
+    (d.service, d.pid): d for d in (
+        PidDescriptor(0x01, 0x03, 2, "Fuel system status", "fuel_system_status", None, None, ""),
+        PidDescriptor(0x01, 0x04, 1, "Calculated engine load", "percent_of_255", 0.0, 100.0, "%"),
+        PidDescriptor(0x01, 0x05, 1, "Engine coolant temperature", "temp_minus_40",
+                      -40.0, 215.0, "degC"),
+        PidDescriptor(0x01, 0x0B, 1, "Intake manifold absolute pressure", "identity",
+                      0.0, 255.0, "kPa"),
+        PidDescriptor(0x01, 0x0C, 2, "Engine speed", "quarter_rpm", 0.0, 16383.75, "rpm"),
+        PidDescriptor(0x01, 0x0D, 1, "Vehicle speed", "identity", 0.0, 255.0, "km/h"),
+        PidDescriptor(0x01, 0x0F, 1, "Intake air temperature", "temp_minus_40",
+                      -40.0, 215.0, "degC"),
+        PidDescriptor(0x01, 0x10, 2, "Mass air flow rate", "hundredth_u16", 0.0, 655.35, "g/s"),
+        PidDescriptor(0x01, 0x11, 1, "Throttle position", "percent_of_255", 0.0, 100.0, "%"),
+        PidDescriptor(0x01, 0x2F, 1, "Fuel tank level input", "percent_of_255", 0.0, 100.0, "%"),
+        PidDescriptor(0x01, 0x68, 3, "Intake air temperature sensors", "iat_sensor_bank",
+                      -40.0, 215.0, "degC"),
+    )
+})
 
 
 def lookup(service: int, pid: int) -> PidDescriptor:
     """Descriptor for (service, pid), raising UnknownPid when absent."""
     try:
-        return _packaged_registry()[service, pid]
+        return REGISTRY[service, pid]
     except KeyError:
         raise UnknownPid(f"service {service:#04x} PID {pid:#04x} is not registered") from None
 
@@ -220,11 +183,7 @@ def decode(service: int, pid: int, payload: bytes | bytearray | list[int]) -> Pi
         raise PayloadLengthMismatch(
             f"PID {pid:#04x} expects {desc.data_bytes} data byte(s), got {len(raw)}"
         )
-    value = _SCALINGS[desc.scaling].decode(raw)
-    if isinstance(value, float) and desc.min_value is not None:
-        # guaranteed by _check_range; assert the contract anyway
-        assert desc.min_value <= value <= desc.max_value
-    return PidReading(descriptor=desc, raw=raw, value=value)
+    return PidReading(descriptor=desc, raw=raw, value=_SCALINGS[desc.scaling].decode(raw))
 
 
 def format_reading(reading: PidReading) -> str:

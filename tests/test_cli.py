@@ -536,6 +536,7 @@ def test_cli_report_bytes_are_deterministic(tmp_path, prepared, capsys):
     ("evaluate", '{"split": "blocked"}', 1, "split"),
     ("evaluate", '{"kind": "nope"}', 1, "kind"),
     ("evaluate", '{"model_config": [1]}', 1, "model_config"),
+    ("ingest", '{"format": "yaml"}', 1, "format"),
 ])
 def test_bad_config_file_is_a_typed_error(tmp_path, trip_csv, prepared, capsys,
                                           command, text, status, named):
@@ -556,6 +557,8 @@ def test_bad_config_file_is_a_typed_error(tmp_path, trip_csv, prepared, capsys,
     ("evaluate", "fold"),
     ("evaluate", "kinds"),
     ("ingest", "keep_labels"),
+    ("evaluate", "service"),  # decode reads --service only as a flag
+    ("ingest", "preset"),  # ... and repro its preset
 ])
 def test_unknown_config_key_is_usage_error(tmp_path, trip_csv, prepared, capsys,
                                            command, key):
@@ -568,14 +571,39 @@ def test_unknown_config_key_is_usage_error(tmp_path, trip_csv, prepared, capsys,
 
 
 def test_config_keys_of_other_subcommands_are_allowed(tmp_path, prepared, capsys):
-    # one shared file: "window" and "stats" are prepare's, "service" is decode's
+    # one shared file: "window", "stats" and "sidecar" are prepare's
     cfg = str(tmp_path / "cfg.json")
-    settings = {"window": 30, "stats": "mean", "service": "01", "folds": 4}
+    settings = {"window": 30, "stats": "mean", "sidecar": "w.json", "folds": 4}
     Path(cfg).write_text(json.dumps(settings), encoding="utf-8")
     code, out, _ = run(capsys, "evaluate", "--config", cfg, "--input", prepared,
                        "--kind", "zeror", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["zeror"]["metadata"]["plan"]["folds"] == 4
+
+
+def test_config_file_sets_the_output_format(tmp_path, trip_csv, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    Path(cfg).write_text(json.dumps({"input": trip_csv, "format": "json"}), encoding="utf-8")
+    code, out, _ = run(capsys, "ingest", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["n_records"] == 360
+    code, out, _ = run(capsys, "ingest", "--config", cfg, "--format", "text")
+    assert code == 0
+    assert out.startswith("records: 360\n")
+
+
+def test_exclude_nothing_keeps_the_bookkeeping_columns(trip_csv, capsys):
+    code, out, _ = run(capsys, "ingest", "--input", trip_csv, "--exclude", "", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["columns"][-2:] == ["Time(s)", "PathOrder"]
+
+
+@pytest.mark.parametrize("flag, message", [("--keep", "keep set"), ("--stats", "statistic")])
+def test_an_empty_name_list_is_not_the_default(tmp_path, trip_csv, capsys, flag, message):
+    code, _, err = run(capsys, "prepare", "--input", trip_csv, "--features", "rank:3",
+                       "--window", "30", flag, " , ", "--out", str(tmp_path / "w.csv"))
+    assert code == 2
+    assert message in err
 
 
 def test_config_file_sets_evaluation_plan(tmp_path, prepared, capsys):

@@ -34,6 +34,7 @@ from driverid.models import (
 )
 from driverid.models.logistic import _two_loop, loss_and_grad
 from driverid.models.svm import hinge_loss, primal_objective
+from driverid.models import knn as knn_module
 from driverid.models import naive_bayes as nb_module
 from driverid.models import tree as tree_module
 from driverid.models.tree import _entropy_rows as _tree_entropy_rows
@@ -495,26 +496,63 @@ def test_knn_k_clamps_to_train_size():
     assert model.predict([[0.0]]) == ["A"]  # 1-1 tie, lowest wins
 
 
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_knn_tie_heavy_matches_exhaustive_sort(k):
-    # Integer coordinates on a 5 × 5 grid: about twelve training rows per
-    # point, of four classes, so most neighbours tie on distance with rows
-    # of other classes and the (distance, index) rule decides who votes.
-    # Squared distances of small integers are exact in float.  The queries
-    # include training rows (distance 0) and span several chunks.
-    rng = np.random.default_rng(k)
+def _tie_heavy_knn(k, seed):
+    """k-NN fitted on integer coordinates of a 5 × 5 grid, its queries, and
+    their votes from an exhaustive (distance, index) sort.
+
+    About twelve training rows share each point, of four classes, so most
+    neighbours tie on distance with rows of other classes and the
+    (distance, index) rule decides who votes.  Squared distances of small
+    integers are exact in float.  The queries include training rows
+    (distance 0).
+    """
+    rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(300, 2)).astype(float)
     y_idx = rng.integers(0, 4, 300)
     Q = np.vstack([rng.integers(-3, 4, size=(200, 2)).astype(float), X[:20]])
     model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
-    model.query_chunk = 64
     votes = np.zeros((len(Q), 4))
     for i, q in enumerate(Q):
         d2 = ((X - q) ** 2).sum(axis=1)
         nearest = sorted(range(len(X)), key=lambda r: (d2[r], r))[:k]
         np.add.at(votes[i], y_idx[nearest], 1.0)
+    return model, Q, votes
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_knn_tie_heavy_matches_exhaustive_sort(monkeypatch, k):
+    # blocks of 64 query rows, so the 220 queries span four of them
+    model, Q, votes = _tie_heavy_knn(k, seed=k)
+    monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 64 * 8 * model.X_.shape[0])
     assert np.array_equal(model._scores(Q), votes)
     assert model.predict(Q) == [chr(65 + int(c)) for c in votes.argmax(axis=1)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_knn_distance_blocks_match_the_exhaustive_sort(monkeypatch, rows, k):
+    # Blocks of one query row, of seven (the last one short) and the default
+    # budget (one block here) all vote as the exhaustive sort does.
+    model, Q, votes = _tie_heavy_knn(k, seed=10 + k)
+    if rows is not None:
+        monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", rows * 8 * model.X_.shape[0])
+    assert np.array_equal(model._scores(Q), votes)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_predict_holds_one_distance_block_at_a_time(monkeypatch, k):
+    # The distances of 2,000 queries to 1,000 training rows would take
+    # 16 MB.  predict holds one 1 MiB block of them, and two (n, K) arrays;
+    # for k > 1, the partition, the cumsum of ties and the member matrix
+    # of one block as well.
+    monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 1 << 20)
+    rng = np.random.default_rng(12)
+    labels = [chr(65 + c) for c in np.arange(1000) % 10]
+    model = KNearestNeighbors(k=k).fit(rng.normal(size=(1000, 5)), labels)
+    Q = rng.normal(size=(2000, 5))
+    _, peak = traced_peak(lambda: model.predict(Q))
+    blocks = 1 if k == 1 else 6
+    assert peak <= blocks * knn_module._DISTANCE_BLOCK_BYTES + 2 * Q.shape[0] * 10 * 8
 
 
 # -- Gaussian NB ----------------------------------------------------------------

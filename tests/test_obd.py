@@ -1,7 +1,5 @@
 """OBD-II payload decoding: registry, scalings, framing errors."""
 
-import io
-
 import pytest
 
 from driverid import obd
@@ -91,42 +89,37 @@ def test_format_reading_has_value_and_unit():
     assert "rpm" in text
 
 
-def test_load_registry_returns_a_fresh_table():
-    table = obd.load_registry()
-    table.clear()
-    assert obd.lookup(0x01, 0x0D).pid == 0x0D  # packaged table unharmed
+@pytest.mark.parametrize("key", sorted(obd.REGISTRY), ids=lambda k: f"{k[0]:02X}-{k[1]:02X}")
+def test_registry_rows_decode_their_extreme_payloads(key):
+    # a typo in a row, such as a one-byte fuel status, fails here
+    desc = obd.REGISTRY[key]
+    assert obd.lookup(*key) is desc
+    for byte in (0x00, 0xFF):
+        value = obd.decode(*key, bytes([byte] * desc.data_bytes)).value
+        assert isinstance(value, dict) or desc.min_value <= value <= desc.max_value
 
 
-def test_load_registry_rejects_bad_header():
-    bad = io.StringIO("service,pid,bytes\n01,0C,2\n")
-    with pytest.raises(DriverIdError):
-        obd.load_registry(bad)
+SPEED = dict(service=0x01, pid=0x0D, data_bytes=1, description="Vehicle speed",
+             scaling="identity", min_value=0.0, max_value=255.0, unit="km/h")
 
 
-def test_load_registry_rejects_out_of_range_scaling():
-    # claims max 100 for a scaling that reaches 255
-    bad = io.StringIO(
-        "service,pid,data_bytes,description,scaling,min,max,unit\n"
-        "01,0D,1,Vehicle speed,identity,0,100,km/h\n"
-    )
-    with pytest.raises(DriverIdError):
-        obd.load_registry(bad)
+@pytest.mark.parametrize("change", [
+    {"scaling": "cubic"},
+    {"max_value": 100.0},  # the identity scaling reaches 255
+    {"min_value": 10.0},  # ... and 0
+    {"data_bytes": 0},
+    {"min_value": 255.0},
+    {"min_value": 300.0},
+    {"max_value": None},
+], ids=["unknown-scaling", "out-of-range", "out-of-range-low", "no-data-bytes",
+        "min-equals-max", "min-above-max", "min-without-max"])
+def test_descriptor_is_checked_when_built(change):
+    assert obd.PidDescriptor(**SPEED) == obd.lookup(0x01, 0x0D)
+    with pytest.raises(DriverIdError, match="PID 0x0d"):
+        obd.PidDescriptor(**{**SPEED, **change})
 
 
-def test_load_registry_rejects_unknown_scaling_id():
-    bad = io.StringIO(
-        "service,pid,data_bytes,description,scaling,min,max,unit\n"
-        "01,0D,1,Vehicle speed,cubic,0,255,km/h\n"
-    )
-    with pytest.raises(DriverIdError):
-        obd.load_registry(bad)
-
-
-@pytest.mark.parametrize("row", [
-    "zz,0D,1,Vehicle speed,identity,0,255,km/h",  # service is not hex
-    "01,0D,1",  # three of eight fields
-])
-def test_load_registry_rejects_malformed_rows(row):
-    bad = io.StringIO("service,pid,data_bytes,description,scaling,min,max,unit\n" + row + "\n")
-    with pytest.raises(DriverIdError, match="PID registry"):
-        obd.load_registry(bad)
+def test_registry_refuses_item_assignment():
+    with pytest.raises(TypeError):
+        obd.REGISTRY[0x01, 0x0D] = obd.lookup(0x01, 0x0C)
+    assert obd.lookup(0x01, 0x0D).pid == 0x0D
