@@ -18,12 +18,21 @@ A header that names a column twice is a data error.  Bookkeeping columns
 that are not sensor channels (elapsed time, path order) are dropped
 through an explicit exclusion list rather than heuristics.
 
-Memory: :func:`load_dataset` parses the records in blocks of at most
-``_PARSE_BLOCK_CELLS`` (16,384) channel cells, each cast to float64 on its
-own and all joined by one ``np.concatenate``.  It holds the text of one
-block (about 1 MB of Python strings) besides the parsed blocks, so a load
-peaks near twice the channel matrix plus one block, never at the text of
-the whole log.  Errors read as if the whole file were parsed at once: a
+Memory: :func:`load_dataset` reads the records in blocks of lines holding
+at most ``_PARSE_BLOCK_CELLS`` (16,384) channel cells, and parses each
+block with one ``np.loadtxt`` call, numpy's C reader.  A converter codes
+the labels in order of first appearance and reads every other column that
+is not a channel as 0.0, so bookkeeping columns need not be numeric.  A
+block goes to the :mod:`csv` code instead, from its first line to the end
+of the file, when loadtxt refuses it, when a channel cell is not finite,
+when its text holds a quote, a NUL or one of \x1c-\x1f, or when a line is
+longer than csv's field limit; the csv code then returns the same values
+or raises the same error.  The channels of every block are written into
+one float64 buffer that grows in place (``ndarray.resize``, a realloc) and
+is cut to the rows read at the end; no parsed block outlives its copy.  A
+load holds the buffer, at most twice the channel matrix while it grows,
+and the text of one block (about 1 MB of Python strings), never the text
+of the whole log.  Errors read as if the whole file were parsed at once: a
 ragged record anywhere wins over a bad cell, and the bad cell reported is
 the first in file order.
 
@@ -45,6 +54,7 @@ import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -67,9 +77,15 @@ DEFAULT_EXCLUDE_COLUMNS = ("Time(s)", "PathOrder")
 DEFAULT_LABEL_COLUMN = "Class"
 
 #: Most channel cells that :func:`load_dataset` parses at once (at least one
-#: record): the text of one block, some 60 bytes a cell as Python strings,
-#: is all of the log it holds as text.
+#: line): the text of one block, some 20 bytes a cell as lines or 60 as the
+#: csv code's cells, is all of the log it holds as text.  np.loadtxt reads
+#: blocks of 160 to 5,140 rows of a 51-channel log equally fast.
 _PARSE_BLOCK_CELLS = 1 << 14
+
+#: Characters that send a block to the csv code: ``np.loadtxt`` does not
+#: unquote ``"``, csv before Python 3.11 refuses a NUL, and loadtxt strips
+#: \x1c-\x1f around a number as whitespace where ``float`` refuses them.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
 #: Most bytes of float64 cells that :func:`write_csv` formats at once (at
 #: least one row): as Python floats and strings one chunk takes some ten
@@ -278,7 +294,8 @@ def load_dataset(
     :class:`EmptyDataset` for a header-only file.
     """
     with reading(f"CSV {_source_name(source)}"), _text_stream(source, "r") as stream:
-        reader = csv.reader(stream)
+        lines = iter(stream)
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
             raise EmptyDataset("source contains no header row")
@@ -295,38 +312,115 @@ def load_dataset(
         channel_at = [i for i, name in enumerate(header) if name not in drop]
         column_names = tuple(header[i] for i in channel_at)
 
-        labels: list[str] = []
-        blocks: list[np.ndarray] = []
-        failed = None  # (cells, line numbers) of the first block that does not parse
-        for block_labels, cells, line_numbers in _row_blocks(
-            reader, len(header), label_at, channel_at
+        channels = np.empty((0, len(channel_at)))
+        code_blocks = []
+        n = 0
+        seen = _FirstSeen()
+        for block, codes in _record_blocks(
+            lines, reader.line_num, len(header), label_at, channel_at, column_names, seen
         ):
-            labels += block_labels
-            if failed is None:
-                block = _parse_block(cells)
-                if block is None:
-                    failed = cells, line_numbers
-                else:
-                    blocks.append(block)
-        if not labels:
+            m = n + len(block)
+            if m > len(channels):
+                # grown in place by a realloc; no second buffer joins the blocks
+                channels.resize((max(m, 2 * len(channels)), len(channel_at)), refcheck=False)
+            channels[n:m] = block
+            code_blocks.append(codes)
+            n = m
+        if not n:
             raise EmptyDataset("source has a header but no records")
-        if failed is not None:
-            _raise_non_numeric(failed[0], column_names, failed[1])
+        channels.resize((n, len(channel_at)), refcheck=False)
+        labels = decode_labels(list(seen), np.concatenate(code_blocks))
         # Inside the block, so a bad label alphabet names the file too.
         return TripDataset(
             column_names=column_names,
-            channels=np.concatenate(blocks),
+            channels=channels,
             labels=labels,
             label_alphabet=tuple(sorted(set(labels))),
             label_column=label_column,
         )
 
 
-def _row_blocks(reader, n_fields, label_at, channel_at):
+class _FirstSeen(dict):
+    """Label → code, each new label taking the next code: ``seen[label]``
+    codes a label in order of first appearance."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = code = len(self)
+        return code
+
+
+def _ignored(text: str) -> float:
+    """The converter of a column that is not read: any text is 0.0."""
+    return 0.0
+
+
+def _record_blocks(lines, line_num, n_fields, label_at, channel_at, column_names, seen):
+    """Yield ``(channels, codes)`` for runs of records after the header,
+    which took ``line_num`` lines, with their labels coded by ``seen``.
+
+    Blocks of at most :data:`_PARSE_BLOCK_CELLS` channel cells' worth of
+    lines go through :func:`_load_block`.  From the first block that it
+    refuses to the end of the file, the lines go through :mod:`csv`
+    (:func:`_row_blocks`); a bad cell there is raised once every row has
+    been read, so a ragged row anywhere after it wins.
+    """
+    converters = {i: _ignored for i in range(n_fields) if i not in channel_at}
+    converters[label_at] = seen.__getitem__
+    block_lines = max(1, _PARSE_BLOCK_CELLS // max(1, len(channel_at)))
+    while block := list(islice(lines, block_lines)):
+        parsed = _load_block(block, n_fields, converters)
+        if parsed is None:
+            break
+        yield parsed[:, channel_at], parsed[:, label_at].astype(np.intp)
+        line_num += len(block)
+    else:
+        return  # every block parsed
+    reader = csv.reader(chain(block, lines))
+    failed = None  # (cells, line numbers) of the first block that does not parse
+    for labels, cells, line_numbers in _row_blocks(
+        reader, line_num, n_fields, label_at, channel_at
+    ):
+        if failed is None:
+            parsed = _parse_block(cells)
+            if parsed is None:
+                failed = cells, line_numbers
+            else:
+                yield parsed, np.fromiter(map(seen.__getitem__, labels), np.intp, len(labels))
+    if failed is not None:
+        _raise_non_numeric(failed[0], column_names, failed[1])
+
+
+def _load_block(lines, n_fields, converters) -> np.ndarray | None:
+    """The records of ``lines`` as an (n, n_fields) float64 array, parsed by
+    ``np.loadtxt`` with ``converters`` for the columns that are not
+    channels, or None where only :mod:`csv` reads them as the file means.
+
+    That is when the text holds a character of :data:`_CSV_ONLY`, or a line
+    is longer than csv's field limit, or loadtxt refuses a record, or it
+    yields a record count or width other than csv's, or a cell that is not
+    finite.  Blank lines hold no record, for both.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _CSV_ONLY) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r")
+    if not rows:
+        return np.empty((0, n_fields))  # loadtxt warns on no data
+    try:
+        # encoding=None: numpy 1.x's default, "bytes", hands converters bytes
+        parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                            converters=converters, encoding=None)
+    except ValueError:
+        return None
+    return parsed if parsed.shape == (rows, n_fields) and np.isfinite(parsed).all() else None
+
+
+def _row_blocks(reader, line_num, n_fields, label_at, channel_at):
     """Yield ``(labels, cells, line numbers)`` for runs of consecutive
     records holding at most :data:`_PARSE_BLOCK_CELLS` channel cells (at
-    least one record); blank lines are skipped and a record of the wrong
-    width raises :class:`RaggedRow` with its 1-based line number."""
+    least one record), read from a csv reader that starts after ``line_num``
+    lines; blank lines are skipped and a record of the wrong width raises
+    :class:`RaggedRow` with its 1-based line number."""
     rows_per_block = max(1, _PARSE_BLOCK_CELLS // max(1, len(channel_at)))
     labels: list[str] = []
     cells: list[list[str]] = []
@@ -336,11 +430,11 @@ def _row_blocks(reader, n_fields, label_at, channel_at):
             continue
         if len(row) != n_fields:
             raise RaggedRow(
-                f"line {reader.line_num}: expected {n_fields} fields, got {len(row)}"
+                f"line {line_num + reader.line_num}: expected {n_fields} fields, got {len(row)}"
             )
         labels.append(row[label_at])
         cells.append([row[i] for i in channel_at])
-        line_numbers.append(reader.line_num)
+        line_numbers.append(line_num + reader.line_num)
         if len(cells) == rows_per_block:
             yield labels, cells, line_numbers
             labels, cells, line_numbers = [], [], []

@@ -37,7 +37,8 @@ class _Stump:
 
     __slots__ = ("feature", "threshold", "left", "right")
 
-    def fit(self, X: np.ndarray, orders: np.ndarray, y: np.ndarray, w: np.ndarray, K: int) -> "_Stump":
+    def fit(self, X: np.ndarray, orders: np.ndarray, y: np.ndarray, w: np.ndarray | None,
+            K: int) -> "_Stump":
         totals = np.bincount(y, weights=w, minlength=K)
         self.feature, self.threshold = tree._LEAF, 0.0
         self.left = self.right = int(np.argmax(totals))
@@ -76,10 +77,12 @@ class _Stump:
 class AdaBoost(Classifier):
     """AdaBoost.M1 over decision stumps.
 
-    Row weights start at 1 and are rescaled to sum to n after each round,
-    so a round of equal weights splits as the tree does.  A round whose
-    weighted error err lies strictly between 0 and ½ is kept with stage
-    weight α = ln((1 − err)/err), and its misses are weighted up by
+    Row weights start at 1 and are rescaled to sum to n after each round.
+    On unit weights the weighted split search chooses the unweighted one's
+    split, bit for bit, so the first round runs the cheaper unweighted
+    search (``w=None``) and only later rounds pass their weights.  A round
+    whose weighted error err lies strictly between 0 and ½ is kept with
+    stage weight α = ln((1 − err)/err), and its misses are weighted up by
     (1 − err)/err.  The first round outside that range ends the fit and is
     dropped, unless it is the first round, which is then kept alone with
     α = 1.  A fit keeps the kept rounds' errors in ``errors_`` (memory
@@ -100,7 +103,7 @@ class AdaBoost(Classifier):
         self.alphas_: list[float] = []
         self.errors_: list[float] = []
         for _ in range(self.rounds):
-            stump = _Stump().fit(X, orders, y, w, K)
+            stump = _Stump().fit(X, orders, y, w if self.stumps_ else None, K)
             miss = stump.predict_idx(X) != y_idx
             err = float(w[miss].sum() / w.sum())
             if not 0.0 < err < 0.5:

@@ -8,8 +8,9 @@ Vote ties resolve to the lowest class.
 
 Memory: prediction holds the squared distances of at most
 ``_DISTANCE_BLOCK_BYTES`` (40 MiB) of query rows to every training row at
-once (at least one row), whatever the number of queries; for k > 1 the
-neighbour selection takes a few more arrays of the block's size.
+once (at least one row, and two rows' worth for a lone row), whatever the
+number of queries; for k > 1 the neighbour selection takes a few more
+arrays of the block's size.
 """
 
 from __future__ import annotations
@@ -52,8 +53,17 @@ class KNearestNeighbors(Classifier):
         unaffected by skipping the sqrt.  Every step runs in place; since
         a + (−b) is a − b in IEEE arithmetic, the result is bit for bit
         ``sq - 2.0 * (q @ X.T) + qq``.
+
+        A one-row ``q @ X.T`` would go to BLAS's matrix-vector product,
+        whose sums can differ from the matrix product's in the last bits;
+        so a lone row is multiplied as two copies of itself and the first
+        kept, and each row gets the same bits in any block.
         """
-        d2 = np.matmul(q, self.X_.T, out=out)
+        if q.shape[0] == 1:
+            d2 = out
+            d2[:] = np.matmul(np.repeat(q, 2, axis=0), self.X_.T)[:1]
+        else:
+            d2 = np.matmul(q, self.X_.T, out=out)
         d2 *= -2.0
         d2 += self._sq_norms
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
@@ -64,9 +74,7 @@ class KNearestNeighbors(Classifier):
         n_train = self.X_.shape[0]
         k = min(self.k, n_train)
         counts = np.empty((Q.shape[0], len(self.classes_)))
-        # The block size changes how much is held.  A block of two or more
-        # rows gives each row the same bits; a one-row block goes through
-        # BLAS's matrix-vector product, whose last bits can differ.
+        # The block size changes how much is held, not the bits of a row.
         step = max(1, _DISTANCE_BLOCK_BYTES // (8 * n_train))
         block = np.empty((min(step, Q.shape[0]), n_train))
         for lo in range(0, Q.shape[0], step):
@@ -95,4 +103,8 @@ class KNearestNeighbors(Classifier):
         y_idx = check_codes(self.classes_, params["labels"])
         if len(y_idx) != len(X):
             raise DriverIdError(f"knn has {len(y_idx)} labels for {len(X)} training rows")
+        # Checked here, not by the load probe: a lone query row is copied
+        # (``_sq_distances``), and the probe row may be of any width.
+        if X.ndim != 2 or X.shape[1] != self.n_features_:
+            raise DriverIdError(f"knn training rows must have {self.n_features_} columns")
         self._fit(X, y_idx)

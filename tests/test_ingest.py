@@ -312,6 +312,94 @@ def test_row_blocks_match_the_default_block(monkeypatch, rows_per_block, spare_c
     assert got.label_alphabet == want.label_alphabet
 
 
+def _outcome(text, newline):
+    """What load_dataset makes of a log read from a stream that splits
+    lines as ``newline`` says: the dataset's bits, or the error."""
+    try:
+        ds = ingest.load_dataset(io.StringIO(text, newline=newline))
+    except DriverIdError as e:
+        return type(e), str(e)
+    return (ds.channels.shape, ds.channels.tobytes(), ds.labels, ds.label_alphabet,
+            ds.column_names, ds.channels.flags.c_contiguous)
+
+
+def _both_parsers(monkeypatch, text, n_channels, rows_per_block, newline=""):
+    """``_outcome`` of a log read in blocks of ``rows_per_block`` lines (None:
+    the default budget), through np.loadtxt and through the csv code alone."""
+    with monkeypatch.context() as m:
+        if rows_per_block is not None:
+            m.setattr(ingest, "_PARSE_BLOCK_CELLS", rows_per_block * max(1, n_channels))
+        fast = _outcome(text, newline)
+        m.setattr(ingest, "_load_block", lambda *args: None)
+        return fast, _outcome(text, newline)
+
+
+# Cells that float() and np.loadtxt may read differently: whitespace,
+# digit separators, non-ASCII digits, bare points, under- and overflow,
+# signed zero, non-finite spellings, other bases and exponent letters,
+# NULs and the separators \x1c-\x1f that loadtxt strips as whitespace.
+CELL_CORPUS = ["", " 1 ", "\t1", "1_0", "１２", "١.٥", "1.", ".5", "+.5e-3", "1e-400",
+               "4.9e-324", "-0", "nan", "INF", "0x10", "1d5", "1e", "1\x00", "1\x1c",
+               "\x1f1", "1\x85", "1e5000", "0" * 30 + "7"]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+@pytest.mark.parametrize("cell", CELL_CORPUS)
+def test_loadtxt_blocks_read_a_cell_as_the_csv_code_does(monkeypatch, cell, rows_per_block):
+    text = f"x,Time(s),y,Class\n1,0,2,A\n{cell},0,3,B\n4,0,{cell},A\n5,0,6,B\n"
+    fast, plain = _both_parsers(monkeypatch, text, 2, rows_per_block)
+    assert fast == plain
+
+
+WHOLE_LOGS = {
+    "crlf": "x,y,Class\r\n1.5,2,A\r\n\r\n3,4,B\r\n",
+    "cr": "x,y,Class\r1.5,2,A\r\r3,4,B\r",
+    "no final newline": "x,y,Class\n1,2,A\n3,4,B",
+    "blank lines": "x,y,Class\n\n1,2,A\n\n\n3,4,B\n\n",
+    "whitespace-only line": "x,y,Class\n1,2,A\n   \n3,4,B\n",
+    "tab-only line": "x,y,Class\n1,2,A\n3,4,B\n\t\n",
+    "whitespace-only label": "Class\nA\n  \nB\n",
+    "quoted labels": 'x,y,Class\n1,2,"A"\n3,4,"B,C"\n5,6,"D ""q"""\n7,8,A\n',
+    "quoted number": 'x,y,Class\n1,2,A\n"3",4,B\n5,"6.5",A\n',
+    "spaced and non-ASCII labels": "x,Class\n1, A \n2,Ä\n3,A\n4, A \n",
+    "label ending in a NUL": "x,y,Class\n1,2,A\n3,4,B\x00\n5,6,A\n",
+    "NUL inside a label": "x,y,Class\n1,2,A\x00B\n3,4,A\n",
+    "non-numeric PathOrder": "x,PathOrder,Class\n1,leg one,A\n2,leg two,B\n3,,B\n",
+    "over-limit label": "x,Class\n1,A\n2," + "B" * 200_000 + "\n3,A\n",
+    "over-limit cell": "x,Class\n1,A\n" + "0" * 200_000 + "2,B\n",
+    "header only": "x,y,Class\n",
+    "header and blank lines": "x,y,Class\n\n\r\n\n",
+    "extra field": "x,Class\n1,A,\n2,B,\n",
+    "extra numeric field": "x,Class\n1,A,7\n2,B,8\n",
+    "bad cell then ragged row": "x,y,Class\n1,oops,A\n3,4,A\n5,6,B\n7,8,B\n9,B\n",
+    "lone carriage return": "x,y,Class\n1,2,A\n3,4\r5,B\n",
+}
+
+
+@pytest.mark.parametrize("newline", ["", "\n"])  # "\n": a lone CR stays inside its line
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+@pytest.mark.parametrize("name", sorted(WHOLE_LOGS))
+def test_loadtxt_blocks_read_a_log_as_the_csv_code_does(monkeypatch, name, rows_per_block,
+                                                         newline):
+    text = WHOLE_LOGS[name]
+    n_channels = len(next(csv.reader(io.StringIO(text, newline="")))) - 1
+    fast, plain = _both_parsers(monkeypatch, text, n_channels, rows_per_block, newline)
+    assert fast == plain
+
+
+def test_a_clean_log_never_reaches_the_csv_code(monkeypatch):
+    # Every block of a log of plain numbers goes through np.loadtxt, into
+    # one C-ordered buffer of exactly the rows read.
+    text = mixed_trip_text(rows_per_label=30, n_channels=4)
+    monkeypatch.setattr(ingest, "_PARSE_BLOCK_CELLS", 7 * 4)
+    fast, plain = _both_parsers(monkeypatch, text, 4, None)
+    assert fast == plain
+    monkeypatch.setattr(ingest, "_row_blocks", None)
+    ds = ingest.load_dataset(io.StringIO(text))
+    assert ds.channels.shape == (102, 4) and ds.channels.flags.owndata
+    assert fast[1] == ds.channels.tobytes()
+
+
 def test_load_dataset_peak_memory_is_channels_plus_one_block():
     # A log 24 blocks long.  Holding the text of every cell at once, as a
     # whole-file parse does, peaks above 11x the channels here.

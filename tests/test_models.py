@@ -489,6 +489,25 @@ def test_knn_distance_block_matches_the_out_of_place_expression():
     assert (got == 0.0).any()
 
 
+def test_knn_a_lone_query_row_gets_the_bits_of_a_full_block(monkeypatch):
+    # numpy sends a one-row q @ X.T to BLAS's matrix-vector product, whose
+    # sums can differ from the matrix product's in the last bits.  Each
+    # query alone must score as in one batch; blocks of 16 rows leave a
+    # one-row last block of the 33 queries.
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(2000, 45))
+    Q = rng.normal(size=(33, 45))
+    model = KNearestNeighbors(k=3).fit(X, [chr(65 + c) for c in np.arange(2000) % 4])
+    full = model._sq_distances(Q, np.empty((33, 2000)))
+    for i in range(33):
+        alone = model._sq_distances(Q[i : i + 1], np.empty((1, 2000)))
+        assert np.array_equal(alone.view(np.int64), full[i : i + 1].view(np.int64))
+    monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 16 * 8 * 2000)
+    batch = model._scores(Q)
+    for i in range(33):
+        assert np.array_equal(model._scores(Q[i : i + 1]), batch[i : i + 1])
+
+
 def test_knn_k_clamps_to_train_size():
     # k exceeding the training size degrades to voting among all rows
     X = np.array([[0.0], [1.0]])
