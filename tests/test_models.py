@@ -508,6 +508,28 @@ def test_knn_a_lone_query_row_gets_the_bits_of_a_full_block(monkeypatch):
         assert np.array_equal(model._scores(Q[i : i + 1]), batch[i : i + 1])
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_an_exact_duplicate_row_loses_to_the_lower_index(k):
+    # Row 5 is copied into the last training row under another label, and
+    # rows 6 and 7 lie near it, so for k = 3 the copies also contend for the
+    # third seat.  Equal rows are at equal distance from any query, so the
+    # lower index must vote, wherever a BLAS product puts their last bits.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(2169, 45))
+    X[6] = X[5] + rng.normal(scale=0.01, size=45)
+    X[7] = X[5] + rng.normal(scale=0.01, size=45)
+    X[-1] = X[5]
+    y_idx = np.arange(2169) % 4
+    y_idx[-1] = (y_idx[5] + 1) % 4
+    Q = X[5] + rng.normal(scale=0.1, size=(200, 45))
+    model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
+    votes = np.zeros((len(Q), 4))
+    for i, q in enumerate(Q):
+        d2 = ((X - q) ** 2).sum(axis=1)
+        np.add.at(votes[i], y_idx[np.lexsort((np.arange(len(X)), d2))[:k]], 1.0)
+    assert np.array_equal(model._scores(Q), votes)
+
+
 def test_knn_k_clamps_to_train_size():
     # k exceeding the training size degrades to voting among all rows
     X = np.array([[0.0], [1.0]])
