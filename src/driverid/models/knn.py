@@ -1,19 +1,41 @@
 """k-nearest-neighbors with exact, deterministic neighbor selection.
 
-Distances are Euclidean.  The neighbor set of a query is defined as if all
-training points were sorted by (distance, training index) and the first k
-taken — so distance ties always admit the lowest-index points, and the
-implementation below is exactly interchangeable with that brute-force scan.
-Vote ties resolve to the lowest class.
+A query's neighbours are the first k training rows in (distance, training
+index) order, where the distance is the row-wise squared distance
+``((x - q) ** 2).sum()``: the expression an exhaustive scan would use, and
+one whose bits do not depend on where the row sits in a matrix.  Distance
+ties thus always admit the lowest-index rows.  Vote ties resolve to the
+lowest class.
 
-Memory: prediction holds the squared distances of at most
-``_DISTANCE_BLOCK_BYTES`` (40 MiB) of query rows to every training row at
-once (at least one row, and two rows' worth for a lone row), whatever the
-number of queries; for k > 1 the neighbour selection takes a few more
-arrays of the block's size.
+The search is a branch and bound (Fukunaga & Narendra, IEEE Trans.
+Computers C-24:750, 1975) that scores only rows that may be neighbours:
+
+- ``fit`` partitions the training rows once into ⌈√(n/16)⌉ clusters: the
+  centres are rows at evenly spaced indices, every row joins its nearest
+  centre, and each cluster keeps its radius.  No random numbers are drawn.
+- ``predict`` groups the queries by their nearest centre.  Each group
+  scans its nearest clusters, enough for k rows, and then every other
+  cluster whose lower bound (``‖q − c‖ − radius``, padded by the margin)
+  is not above the k-th value found so far for some query of the group.
+- Rows are scanned by the BLAS expansion ‖q‖² − 2q·x + ‖x‖², which is fast
+  but whose last bits depend on the row's position in the product; it is
+  only a filter.  Every row whose expansion lies within a proven margin
+  (``_margin``) of the query's k-th smallest is scored again row-wise,
+  and the neighbours are chosen from those rows alone.
+
+The clusters change which rows are scanned, never the neighbours chosen.
+``rows_scored_`` counts the (query, training row) pairs that the last
+predict scanned; a full scan is queries × training rows.
+
+Memory: each distance, bound or gathered-row array that a fit or predict
+holds takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES`` (40 MiB), or
+one row's worth if that is more, whatever the number of queries; fewer
+than twelve of them are alive at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,9 +43,41 @@ from ..errors import DriverIdError, whole_number
 from ..ingest import check_codes
 from .base import Classifier, finite_floats
 
-#: Most bytes of squared distances that ``_scores`` holds at once (at least
-#: one query row): query rows × training rows × 8.
+#: Most bytes that the distance, bound and gathered-row arrays of a fit or
+#: predict hold together; each one takes at most a sixteenth of it.
 _DISTANCE_BLOCK_BYTES = 40 << 20
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _rows_per_block(cols: int) -> int:
+    """Rows of ``cols`` float64 values in one array (at least one row)."""
+    return max(1, _DISTANCE_BLOCK_BYTES // (16 * 8 * max(cols, 1)))
+
+
+def _expansions(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) expansions ‖a‖² − 2a·b + ‖b‖², given the squared
+    norms ``a_sq`` and ``b_sq``: a filter only (``KNearestNeighbors._margin``)."""
+    e = (-2.0 * a) @ b.T
+    e += b_sq
+    e += a_sq[:, None]
+    return e
+
+
+def _pair_distances(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``((A[a[i]] - B[b[i]]) ** 2).sum()`` for every i.
+
+    Each sum runs over one contiguous row, so its bits do not depend on i
+    or on how the pairs are cut into blocks.  A block holds three gathered
+    (pairs × columns) arrays at once.
+    """
+    out = np.empty(len(a))
+    step = max(1, _rows_per_block(A.shape[1]) // 3)
+    for lo in range(0, len(a), step):
+        diff = A[a[lo : lo + step]] - B[b[lo : lo + step]]
+        diff *= diff
+        out[lo : lo + step] = diff.sum(axis=1)
+    return out
 
 
 class KNearestNeighbors(Classifier):
@@ -41,58 +95,185 @@ class KNearestNeighbors(Classifier):
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         self.X_ = X
         self.y_idx_ = y_idx
+        self.rows_scored_ = 0
         self._sq_norms = np.einsum("ij,ij->i", X, X)
-        self._onehot = np.zeros((X.shape[0], len(self.classes_)))
-        self._onehot[np.arange(X.shape[0]), y_idx] = 1.0
+        # M(q) per unit of (‖q‖ + R)² (``_margin``).
+        self._rel = 4.0 * (X.shape[1] + 8) * _U
+        self._norm_bound = math.sqrt(self._sq_norms.max(initial=0.0))
+        self._cluster_rows()
 
-    def _sq_distances(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Squared distances of query rows to every training row, into ``out``.
+    def _cluster_rows(self) -> None:
+        """Partition the training rows into clusters.
 
-        Uses the expansion ‖q‖² − 2q·x + ‖x‖² and clamps the roundoff
-        negatives.  Monotone in true distance, so neighbor selection is
-        unaffected by skipping the sqrt.  Every step runs in place; since
-        a + (−b) is a − b in IEEE arithmetic, the result is bit for bit
-        ``sq - 2.0 * (q @ X.T) + qq``.
-
-        A one-row ``q @ X.T`` would go to BLAS's matrix-vector product,
-        whose sums can differ from the matrix product's in the last bits;
-        so a lone row is multiplied as two copies of itself and the first
-        kept, and each row gets the same bits in any block.
+        Sets ``_cluster`` (each row's cluster), ``_sizes``, ``_centres``,
+        ``_c_sq`` (their squared norms) and ``_radii``: each cluster's
+        largest expansion from its centre, plus the most that an expansion
+        can fall short of the distance (4·rel·R², as ‖x‖ + R ≤ 2R), its
+        square root padded up for rounding.
         """
-        if q.shape[0] == 1:
-            d2 = out
-            d2[:] = np.matmul(np.repeat(q, 2, axis=0), self.X_.T)[:1]
+        n = self.X_.shape[0]
+        n_clusters = math.isqrt((n - 1) // 16) + 1
+        seeds = np.arange(n_clusters) * n // n_clusters
+        centres, c_sq = self.X_[seeds], self._sq_norms[seeds]
+        label = np.empty(n, dtype=np.intp)
+        near_sq = np.empty(n)
+        step = _rows_per_block(max(n_clusters, self.X_.shape[1]))
+        for lo in range(0, n, step):
+            e = _expansions(self.X_[lo : lo + step], self._sq_norms[lo : lo + step], centres, c_sq)
+            label[lo : lo + step] = e.argmin(axis=1)
+            near_sq[lo : lo + step] = e.min(axis=1)
+        sizes = np.bincount(label, minlength=n_clusters)
+        keep = sizes > 0
+        self._cluster = (np.cumsum(keep) - 1)[label]
+        self._sizes, self._centres, self._c_sq = sizes[keep], centres[keep], c_sq[keep]
+        r_sq = np.zeros(len(self._sizes))
+        np.maximum.at(r_sq, self._cluster, near_sq)
+        r_sq += 4.0 * self._rel * self._norm_bound**2 + np.finfo(np.float64).tiny
+        self._radii = np.sqrt(r_sq) * (1.0 + self._rel)
+
+    def _margin(self, qq: np.ndarray) -> np.ndarray:
+        """M(q): a bound on |expansion − row-wise distance| between each
+        query (squared norm ``qq``) and any training row.
+
+        Let u = 2⁻⁵³, d the width, a = ‖q‖², b = ‖x‖² and s = ‖q − x‖²,
+        with ‖x‖ ≤ R for every row (``_norm_bound``), so that
+        s ≤ (‖q‖ + R)² = S².
+
+        - The expansion sums a, b and q·x in any order, with or without
+          FMA: each is within γ_d = du/(1 − du) of its real value, of size
+          at most a, b and √(ab).  Scaling by −2 is exact, and the two
+          additions round by u each, on sums of size at most S².  So it is
+          within (d + 3)u·S² of s, to first order.
+        - The row-wise form rounds each difference and its square (2u) and
+          sums d non-negative terms (γ_(d−1)), so it is within (d + 2)u·s.
+
+        Hence |expansion − row-wise| ≤ (2d + 5)u·S².  M = 4(d + 8)u·S²
+        covers that twice over, which leaves room for the rounding of S
+        itself and of the lower bounds (``_lower_bounds``); the tiny
+        constant covers underflow.
+        """
+        s = np.sqrt(qq) + self._norm_bound
+        return self._rel * s * s + np.finfo(np.float64).tiny
+
+    def _lower_bounds(self, q, qq, margin):
+        """``(dc, lb)``: the expansion from each query row to each centre,
+        and a lower bound on (row-wise distance − M(q)) to any row of each
+        cluster, both (queries × clusters).
+
+        With D = ‖q − c‖ and ρ the cluster's radius, every member is at
+        least (D − ρ)⁺ from q.  D² ≥ dc − M, and ``_radii`` are ≥ ρ, so
+        (√(dc − M)⁺ − radius)⁺² is at most s + 8u·S² after its own three
+        roundings, and the row-wise distance is at least s − (d + 3)u·S².
+        Subtracting 2M ≥ M + (d + 11)u·S² leaves a bound that no member's
+        row-wise distance less M falls below.
+        """
+        dc = _expansions(q, qq, self._centres, self._c_sq)
+        lb = dc - margin[:, None]
+        np.maximum(lb, 0.0, out=lb)
+        np.sqrt(lb, out=lb)
+        lb -= self._radii
+        np.maximum(lb, 0.0, out=lb)
+        lb *= lb
+        lb -= 2.0 * margin[:, None]
+        return dc, lb
+
+    def _first_k(self, q, who, idx, k):
+        """The first k candidate rows ``idx`` of each query row ``who`` in
+        (row-wise distance, index) order, as (who, idx) pairs by query.
+        Each query row that has a candidate has at least k.
+
+        A query with exactly k candidates keeps them unscored: they hold
+        every row at or below its k-th distance, so they are its first k,
+        in some order.
+        """
+        per_query = np.bincount(who, minlength=len(q))
+        if (per_query[per_query > 0] == k).all():
+            take = np.argsort(who, kind="stable")
         else:
-            d2 = np.matmul(q, self.X_.T, out=out)
-        d2 *= -2.0
-        d2 += self._sq_norms
-        d2 += np.einsum("ij,ij->i", q, q)[:, None]
-        return np.maximum(d2, 0.0, out=d2)
+            order = np.lexsort((idx, _pair_distances(self.X_, idx, q, who), who))
+            start = (np.cumsum(per_query) - per_query)[per_query > 0]
+            take = order[(start[:, None] + np.arange(k)).ravel()]
+        return who[take], idx[take]
+
+    def _scan(self, q, qq, margin, rows, k, pairs, kth):
+        """Scan the training rows ``rows`` for the query rows ``q``.
+
+        Returns the candidate (query, row) ``pairs``, with the new ones
+        added, and ``kth``, each query's k-th smallest expansion so far,
+        lowered to its k-th over ``rows`` where that is smaller.
+
+        Let t be that k-th value.  Its k rows are within M of their
+        row-wise distances, so the k-th row-wise distance is at most
+        t + M, and any row at or below it has an expansion of at most
+        t + 2M: those rows are the candidates.  The rows are gathered in
+        blocks of at least k rows.  When the pairs would outgrow an array,
+        only each query's first k are kept (``_first_k``).
+        """
+        kth = kth.copy()
+        who, idx = [pairs[0]], [pairs[1]]
+        held = len(pairs[0])
+        step = max(k, _rows_per_block(q.shape[1]))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            x, x_sq = self.X_[block], self._sq_norms[block]
+            part_rows = _rows_per_block(len(block))
+            for start in range(0, len(q), part_rows):
+                part = slice(start, start + part_rows)
+                e = _expansions(q[part], qq[part], x, x_sq)
+                self.rows_scored_ += e.size
+                if len(block) >= k:
+                    t = e.min(axis=1) if k == 1 else np.partition(e, k - 1, axis=1)[:, k - 1]
+                    np.minimum(kth[part], t, out=kth[part])
+                    del t
+                # A NaN never proves a row too far.
+                far = e > (kth[part] + 2.0 * margin[part])[:, None]
+                del e
+                # np.nonzero of a 2-D mask is many times slower.
+                part_who, col = np.divmod(np.flatnonzero(np.logical_not(far, out=far)), len(block))
+                who.append(part_who + start)
+                idx.append(block[col])
+                held += len(col)
+                if held > _rows_per_block(4):
+                    pairs = self._first_k(q, np.concatenate(who), np.concatenate(idx), k)
+                    who, idx, held = [pairs[0]], [pairs[1]], len(pairs[0])
+        return (np.concatenate(who), np.concatenate(idx)), kth
 
     def _scores(self, Q: np.ndarray) -> np.ndarray:
         """(n_queries, n_classes) neighbor vote counts."""
-        n_train = self.X_.shape[0]
-        k = min(self.k, n_train)
-        counts = np.empty((Q.shape[0], len(self.classes_)))
-        # The block size changes how much is held, not the bits of a row.
-        step = max(1, _DISTANCE_BLOCK_BYTES // (8 * n_train))
-        block = np.empty((min(step, Q.shape[0]), n_train))
+        self.rows_scored_ = 0
+        k = min(self.k, self.X_.shape[0])
+        n_clusters = len(self._sizes)
+        qq = np.einsum("ij,ij->i", Q, Q)
+        margin = self._margin(qq)
+        nearest = np.empty((Q.shape[0], k), dtype=np.intp)
+        no_pairs = (np.empty(0, dtype=np.intp),) * 2
+        step = _rows_per_block(max(n_clusters, Q.shape[1]))
         for lo in range(0, Q.shape[0], step):
-            q = Q[lo : lo + step]
-            d2 = self._sq_distances(q, block[: q.shape[0]])
-            if k == 1:
-                # argmin returns the lowest index among equal distances
-                counts[lo : lo + q.shape[0]] = self._onehot[d2.argmin(axis=1)]
-                continue
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-            strict = d2 < kth
-            at_kth = d2 == kth
-            need = k - strict.sum(axis=1, keepdims=True)
-            # Fill remaining seats with the lowest-index rows at the kth
-            # distance — the order a (distance, index) sort would produce.
-            fill = at_kth & (np.cumsum(at_kth, axis=1) <= need)
-            members = (strict | fill).astype(np.float64)
-            counts[lo : lo + q.shape[0]] = members @ self._onehot
+            q, q_qq, q_margin = Q[lo : lo + step], qq[lo : lo + step], margin[lo : lo + step]
+            dc, lb = self._lower_bounds(q, q_qq, q_margin)
+            home = dc.argmin(axis=1)
+            by_home = np.argsort(home, kind="stable")
+            group_sizes = np.bincount(home, minlength=n_clusters)
+            ends = np.cumsum(group_sizes)
+            for start, end in zip(ends - group_sizes, ends):
+                if start == end:
+                    continue
+                g = by_home[start:end]
+                qg, qqg, mg = q[g], q_qq[g], q_margin[g]
+                # First the group's nearest clusters, enough for k rows, ...
+                near = np.argsort(dc[g].sum(axis=0), kind="stable")
+                first = np.zeros(n_clusters, dtype=bool)
+                first[near[: np.searchsorted(np.cumsum(self._sizes[near]), k) + 1]] = True
+                rows = np.flatnonzero(first[self._cluster])
+                pairs, kth = self._scan(qg, qqg, mg, rows, k, no_pairs, np.full(len(g), np.inf))
+                # ... then every other cluster whose bound is not above the
+                # k-th expansion of some query of the group.
+                rest = ~(lb[g] > kth[:, None]).all(axis=0) & ~first
+                if rest.any():
+                    pairs, _ = self._scan(qg, qqg, mg, np.flatnonzero(rest[self._cluster]), k, pairs, kth)
+                nearest[lo + g] = self._first_k(qg, *pairs, k)[1].reshape(-1, k)
+        counts = np.zeros((Q.shape[0], len(self.classes_)))
+        np.add.at(counts, (np.repeat(np.arange(Q.shape[0]), k), self.y_idx_[nearest].ravel()), 1.0)
         return counts
 
     def _params_dict(self) -> dict:
@@ -103,8 +284,8 @@ class KNearestNeighbors(Classifier):
         y_idx = check_codes(self.classes_, params["labels"])
         if len(y_idx) != len(X):
             raise DriverIdError(f"knn has {len(y_idx)} labels for {len(X)} training rows")
-        # Checked here, not by the load probe: a lone query row is copied
-        # (``_sq_distances``), and the probe row may be of any width.
+        # Checked here, not by the load probe: the clusters are built from
+        # the rows, which must be a (rows, n_features) matrix.
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise DriverIdError(f"knn training rows must have {self.n_features_} columns")
         self._fit(X, y_idx)

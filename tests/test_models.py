@@ -472,39 +472,124 @@ def test_knn_duplicate_distance_boundary():
     assert model.predict([[0.0]]) == ["A"]
 
 
-def test_knn_distance_block_matches_the_out_of_place_expression():
-    # the in-place block must equal sq − 2·(q @ X.T) + qq, clamped, bit for
-    # bit: a query chunk shorter than the reused block, duplicates of
-    # training rows (distance 0, clamped roundoff) and an odd width
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(301, 7))
-    Q = np.vstack([rng.normal(size=(37, 7)), X[:5], X[:5] * (1 + 1e-12)])
-    model = KNearestNeighbors().fit(X, ["A"] * 150 + ["B"] * 151)
-    want = model._sq_norms - 2.0 * (Q @ X.T)
-    want += np.einsum("ij,ij->i", Q, Q)[:, None]
-    np.maximum(want, 0.0, out=want)
-    block = np.full((64, X.shape[0]), np.nan)
-    got = model._sq_distances(Q, block[: Q.shape[0]])
-    assert np.array_equal(got, want)
-    assert (got == 0.0).any()
+def _exhaustive_votes(X, y_idx, Q, k, n_classes):
+    """Votes of each query's first k rows in (row-wise distance, index)
+    order: the exhaustive scan that k-NN must reproduce."""
+    votes = np.zeros((len(Q), n_classes))
+    for i, q in enumerate(Q):
+        d2 = ((X - q) ** 2).sum(axis=1)
+        np.add.at(votes[i], y_idx[np.lexsort((np.arange(len(X)), d2))[:k]], 1.0)
+    return votes
 
 
-def test_knn_a_lone_query_row_gets_the_bits_of_a_full_block(monkeypatch):
-    # numpy sends a one-row q @ X.T to BLAS's matrix-vector product, whose
-    # sums can differ from the matrix product's in the last bits.  Each
-    # query alone must score as in one batch; blocks of 16 rows leave a
-    # one-row last block of the 33 queries.
+def _near_tie_knn(k, seed=7):
+    """k-NN fitted on real-valued rows with planted exact duplicates (of
+    lower rows, at higher indices) and near-duplicates (one ulp apart),
+    and queries that are training rows, midpoints of row pairs (equal real
+    distances, rounded apart), random points and points far outside the
+    training range; with the exhaustive votes of those queries."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(400, 6)) * rng.uniform(0.5, 3.0, size=6) + rng.uniform(-5, 5, size=6)
+    X[350:370] = X[10:30]
+    X[370:390] = np.nextafter(X[30:50], np.inf)
+    y_idx = rng.integers(0, 4, len(X))
+    Q = np.vstack([
+        X[[0, 10, 29, 30, 355, 375]],
+        (X[:40:2] + X[1:40:2]) / 2,
+        (X[10:20] + X[50:60]) / 2,
+        rng.normal(size=(30, 6)) * 3,
+        rng.normal(size=(10, 6)) * 40,
+    ])
+    model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
+    return model, Q, _exhaustive_votes(X, y_idx, Q, k, 4)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_knn_real_valued_near_ties_match_the_exhaustive_sort(monkeypatch, k, block_bytes):
+    # Duplicates and near-ties rounded apart must vote as the exhaustive
+    # (row-wise distance, index) sort does: in one batch, one query at a
+    # time and two at a time, and with arrays of one row each.
+    if block_bytes is not None:
+        monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", block_bytes)
+    model, Q, votes = _near_tie_knn(k)
+    assert np.array_equal(model._scores(Q), votes)
+    for i in range(0, len(Q), 2):
+        assert np.array_equal(model._scores(Q[i : i + 1]), votes[i : i + 1])
+        assert np.array_equal(model._scores(Q[i : i + 2]), votes[i : i + 2])
+
+
+def test_knn_expansion_stays_within_the_margin_of_the_row_wise_distance():
+    # |‖q‖² − 2q·x + ‖x‖² − ((x − q) ** 2).sum()| ≤ M(q), however BLAS
+    # sums the products: on rows far from the origin (cancellation), for
+    # queries inside and far outside the training range, gathered in any
+    # order and in blocks of any size.
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(500, 45)) * rng.uniform(0.01, 50, size=45) + rng.uniform(-300, 300, size=45)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    Q = np.vstack([X[:20] + rng.normal(size=(20, 45)) * 1e-3, rng.uniform(lo, hi, size=(20, 45)),
+                   hi + rng.uniform(0, 1e4, size=(10, 45)), lo - rng.uniform(0, 1e4, size=(10, 45))])
+    model = KNearestNeighbors().fit(X, ["A", "B"] * 250)
+    qq = np.einsum("ij,ij->i", Q, Q)
+    margin = model._margin(qq)
+    rowwise = np.array([((X - q) ** 2).sum(axis=1) for q in Q])
+    for rows in (np.arange(500), rng.permutation(500)[:137], np.array([499, 3])):
+        for part in (slice(None), slice(0, 1), slice(5, 7)):
+            e = knn_module._expansions(Q[part], qq[part], X[rows], model._sq_norms[rows])
+            assert (np.abs(e - rowwise[part][:, rows]) <= margin[part, None]).all()
+
+
+def test_knn_no_cluster_bound_exceeds_a_members_distance_less_the_margin():
+    # lb(q, C) ≤ ((x − q) ** 2).sum() − M(q) for every row x of every
+    # cluster C, the inequality that makes skipping C exact; also for
+    # queries far outside the training range and on training rows.
+    rng = np.random.default_rng(32)
+    centers = rng.uniform(-20, 20, size=(6, 8))
+    X = np.repeat(centers, 120, axis=0) + rng.normal(size=(720, 8)) * rng.uniform(0.1, 3, size=8)
+    model = KNearestNeighbors().fit(X, ["A", "B"] * 360)
+    assert len(model._sizes) > 1
+    # On the ray from a centre through its farthest row, the bound is tight.
+    ray = []
+    for j, c in enumerate(model._centres):
+        members = X[model._cluster == j]
+        far = members[((members - c) ** 2).sum(axis=1).argmax()]
+        ray += [c + 2 * (far - c), c + 5 * (far - c)]
+    Q = np.vstack([X[::37], ray, rng.normal(size=(20, 8)) * 30, rng.normal(size=(5, 8)) * 1e4])
+    qq = np.einsum("ij,ij->i", Q, Q)
+    margin = model._margin(qq)
+    _, lb = model._lower_bounds(Q, qq, margin)
+    rowwise = np.array([((X - q) ** 2).sum(axis=1) for q in Q])
+    assert (lb[:, model._cluster] <= rowwise - margin[:, None]).all()
+
+
+def test_knn_scores_a_fraction_of_the_rows_of_separated_blobs():
+    # Ten well-separated blobs: each query scans little beyond its own
+    # blob.  One tight cluster of equal rows: every query scans every row.
+    rng = np.random.default_rng(33)
+    centers = rng.uniform(-100, 100, size=(10, 5))
+    X = np.repeat(centers, 200, axis=0) + rng.normal(size=(2000, 5))
+    y = [chr(65 + c) for c in np.repeat(np.arange(10), 200)]
+    model = KNearestNeighbors(k=3).fit(X, y)
+    Q = np.repeat(centers, 30, axis=0) + rng.normal(size=(300, 5))
+    assert model.predict(Q) == [chr(65 + c) for c in np.repeat(np.arange(10), 30)]
+    assert 0 < model.rows_scored_ < 0.25 * len(Q) * len(X)
+    same = KNearestNeighbors(k=3).fit(np.ones((500, 5)), y[:500])
+    assert len(same._sizes) == 1
+    same.predict(Q)
+    assert same.rows_scored_ == len(Q) * 500
+
+
+def test_knn_a_lone_query_row_votes_as_in_a_batch(monkeypatch):
+    # Each query alone must vote as in one batch; with small arrays the
+    # batch is cut into several groups and blocks, and the lone row
+    # reaches the search through the same code as any other.
     rng = np.random.default_rng(21)
     X = rng.normal(size=(2000, 45))
-    Q = rng.normal(size=(33, 45))
+    Q = np.vstack([rng.normal(size=(31, 45)), X[7], (X[3] + X[4]) / 2])
     model = KNearestNeighbors(k=3).fit(X, [chr(65 + c) for c in np.arange(2000) % 4])
-    full = model._sq_distances(Q, np.empty((33, 2000)))
-    for i in range(33):
-        alone = model._sq_distances(Q[i : i + 1], np.empty((1, 2000)))
-        assert np.array_equal(alone.view(np.int64), full[i : i + 1].view(np.int64))
     monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 16 * 8 * 2000)
     batch = model._scores(Q)
-    for i in range(33):
+    for i in range(len(Q)):
         assert np.array_equal(model._scores(Q[i : i + 1]), batch[i : i + 1])
 
 
@@ -523,11 +608,7 @@ def test_knn_an_exact_duplicate_row_loses_to_the_lower_index(k):
     y_idx[-1] = (y_idx[5] + 1) % 4
     Q = X[5] + rng.normal(scale=0.1, size=(200, 45))
     model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
-    votes = np.zeros((len(Q), 4))
-    for i, q in enumerate(Q):
-        d2 = ((X - q) ** 2).sum(axis=1)
-        np.add.at(votes[i], y_idx[np.lexsort((np.arange(len(X)), d2))[:k]], 1.0)
-    assert np.array_equal(model._scores(Q), votes)
+    assert np.array_equal(model._scores(Q), _exhaustive_votes(X, y_idx, Q, k, 4))
 
 
 def test_knn_k_clamps_to_train_size():
@@ -552,19 +633,14 @@ def _tie_heavy_knn(k, seed):
     y_idx = rng.integers(0, 4, 300)
     Q = np.vstack([rng.integers(-3, 4, size=(200, 2)).astype(float), X[:20]])
     model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
-    votes = np.zeros((len(Q), 4))
-    for i, q in enumerate(Q):
-        d2 = ((X - q) ** 2).sum(axis=1)
-        nearest = sorted(range(len(X)), key=lambda r: (d2[r], r))[:k]
-        np.add.at(votes[i], y_idx[nearest], 1.0)
-    return model, Q, votes
+    return model, Q, _exhaustive_votes(X, y_idx, Q, k, 4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_knn_tie_heavy_matches_exhaustive_sort(monkeypatch, k):
-    # blocks of 64 query rows, so the 220 queries span four of them
+    # arrays of 512 values, so the 220 queries span several blocks
     model, Q, votes = _tie_heavy_knn(k, seed=k)
-    monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 64 * 8 * model.X_.shape[0])
+    monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 16 * 8 * 512)
     assert np.array_equal(model._scores(Q), votes)
     assert model.predict(Q) == [chr(65 + int(c)) for c in votes.argmax(axis=1)]
 
@@ -572,28 +648,28 @@ def test_knn_tie_heavy_matches_exhaustive_sort(monkeypatch, k):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_knn_distance_blocks_match_the_exhaustive_sort(monkeypatch, rows, k):
-    # Blocks of one query row, of seven (the last one short) and the default
-    # budget (one block here) all vote as the exhaustive sort does.
+    # Arrays of one row, of seven rows of the training set's size (the
+    # last block short) and the default budget (one block here) all vote
+    # as the exhaustive sort does.
     model, Q, votes = _tie_heavy_knn(k, seed=10 + k)
     if rows is not None:
-        monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", rows * 8 * model.X_.shape[0])
+        monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", rows * 16 * 8 * model.X_.shape[0])
     assert np.array_equal(model._scores(Q), votes)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_predict_holds_one_distance_block_at_a_time(monkeypatch, k):
     # The distances of 2,000 queries to 1,000 training rows would take
-    # 16 MB.  predict holds one 1 MiB block of them, and two (n, K) arrays;
-    # for k > 1, the partition, the cumsum of ties and the member matrix
-    # of one block as well.
+    # 16 MB.  predict holds at most 1 MiB of distances, bounds, candidate
+    # pairs and gathered rows, and two (n, K) arrays, for k = 3 as for
+    # k = 1.
     monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 1 << 20)
     rng = np.random.default_rng(12)
     labels = [chr(65 + c) for c in np.arange(1000) % 10]
     model = KNearestNeighbors(k=k).fit(rng.normal(size=(1000, 5)), labels)
     Q = rng.normal(size=(2000, 5))
     _, peak = traced_peak(lambda: model.predict(Q))
-    blocks = 1 if k == 1 else 6
-    assert peak <= blocks * knn_module._DISTANCE_BLOCK_BYTES + 2 * Q.shape[0] * 10 * 8
+    assert peak <= knn_module._DISTANCE_BLOCK_BYTES + 2 * Q.shape[0] * 10 * 8
 
 
 # -- Gaussian NB ----------------------------------------------------------------
