@@ -7,30 +7,34 @@ one whose bits do not depend on where the row sits in a matrix.  Distance
 ties thus always admit the lowest-index rows.  Vote ties resolve to the
 lowest class.
 
-The search is a branch and bound (Fukunaga & Narendra, IEEE Trans.
-Computers C-24:750, 1975) that scores only rows that may be neighbours:
+Rows are scanned by the BLAS expansion ‖q‖² − 2q·x + ‖x‖², which is fast
+but whose last bits depend on the row's position in the product; it is
+only a filter.  Every row whose expansion lies within a proven margin
+(``_margin``) of the query's k-th smallest is scored again row-wise, and
+the neighbours are chosen from those rows alone.
 
-- ``fit`` partitions the training rows once into ⌈√(n/16)⌉ clusters: the
-  centres are rows at evenly spaced indices, every row joins its nearest
-  centre, and each cluster keeps its radius.  No random numbers are drawn.
-- ``predict`` groups the queries by their nearest centre.  Each group
-  scans its nearest clusters, enough for k rows, and then every other
-  cluster whose lower bound (``‖q − c‖ − radius``, padded by the margin)
-  is not above the k-th value found so far for some query of the group.
-- Rows are scanned by the BLAS expansion ‖q‖² − 2q·x + ‖x‖², which is fast
-  but whose last bits depend on the row's position in the product; it is
-  only a filter.  Every row whose expansion lies within a proven margin
-  (``_margin``) of the query's k-th smallest is scored again row-wise,
-  and the neighbours are chosen from those rows alone.
+A predict of at most ``_FULL_SCAN_PAIRS`` (query, training row) pairs
+scans every row.  A larger one searches by branch and bound (Fukunaga &
+Narendra, IEEE Trans. Computers C-24:750, 1975):
 
-The clusters change which rows are scanned, never the neighbours chosen.
+- The first such predict partitions the training rows into ⌈√(n/16)⌉
+  clusters: the centres are rows at evenly spaced indices, every row
+  joins its nearest centre, and each cluster keeps its radius.  No random
+  numbers are drawn, and the model keeps the partition.
+- The queries are grouped by their nearest centre.  Each group scans its
+  nearest clusters, enough for k rows, and then every other cluster whose
+  lower bound (``‖q − c‖ − radius``, padded by the margin) is not above
+  the k-th value found so far for some query of the group.
+
+Neither choice changes the neighbours, only the rows scanned.
 ``rows_scored_`` counts the (query, training row) pairs that the last
 predict scanned; a full scan is queries × training rows.
 
-Memory: each distance, bound or gathered-row array that a fit or predict
-holds takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES`` (40 MiB), or
-one row's worth if that is more, whatever the number of queries; fewer
-than twelve of them are alive at once.
+Memory: besides the training rows and a copy of them with two more
+columns (``_xa``), each distance, bound or gathered-row array that a
+predict holds takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES``
+(40 MiB), or one row's worth if that is more, whatever the number of
+queries; fewer than twelve of them are alive at once.
 """
 
 from __future__ import annotations
@@ -43,9 +47,16 @@ from ..errors import DriverIdError, whole_number
 from ..ingest import check_codes
 from .base import Classifier, finite_floats
 
-#: Most bytes that the distance, bound and gathered-row arrays of a fit or
+#: Most bytes that the distance, bound and gathered-row arrays of a
 #: predict hold together; each one takes at most a sixteenth of it.
 _DISTANCE_BLOCK_BYTES = 40 << 20
+
+#: Predicts of at most this many (query, training row) pairs scan every
+#: row: below it, building the clusters, the bounds and the scans group by
+#: group cost more than the rows they skip.  (On a 3,000-row ``table7``
+#: fold, 0.5 M pairs, one scan and a first cluster search take about as
+#: long; at 5 M pairs the search takes half as long.)
+_FULL_SCAN_PAIRS = 1 << 20
 
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -55,13 +66,29 @@ def _rows_per_block(cols: int) -> int:
     return max(1, _DISTANCE_BLOCK_BYTES // (16 * 8 * max(cols, 1)))
 
 
+def _left(a: np.ndarray, a_sq: np.ndarray) -> np.ndarray:
+    """Rows [−2a, 1, ‖a‖²]: scaling by −2 is exact."""
+    out = np.empty((len(a), a.shape[1] + 2))
+    np.multiply(a, -2.0, out=out[:, :-2])
+    out[:, -2] = 1.0
+    out[:, -1] = a_sq
+    return out
+
+
+def _right(b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """Rows [b, ‖b‖², 1]."""
+    out = np.empty((len(b), b.shape[1] + 2))
+    out[:, :-2] = b
+    out[:, -2] = b_sq
+    out[:, -1] = 1.0
+    return out
+
+
 def _expansions(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) expansions ‖a‖² − 2a·b + ‖b‖², given the squared
-    norms ``a_sq`` and ``b_sq``: a filter only (``KNearestNeighbors._margin``)."""
-    e = (-2.0 * a) @ b.T
-    e += b_sq
-    e += a_sq[:, None]
-    return e
+    norms ``a_sq`` and ``b_sq``, as one BLAS product that sums all d + 2
+    terms: a filter only (``KNearestNeighbors._margin``)."""
+    return _left(a, a_sq) @ _right(b, b_sq).T
 
 
 def _pair_distances(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,11 +123,13 @@ class KNearestNeighbors(Classifier):
         self.X_ = X
         self.y_idx_ = y_idx
         self.rows_scored_ = 0
-        self._sq_norms = np.einsum("ij,ij->i", X, X)
+        sq_norms = np.einsum("ij,ij->i", X, X)
+        # The right operand of every expansion, so that no scan copies X.
+        self._xa = _right(X, sq_norms)
         # M(q) per unit of (‖q‖ + R)² (``_margin``).
         self._rel = 4.0 * (X.shape[1] + 8) * _U
-        self._norm_bound = math.sqrt(self._sq_norms.max(initial=0.0))
-        self._cluster_rows()
+        self._norm_bound = math.sqrt(sq_norms.max(initial=0.0))
+        self._centres = None  # the clusters, built by the first predict that searches by them
 
     def _cluster_rows(self) -> None:
         """Partition the training rows into clusters.
@@ -112,16 +141,18 @@ class KNearestNeighbors(Classifier):
         square root padded up for rounding.
         """
         n = self.X_.shape[0]
-        n_clusters = math.isqrt((n - 1) // 16) + 1
+        n_clusters = math.isqrt((n - 1) // 16) + 1  # ⌈√(n/16)⌉
         seeds = np.arange(n_clusters) * n // n_clusters
-        centres, c_sq = self.X_[seeds], self._sq_norms[seeds]
+        centres, c_sq = self.X_[seeds], self._xa[seeds, -2]
+        left = _left(centres, c_sq)
         label = np.empty(n, dtype=np.intp)
         near_sq = np.empty(n)
         step = _rows_per_block(max(n_clusters, self.X_.shape[1]))
         for lo in range(0, n, step):
-            e = _expansions(self.X_[lo : lo + step], self._sq_norms[lo : lo + step], centres, c_sq)
-            label[lo : lo + step] = e.argmin(axis=1)
-            near_sq[lo : lo + step] = e.min(axis=1)
+            # (centres × rows): numpy reduces the short axis faster so.
+            e = left @ self._xa[lo : lo + step].T
+            label[lo : lo + step] = e.argmin(axis=0)
+            near_sq[lo : lo + step] = e.min(axis=0)
         sizes = np.bincount(label, minlength=n_clusters)
         keep = sizes > 0
         self._cluster = (np.cumsum(keep) - 1)[label]
@@ -139,18 +170,18 @@ class KNearestNeighbors(Classifier):
         with ‖x‖ ≤ R for every row (``_norm_bound``), so that
         s ≤ (‖q‖ + R)² = S².
 
-        - The expansion sums a, b and q·x in any order, with or without
-          FMA: each is within γ_d = du/(1 − du) of its real value, of size
-          at most a, b and √(ab).  Scaling by −2 is exact, and the two
-          additions round by u each, on sums of size at most S².  So it is
-          within (d + 3)u·S² of s, to first order.
+        - The expansion is one BLAS sum of the d + 2 products of
+          [−2q, 1, a] and [x, b, 1] (``_left``, ``_right``), in any order,
+          with or without FMA.  Their sizes add up to 2Σ|q_i·x_i| + a + b
+          ≤ S², so the sum is within γ_(d+2)·S² of its real value, where
+          γ_m = mu/(1 − mu); a and b are themselves within γ_d·a and γ_d·b.
+          So it is within (2d + 2)u·S² of s, to first order.
         - The row-wise form rounds each difference and its square (2u) and
           sums d non-negative terms (γ_(d−1)), so it is within (d + 2)u·s.
 
-        Hence |expansion − row-wise| ≤ (2d + 5)u·S².  M = 4(d + 8)u·S²
-        covers that twice over, which leaves room for the rounding of S
-        itself and of the lower bounds (``_lower_bounds``); the tiny
-        constant covers underflow.
+        Hence |expansion − row-wise| ≤ (3d + 4)u·S².  M = 4(d + 8)u·S²
+        leaves (d + 28)u·S² for the rounding of S itself and for the lower
+        bounds (``_lower_bounds``); the tiny constant covers underflow.
         """
         s = np.sqrt(qq) + self._norm_bound
         return self._rel * s * s + np.finfo(np.float64).tiny
@@ -163,8 +194,8 @@ class KNearestNeighbors(Classifier):
         With D = ‖q − c‖ and ρ the cluster's radius, every member is at
         least (D − ρ)⁺ from q.  D² ≥ dc − M, and ``_radii`` are ≥ ρ, so
         (√(dc − M)⁺ − radius)⁺² is at most s + 8u·S² after its own three
-        roundings, and the row-wise distance is at least s − (d + 3)u·S².
-        Subtracting 2M ≥ M + (d + 11)u·S² leaves a bound that no member's
+        roundings, and the row-wise distance is at least s − (d + 2)u·S².
+        Subtracting 2M ≥ M + (d + 10)u·S² leaves a bound that no member's
         row-wise distance less M falls below.
         """
         dc = _expansions(q, qq, self._centres, self._c_sq)
@@ -196,7 +227,8 @@ class KNearestNeighbors(Classifier):
         return who[take], idx[take]
 
     def _scan(self, q, qq, margin, rows, k, pairs, kth):
-        """Scan the training rows ``rows`` for the query rows ``q``.
+        """Scan the training rows ``rows`` (None: every row) for the query
+        rows ``q``.
 
         Returns the candidate (query, row) ``pairs``, with the new ones
         added, and ``kth``, each query's k-th smallest expansion so far,
@@ -205,7 +237,7 @@ class KNearestNeighbors(Classifier):
         Let t be that k-th value.  Its k rows are within M of their
         row-wise distances, so the k-th row-wise distance is at most
         t + M, and any row at or below it has an expansion of at most
-        t + 2M: those rows are the candidates.  The rows are gathered in
+        t + 2M: those rows are the candidates.  The rows are taken in
         blocks of at least k rows.  When the pairs would outgrow an array,
         only each query's first k are kept (``_first_k``).
         """
@@ -213,13 +245,17 @@ class KNearestNeighbors(Classifier):
         who, idx = [pairs[0]], [pairs[1]]
         held = len(pairs[0])
         step = max(k, _rows_per_block(q.shape[1]))
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
-            x, x_sq = self.X_[block], self._sq_norms[block]
+        n_rows = len(self._xa) if rows is None else len(rows)
+        for lo in range(0, n_rows, step):
+            if rows is None:  # a view, not a gathered copy
+                block, x = np.arange(lo, min(lo + step, n_rows)), self._xa[lo : lo + step]
+            else:
+                block = rows[lo : lo + step]
+                x = self._xa[block]
             part_rows = _rows_per_block(len(block))
             for start in range(0, len(q), part_rows):
                 part = slice(start, start + part_rows)
-                e = _expansions(q[part], qq[part], x, x_sq)
+                e = _left(q[part], qq[part]) @ x.T
                 self.rows_scored_ += e.size
                 if len(block) >= k:
                     t = e.min(axis=1) if k == 1 else np.partition(e, k - 1, axis=1)[:, k - 1]
@@ -241,12 +277,18 @@ class KNearestNeighbors(Classifier):
     def _scores(self, Q: np.ndarray) -> np.ndarray:
         """(n_queries, n_classes) neighbor vote counts."""
         self.rows_scored_ = 0
-        k = min(self.k, self.X_.shape[0])
-        n_clusters = len(self._sizes)
+        n = self.X_.shape[0]
+        k = min(self.k, n)
         qq = np.einsum("ij,ij->i", Q, Q)
         margin = self._margin(qq)
-        nearest = np.empty((Q.shape[0], k), dtype=np.intp)
         no_pairs = (np.empty(0, dtype=np.intp),) * 2
+        if Q.shape[0] * n <= _FULL_SCAN_PAIRS:
+            pairs, _ = self._scan(Q, qq, margin, None, k, no_pairs, np.full(len(Q), np.inf))
+            return self._votes(self._first_k(Q, *pairs, k)[1].reshape(-1, k))
+        if self._centres is None:
+            self._cluster_rows()
+        n_clusters = len(self._sizes)
+        nearest = np.empty((Q.shape[0], k), dtype=np.intp)
         step = _rows_per_block(max(n_clusters, Q.shape[1]))
         for lo in range(0, Q.shape[0], step):
             q, q_qq, q_margin = Q[lo : lo + step], qq[lo : lo + step], margin[lo : lo + step]
@@ -272,8 +314,13 @@ class KNearestNeighbors(Classifier):
                 if rest.any():
                     pairs, _ = self._scan(qg, qqg, mg, np.flatnonzero(rest[self._cluster]), k, pairs, kth)
                 nearest[lo + g] = self._first_k(qg, *pairs, k)[1].reshape(-1, k)
-        counts = np.zeros((Q.shape[0], len(self.classes_)))
-        np.add.at(counts, (np.repeat(np.arange(Q.shape[0]), k), self.y_idx_[nearest].ravel()), 1.0)
+        return self._votes(nearest)
+
+    def _votes(self, nearest: np.ndarray) -> np.ndarray:
+        """(n_queries, n_classes) vote counts of the (n_queries, k)
+        neighbour rows ``nearest``."""
+        counts = np.zeros((len(nearest), len(self.classes_)))
+        np.add.at(counts, (np.arange(len(nearest)).repeat(nearest.shape[1]), self.y_idx_[nearest].ravel()), 1.0)
         return counts
 
     def _params_dict(self) -> dict:

@@ -472,6 +472,16 @@ def test_knn_duplicate_distance_boundary():
     assert model.predict([[0.0]]) == ["A"]
 
 
+def _each_search(monkeypatch):
+    """Yield twice: first with every predict searching by cluster, then
+    with the default, one scan of every row for predicts as small as the
+    tests'."""
+    default = knn_module._FULL_SCAN_PAIRS
+    for full_scan_pairs in (0, default):
+        monkeypatch.setattr(knn_module, "_FULL_SCAN_PAIRS", full_scan_pairs)
+        yield
+
+
 def _exhaustive_votes(X, y_idx, Q, k, n_classes):
     """Votes of each query's first k rows in (row-wise distance, index)
     order: the exhaustive scan that k-NN must reproduce."""
@@ -504,19 +514,22 @@ def _near_tie_knn(k, seed=7):
     return model, Q, _exhaustive_votes(X, y_idx, Q, k, 4)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("block_bytes", [None, 1 << 13])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_knn_real_valued_near_ties_match_the_exhaustive_sort(monkeypatch, k, block_bytes):
     # Duplicates and near-ties rounded apart must vote as the exhaustive
-    # (row-wise distance, index) sort does: in one batch, one query at a
-    # time and two at a time, and with arrays of one row each.
+    # (row-wise distance, index) sort does: in one batch with arrays of 64
+    # values (one query row of expansions, blocks of ten training rows),
+    # and with the default arrays in one batch, one query at a time and two
+    # at a time.
     if block_bytes is not None:
         monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", block_bytes)
     model, Q, votes = _near_tie_knn(k)
-    assert np.array_equal(model._scores(Q), votes)
-    for i in range(0, len(Q), 2):
-        assert np.array_equal(model._scores(Q[i : i + 1]), votes[i : i + 1])
-        assert np.array_equal(model._scores(Q[i : i + 2]), votes[i : i + 2])
+    for _ in _each_search(monkeypatch):
+        assert np.array_equal(model._scores(Q), votes)
+        for i in range(0, len(Q) if block_bytes is None else 0, 2):
+            assert np.array_equal(model._scores(Q[i : i + 1]), votes[i : i + 1])
+            assert np.array_equal(model._scores(Q[i : i + 2]), votes[i : i + 2])
 
 
 def test_knn_expansion_stays_within_the_margin_of_the_row_wise_distance():
@@ -535,7 +548,7 @@ def test_knn_expansion_stays_within_the_margin_of_the_row_wise_distance():
     rowwise = np.array([((X - q) ** 2).sum(axis=1) for q in Q])
     for rows in (np.arange(500), rng.permutation(500)[:137], np.array([499, 3])):
         for part in (slice(None), slice(0, 1), slice(5, 7)):
-            e = knn_module._expansions(Q[part], qq[part], X[rows], model._sq_norms[rows])
+            e = knn_module._expansions(Q[part], qq[part], X[rows], model._xa[rows, -2])
             assert (np.abs(e - rowwise[part][:, rows]) <= margin[part, None]).all()
 
 
@@ -547,6 +560,7 @@ def test_knn_no_cluster_bound_exceeds_a_members_distance_less_the_margin():
     centers = rng.uniform(-20, 20, size=(6, 8))
     X = np.repeat(centers, 120, axis=0) + rng.normal(size=(720, 8)) * rng.uniform(0.1, 3, size=8)
     model = KNearestNeighbors().fit(X, ["A", "B"] * 360)
+    model._cluster_rows()
     assert len(model._sizes) > 1
     # On the ray from a centre through its farthest row, the bound is tight.
     ray = []
@@ -562,9 +576,10 @@ def test_knn_no_cluster_bound_exceeds_a_members_distance_less_the_margin():
     assert (lb[:, model._cluster] <= rowwise - margin[:, None]).all()
 
 
-def test_knn_scores_a_fraction_of_the_rows_of_separated_blobs():
+def test_knn_scores_a_fraction_of_the_rows_of_separated_blobs(monkeypatch):
     # Ten well-separated blobs: each query scans little beyond its own
     # blob.  One tight cluster of equal rows: every query scans every row.
+    monkeypatch.setattr(knn_module, "_FULL_SCAN_PAIRS", 0)
     rng = np.random.default_rng(33)
     centers = rng.uniform(-100, 100, size=(10, 5))
     X = np.repeat(centers, 200, axis=0) + rng.normal(size=(2000, 5))
@@ -574,8 +589,8 @@ def test_knn_scores_a_fraction_of_the_rows_of_separated_blobs():
     assert model.predict(Q) == [chr(65 + c) for c in np.repeat(np.arange(10), 30)]
     assert 0 < model.rows_scored_ < 0.25 * len(Q) * len(X)
     same = KNearestNeighbors(k=3).fit(np.ones((500, 5)), y[:500])
-    assert len(same._sizes) == 1
     same.predict(Q)
+    assert len(same._sizes) == 1
     assert same.rows_scored_ == len(Q) * 500
 
 
@@ -588,13 +603,14 @@ def test_knn_a_lone_query_row_votes_as_in_a_batch(monkeypatch):
     Q = np.vstack([rng.normal(size=(31, 45)), X[7], (X[3] + X[4]) / 2])
     model = KNearestNeighbors(k=3).fit(X, [chr(65 + c) for c in np.arange(2000) % 4])
     monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 16 * 8 * 2000)
-    batch = model._scores(Q)
-    for i in range(len(Q)):
-        assert np.array_equal(model._scores(Q[i : i + 1]), batch[i : i + 1])
+    for _ in _each_search(monkeypatch):
+        batch = model._scores(Q)
+        for i in range(len(Q)):
+            assert np.array_equal(model._scores(Q[i : i + 1]), batch[i : i + 1])
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_knn_an_exact_duplicate_row_loses_to_the_lower_index(k):
+def test_knn_an_exact_duplicate_row_loses_to_the_lower_index(monkeypatch, k):
     # Row 5 is copied into the last training row under another label, and
     # rows 6 and 7 lie near it, so for k = 3 the copies also contend for the
     # third seat.  Equal rows are at equal distance from any query, so the
@@ -608,7 +624,9 @@ def test_knn_an_exact_duplicate_row_loses_to_the_lower_index(k):
     y_idx[-1] = (y_idx[5] + 1) % 4
     Q = X[5] + rng.normal(scale=0.1, size=(200, 45))
     model = KNearestNeighbors(k=k).fit(X, [chr(65 + int(c)) for c in y_idx])
-    assert np.array_equal(model._scores(Q), _exhaustive_votes(X, y_idx, Q, k, 4))
+    votes = _exhaustive_votes(X, y_idx, Q, k, 4)
+    for _ in _each_search(monkeypatch):
+        assert np.array_equal(model._scores(Q), votes)
 
 
 def test_knn_k_clamps_to_train_size():
@@ -641,8 +659,9 @@ def test_knn_tie_heavy_matches_exhaustive_sort(monkeypatch, k):
     # arrays of 512 values, so the 220 queries span several blocks
     model, Q, votes = _tie_heavy_knn(k, seed=k)
     monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", 16 * 8 * 512)
-    assert np.array_equal(model._scores(Q), votes)
-    assert model.predict(Q) == [chr(65 + int(c)) for c in votes.argmax(axis=1)]
+    for _ in _each_search(monkeypatch):
+        assert np.array_equal(model._scores(Q), votes)
+        assert model.predict(Q) == [chr(65 + int(c)) for c in votes.argmax(axis=1)]
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -654,7 +673,8 @@ def test_knn_distance_blocks_match_the_exhaustive_sort(monkeypatch, rows, k):
     model, Q, votes = _tie_heavy_knn(k, seed=10 + k)
     if rows is not None:
         monkeypatch.setattr(knn_module, "_DISTANCE_BLOCK_BYTES", rows * 16 * 8 * model.X_.shape[0])
-    assert np.array_equal(model._scores(Q), votes)
+    for _ in _each_search(monkeypatch):
+        assert np.array_equal(model._scores(Q), votes)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -668,8 +688,11 @@ def test_knn_predict_holds_one_distance_block_at_a_time(monkeypatch, k):
     labels = [chr(65 + c) for c in np.arange(1000) % 10]
     model = KNearestNeighbors(k=k).fit(rng.normal(size=(1000, 5)), labels)
     Q = rng.normal(size=(2000, 5))
-    _, peak = traced_peak(lambda: model.predict(Q))
-    assert peak <= knn_module._DISTANCE_BLOCK_BYTES + 2 * Q.shape[0] * 10 * 8
+    # The cluster search, and one scan of every row.
+    for full_scan_pairs in (0, Q.shape[0] * 1000):
+        monkeypatch.setattr(knn_module, "_FULL_SCAN_PAIRS", full_scan_pairs)
+        _, peak = traced_peak(lambda: model.predict(Q))
+        assert peak <= knn_module._DISTANCE_BLOCK_BYTES + 2 * Q.shape[0] * 10 * 8
 
 
 # -- Gaussian NB ----------------------------------------------------------------
