@@ -30,9 +30,9 @@ Neither choice changes the neighbours, only the rows scanned.
 ``rows_scored_`` counts the (query, training row) pairs that the last
 predict scanned; a full scan is queries × training rows.
 
-Memory: besides the training rows and a copy of them with two more
-columns (``_xa``), each distance, bound or gathered-row array that a
-predict holds takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES``
+Memory: a predict holds a copy of the training rows with two more
+columns (``_right``), and each distance, bound or gathered-row array it
+holds besides takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES``
 (40 MiB), or one row's worth if that is more, whatever the number of
 queries; fewer than twelve of them are alive at once.
 """
@@ -123,16 +123,15 @@ class KNearestNeighbors(Classifier):
         self.X_ = X
         self.y_idx_ = y_idx
         self.rows_scored_ = 0
-        sq_norms = np.einsum("ij,ij->i", X, X)
-        # The right operand of every expansion, so that no scan copies X.
-        self._xa = _right(X, sq_norms)
+        self._sq_norms = np.einsum("ij,ij->i", X, X)
         # M(q) per unit of (‖q‖ + R)² (``_margin``).
         self._rel = 4.0 * (X.shape[1] + 8) * _U
-        self._norm_bound = math.sqrt(sq_norms.max(initial=0.0))
+        self._norm_bound = math.sqrt(self._sq_norms.max(initial=0.0))
         self._centres = None  # the clusters, built by the first predict that searches by them
 
-    def _cluster_rows(self) -> None:
-        """Partition the training rows into clusters.
+    def _cluster_rows(self, xa: np.ndarray) -> None:
+        """Partition the training rows (``xa``: as ``_right`` extends them)
+        into clusters.
 
         Sets ``_cluster`` (each row's cluster), ``_sizes``, ``_centres``,
         ``_c_sq`` (their squared norms) and ``_radii``: each cluster's
@@ -143,14 +142,14 @@ class KNearestNeighbors(Classifier):
         n = self.X_.shape[0]
         n_clusters = math.isqrt((n - 1) // 16) + 1  # ⌈√(n/16)⌉
         seeds = np.arange(n_clusters) * n // n_clusters
-        centres, c_sq = self.X_[seeds], self._xa[seeds, -2]
+        centres, c_sq = self.X_[seeds], self._sq_norms[seeds]
         left = _left(centres, c_sq)
         label = np.empty(n, dtype=np.intp)
         near_sq = np.empty(n)
         step = _rows_per_block(max(n_clusters, self.X_.shape[1]))
         for lo in range(0, n, step):
             # (centres × rows): numpy reduces the short axis faster so.
-            e = left @ self._xa[lo : lo + step].T
+            e = left @ xa[lo : lo + step].T
             label[lo : lo + step] = e.argmin(axis=0)
             near_sq[lo : lo + step] = e.min(axis=0)
         sizes = np.bincount(label, minlength=n_clusters)
@@ -175,7 +174,9 @@ class KNearestNeighbors(Classifier):
           with or without FMA.  Their sizes add up to 2Σ|q_i·x_i| + a + b
           ≤ S², so the sum is within γ_(d+2)·S² of its real value, where
           γ_m = mu/(1 − mu); a and b are themselves within γ_d·a and γ_d·b.
-          So it is within (2d + 2)u·S² of s, to first order.
+          So it is within (2d + 2)u·S² of s, to first order.  Computed as
+          (−2q)·x, then + b, then + a (``_scan`` for few queries), it is
+          within γ_d·(2√(ab) + a + b) + 2u·S² ≤ (d + 2)u·S² of s.
         - The row-wise form rounds each difference and its square (2u) and
           sums d non-negative terms (γ_(d−1)), so it is within (d + 2)u·s.
 
@@ -226,9 +227,10 @@ class KNearestNeighbors(Classifier):
             take = order[(start[:, None] + np.arange(k)).ravel()]
         return who[take], idx[take]
 
-    def _scan(self, q, qq, margin, rows, k, pairs, kth):
+    def _scan(self, xa, q, qq, margin, rows, k, pairs, kth):
         """Scan the training rows ``rows`` (None: every row) for the query
-        rows ``q``.
+        rows ``q``, from ``xa``, the training rows as ``_right`` extends
+        them, or with ``xa`` None from ``X_`` itself, adding the norms.
 
         Returns the candidate (query, row) ``pairs``, with the new ones
         added, and ``kth``, each query's k-th smallest expansion so far,
@@ -245,17 +247,23 @@ class KNearestNeighbors(Classifier):
         who, idx = [pairs[0]], [pairs[1]]
         held = len(pairs[0])
         step = max(k, _rows_per_block(q.shape[1]))
-        n_rows = len(self._xa) if rows is None else len(rows)
+        n_rows = len(self.X_) if rows is None else len(rows)
         for lo in range(0, n_rows, step):
-            if rows is None:  # a view, not a gathered copy
-                block, x = np.arange(lo, min(lo + step, n_rows)), self._xa[lo : lo + step]
+            if rows is None:  # views, not gathered copies
+                block = np.arange(lo, min(lo + step, n_rows))
+                x = self.X_[lo : lo + step] if xa is None else xa[lo : lo + step]
             else:
                 block = rows[lo : lo + step]
-                x = self._xa[block]
+                x = xa[block]
             part_rows = _rows_per_block(len(block))
             for start in range(0, len(q), part_rows):
                 part = slice(start, start + part_rows)
-                e = _left(q[part], qq[part]) @ x.T
+                if xa is None:
+                    e = (-2.0 * q[part]) @ x.T
+                    e += self._sq_norms[lo : lo + step]
+                    e += qq[part, None]
+                else:
+                    e = _left(q[part], qq[part]) @ x.T
                 self.rows_scored_ += e.size
                 if len(block) >= k:
                     t = e.min(axis=1) if k == 1 else np.partition(e, k - 1, axis=1)[:, k - 1]
@@ -282,11 +290,18 @@ class KNearestNeighbors(Classifier):
         qq = np.einsum("ij,ij->i", Q, Q)
         margin = self._margin(qq)
         no_pairs = (np.empty(0, dtype=np.intp),) * 2
+        # One product gives the expansions of the training rows extended by
+        # ``_right``.  The copy is held for this predict only, so a fitted
+        # model keeps no second X; for fewer query rows than half the width,
+        # adding the norms to X's product costs less than the copy.
+        xa = _right(self.X_, self._sq_norms) if 2 * len(Q) > Q.shape[1] + 2 else None
         if Q.shape[0] * n <= _FULL_SCAN_PAIRS:
-            pairs, _ = self._scan(Q, qq, margin, None, k, no_pairs, np.full(len(Q), np.inf))
+            pairs, _ = self._scan(xa, Q, qq, margin, None, k, no_pairs, np.full(len(Q), np.inf))
             return self._votes(self._first_k(Q, *pairs, k)[1].reshape(-1, k))
+        if xa is None:
+            xa = _right(self.X_, self._sq_norms)
         if self._centres is None:
-            self._cluster_rows()
+            self._cluster_rows(xa)
         n_clusters = len(self._sizes)
         nearest = np.empty((Q.shape[0], k), dtype=np.intp)
         step = _rows_per_block(max(n_clusters, Q.shape[1]))
@@ -307,12 +322,12 @@ class KNearestNeighbors(Classifier):
                 first = np.zeros(n_clusters, dtype=bool)
                 first[near[: np.searchsorted(np.cumsum(self._sizes[near]), k) + 1]] = True
                 rows = np.flatnonzero(first[self._cluster])
-                pairs, kth = self._scan(qg, qqg, mg, rows, k, no_pairs, np.full(len(g), np.inf))
+                pairs, kth = self._scan(xa, qg, qqg, mg, rows, k, no_pairs, np.full(len(g), np.inf))
                 # ... then every other cluster whose bound is not above the
                 # k-th expansion of some query of the group.
                 rest = ~(lb[g] > kth[:, None]).all(axis=0) & ~first
                 if rest.any():
-                    pairs, _ = self._scan(qg, qqg, mg, np.flatnonzero(rest[self._cluster]), k, pairs, kth)
+                    pairs, _ = self._scan(xa, qg, qqg, mg, np.flatnonzero(rest[self._cluster]), k, pairs, kth)
                 nearest[lo + g] = self._first_k(qg, *pairs, k)[1].reshape(-1, k)
         return self._votes(nearest)
 

@@ -534,9 +534,9 @@ def test_knn_real_valued_near_ties_match_the_exhaustive_sort(monkeypatch, k, blo
 
 def test_knn_expansion_stays_within_the_margin_of_the_row_wise_distance():
     # |‖q‖² − 2q·x + ‖x‖² − ((x − q) ** 2).sum()| ≤ M(q), however BLAS
-    # sums the products: on rows far from the origin (cancellation), for
-    # queries inside and far outside the training range, gathered in any
-    # order and in blocks of any size.
+    # sums the products and in both forms ``_scan`` uses: on rows far from
+    # the origin (cancellation), for queries inside and far outside the
+    # training range, gathered in any order and in blocks of any size.
     rng = np.random.default_rng(31)
     X = rng.normal(size=(500, 45)) * rng.uniform(0.01, 50, size=45) + rng.uniform(-300, 300, size=45)
     lo, hi = X.min(axis=0), X.max(axis=0)
@@ -548,7 +548,11 @@ def test_knn_expansion_stays_within_the_margin_of_the_row_wise_distance():
     rowwise = np.array([((X - q) ** 2).sum(axis=1) for q in Q])
     for rows in (np.arange(500), rng.permutation(500)[:137], np.array([499, 3])):
         for part in (slice(None), slice(0, 1), slice(5, 7)):
-            e = knn_module._expansions(Q[part], qq[part], X[rows], model._xa[rows, -2])
+            e = knn_module._expansions(Q[part], qq[part], X[rows], model._sq_norms[rows])
+            assert (np.abs(e - rowwise[part][:, rows]) <= margin[part, None]).all()
+            e = (-2.0 * Q[part]) @ X[rows].T
+            e += model._sq_norms[rows]
+            e += qq[part, None]
             assert (np.abs(e - rowwise[part][:, rows]) <= margin[part, None]).all()
 
 
@@ -560,7 +564,7 @@ def test_knn_no_cluster_bound_exceeds_a_members_distance_less_the_margin():
     centers = rng.uniform(-20, 20, size=(6, 8))
     X = np.repeat(centers, 120, axis=0) + rng.normal(size=(720, 8)) * rng.uniform(0.1, 3, size=8)
     model = KNearestNeighbors().fit(X, ["A", "B"] * 360)
-    model._cluster_rows()
+    model._cluster_rows(knn_module._right(X, model._sq_norms))
     assert len(model._sizes) > 1
     # On the ray from a centre through its farthest row, the bound is tight.
     ray = []
