@@ -31,7 +31,8 @@ Neither choice changes the neighbours, only the rows scanned.
 predict scanned; a full scan is queries × training rows.
 
 Memory: a predict holds a copy of the training rows with two more
-columns (``_right``), and each distance, bound or gathered-row array it
+columns (``_right``), unless it scans every row for fewer query rows
+than half the width, and each distance, bound or gathered-row array it
 holds besides takes at most a sixteenth of ``_DISTANCE_BLOCK_BYTES``
 (40 MiB), or one row's worth if that is more, whatever the number of
 queries; fewer than twelve of them are alive at once.
@@ -290,16 +291,16 @@ class KNearestNeighbors(Classifier):
         qq = np.einsum("ij,ij->i", Q, Q)
         margin = self._margin(qq)
         no_pairs = (np.empty(0, dtype=np.intp),) * 2
+        full_scan = Q.shape[0] * n <= _FULL_SCAN_PAIRS
         # One product gives the expansions of the training rows extended by
         # ``_right``.  The copy is held for this predict only, so a fitted
-        # model keeps no second X; for fewer query rows than half the width,
-        # adding the norms to X's product costs less than the copy.
-        xa = _right(self.X_, self._sq_norms) if 2 * len(Q) > Q.shape[1] + 2 else None
-        if Q.shape[0] * n <= _FULL_SCAN_PAIRS:
+        # model keeps no second X.  A full scan of fewer query rows than
+        # half the width adds the norms to X's product instead: cheaper.
+        few = full_scan and 2 * len(Q) <= Q.shape[1] + 2
+        xa = None if few else _right(self.X_, self._sq_norms)
+        if full_scan:
             pairs, _ = self._scan(xa, Q, qq, margin, None, k, no_pairs, np.full(len(Q), np.inf))
             return self._votes(self._first_k(Q, *pairs, k)[1].reshape(-1, k))
-        if xa is None:
-            xa = _right(self.X_, self._sq_norms)
         if self._centres is None:
             self._cluster_rows(xa)
         n_clusters = len(self._sizes)
@@ -346,8 +347,8 @@ class KNearestNeighbors(Classifier):
         y_idx = check_codes(self.classes_, params["labels"])
         if len(y_idx) != len(X):
             raise DriverIdError(f"knn has {len(y_idx)} labels for {len(X)} training rows")
-        # Checked here, not by the load probe: the clusters are built from
-        # the rows, which must be a (rows, n_features) matrix.
+        # Checked here, not by the load probe: scoring the probe row copies
+        # it (``_scan``), so a declared width would be allocated in full.
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise DriverIdError(f"knn training rows must have {self.n_features_} columns")
         self._fit(X, y_idx)
