@@ -283,7 +283,9 @@ def cross_validate(kind: str, config: dict | None, folds: Folds) -> MetricsRepor
     for (train, test), params in zip(folds.rows, folds.params):
         X_train, X_test = matrix.features[train], matrix.features[test]
         if params is not None:
-            X_train, X_test = apply_normalizer(params, X_train), apply_normalizer(params, X_test)
+            # The gathered copies are the fold's own: scale them in place.
+            apply_normalizer(params, X_train, out=X_train)
+            apply_normalizer(params, X_test, out=X_test)
         model = models.make(kind, config).fit(X_train, codes[train], classes=classes)
         predicted = encode_labels(model.predict(X_test), classes)[1]
         fold_matrices.append(confusion_from_predictions(codes[test], predicted, classes))

@@ -351,12 +351,14 @@ def fit_normalizer(train) -> NormalizationParams:
     return NormalizationParams(mins=X.min(axis=0).copy(), maxs=X.max(axis=0).copy())
 
 
-def apply_normalizer(params: NormalizationParams, m):
+def apply_normalizer(params: NormalizationParams, m, out=None):
     """Rescale each column to (x - min)/(max - min).
 
     Values outside the fitted range map outside [0, 1] — no clipping.
     Columns that were constant in the fitting data map to 0.0 everywhere.
-    Accepts and returns either a FeatureMatrix or a bare array.
+    Accepts and returns either a FeatureMatrix or a bare array.  A float64
+    array ``out`` of the same shape (``m``'s own array too) receives the
+    scaled values, with the same arithmetic, instead of a new array.
     """
     is_matrix = isinstance(m, FeatureMatrix)
     X = m.features if is_matrix else np.asarray(m, dtype=np.float64)
@@ -367,7 +369,8 @@ def apply_normalizer(params: NormalizationParams, m):
         )
     span = params.maxs - params.mins
     safe = np.where(span > 0, span, 1.0)
-    out = (X - params.mins) / safe
+    out = np.subtract(X, params.mins, out=out)
+    out /= safe
     out[:, span == 0] = 0.0
     if is_matrix:
         return FeatureMatrix(m.column_names, out, m.label_alphabet, m.codes)

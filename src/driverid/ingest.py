@@ -28,13 +28,17 @@ of the file, when loadtxt refuses it, when a channel cell is not finite,
 when its text holds a quote, a NUL or one of \x1c-\x1f, or when a line is
 longer than csv's field limit; the csv code then returns the same values
 or raises the same error.  The channels of every block are written into
-one float64 buffer that grows in place (``ndarray.resize``, a realloc) and
-is cut to the rows read at the end; no parsed block outlives its copy.  A
-load holds the buffer, at most twice the channel matrix while it grows,
-and the text of one block (about 1 MB of Python strings), never the text
-of the whole log.  Errors read as if the whole file were parsed at once: a
-ragged record anywhere wins over a bad cell, and the bad cell reported is
-the first in file order.
+one float64 buffer, which is cut to the rows read at the end; no parsed
+block outlives its copy.  For a file, the buffer holds as many rows as the
+file's size allows (:func:`_row_bound`, at most four times its size in
+bytes) and is never grown; its pages are touched only as rows fill them,
+so the rest costs address space, not memory.  From a stream of unknown
+size it grows in place (``ndarray.resize``, a realloc), to at most twice
+the channel matrix.  A load holds that buffer and the text of one block
+(about 1 MB of Python strings), never the text of the whole log.  Errors
+read as if the whole file were parsed at once: a ragged record anywhere
+wins over a bad cell, and the bad cell reported is the first in file
+order.
 
 :func:`write_csv` formats rows in chunks of at most ``_WRITE_CHUNK_BYTES``
 (64 KiB) of float64 cells: each chunk becomes Python floats through one
@@ -312,7 +316,7 @@ def load_dataset(
         channel_at = [i for i, name in enumerate(header) if name not in drop]
         column_names = tuple(header[i] for i in channel_at)
 
-        channels = np.empty((0, len(channel_at)))
+        channels = np.empty((_row_bound(stream, len(header), len(channel_at)), len(channel_at)))
         code_blocks = []
         n = 0
         seen = _FirstSeen()
@@ -321,7 +325,8 @@ def load_dataset(
         ):
             m = n + len(block)
             if m > len(channels):
-                # grown in place by a realloc; no second buffer joins the blocks
+                # A stream of unknown size: grown in place by a realloc (which
+                # zero-fills the new rows); no second buffer joins the blocks.
                 channels.resize((max(m, 2 * len(channels)), len(channel_at)), refcheck=False)
             channels[n:m] = block
             code_blocks.append(codes)
@@ -338,6 +343,20 @@ def load_dataset(
             label_alphabet=tuple(sorted(set(labels))),
             label_column=label_column,
         )
+
+
+def _row_bound(stream, n_fields: int, n_channels: int) -> int:
+    """Most records a file stream can hold, or 0 when its size is unknown.
+
+    A record takes at least one character per channel cell (an empty one
+    is an error before it is stored), a comma between fields and a line
+    end (but the last line), and a character takes at least one byte.
+    """
+    try:
+        size = os.fstat(stream.fileno()).st_size
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return 0
+    return (size + 1) // (n_channels + n_fields)
 
 
 class _FirstSeen(dict):

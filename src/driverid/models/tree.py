@@ -96,6 +96,10 @@ def _rank_gains(ys: np.ndarray, counts: np.ndarray, ws=None, total=None) -> np.n
     """
     n = ys.shape[1]
     grouping = np.argsort(ys, axis=1, kind="stable")
+    # As flat indices into a C-ordered (rows, n) block: row r's entry i of
+    # the grouping is at r·n + grouping[r, i], so one 1-D gather or scatter
+    # reads or writes exactly the elements of the along-axis one.
+    grouping += np.arange(0, grouping.size, n)[:, None]
     starts = np.cumsum(counts) - counts
     if ws is None:
         T = _xlog2x(np.arange(n + 1, dtype=np.float64))  # T[c] = c·log2 c
@@ -105,14 +109,14 @@ def _rank_gains(ys: np.ndarray, counts: np.ndarray, ws=None, total=None) -> np.n
         # left adds T[r+1] − T[r] to Σ T[l_k] and T[N_k−r−1] − T[N_k−r] to Σ T[r_k].
         rank = np.arange(n) - np.repeat(starts, counts)
         step = (dT[rank] - dT[np.repeat(counts, counts) - rank - 1])[None, :]
-        split = T[1:n] + T[n - 1 : 0 : -1] - T[n]
+        split = T[1:] + T[n - 1 :: -1] - T[n]
         total = n
     else:
         # The same grouping, with each row's class weight summed from the
         # class's first row through it (f of it is F) and from the class's
         # last row back to it (S): moving it left adds F − (F of the row
         # before) to Σ f(L_k) and (S of the row after) − S to Σ f(R_k).
-        up_to = np.take_along_axis(ws, grouping, axis=1)
+        up_to = ws.reshape(-1)[grouping]
         back = np.empty_like(up_to)
         for lo, hi in zip(starts, starts + counts):
             np.cumsum(up_to[:, lo:hi][:, ::-1], axis=1, out=back[:, lo:hi][:, ::-1])
@@ -130,17 +134,20 @@ def _rank_gains(ys: np.ndarray, counts: np.ndarray, ws=None, total=None) -> np.n
         after[:, last] = -S[:, last]
         step += after
         del S, after
+    # Column n - 1, after every row, is no cut.  It is scored with the
+    # others, so that each pass runs over whole rows, and then dropped.
     gains = np.empty(ys.shape)
-    np.put_along_axis(gains, grouping, step, axis=1)
+    gains.reshape(-1)[grouping] = step
     np.cumsum(gains, axis=1, out=gains)
-    gains = gains[:, :-1]
     if ws is not None:
-        split = _xlog2x(np.cumsum(ws[:, :-1], axis=1))
-        split += _xlog2x(np.cumsum(ws[:, :0:-1], axis=1)[:, ::-1])
+        split = _xlog2x(np.cumsum(ws, axis=1))
+        right = np.zeros_like(ws)
+        np.cumsum(ws[:, :0:-1], axis=1, out=right[:, -2::-1])
+        split += _xlog2x(right)
         split -= _xlog2x(np.float64(total))
     gains -= split
     gains /= total
-    return gains
+    return gains[:, :-1]
 
 
 def _gain_margin(n: int, K: int, total=None) -> float:
@@ -158,6 +165,23 @@ def _gain_margin(n: int, K: int, total=None) -> float:
 def _feature_orders(X: np.ndarray) -> np.ndarray:
     """Row orders of X by each feature, shape (d, n); ties in any order."""
     return np.argsort(X.T, axis=1)
+
+
+def _filter_orders(orders: np.ndarray, keep: np.ndarray, size: int) -> np.ndarray:
+    """``orders[keep].reshape(len(orders), size)``: the rows that ``keep``
+    marks, ``size`` in each feature's order, kept in that order.
+
+    ``compress`` takes a third of the time of the 2-D boolean index, but it
+    gathers through an index array of the elements it keeps, so it runs
+    on blocks of at most ``_BLOCK_ELEMENTS`` and that array stays small.
+    """
+    out = np.empty((len(orders), size), dtype=orders.dtype)
+    step = max(1, _BLOCK_ELEMENTS // orders.shape[1])
+    for lo in range(0, len(orders), step):
+        orders[lo : lo + step].compress(
+            keep[lo : lo + step].reshape(-1), out=out[lo : lo + step].reshape(-1)
+        )
+    return out
 
 
 def midpoint(vs: np.ndarray, cut: int) -> float:
@@ -256,8 +280,9 @@ class RepTree(Classifier):
             go_left = np.zeros(X.shape[0], dtype=bool)
             go_left[orders[j, :cut]] = True
             in_left = go_left[orders]
-            for links, side in ((right, ~in_left), (left, in_left)):
-                child = orders[side].reshape(len(orders), -1)
+            n_right = orders.shape[1] - cut
+            for links, side, size in ((right, ~in_left, n_right), (left, in_left, cut)):
+                child = _filter_orders(orders, side, size)
                 stack.append((links, slot, child, np.bincount(y[child[0]], minlength=K), depth + 1))
 
         self.feature_ = np.asarray(feature, dtype=np.intp)
@@ -377,16 +402,17 @@ class RepTree(Classifier):
         sized = (pos >= self.min_leaf_count) & (pos <= n - self.min_leaf_count)
         margin = _gain_margin(n, K, None if w is None else total)
         step = max(1, _BLOCK_ELEMENTS // n)
+        flat_X = X.reshape(-1)  # X is C-ordered (n_rows, d): x[r, j] is at r·d + j
         best, near = -np.inf, []
         for lo in range(0, d, step):
             order = orders[lo : lo + step]
-            vs = X[order, np.arange(lo, lo + len(order))[:, None]]
-            gains = _rank_gains(y[order], counts, None if w is None else w[order], total)
+            vs = flat_X.take(order * X.shape[1] + np.arange(lo, lo + len(order))[:, None])
+            gains = _rank_gains(y.take(order), counts, None if w is None else w.take(order), total)
             np.copyto(gains, -np.inf, where=~((vs[:, 1:] > vs[:, :-1]) & sized))
             best = max(best, float(gains.max()))
             if best == -np.inf:
                 continue
-            f, i = np.nonzero(gains >= best - margin)
+            f, i = np.divmod(np.flatnonzero(gains >= best - margin), n - 1)
             near.append((f + lo, i, gains[f, i]))
         if not near:
             return None

@@ -166,6 +166,17 @@ def test_normalizer_does_not_clip_unseen_values():
     assert Z[0, 0] == 2.0 and Z[1, 0] == -1.0
 
 
+def test_normalizer_out_scales_in_place_to_the_same_bits():
+    rng = np.random.default_rng(4)
+    X = rng.normal(5.0, 3.0, size=(40, 4))
+    X[:, 2] = 1.5  # a constant column
+    params = fit_normalizer(X[:30])
+    want = apply_normalizer(params, X)
+    got = X.copy()
+    assert apply_normalizer(params, got, out=got) is got
+    assert got.tobytes() == want.tobytes()
+
+
 def test_normalizer_column_count_mismatch():
     params = fit_normalizer(np.zeros((3, 2)))
     with pytest.raises(ColumnCountMismatch):

@@ -312,6 +312,32 @@ def test_row_blocks_match_the_default_block(monkeypatch, rows_per_block, spare_c
     assert got.label_alphabet == want.label_alphabet
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+def test_a_file_loads_as_the_same_log_from_a_stream(monkeypatch, tmp_path, rows_per_block):
+    # A file's buffer is sized once from the file's size; a stream's grows.
+    text = mixed_trip_text(rows_per_label=30, n_channels=4)
+    path = tmp_path / "log.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    if rows_per_block is not None:
+        monkeypatch.setattr(ingest, "_PARSE_BLOCK_CELLS", rows_per_block * 4)
+    want = ingest.load_dataset(io.StringIO(text))
+    got = ingest.load_dataset(str(path))
+    assert got.channels.shape == want.channels.shape
+    assert got.channels.tobytes() == want.channels.tobytes()
+    assert got.labels == want.labels
+
+
+def test_row_bound_holds_the_shortest_records(tmp_path):
+    # One-character cells, an empty label and no line end after the last
+    # record: no file packs its records tighter.
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"\n".join([b"1,2,"] * 40))
+    with open(path, encoding="utf-8", newline="") as stream:
+        assert ingest._row_bound(stream, 3, 2) == 40
+    assert ingest._row_bound(io.StringIO("1,2,\n"), 3, 2) == 0  # size unknown
+
+
 def _outcome(text, newline):
     """What load_dataset makes of a log read from a stream that splits
     lines as ``newline`` says: the dataset's bits, or the error."""

@@ -1,6 +1,7 @@
 """Classifier behaviour: correctness on separable data, ties, serialization."""
 
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driverid import models, pipeline
+from driverid import evaluate, models, pipeline
 from driverid.errors import (
     DimensionMismatch,
     DriverIdError,
@@ -23,6 +24,7 @@ from driverid.errors import (
     SingleClassForDiscriminative,
     UnknownLabel,
 )
+from driverid.features import apply_normalizer
 from driverid.models import (
     AdaBoost,
     GaussianNaiveBayes,
@@ -922,6 +924,109 @@ def test_svm_classic_single_sample_mode():
     X, y = blobs(seed=9, centers=((0, 0), (6, 6)))
     model = LinearSvm(epochs=40, seed=1, batch_size=1).fit(X, y)
     assert np.mean(np.asarray(model.predict(X)) == y) >= 0.95
+
+
+def _pegasos_reference(X, y_idx, K, lam=1e-4, epochs=20, seed=1, batch_size=64):
+    """The plain mini-batch Pegasos loop that ``LinearSvm.fit`` must equal
+    bit for bit: fresh arrays at every step and a projection at every step.
+    Returns the weights and the number of steps at which some class
+    vector's norm exceeded the radius."""
+    n, d = X.shape
+    X_aug = np.hstack([X, np.ones((n, 1))])
+    y_signs = np.full((n, K), -1.0)
+    y_signs[np.arange(n), y_idx] = 1.0
+    W = np.zeros((K, d + 1))
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    t = fired = 0
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        X_epoch, S_epoch = X_aug[perm], y_signs[perm]
+        for lo in range(0, n, batch_size):
+            t += 1
+            eta = 1.0 / (lam * t)
+            Xb = X_epoch[lo : lo + batch_size]
+            Sb = S_epoch[lo : lo + batch_size]
+            active = Sb * (Xb @ W.T) < 1.0
+            W *= 1.0 - eta * lam
+            W += (eta / len(Xb)) * ((Sb * active).T @ Xb)
+            norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+            fired += bool((norms > radius).any())
+            np.maximum(norms, radius, out=norms)
+            W *= (radius / norms)[:, None]
+    return W, fired
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.fixture(scope="module")
+def preset_folds(tmp_path_factory):
+    """The first three scaled training folds of the ``table6`` and
+    ``table7`` presets on the benchmark's 3,000-row seed-101 log."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    log = str(tmp_path_factory.mktemp("svm") / "log.csv")
+    gen.write_log(log, 101, 3000)
+    folds = {}
+    for preset in ("table6", "table7"):
+        config = pipeline.preset_config(preset, log)
+        matrix = pipeline.prepare_matrix(config)[2]
+        built = evaluate.Folds.build(matrix, config.cv_plan(), config.normalize)
+        folds[preset] = [
+            (apply_normalizer(params, matrix.features[train]), matrix.codes[train],
+             matrix.label_alphabet)
+            for (train, _), params in zip(built.rows[:3], built.params)
+        ]
+    return folds
+
+
+@pytest.mark.parametrize("batch_size, epochs", [(64, 20), (1, 2)])
+@pytest.mark.parametrize("fold", range(3))
+@pytest.mark.parametrize("preset", ["table6", "table7"])
+def test_svm_fit_equals_the_plain_pegasos_loop_on_preset_folds(
+    preset_folds, preset, fold, batch_size, epochs
+):
+    X, y_idx, classes = preset_folds[preset][fold]
+    assert len(X) % 64  # the last batch of each epoch is a short one
+    model = LinearSvm(epochs=epochs, batch_size=batch_size).fit(X, y_idx, classes=classes)
+    want, fired = _pegasos_reference(X, y_idx, len(classes), epochs=epochs, batch_size=batch_size)
+    _assert_same_bits(model.weights_, want)
+    if batch_size == 64 and preset == "table7":
+        assert 0 < fired < 20 * -(-len(X) // 64)  # both sides of the projection test
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 500])
+def test_svm_fit_equals_the_plain_pegasos_loop_with_a_zero_column(batch_size):
+    X, y = blobs(seed=11, n_per=33)
+    X = np.column_stack([X[:, :1], np.zeros(len(X)), X[:, 1:]])
+    y_idx = np.searchsorted(np.unique(y), y)
+    model = LinearSvm(epochs=5, seed=3, batch_size=batch_size).fit(X, y)
+    want, _ = _pegasos_reference(X, y_idx, 3, epochs=5, seed=3, batch_size=batch_size)
+    _assert_same_bits(model.weights_, want)
+    assert not model.weights_[:, 1].any()
+
+
+@pytest.mark.parametrize("batch_size", [16, 64])
+def test_svm_fit_equals_the_plain_pegasos_loop_when_every_step_projects(batch_size):
+    # Random labels keep some rows of every batch hinge-active, and a small λ
+    # makes the radius small against the steps, so every step projects.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(150, 4))
+    y_idx = rng.integers(0, 3, size=150)
+    lam = 1e-5
+    model = LinearSvm(lam=lam, epochs=3, seed=2, batch_size=batch_size).fit(
+        X, np.array(list("ABC"))[y_idx]
+    )
+    want, fired = _pegasos_reference(X, y_idx, 3, lam=lam, epochs=3, seed=2, batch_size=batch_size)
+    assert fired == 3 * -(-150 // batch_size)
+    _assert_same_bits(model.weights_, want)
 
 
 # -- REP tree -------------------------------------------------------------------
